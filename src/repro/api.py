@@ -51,6 +51,8 @@ signal) but accepts it so conformance scripts need no special-casing.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Protocol, Union, runtime_checkable
@@ -62,6 +64,7 @@ from .core.program import Program, compile_query
 from .core.validate import validate_query
 from .engine.results import QueryResult
 from .net.messages import QueryId
+from .server.context import RECENT_QUERIES
 from .server.stats import NodeStats
 
 #: Anything we can turn into an executable program.
@@ -107,6 +110,50 @@ class QueryOutcome:
         """Why the result is partial — ``"deadline"``, ``"crash"`` or
         ``"shed"`` — or ``None`` when it is complete."""
         return self.result.partial_reason
+
+
+class OutcomeTable:
+    """A cluster's table of completed queries, bounded like the sites'.
+
+    An outcome stays until its client first reads it (``wait`` or
+    ``outcome``) — it is the answer, and only the client knows when it
+    will come for it — and after that for as long as it is among the
+    last :data:`~repro.server.context.RECENT_QUERIES` outcomes read.
+    Completions arrive from site threads; :meth:`wait` sleeps on a
+    condition until *its* query is present.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._unread: Dict[QueryId, QueryOutcome] = {}
+        self._read: "OrderedDict[QueryId, QueryOutcome]" = OrderedDict()
+
+    def put(self, qid: QueryId, outcome: QueryOutcome) -> None:
+        with self._cond:
+            self._unread[qid] = outcome
+            self._cond.notify_all()
+
+    def get(self, qid: QueryId) -> Optional[QueryOutcome]:
+        with self._cond:
+            outcome = self._unread.pop(qid, None)
+            if outcome is None:
+                return self._read.get(qid)
+            self._read[qid] = outcome
+            if len(self._read) > RECENT_QUERIES:
+                self._read.popitem(last=False)
+            return outcome
+
+    def wait(self, qid: QueryId, timeout_s: float) -> Optional[QueryOutcome]:
+        """Block until ``qid`` has completed, ``timeout_s`` at most."""
+        with self._cond:
+            self._cond.wait_for(lambda: qid in self, timeout_s)
+            return self.get(qid)
+
+    def __contains__(self, qid: QueryId) -> bool:
+        return qid in self._unread or qid in self._read
+
+    def __len__(self) -> int:
+        return len(self._unread) + len(self._read)
 
 
 @runtime_checkable

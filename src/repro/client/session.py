@@ -25,7 +25,7 @@ from ..core.ast import Query
 from ..core.objects import make_set_object, set_members
 from ..core.oid import Oid
 from ..core.parser import parse_query
-from ..errors import HyperFileError
+from ..errors import HyperFileError, ResultSetRetired
 from ..net.messages import QueryId
 
 
@@ -78,6 +78,10 @@ class Session:
         """Size of a named set (summing partition counts if distributed)."""
         if name in self._distributed:
             outcome = self.cluster.outcome(self._distributed[name])
+            if outcome is None:
+                raise ResultSetRetired(
+                    f"set {name!r}: its query left the cluster's recently-finished window"
+                )
             counts = outcome.partition_counts or {}
             return sum(counts.values())
         return len(self.set_members(name))

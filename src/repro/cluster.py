@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Union
 
-from .api import QueryLike, QueryOutcome, compile_query_like, credit_deficit
+from .api import OutcomeTable, QueryLike, QueryOutcome, compile_query_like, credit_deficit
 from .config import ClusterConfig, resolve_config
 from .core.oid import Oid
 from .engine.results import QueryResult
@@ -72,7 +72,6 @@ class SimCluster:
         discipline: str = "fifo",
         result_mode: str = "ship",
         mark_granularity: str = "iteration",
-        gc_contexts: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         reliable: Union[bool, ReliableConfig] = False,
         batching: Optional[BatchConfig] = None,
@@ -89,7 +88,6 @@ class SimCluster:
             discipline=discipline,
             result_mode=result_mode,
             mark_granularity=mark_granularity,
-            gc_contexts=gc_contexts,
             fault_plan=fault_plan,
             reliable=reliable,
             batching=batching,
@@ -104,7 +102,6 @@ class SimCluster:
         discipline = config.discipline
         result_mode = config.result_mode
         mark_granularity = config.mark_granularity
-        gc_contexts = config.gc_contexts
         fault_plan = config.fault_plan
         reliable = config.reliable
         batching = config.batching
@@ -145,7 +142,6 @@ class SimCluster:
                 discipline=discipline,
                 result_mode=result_mode,
                 mark_granularity=mark_granularity,
-                gc_contexts=gc_contexts,
                 forwarding=table,
                 batching=batching,
                 caching=caching,
@@ -201,8 +197,10 @@ class SimCluster:
         #: Submits bounced by admission control (see `repro qos-stats`).
         self.qos_bounces = 0
         self._seq = 0
+        #: Submit times of the queries in flight (an entry moves into
+        #: the QueryOutcome at completion, so the keys *are* the set).
         self._submitted_at: Dict[QueryId, float] = {}
-        self._completed: Dict[QueryId, QueryOutcome] = {}
+        self._completed = OutcomeTable()
         self._deadline_handles: Dict[QueryId, object] = {}
         # Telemetry plane: crash flight recorder + streaming stats.
         self.flight_recorder = None
@@ -392,14 +390,9 @@ class SimCluster:
         while queries run; see docs/MEMBERSHIP.md)."""
         if self.membership is None:
             return
-        inflight = any(q not in self._completed for q in self._submitted_at)
         for site in self.membership.view.leaving:
             node = self.nodes[site]
-            originating = any(
-                q.originator == site and q not in self._completed
-                for q in self._submitted_at
-            )
-            if node.has_work or originating:
+            if node.has_work or any(q.originator == site for q in self._submitted_at):
                 continue
             self.network.set_down(site)
             if self.rebalancer is not None:
@@ -408,7 +401,7 @@ class SimCluster:
             for oid in list(store.oids()):
                 store.remove(oid)
             self.membership.leave_finalize(site)
-        if self.rebalancer is not None and not inflight:
+        if self.rebalancer is not None and not self._submitted_at:
             self.rebalancer.flush_removals(lambda _s: True)
 
     def _add_site(self, name: str) -> None:
@@ -427,7 +420,6 @@ class SimCluster:
             discipline=cfg.discipline,
             result_mode=cfg.result_mode,
             mark_granularity=cfg.mark_granularity,
-            gc_contexts=cfg.gc_contexts,
             forwarding=table,
             batching=cfg.batching,
             caching=cfg.caching,
@@ -489,9 +481,8 @@ class SimCluster:
             for peer in service.gossip_peers(site):
                 self.network.send(Envelope(site, peer, Heartbeat(site, counters)), self.sim.now)
                 self._hb_outstanding += 1
-        inflight = any(q not in self._completed for q in self._submitted_at)
         other_pending = max(0, self.sim.pending - self._hb_outstanding)
-        if inflight and (other_pending > 0 or service.suspicious()):
+        if self._submitted_at and (other_pending > 0 or service.suspicious()):
             self.sim.schedule(cfg.heartbeat_s, self._heartbeat_tick)
         else:
             self._hb_armed = False
@@ -633,8 +624,8 @@ class SimCluster:
             if status != UP:
                 raise SiteDeparted(origin, status)
         qid = self._next_qid(origin)
-        self._submitted_at[qid] = self.sim.now
         self.network.hosts[origin].submit_from_saved(qid, program, source_qid, self.sites)
+        self._submitted_at[qid] = self.sim.now  # after: a retired source raises
         return qid
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
@@ -670,7 +661,7 @@ class SimCluster:
             fired += 1
             if fired > max_events:
                 raise HyperFileError(f"query {qid} exceeded {max_events} simulation events")
-        outcome = self._completed[qid]
+        outcome = self._completed.get(qid)
         if outcome.result.partial and outcome.result.partial_reason in ("crash", "deadline"):
             self._flightrec_dump(qid, outcome.result.partial_reason)
         return outcome
@@ -783,8 +774,7 @@ class SimCluster:
         tracer = next(iter(self.nodes.values())).tracer
         if tracer is not None:
             tracer.emit("cluster", "stats_push", "", sites=len(sites))
-        inflight = sum(1 for q in self._submitted_at if q not in self._completed)
-        if inflight and self.sim.pending > 0:
+        if self._submitted_at and self.sim.pending > 0:
             self.sim.schedule(self._stats_stream_s, self._stats_sample)
         else:
             self._stats_sampler_armed = False
@@ -818,7 +808,7 @@ class SimCluster:
         outcome = QueryOutcome(
             qid=qid,
             result=result,
-            submitted_at=self._submitted_at.get(qid, 0.0),
+            submitted_at=self._submitted_at.pop(qid, 0.0),
             completed_at=self.sim.now,
             client_link_s=self.costs.client_link_s,
             partition_counts=dict(ctx.partition_counts) if ctx.partition_counts else None,
@@ -827,5 +817,5 @@ class SimCluster:
         if metrics is not None:
             metrics.histogram("cluster.response_time_s").observe(outcome.response_time)
             metrics.counter("cluster.queries_completed_total").inc()
-        self._completed[qid] = outcome
+        self._completed.put(qid, outcome)
         self._maybe_finalize_membership()

@@ -90,7 +90,6 @@ class ClusterConfig:
     #: transport default (PAPER_COSTS on ``sim``, uncosted elsewhere).
     costs: Optional[Any] = None
     mark_granularity: str = "iteration"
-    gc_contexts: bool = False
 
     # -- asyncio-transport knobs ----------------------------------------
     #: Run one OS process per site (true multi-core parallelism) instead
@@ -122,7 +121,6 @@ class ClusterConfig:
                 for name, moved in (
                     ("costs", self.costs is not None),
                     ("mark_granularity", self.mark_granularity != "iteration"),
-                    ("gc_contexts", bool(self.gc_contexts)),
                 )
                 if moved
             ]

@@ -233,3 +233,15 @@ class Overloaded(HyperFileError):
             f"submit bounced for client {client!r}: rate limit exceeded "
             f"(retry after {retry_after_s:.3f}s)"
         )
+
+
+class ResultSetRetired(HyperFileError):
+    """A follow-up named a source query whose distributed result set is
+    no longer held at the sites.
+
+    Sites keep a finished query's partitions only while its originator
+    keeps the query in its recently-finished window (and only in
+    ``result_mode="count"``: in ship mode the results left the sites
+    and the contexts are purged at completion).  Seeding from a retired
+    source would silently start from nothing, so it is refused instead.
+    """

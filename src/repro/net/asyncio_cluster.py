@@ -357,7 +357,7 @@ class AsyncCluster(WallClockQueries):
             replication=replication,
             qos=qos,
         )
-        config.require_default("costs", "mark_granularity", "gc_contexts", transport="async")
+        config.require_default("costs", "mark_granularity", transport="async")
         self.config = config
         names = [f"site{i}" for i in range(sites)] if isinstance(sites, int) else list(sites)
         strategy = make_strategy(config.termination)

@@ -602,6 +602,7 @@ def _encode_message_uncached(message: Any) -> bytes:
     elif isinstance(message, PurgeContext):
         w.byte(_M_PURGE_CONTEXT)
         _write_qid(w, message.qid)
+        w.varint(message.incarnation)
     elif isinstance(message, FetchRequest):
         w.byte(_M_FETCH_REQUEST)
         w.varint(message.request_id)
@@ -680,7 +681,7 @@ def decode_message(frame: bytes) -> Any:
     elif tag == _M_SEED_FROM_SAVED:
         message = SeedFromSaved(_read_qid(r), _read_program(r), _read_qid(r), _read_term(r))
     elif tag == _M_PURGE_CONTEXT:
-        message = PurgeContext(_read_qid(r))
+        message = PurgeContext(_read_qid(r), r.varint())
     elif tag == _M_FETCH_REQUEST:
         request_id = r.varint()
         oid = _read_value(r)

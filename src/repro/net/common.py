@@ -10,13 +10,12 @@ its sites.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..api import QueryLike, QueryOutcome, compile_query_like, credit_deficit
+from ..api import OutcomeTable, QueryLike, QueryOutcome, compile_query_like, credit_deficit
 from ..core.oid import Oid
 from ..core.program import Program
 from ..engine.results import QueryResult
@@ -40,7 +39,7 @@ DEFAULT_TIMEOUT_S = 30.0
 
 
 def await_completion(
-    completions: "queue.Queue",
+    outcomes: OutcomeTable,
     qid: QueryId,
     timeout_s: float,
     deadline_s: Optional[float],
@@ -51,8 +50,10 @@ def await_completion(
 
     ``expire`` is invoked (once) when ``deadline_s`` elapses without a
     completion; it must force the originator to complete the query with
-    partial results, which then flow back through ``completions`` like
-    any other completion.  ``timeout_s`` stays a hard backstop: if even
+    partial results, which then land in ``outcomes`` like any other
+    completion.  The caller sleeps until *its* query is there — other
+    queries finishing first wake it only to re-check — or the next of
+    its two clocks runs out.  ``timeout_s`` stays a hard backstop: if even
     the expiry path produces nothing the detector genuinely never fired,
     so raise :class:`~repro.errors.TerminationLost` rather than hang —
     with whatever diagnostics ``diagnose`` can supply (credit deficit,
@@ -71,17 +72,11 @@ def await_completion(
         if remaining <= 0:
             deficit, undeliverable = diagnose() if diagnose is not None else (None, 0)
             raise TerminationLost(qid, deficit=deficit, undeliverable=undeliverable)
-        wait = min(remaining, 0.25)
         if deadline is not None and not expired:
-            wait = min(wait, max(deadline - now, 0.001))
-        try:
-            done_qid, outcome = completions.get(timeout=wait)
-        except queue.Empty:
-            continue
-        if done_qid == qid:
+            remaining = min(remaining, max(deadline - now, 0.001))
+        outcome = outcomes.wait(qid, remaining)
+        if outcome is not None:
             return outcome
-        # A different query finished first (concurrent use): requeue.
-        completions.put((done_qid, outcome))
 
 
 @dataclass
@@ -110,11 +105,10 @@ class WallClockQueries:
     #   _dispatch_submit / _dispatch_submit_from_saved / _dispatch_expire
 
     def _init_queries(self, qos: Optional[QoSConfig] = None) -> None:
-        self._completions: "queue.Queue" = queue.Queue()
         self._seq = 0
         self._seq_lock = threading.Lock()
         self._inflight: Dict[QueryId, _Inflight] = {}
-        self._outcomes: Dict[QueryId, QueryOutcome] = {}
+        self._outcomes = OutcomeTable()
         self.qos = qos
         self._qos_limiter: Optional[ClientLimiter] = (
             ClientLimiter(qos.rate_limit_qps, qos.rate_burst, time.monotonic)
@@ -326,10 +320,7 @@ class WallClockQueries:
         sites: Dict[str, Dict[str, object]] = {}
         for site, node in self.nodes.items():
             sample = node.stats.sample()
-            try:
-                sample["work_depth"] = node.work_depth
-            except RuntimeError:  # contexts mutating under us; best effort
-                sample["work_depth"] = None
+            sample["work_depth"] = node.work_depth
             sites[site] = sample
         self.stats_timeline.append(time.monotonic(), sites)
         tracer = next(iter(self.nodes.values())).tracer
@@ -418,7 +409,11 @@ class WallClockQueries:
         self._check_membership_origin(origin)
         qid = self._next_qid(origin)
         self._inflight[qid] = _Inflight(time.monotonic(), None)
-        self._dispatch_submit_from_saved(origin, qid, program, source_qid)
+        try:
+            self._dispatch_submit_from_saved(origin, qid, program, source_qid)
+        except HyperFileError:  # e.g. ResultSetRetired: nothing was installed
+            del self._inflight[qid]
+            raise
         return qid
 
     def wait(self, qid: QueryId, timeout_s: Optional[float] = None) -> QueryOutcome:
@@ -435,7 +430,7 @@ class WallClockQueries:
             deadline_remaining = max(info.deadline_s - elapsed, 0.0005)
         try:
             outcome = await_completion(
-                self._completions,
+                self._outcomes,
                 qid,
                 budget,
                 deadline_remaining,
@@ -597,5 +592,4 @@ class WallClockQueries:
                 dict(ctx.partition_counts) if ctx is not None and ctx.partition_counts else None
             ),
         )
-        self._outcomes[qid] = outcome
-        self._completions.put((qid, outcome))
+        self._outcomes.put(qid, outcome)

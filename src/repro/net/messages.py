@@ -209,10 +209,12 @@ class PurgeContext:
     participants.  Sent to every site that contributed results (the
     originator learns participants from ResultBatch sources).  Purging is
     best-effort: a lost purge leaves a stale context, never a wrong
-    answer.
+    answer.  ``incarnation`` names the run being retired, so a purge
+    that outlives a reused query id cannot kill the rerun's context.
     """
 
     qid: QueryId
+    incarnation: int = 1
 
     def wire_size(self) -> int:
         return 16

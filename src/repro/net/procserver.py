@@ -90,9 +90,9 @@ the site), and a request that times out checks ``process.is_alive()``
 before reporting anything vaguer.
 
 The only configs still rejected are the simulator-only knobs (``costs``,
-``mark_granularity``, ``gc_contexts``) — and those fail at
-``ClusterConfig`` construction with :class:`~repro.errors.ConfigError`,
-before any process is spawned (see ``docs/ASYNC.md``).
+``mark_granularity``) — and those fail at ``ClusterConfig`` construction
+with :class:`~repro.errors.ConfigError`, before any process is spawned
+(see ``docs/ASYNC.md``).
 """
 
 from __future__ import annotations
@@ -121,6 +121,7 @@ from ..errors import (
     DuplicateObject,
     HyperFileError,
     ObjectNotFound,
+    ResultSetRetired,
     TerminationLost,
     TransportClosed,
     UnknownSite,
@@ -205,6 +206,7 @@ _ERROR_TYPES = {
     "UnknownSite": UnknownSite,
     "ConfigError": ConfigError,
     "HyperFileError": HyperFileError,
+    "ResultSetRetired": ResultSetRetired,
 }
 
 
@@ -1095,10 +1097,7 @@ class ProcessCluster(WallClockQueries):
         # ClusterConfig.__post_init__ rejects these when processes=True is
         # set on the config itself; this catches a default-mode config
         # handed straight to ProcessCluster.
-        config.require_default(
-            "costs", "mark_granularity", "gc_contexts",
-            transport="async (process mode)",
-        )
+        config.require_default("costs", "mark_granularity", transport="async (process mode)")
         self.config = config
         names = [f"site{i}" for i in range(sites)] if isinstance(sites, int) else list(sites)
         if not names:
@@ -1236,7 +1235,7 @@ class ProcessCluster(WallClockQueries):
             return  # clean shutdown tears links down on purpose
         for qid in list(self._inflight):
             if qid.originator == link.site and self._inflight.pop(qid, None) is not None:
-                self._completions.put((qid, _ChildDeath(link.site)))
+                self._outcomes.put(qid, _ChildDeath(link.site))
 
     def _request(self, site: str, frame: bytes, expect: int) -> _Reader:
         link = self._links.get(site)
@@ -1317,8 +1316,7 @@ class ProcessCluster(WallClockQueries):
             completed_at=time.monotonic(),
             partition_counts=counts,
         )
-        self._outcomes[qid] = outcome
-        self._completions.put((qid, outcome))
+        self._outcomes.put(qid, outcome)
 
     # -- lifecycle -------------------------------------------------------
 

@@ -261,6 +261,8 @@ class _SocketSite:
             send_frame(sock, payload)
             self.bytes_sent += len(payload)
         except OSError as exc:
+            if self.cluster._closed:
+                return  # shutting down: the sockets are going away under us
             if self.cluster.reliable_enabled:
                 # The channel will retransmit; treat as wire loss.
                 self.cluster.messages_dropped += 1
@@ -314,8 +316,7 @@ class SocketCluster(WallClockQueries):
             qos=qos,
         )
         config.require_default(
-            "costs", "discipline", "mark_granularity", "gc_contexts", "processes",
-            transport="sockets",
+            "costs", "discipline", "mark_granularity", "processes", transport="sockets"
         )
         self.config = config
         termination = config.termination

@@ -160,10 +160,7 @@ class ThreadedCluster(WallClockQueries):
             replication=replication,
             qos=qos,
         )
-        config.require_default(
-            "costs", "mark_granularity", "gc_contexts", "processes",
-            transport="threaded",
-        )
+        config.require_default("costs", "mark_granularity", "processes", transport="threaded")
         self.config = config
         termination = config.termination
         discipline = config.discipline

@@ -12,7 +12,11 @@ Q.originator, and Q.result is reset to {}").
 The context survives across drains: "after a site has emptied Q.W and
 sent results, another dereference message for Q may arrive.  Since the
 context Q is still in place, the setup cost is only required once at
-each involved site."
+each involved site."  It does not survive the query: "the context Q is
+discarded only on global termination", which the originator detects and
+announces with ``PurgeContext`` (see ``docs/ALGORITHMS.md`` §contexts);
+the originator itself keeps the last :data:`RECENT_QUERIES` finished
+contexts.
 """
 
 from __future__ import annotations
@@ -24,6 +28,12 @@ from ..core.oid import Oid
 from ..engine.local import QueryExecution
 from ..engine.results import QueryResult
 from ..net.messages import QueryId
+
+#: How many *finished* queries stay reachable after completion — at the
+#: originator (its context: ``credit_deficit``, reused-id incarnations,
+#: count-mode follow-ups) and in the clusters' outcome tables.  One
+#: constant, not a knob: every per-query table is bounded by it.
+RECENT_QUERIES = 32
 
 
 @dataclass
@@ -44,7 +54,7 @@ class QueryContext:
     #: Originator only (distributed-set mode): per-site result counts.
     partition_counts: Dict[str, int] = field(default_factory=dict)
 
-    #: Originator only: sites that sent results (context-GC recipients).
+    #: Originator only: sites that sent results (``PurgeContext`` recipients).
     participants: set = field(default_factory=set)
 
     #: Flush cursors into the execution's cumulative result.

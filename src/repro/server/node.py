@@ -25,7 +25,7 @@ arrives for an object that moved is re-forwarded rather than failed.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
@@ -35,7 +35,7 @@ from ..core.program import Program
 from ..engine.items import WorkItem
 from ..engine.local import QueryExecution
 from ..engine.results import QueryResult
-from ..errors import HyperFileError, ObjectNotFound, TerminationProtocolError
+from ..errors import HyperFileError, ObjectNotFound, ResultSetRetired
 from ..metrics.registry import SLO_BUCKETS
 from ..naming.directory import ForwardingTable, ReplicaDirectory
 from ..net.batching import BatchConfig, ItemKey, SendBatcher, item_key
@@ -60,7 +60,7 @@ from ..storage.memstore import MemStore
 from ..storage.reachability import match_closure_shape
 from ..termination.base import TerminationStrategy
 from ..termination.weights import WeightedStrategy
-from .context import QueryContext
+from .context import RECENT_QUERIES, QueryContext
 from .stats import NodeStats
 
 #: Callback fired at the originator when a query completes.
@@ -122,7 +122,6 @@ class ServerNode:
         forwarding: Optional[ForwardingTable] = None,
         is_site_up: Optional[Callable[[str], bool]] = None,
         on_query_complete: Optional[CompletionCallback] = None,
-        gc_contexts: bool = False,
         batching: Optional[BatchConfig] = None,
         caching: Optional[CacheConfig] = None,
         replicas: Optional[ReplicaDirectory] = None,
@@ -188,10 +187,6 @@ class ServerNode:
         #: by clusters running the gossip failure detector.
         self.heartbeat_sink: Optional[Callable[[Tuple[Tuple[str, int], ...]], None]] = None
         self.on_query_complete = on_query_complete
-        #: When True, the originator broadcasts PurgeContext on completion
-        #: so participants free their per-query state.  Off by default:
-        #: retained contexts are what distributed sets seed from.
-        self.gc_contexts = gc_contexts
         self.batching = batching if batching is not None else BatchConfig(max_batch=1)
         self._batcher = SendBatcher(self.batching) if self.batching.enabled else None
         self.caching = caching
@@ -199,7 +194,17 @@ class ServerNode:
         #: Clock for batch linger aging; real transports point this at
         #: ``time.monotonic`` (the simulator relies on drain/idle flushes).
         self.now_fn: Callable[[], float] = lambda: 0.0
+        #: Every context this site holds: the queries it is running plus,
+        #: at their originator, the last RECENT_QUERIES finished ones.  No
+        #: per-step path iterates it (see ``_busy`` / ``_pending`` / ``_rr``).
         self.contexts: Dict[QueryId, QueryContext] = {}
+        #: Originator side: finished queries still held, oldest first.
+        self._recent: "OrderedDict[QueryId, None]" = OrderedDict()
+        #: Contexts with a non-empty working set, and work items pending
+        #: across all of them — maintained where working sets change, so
+        #: ``has_work`` / ``work_depth`` never scan the context table.
+        self._busy = 0
+        self._pending = 0
         self.inbox: Deque[Envelope] = deque()
         self.stats = NodeStats()
         self._cache = (
@@ -379,7 +384,7 @@ class ServerNode:
             target = self._route(oid)
             if target == self.site:
                 item = WorkItem(oid=oid, start=1)
-                ctx.execution.admit(item)
+                self._admit(ctx, item)
                 if self._step_span is not None:
                     self._item_spans[(qid, item_key(item))] = self._step_span
             else:
@@ -399,9 +404,25 @@ class ServerNode:
 
         Each site that holds a partition of ``source_qid``'s result is
         asked to seed its working set from it; no oids cross the network.
+        The sites hold those partitions only in ``result_mode="count"``
+        and only while the source's originator keeps it in its
+        recently-finished window; otherwise :class:`ResultSetRetired`
+        is raised rather than seeding from nothing.
         """
         if qid.originator != self.site:
             raise HyperFileError(f"query {qid} submitted at non-originating site {self.site}")
+        if self.result_mode != "count":
+            raise ResultSetRetired(
+                f"follow-up on {source_qid}: result_mode={self.result_mode!r} ships results "
+                "and retires the sites' partitions at completion; use result_mode='count'"
+            )
+        if source_qid.originator == self.site:
+            if source_qid not in self._recent:
+                raise ResultSetRetired(
+                    f"follow-up on {source_qid}: not among the last {RECENT_QUERIES} "
+                    "queries finished here, so its partitions were retired"
+                )
+            self._recent.move_to_end(source_qid)  # a follow-up renews the lease
         self._prepare_resubmit(qid)
         report = StepReport()
         if self.tracer is not None:
@@ -414,7 +435,7 @@ class ServerNode:
             if site == self.site:
                 for oid in self.saved_partition(source_qid):
                     item = WorkItem(oid=oid, start=1)
-                    ctx.execution.admit(item)
+                    self._admit(ctx, item)
                     if self._step_span is not None:
                         self._item_spans[(qid, item_key(item))] = self._step_span
             else:
@@ -469,7 +490,7 @@ class ServerNode:
         ctx = self.contexts.get(qid)
         if ctx is None or not ctx.is_originator or ctx.done:
             return report
-        abandoned = ctx.execution.abandon()
+        abandoned = self._abandon(ctx)
         self._merge_local_results(ctx)
         self.termination.on_deadline(ctx.term_state)
         if self._item_spans:
@@ -500,13 +521,10 @@ class ServerNode:
                 abandoned=abandoned, results=len(ctx.final.oids),
             )
         self._stamp_slo(ctx)
-        if self.gc_contexts:
-            for participant in sorted(ctx.participants):
-                if participant != self.site:
-                    self._emit(report, participant, PurgeContext(ctx.qid))
         report.completed.append((qid, ctx.final))
         if self.on_query_complete is not None:
             self.on_query_complete(qid, ctx.final)
+        self._retire_finished(ctx, report)
         return report
 
     # ------------------------------------------------------------------
@@ -529,6 +547,12 @@ class ServerNode:
                 )
             self.heartbeat_sink(env.payload.counters)
             return
+        if isinstance(env.payload, PurgeContext):
+            # Retirement is housekeeping outside the paper's cost model:
+            # consumed at arrival like gossip — no step, no virtual CPU —
+            # so freeing contexts never moves a query's response time.
+            self._handle_purge(env, env.payload)
+            return
         self.inbox.append(env)
 
     def observe_epoch(self, site: str, epoch: int) -> None:
@@ -546,17 +570,14 @@ class ServerNode:
             return True
         if self._batcher is not None and self._batcher.has_pending:
             return True
-        return any(ctx.busy for ctx in self.contexts.values())
+        return self._busy > 0
 
     @property
     def work_depth(self) -> int:
         """This site's work-queue depth: unhandled messages plus pending
         work items across every context.  The quantity the QoS watermarks
         (backpressure and shedding) are compared against."""
-        depth = len(self.inbox)
-        for ctx in self.contexts.values():
-            depth += ctx.execution.pending
-        return depth
+        return len(self.inbox) + self._pending
 
     # ------------------------------------------------------------------
     # QoS: backpressure, shedding, weighted-fair drain (see docs/QOS.md)
@@ -711,9 +732,7 @@ class ServerNode:
         if isinstance(payload, SeedFromSaved):
             return self._handle_seed_from_saved(env, payload)
         if isinstance(payload, Undeliverable):
-            return self._handle_undeliverable(payload)
-        if isinstance(payload, PurgeContext):
-            return self._handle_purge(payload)
+            return self._handle_undeliverable(env, payload)
         if isinstance(payload, FetchRequest):
             return self._handle_fetch_request(env, payload)
         if isinstance(payload, FetchReply):
@@ -779,7 +798,7 @@ class ServerNode:
                 # (paper §3.2 argues the savings are not worth the
                 # coordination; ablation A1 quantifies them).
                 self.stats.duplicate_requests += 1
-            ctx.execution.admit(msg.item)
+            self._admit(ctx, msg.item)
             if self._step_span is not None:
                 self._item_spans[(msg.qid, item_key(msg.item))] = self._step_span
             self._enqueue_rr(msg.qid)
@@ -850,7 +869,7 @@ class ServerNode:
             else:
                 if not ctx.execution.mark_table.should_process(item.oid, item.start, item.iters):
                     self.stats.duplicate_requests += 1
-                ctx.execution.admit(item)
+                self._admit(ctx, item)
                 if cause is not None:
                     self._item_spans[(msg.qid, item_key(item))] = cause
                 self._enqueue_rr(msg.qid)
@@ -863,25 +882,29 @@ class ServerNode:
         return report
 
     def _handle_result(self, env: Envelope, msg: ResultBatch) -> StepReport:
-        ctx = self.contexts.get(msg.qid)
-        if ctx is None or not ctx.is_originator or ctx.final is None:
+        if msg.qid.originator != self.site:
             raise HyperFileError(
                 f"site {self.site} received results for {msg.qid} it did not originate"
             )
+        ctx = self.contexts.get(msg.qid)
         if self._cache is not None and msg.summary is not None:
             # Piggybacked reachability summary: useful whatever the fate
             # of the batch itself (it describes the peer, not the query).
             self._cache.record_summary(msg.summary)
-        elapsed = self.costs.result_msg_fixed_s + self.costs.result_item_s * msg.item_count
-        if ctx.done or msg.term.get("#inc", 1) != ctx.incarnation:
+        report = StepReport(
+            elapsed=self.costs.result_msg_fixed_s + self.costs.result_item_s * msg.item_count
+        )
+        inc = msg.term.get("#inc", 1)
+        if ctx is None or ctx.done or inc != ctx.incarnation:
             # Deadline already fired (or detector already terminated, or
-            # this batch belongs to a previous run of a reused query id):
-            # the client holds the result; ingesting more would mutate it
-            # behind their back and could over-recover credit.  The batch
-            # still occupies the CPU for its full receive-and-parse cost.
-            self.stats.late_messages += 1
-            return StepReport(elapsed=elapsed)
-        report = StepReport(elapsed=elapsed)
+            # the query was retired, or this batch belongs to a previous
+            # run of a reused query id): the client holds the result;
+            # ingesting more would mutate it behind their back and could
+            # over-recover credit.  The batch still occupies the CPU for
+            # its full receive-and-parse cost.
+            self._late(msg.qid, env.src, report, inc)
+            return report
+        assert ctx.final is not None
         ctx.participants.add(env.src)
         if self._cache is not None:
             # The answer now depends on env.src's store as of its current
@@ -920,16 +943,13 @@ class ServerNode:
         return report
 
     def _handle_control(self, env: Envelope, msg: ControlMessage) -> StepReport:
-        ctx = self.contexts.get(msg.qid)
-        if ctx is None:
-            raise TerminationProtocolError(
-                f"site {self.site} got control {msg.kind!r} for unknown query {msg.qid}"
-            )
-        if ctx.done:
-            # Post-deadline ack: the ledger was already written off.
-            self.stats.late_messages += 1
-            return StepReport(elapsed=self.costs.msg_recv_s)
         report = StepReport(elapsed=self.costs.msg_recv_s)
+        ctx = self.contexts.get(msg.qid)
+        if ctx is None or ctx.done:
+            # Post-deadline ack, or one for a context already retired:
+            # the ledger was written off.
+            self._late(msg.qid, env.src, report, self._incarnations.get(msg.qid, 1))
+            return report
         outs = self.termination.on_control(ctx.term_state, msg.kind, msg.payload, env.src, ctx.busy)
         self._absorb_controls(report, outs, msg.qid)
         if ctx.is_originator:
@@ -944,7 +964,7 @@ class ServerNode:
             return report
         for oid in self.saved_partition(msg.source_qid):
             item = WorkItem(oid=oid, start=1)
-            ctx.execution.admit(item)
+            self._admit(ctx, item)
             if self._step_span is not None:
                 self._item_spans[(msg.qid, item_key(item))] = self._step_span
         self._enqueue_rr(msg.qid)
@@ -975,14 +995,23 @@ class ServerNode:
         self.fetch_results[msg.request_id] = msg.obj
         return StepReport(elapsed=self.costs.msg_recv_s)
 
-    def _handle_purge(self, msg: PurgeContext) -> StepReport:
-        report = StepReport(elapsed=self.costs.msg_recv_s)
+    def _handle_purge(self, env: Envelope, msg: PurgeContext) -> None:
+        """The originator finished ``msg.qid``: free everything held for
+        it — even a working set still pending (the deadline fired; more
+        results would only arrive late)."""
+        self.stats.count_received("PurgeContext", env.size_bytes)
+        if self.metrics is not None:
+            self.metrics.counter("node.messages_received_total", site=self.site).inc()
+        if self.tracer is not None:
+            self.tracer.emit(
+                self.site, "recv", msg.qid, parent=env.spans[0] if env.spans else None,
+                msg="PurgeContext", src=env.src,
+            )
         ctx = self.contexts.get(msg.qid)
-        if ctx is not None and not ctx.busy and not ctx.is_originator:
+        if ctx is not None and not ctx.is_originator and ctx.incarnation <= msg.incarnation:
             self._retire_context(msg.qid)
-        return report
 
-    def _handle_undeliverable(self, msg: Undeliverable) -> StepReport:
+    def _handle_undeliverable(self, env: Envelope, msg: Undeliverable) -> StepReport:
         """A work message we sent bounced off a down site.
 
         Recover the termination state it carried, then — when the object
@@ -996,18 +1025,15 @@ class ServerNode:
         report = StepReport(elapsed=self.costs.msg_recv_s)
         original = msg.original.payload
         ctx = self.contexts.get(original.qid)
-        if ctx is None:
-            raise HyperFileError(
-                f"site {self.site} got a bounce for unknown query {original.qid}"
-            )
         if isinstance(original, BatchedQuery):
             term0 = original.terms[0] if original.terms else {}
         else:
             term0 = getattr(original, "term", None) or {}
-        if ctx.done or term0.get("#inc", 1) != ctx.incarnation:
-            # Ledger already written off, or the bounce belongs to a
-            # previous run of a reused query id.
-            self.stats.late_messages += 1
+        inc = term0.get("#inc", 1)
+        if ctx is None or ctx.done or inc != ctx.incarnation:
+            # Ledger already written off (or its context retired), or the
+            # bounce belongs to a previous run of a reused query id.
+            self._late(original.qid, env.src, report, inc)
             return report
         excl = set(msg.original.tried or ()) | {msg.original.dst}
         if isinstance(original, BatchedQuery):
@@ -1063,7 +1089,7 @@ class ServerNode:
         self.stats.replica_failovers += 1
         if alt == self.site:
             self.stats.replica_local_serves += 1
-            ctx.execution.admit(item)
+            self._admit(ctx, item)
             span = cause if cause is not None else self._step_span
             if span is not None:
                 self._item_spans[(ctx.qid, item_key(item))] = span
@@ -1079,6 +1105,9 @@ class ServerNode:
     def _process_one(self, ctx: QueryContext) -> StepReport:
         report = StepReport()
         outcome = ctx.execution.step()
+        self._pending += outcome.local_spawned - 1
+        if not ctx.busy:
+            self._busy -= 1
         if self.tracer is not None:
             # Parent on the step that admitted this exact item; fall back
             # to the context's root span (duplicate admissions overwrite
@@ -1444,16 +1473,13 @@ class ServerNode:
                     results=len(ctx.final.oids),
                 )
             self._stamp_slo(ctx)
-            if self.gc_contexts:
-                for participant in sorted(ctx.participants):
-                    if participant != self.site:
-                        self._emit(report, participant, PurgeContext(ctx.qid))
             # Per-site execution counters are aggregated by the cluster at
             # completion (it can reach every context); merging here would
             # double-count the originator's own.
             report.completed.append((ctx.qid, ctx.final))
             if self.on_query_complete is not None:
                 self.on_query_complete(ctx.qid, ctx.final)
+            self._retire_finished(ctx, report)
 
     def _stamp_slo(self, ctx: QueryContext) -> None:
         """Record the query's SLO watermarks at its (possibly partial)
@@ -1551,6 +1577,11 @@ class ServerNode:
             self._retire_context(qid)
             ctx = None
         if ctx is None:
+            if qid.originator == self.site:
+                # Our own query, and its context (created at submit,
+                # before any work could come back) is gone: a straggler
+                # for a run already retired.
+                return None
             if inc > self._incarnations.get(qid, 1):
                 # First contact from a rerun: the fresh context must take
                 # the message's incarnation, or the results it drains
@@ -1569,13 +1600,12 @@ class ServerNode:
         originator completed or expired it): queued sends and marks from
         the old run must not leak into a new run under the same id.
         """
-        self.contexts.pop(qid, None)
-        if qid in self._rr:
-            self._rr.remove(qid)
-        if self.qos is not None:
-            for dq in self._rr_class.values():
-                if qid in dq:
-                    dq.remove(qid)
+        ctx = self.contexts.pop(qid, None)
+        if ctx is not None:
+            self._abandon(ctx)
+            self.stats.contexts_retired += 1
+        self._recent.pop(qid, None)
+        self._leave_rotation(qid)
         if self._batcher is not None:
             self._batcher.drop_query(qid)
         if self._item_spans:
@@ -1583,6 +1613,81 @@ class ServerNode:
         if self._cache is not None:
             self._cache.drop_query(qid)
         self._closure_keys.pop(qid, None)
+
+    def _retire_finished(self, ctx: QueryContext, report: StepReport) -> None:
+        """Originator side, after a completion is reported: the query
+        leaves the rotation and enters the recently-finished window;
+        whatever falls out of the window is retired for good.
+
+        The sites' contexts go with their results.  In ship mode those
+        already left, so participants are purged now; in count mode the
+        retained partitions *are* the distributed set follow-ups seed
+        from, so they live until the window evicts the query.
+        """
+        self._leave_rotation(ctx.qid)
+        self._recent[ctx.qid] = None
+        if self.result_mode == "ship":
+            self._purge_participants(ctx, report)
+        while len(self._recent) > RECENT_QUERIES:
+            old = self.contexts[next(iter(self._recent))]
+            if self.result_mode == "count":
+                self._purge_participants(old, report)
+            self._retire_context(old.qid)
+
+    def _purge_participants(self, ctx: QueryContext, report: StepReport) -> None:
+        for participant in sorted(ctx.participants):
+            self._send_purge(report, participant, ctx.qid, ctx.incarnation)
+
+    def _send_purge(self, report: StepReport, dst: str, qid: QueryId, incarnation: int) -> None:
+        """Best-effort, and free: no virtual CPU is charged (retirement
+        is housekeeping, not part of any query's response time) and a
+        down destination simply keeps its stale context."""
+        if dst == self.site or not self.is_site_up(dst):
+            return
+        payload = PurgeContext(qid, incarnation)
+        spans = None
+        if self.tracer is not None:
+            span = self.tracer.emit(
+                self.site, "send", qid, parent=self._step_span,
+                msg="PurgeContext", dst=dst, bytes=payload.wire_size(),
+            )
+            spans = (span,) if span is not None else None
+        env = Envelope(self.site, dst, payload, spans=spans)
+        self.stats.count_sent("PurgeContext", env.size_bytes)
+        if self.metrics is not None:
+            self.metrics.counter("node.messages_sent_total", site=self.site).inc()
+            self.metrics.counter("node.bytes_sent_total", site=self.site).inc(env.size_bytes)
+        report.outgoing.append(env)
+
+    def _late(self, qid: QueryId, src: str, report: StepReport, incarnation: int) -> None:
+        """Account traffic for a run this site no longer tracks.  If the
+        query is ours the sender still holds a context for it (perhaps
+        one a straggler resurrected after the purge): tell it to let go."""
+        self.stats.late_messages += 1
+        if qid.originator == self.site:
+            self._send_purge(report, src, qid, incarnation)
+
+    def _admit(self, ctx: QueryContext, item: WorkItem) -> None:
+        if not ctx.busy:
+            self._busy += 1
+        ctx.execution.admit(item)
+        self._pending += 1
+
+    def _abandon(self, ctx: QueryContext) -> int:
+        """Discard a context's pending work; returns the items dropped."""
+        dropped = ctx.execution.abandon()
+        if dropped:
+            self._busy -= 1
+            self._pending -= dropped
+        return dropped
+
+    def _leave_rotation(self, qid: QueryId) -> None:
+        if qid in self._rr:
+            self._rr.remove(qid)
+        if self.qos is not None:
+            for dq in self._rr_class.values():
+                if qid in dq:
+                    dq.remove(qid)
 
     def _prepare_resubmit(self, qid: QueryId) -> None:
         """Originator side: make a reused query id safe to run again.
@@ -1694,6 +1799,8 @@ class ServerNode:
 
     def _next_busy_context(self) -> Optional[QueryContext]:
         if self.qos is None:
+            if not self._busy:
+                return None  # a full fruitless rotation would be the identity
             for _ in range(len(self._rr)):
                 qid = self._rr[0]
                 self._rr.rotate(-1)

@@ -30,6 +30,7 @@ class NodeStats:
     busy_seconds: float = 0.0      #: virtual CPU time consumed at this site
     drains: int = 0                #: local working-set drain events
     contexts_created: int = 0
+    contexts_retired: int = 0      #: contexts freed (purge, LRU eviction, reused id)
     # Fault-tolerance counters (reliable channel + query deadlines).
     retransmits: int = 0           #: reliable-channel frames re-sent (unacked in time)
     duplicates_dropped: int = 0    #: replayed frames the receive-side dedup absorbed

@@ -14,15 +14,18 @@ Clusters are built through the transport registry with a
 consolidated construction path every transport must accept.
 """
 
+import time
+
 import pytest
 
 from repro.api import ClusterAPI, QueryOutcome, credit_deficit, make_cluster as build_cluster
 from repro.config import ClusterConfig
 from repro.core.tuples import keyword_tuple, pointer_tuple
-from repro.errors import Overloaded, QueryTimeout
+from repro.errors import Overloaded, QueryTimeout, ResultSetRetired
 from repro.faults import FaultPlan
 from repro.qos import QoSConfig
 from repro.replication import ReplicationConfig
+from repro.server.context import RECENT_QUERIES
 from repro.workload import WorkloadSpec, build_graph, generate_into_cluster, traversal_only_query
 
 CLOSURE = 'S [ (Pointer,"Ref",?X) ^^X ]* (Keyword,"K",?) -> T'
@@ -230,6 +233,48 @@ class TestFollowupQueries:
             'T (Rand10p, 5, ?) -> U', first.qid, timeout_s=TIMEOUT
         )
         assert followup.partition_counts is not None
+
+    def test_followup_without_a_retained_partition_is_a_typed_error(self, make_cluster):
+        # Ship mode purges the sites' partitions at completion: a
+        # follow-up must say so, not silently start from nothing.
+        cluster = make_cluster()
+        oids = build_chain(cluster, 6)
+        first = cluster.run_query(CLOSURE, [oids[0]], timeout_s=TIMEOUT)
+        with pytest.raises(ResultSetRetired):
+            cluster.run_followup('T (Keyword,"K",?) -> U', first.qid, timeout_s=TIMEOUT)
+        # Nothing was left in flight: the cluster still answers.
+        again = cluster.run_query(CLOSURE, [oids[0]], timeout_s=TIMEOUT)
+        assert again.result.oid_keys() == first.result.oid_keys()
+
+
+class TestContextRetirement:
+    def test_retained_contexts_are_bounded_by_the_recent_window(self, make_cluster):
+        """However many queries a deployment has served, what it holds on
+        to is the originator's recently-finished window: every other
+        context was purged (contexts created minus contexts retired, so
+        process mode answers too)."""
+        cluster = make_cluster()
+        oids = build_chain(cluster)
+        served = RECENT_QUERIES + 20
+        outcomes = [
+            cluster.run_query(CLOSURE, [oids[0]], timeout_s=TIMEOUT) for _ in range(served)
+        ]
+        assert all(out.result.oid_keys() == {o.key() for o in oids} for out in outcomes)
+
+        def retained():
+            stats = cluster.total_stats()
+            return stats.contexts_created - stats.contexts_retired
+
+        if hasattr(cluster, "run"):
+            cluster.run()  # the simulator delivers the last purges when driven
+        deadline = time.monotonic() + TIMEOUT
+        while retained() > RECENT_QUERIES and time.monotonic() < deadline:
+            time.sleep(0.01)  # wall-clock: the last purges are still in flight
+        assert retained() == RECENT_QUERIES
+        assert cluster.total_stats().contexts_created == 3 * served
+        # The outcome table keeps the same window.
+        assert cluster.outcome(outcomes[-1].qid) is outcomes[-1]
+        assert cluster.outcome(outcomes[0].qid) is None
 
 
 class TestCrossTransportAgreement:

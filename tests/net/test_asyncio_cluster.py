@@ -151,9 +151,11 @@ class TestProcessMode:
         # fails typed at ClusterConfig construction, before any spawn.
         from repro.errors import ConfigError
 
+        from repro.sim.costs import PAPER_COSTS
+
         with pytest.raises(ConfigError) as excinfo:
-            ClusterConfig(processes=True, gc_contexts=True)
-        assert "gc_contexts" in str(excinfo.value)
+            ClusterConfig(processes=True, costs=PAPER_COSTS)
+        assert "costs" in str(excinfo.value)
         with pytest.raises(ConfigError):
             ClusterConfig(processes=True, mark_granularity="object")
 
