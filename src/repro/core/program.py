@@ -114,7 +114,10 @@ class Program:
         the presence of nested iterators (paper §3.1).
     """
 
-    __slots__ = ("source", "result", "ops", "enclosing", "_innermost", "_loop_counts")
+    __slots__ = (
+        "source", "result", "ops", "enclosing", "_innermost", "_loop_counts",
+        "_wire_size", "_wire_section",
+    )
 
     def __init__(self, source: str, result: str, ops: List[Op], enclosing: List[Tuple[int, ...]]) -> None:
         self.source = source
@@ -124,6 +127,11 @@ class Program:
         # Cache of innermost enclosing loop per position (0 = none).
         self._innermost = tuple(chain[-1] if chain else 0 for chain in self.enclosing)
         self._loop_counts = {op.index: op.count for op in self.ops if isinstance(op, LoopOp)}
+        # A program is immutable, and every message of a query carries it:
+        # its modelled size and its encoded form are each derived once.
+        self._wire_size: Optional[int] = None
+        #: Encoded program section; owned and filled by :mod:`repro.net.codec`.
+        self._wire_section: Optional[bytes] = None
 
     @property
     def size(self) -> int:
@@ -156,7 +164,10 @@ class Program:
 
         The paper reports its experiment queries encode to roughly 40
         bytes; this estimate feeds the metrics layer, not correctness.
+        Memoised: every send and receive of every message asks for it.
         """
+        if self._wire_size is not None:
+            return self._wire_size
         total = 8  # source/result set handles
         for op in self.ops:
             if isinstance(op, SelectOp):
@@ -167,6 +178,7 @@ class Program:
                 total += 2 + len(op.var)
             else:
                 total += 4
+        self._wire_size = total
         return total
 
     def __repr__(self) -> str:

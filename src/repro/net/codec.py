@@ -15,14 +15,21 @@ Design notes:
   indices, iteration counts) cost one byte;
 * the format is self-describing enough for :func:`decode_message` to
   reject truncated or corrupt frames with :class:`CodecError` rather
-  than mis-reading them.
+  than mis-reading them — and with nothing else: the decoder is total,
+  so a transport needs to catch one exception type;
+* a query's program is the one part of its work messages that never
+  changes, so it is serialised once per :class:`Program` and parsed once
+  per process per query (see :func:`_write_program` /
+  :func:`_read_program`); the frames themselves are unchanged.
 """
 
 from __future__ import annotations
 
+import re
 import struct
+import threading
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cache import BloomFilter, SiteSummary
 from ..core.oid import Oid
@@ -108,6 +115,17 @@ _M_VIEW_CHANGE = 0x4C
 #: deep while still rejecting absurd lengths from corrupt frames.
 MAX_VARINT_BITS = 4096
 
+#: Deepest nesting of tuples / blob references inside one value.  Real
+#: values nest two or three deep (emission lists, mark hints); the bound
+#: keeps a frame of nothing but tuple tags from recursing the decoder
+#: off the interpreter stack.
+MAX_VALUE_DEPTH = 32
+
+#: Every one-byte ``bytes``, so tags, flags and the varints whose zig-zag
+#: form fits seven bits (most of a message) cost an index, not an
+#: allocation.  The layout on the wire is unchanged.
+_ONE_BYTE = tuple(bytes((i,)) for i in range(256))
+
 
 class _Writer:
     __slots__ = ("chunks",)
@@ -116,9 +134,12 @@ class _Writer:
         self.chunks: List[bytes] = []
 
     def byte(self, value: int) -> None:
-        self.chunks.append(bytes((value,)))
+        self.chunks.append(_ONE_BYTE[value])
 
     def varint(self, value: int) -> None:
+        if -64 <= value < 64:
+            self.chunks.append(_ONE_BYTE[value << 1 if value >= 0 else (-value << 1) - 1])
+            return
         # zig-zag then LEB128, arbitrary precision: weighted-termination
         # credit rides the wire as a Fraction whose denominator doubles
         # per sequential hop (2^depth), so a 64-bit cap turns any deep
@@ -164,6 +185,12 @@ class _Reader:
         return value
 
     def varint(self) -> int:
+        pos = self.pos
+        if pos < len(self.data):
+            b = self.data[pos]
+            if b < 0x80:  # the whole varint: most fields are small
+                self.pos = pos + 1
+                return (b >> 1) ^ -(b & 1)
         shift = 0
         encoded = 0
         while True:
@@ -190,7 +217,10 @@ class _Reader:
     def text(self) -> str:
         # str(buf, "utf-8") accepts any buffer, so zero-copy memoryview
         # frames decode without materialising intermediate bytes.
-        return str(self.raw(), "utf-8")
+        try:
+            return str(self.raw(), "utf-8")
+        except UnicodeDecodeError:
+            raise CodecError("text is not valid UTF-8") from None
 
     def done(self) -> bool:
         return self.pos == len(self.data)
@@ -201,7 +231,20 @@ class _Reader:
 # --------------------------------------------------------------------------
 
 
-def _write_value(w: _Writer, value: Any) -> None:
+def _construct(factory: Callable[..., Any], *args: Any) -> Any:
+    """Build a domain object from decoded fields.
+
+    The constructors validate their own arguments (an empty ``OneOf``, a
+    regex that does not compile, a tuple with no type ...); on bytes from
+    the wire such a rejection means the frame is malformed.
+    """
+    try:
+        return factory(*args)
+    except (ValueError, TypeError, re.error, RecursionError, OverflowError) as exc:
+        raise CodecError(f"invalid {factory.__qualname__}: {exc}") from None
+
+
+def _write_value(w: _Writer, value: Any, depth: int = 0) -> None:
     if value is None:
         w.byte(_T_NONE)
     elif value is True:
@@ -229,21 +272,23 @@ def _write_value(w: _Writer, value: Any) -> None:
         w.byte(_T_FRACTION)
         w.varint(value.numerator)
         w.varint(value.denominator)
+    elif depth >= MAX_VALUE_DEPTH and isinstance(value, (BlobRef, tuple, list)):
+        raise CodecError(f"value nested deeper than {MAX_VALUE_DEPTH}")
     elif isinstance(value, BlobRef):
         w.byte(_T_BLOBREF)
-        _write_value(w, value.oid)
-        _write_value(w, value.key)
+        _write_value(w, value.oid, depth + 1)
+        _write_value(w, value.key, depth + 1)
         w.varint(value.size)
     elif isinstance(value, (tuple, list)):
         w.byte(_T_TUPLE)
         w.varint(len(value))
         for element in value:
-            _write_value(w, element)
+            _write_value(w, element, depth + 1)
     else:
         raise CodecError(f"cannot encode value of type {type(value).__name__}")
 
 
-def _read_value(r: _Reader) -> Any:
+def _read_value(r: _Reader, depth: int = 0) -> Any:
     tag = r.byte()
     if tag == _T_NONE:
         return None
@@ -267,19 +312,27 @@ def _read_value(r: _Reader) -> Any:
         birth = r.text()
         local_id = r.varint()
         hint = r.text()
+        if not birth or local_id < 0:
+            raise CodecError("oid needs a birth site and a non-negative local id")
         return Oid(birth, local_id, presumed_site=hint or None)
     if tag == _T_FRACTION:
-        return Fraction(r.varint(), r.varint())
+        numerator = r.varint()
+        denominator = r.varint()
+        if denominator < 1:
+            raise CodecError(f"fraction denominator {denominator}")
+        return Fraction(numerator, denominator)
+    if depth >= MAX_VALUE_DEPTH and tag in (_T_BLOBREF, _T_TUPLE):
+        raise CodecError(f"value nested deeper than {MAX_VALUE_DEPTH}")
     if tag == _T_BLOBREF:
-        oid = _read_value(r)
-        key = _read_value(r)
+        oid = _read_value(r, depth + 1)
+        key = _read_value(r, depth + 1)
         size = r.varint()
         return BlobRef(oid, key, size)
     if tag == _T_TUPLE:
         length = r.varint()
         if length < 0 or length > 1_000_000:
             raise CodecError(f"implausible tuple length {length}")
-        return tuple(_read_value(r) for _ in range(length))
+        return tuple([_read_value(r, depth + 1) for _ in range(length)])
     raise CodecError(f"unknown value tag 0x{tag:02x}")
 
 
@@ -321,15 +374,23 @@ def _read_pattern(r: _Reader) -> Pattern:
     if tag == _P_LITERAL:
         return Literal(_read_value(r))
     if tag == _P_REGEX:
-        return Regex(r.text())
+        return _construct(Regex, r.text())
     if tag == _P_RANGE:
-        return Range(_read_value(r), _read_value(r))
+        lo, hi = _read_value(r), _read_value(r)
+        for bound in (lo, hi):
+            # Range.match orders field values against its bounds.
+            if bound is not None and (isinstance(bound, bool) or not isinstance(bound, (int, float))):
+                raise CodecError("range bound must be a number")
+        return _construct(Range, lo, hi)
     if tag == _P_ONEOF:
-        return OneOf(list(_read_value(r)))
+        values = _read_value(r)
+        if not isinstance(values, tuple):
+            raise CodecError("one-of pattern must carry a tuple")
+        return _construct(OneOf, values)
     if tag == _P_BIND:
-        return Bind(r.text())
+        return _construct(Bind, r.text())
     if tag == _P_USE:
-        return Use(r.text())
+        return _construct(Use, r.text())
     raise CodecError(f"unknown pattern tag 0x{tag:02x}")
 
 
@@ -338,39 +399,83 @@ def _read_pattern(r: _Reader) -> Pattern:
 # --------------------------------------------------------------------------
 
 
+#: Programs this process has parsed, by the query that carried them: qid ->
+#: (the program section's bytes, the Program parsed from exactly those
+#: bytes).  Bounded — the oldest entry goes when it is full — so nothing
+#: here grows with queries served.
+_PARSED_PROGRAMS: Dict[QueryId, Tuple[bytes, Program]] = {}
+_PARSED_PROGRAMS_MAX = 64
+#: Longest section worth remembering (experiment queries are ~60 bytes), so
+#: the table's bytes are bounded as well as its entries.
+_PARSED_SECTION_MAX = 16 * 1024
+#: Taken only to insert; a hit is one ``dict.get`` and needs no lock.
+_parsed_programs_lock = threading.Lock()
+
+
 def _write_program(w: _Writer, program: Program) -> None:
-    w.text(program.source)
-    w.text(program.result)
-    w.varint(program.size)
-    for op in program.ops:
-        if isinstance(op, SelectOp):
-            w.byte(_O_SELECT)
-            _write_pattern(w, op.type_pattern)
-            _write_pattern(w, op.key_pattern)
-            _write_pattern(w, op.data_pattern)
-        elif isinstance(op, DerefOp):
-            w.byte(_O_DEREF)
-            w.text(op.var)
-            w.byte(1 if op.keep_source else 0)
-        elif isinstance(op, LoopOp):
-            w.byte(_O_LOOP)
-            w.varint(op.start)
-            w.varint(-1 if op.count is None else op.count)
-        elif isinstance(op, RetrieveOp):
-            w.byte(_O_RETRIEVE)
-            _write_pattern(w, op.type_pattern)
-            _write_pattern(w, op.key_pattern)
-            w.text(op.target)
-        else:
-            raise CodecError(f"cannot encode op {type(op).__name__}")
-    # Enclosing-loop chains (needed for iteration bookkeeping).
-    for chain in program.enclosing:
-        w.varint(len(chain))
-        for idx in chain:
-            w.varint(idx)
+    """Append ``program``'s section, serialising it on first use only.
+
+    The section is the one part of a query's work messages that is the
+    same in every message, so its bytes are kept on the (immutable)
+    ``Program`` — the :func:`preframe` idea applied to a part of a
+    message.  Only this function fills the slot: a program that came off
+    the wire is re-emitted in canonical form, never as received.
+    """
+    section = program._wire_section
+    if section is None:
+        body = _Writer()
+        body.text(program.source)
+        body.text(program.result)
+        body.varint(program.size)
+        for op in program.ops:
+            if isinstance(op, SelectOp):
+                body.byte(_O_SELECT)
+                _write_pattern(body, op.type_pattern)
+                _write_pattern(body, op.key_pattern)
+                _write_pattern(body, op.data_pattern)
+            elif isinstance(op, DerefOp):
+                body.byte(_O_DEREF)
+                body.text(op.var)
+                body.byte(1 if op.keep_source else 0)
+            elif isinstance(op, LoopOp):
+                body.byte(_O_LOOP)
+                body.varint(op.start)
+                body.varint(-1 if op.count is None else op.count)
+            elif isinstance(op, RetrieveOp):
+                body.byte(_O_RETRIEVE)
+                _write_pattern(body, op.type_pattern)
+                _write_pattern(body, op.key_pattern)
+                body.text(op.target)
+            else:
+                raise CodecError(f"cannot encode op {type(op).__name__}")
+        # Enclosing-loop chains (needed for iteration bookkeeping).
+        for chain in program.enclosing:
+            body.varint(len(chain))
+            for idx in chain:
+                body.varint(idx)
+        section = program._wire_section = body.getvalue()
+    w.chunks.append(section)
 
 
-def _read_program(r: _Reader) -> Program:
+def _read_program(r: _Reader, qid: QueryId) -> Program:
+    """Read the program section of a message of query ``qid``.
+
+    Every message of a query repeats the same section, so the first
+    parse is remembered under ``qid`` and later messages are answered
+    with the same immutable ``Program`` (as the in-process transports
+    share one across sites) — but only when the bytes at hand *equal*
+    the bytes that were parsed.  Anything else, a reused qid or a single
+    flipped bit, takes the full parse below, so what the decoder accepts
+    and rejects does not depend on what it has seen before.
+    """
+    known = _PARSED_PROGRAMS.get(qid)
+    if known is not None:
+        section, program = known
+        end = r.pos + len(section)
+        if r.data[r.pos : end] == section:
+            r.pos = end
+            return program
+    begin = r.pos
     source = r.text()
     result = r.text()
     size = r.varint()
@@ -388,18 +493,34 @@ def _read_program(r: _Reader) -> Program:
         elif tag == _O_LOOP:
             start = r.varint()
             count = r.varint()
+            if not 1 <= start <= index:
+                raise CodecError(f"loop at {index} starts at {start}")
+            if count < -1:
+                raise CodecError(f"loop at {index} has count {count}")
             ops.append(LoopOp(index, start, None if count == -1 else count))
         elif tag == _O_RETRIEVE:
             ops.append(RetrieveOp(index, _read_pattern(r), _read_pattern(r), r.text()))
         else:
             raise CodecError(f"unknown op tag 0x{tag:02x}")
     enclosing: List[Tuple[int, ...]] = []
-    for _ in range(size):
+    for index in range(1, size + 1):
         chain_len = r.varint()
         if chain_len < 0 or chain_len > 64:
             raise CodecError("implausible loop-chain length")
-        enclosing.append(tuple(r.varint() for _ in range(chain_len)))
-    return Program(source, result, ops, enclosing)
+        chain = tuple([r.varint() for _ in range(chain_len)])
+        for loop in chain:
+            # A position is enclosed only by loop markers at or after it.
+            if not index <= loop <= size or not isinstance(ops[loop - 1], LoopOp):
+                raise CodecError(f"position {index} is not inside a loop ending at {loop}")
+        enclosing.append(chain)
+    program = Program(source, result, ops, enclosing)
+    if r.pos - begin <= _PARSED_SECTION_MAX:
+        with _parsed_programs_lock:
+            _PARSED_PROGRAMS.pop(qid, None)
+            while len(_PARSED_PROGRAMS) >= _PARSED_PROGRAMS_MAX:
+                del _PARSED_PROGRAMS[next(iter(_PARSED_PROGRAMS))]
+            _PARSED_PROGRAMS[qid] = (bytes(r.data[begin : r.pos]), program)
+    return program
 
 
 # --------------------------------------------------------------------------
@@ -421,10 +542,12 @@ def _read_item(r: _Reader) -> WorkItem:
     if not isinstance(oid, Oid):
         raise CodecError("work item oid expected")
     start = r.varint()
+    if start < 1:
+        raise CodecError(f"work item start index {start}")
     n = r.varint()
     if n < 0 or n > 64:
         raise CodecError("implausible iteration-stack size")
-    iters = tuple((r.varint(), r.varint()) for _ in range(n))
+    iters = tuple([(r.varint(), r.varint()) for _ in range(n)])
     return WorkItem(oid=oid, start=start, iters=iters)
 
 
@@ -532,7 +655,7 @@ def _read_object(r: _Reader) -> Optional[HFObject]:
     n = r.varint()
     if n < 0 or n > 1_000_000:
         raise CodecError(f"implausible tuple count {n}")
-    tuples = [HFTuple(r.text(), _read_value(r), _read_value(r)) for _ in range(n)]
+    tuples = [_construct(HFTuple, r.text(), _read_value(r), _read_value(r)) for _ in range(n)]
     return HFObject(oid, tuples, size_hint=size_hint)
 
 
@@ -658,7 +781,8 @@ def decode_message(frame: bytes) -> Any:
     r = _Reader(frame)
     tag = r.byte()
     if tag == _M_DEREF_REQUEST:
-        message: Any = DerefRequest(_read_qid(r), _read_program(r), _read_item(r), _read_term(r))
+        qid = _read_qid(r)
+        message: Any = DerefRequest(qid, _read_program(r, qid), _read_item(r), _read_term(r))
     elif tag == _M_RESULT_BATCH:
         qid = _read_qid(r)
         oids = _read_value(r)
@@ -667,10 +791,16 @@ def decode_message(frame: bytes) -> Any:
         count = r.varint()
         term = _read_term(r)
         summary = _read_summary(r) if r.byte() == 1 else None
+        if not isinstance(oids, tuple) or not all(isinstance(oid, Oid) for oid in oids):
+            raise CodecError("result batch oids must be a tuple of oids")
+        if not isinstance(emissions, tuple) or not all(
+            isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], str) for e in emissions
+        ):
+            raise CodecError("result batch emissions must be (target, value) pairs")
         message = ResultBatch(
             qid,
-            oids=tuple(oids),
-            emissions=tuple(tuple(e) for e in emissions),
+            oids=oids,
+            emissions=emissions,
             count_only=count_only,
             count=count,
             term=term,
@@ -679,7 +809,8 @@ def decode_message(frame: bytes) -> Any:
     elif tag == _M_CONTROL:
         message = ControlMessage(_read_qid(r), r.text(), _read_value(r))
     elif tag == _M_SEED_FROM_SAVED:
-        message = SeedFromSaved(_read_qid(r), _read_program(r), _read_qid(r), _read_term(r))
+        qid = _read_qid(r)
+        message = SeedFromSaved(qid, _read_program(r, qid), _read_qid(r), _read_term(r))
     elif tag == _M_PURGE_CONTEXT:
         message = PurgeContext(_read_qid(r), r.varint())
     elif tag == _M_FETCH_REQUEST:
@@ -692,7 +823,7 @@ def decode_message(frame: bytes) -> Any:
         message = FetchReply(r.varint(), _read_object(r))
     elif tag == _M_BATCHED_QUERY:
         qid = _read_qid(r)
-        program = _read_program(r)
+        program = _read_program(r, qid)
         n = r.varint()
         if n < 1 or n > 100_000:
             raise CodecError(f"implausible batch size {n}")
@@ -711,10 +842,11 @@ def decode_message(frame: bytes) -> Any:
             raise CodecError(f"implausible batched-results size {n}")
         inner = []
         for _ in range(n):
-            batch = decode_message(r.raw())
-            if not isinstance(batch, ResultBatch):
+            inner_frame = r.raw()
+            # Checked before descending, so nesting cannot recurse.
+            if not inner_frame or inner_frame[0] != _M_RESULT_BATCH:
                 raise CodecError("batched-results frame may only carry ResultBatch")
-            inner.append(batch)
+            inner.append(decode_message(inner_frame))
         message = BatchedResults(tuple(inner))
     elif tag == _M_HEARTBEAT:
         origin = r.text()
@@ -731,7 +863,12 @@ def decode_message(frame: bytes) -> Any:
         message = ViewChange(epoch, statuses, reason=r.text())
     elif tag == _M_RELIABLE_DATA:
         seq = r.varint()
-        message = ReliableData(seq, decode_message(r.raw()))
+        inner_frame = r.raw()
+        # The channel wraps application messages only; refusing its own
+        # frames here is also what keeps this recursion two levels deep.
+        if inner_frame and inner_frame[0] in (_M_RELIABLE_DATA, _M_RELIABLE_ACK):
+            raise CodecError("reliable frame nested inside a reliable frame")
+        message = ReliableData(seq, decode_message(inner_frame))
     elif tag == _M_RELIABLE_ACK:
         message = ReliableAck(r.varint())
     else:

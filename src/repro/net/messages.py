@@ -5,8 +5,12 @@ The distributed algorithm needs only two kinds of message:
 * :class:`DerefRequest` — "process this object for this query".  Carries
   the query identity and body (``Q.id``, ``Q.originator``, ``Q.body``,
   ``Q.size``) plus the dereferenced object's ``(id, start, iter#)``.  The
-  query body is resent with every message — contexts make the *setup*
-  cheap, not the message; the paper measures these at ~40 bytes.
+  query body is resent with every message, as in the paper (which
+  measures these at ~40 bytes); ours is ~60 bytes of a ~105-byte frame.
+  Resending it is cheap only because the work around it is paid once:
+  the body is serialised once per :class:`~repro.core.program.Program`
+  and parsed once per process per query (:mod:`repro.net.codec`), and
+  its modelled size below is computed once per program.
 * :class:`ResultBatch` — results flowing back to the originating site:
   object ids that passed all filters, values shipped by ``→`` retrievals,
   or (under the distributed-set optimisation of §5) just a local count.

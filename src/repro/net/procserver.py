@@ -621,7 +621,7 @@ def _handle_control(frame, runtime: _ChildRuntime, asite, store):
             return bytes((_C_OK,))
         if tag == _C_SUBMIT:
             qid = _read_qid(r)
-            program = _read_program(r)
+            program = _read_program(r, qid)
             initial = list(_read_value(r))
             priority = r.text() or None
             tenant = r.text() or None
@@ -629,7 +629,7 @@ def _handle_control(frame, runtime: _ChildRuntime, asite, store):
             return bytes((_C_OK,))
         if tag == _C_SUBMIT_SAVED:
             qid = _read_qid(r)
-            program = _read_program(r)
+            program = _read_program(r, qid)
             source_qid = _read_qid(r)
             asite.submit_from_saved(qid, program, source_qid)
             return bytes((_C_OK,))

@@ -73,6 +73,76 @@ class TestInlineAsync:
             assert out.result.oid_keys() == {o.key() for o in oids}
 
 
+class TestPeerLink:
+    """``_PeerLink.send`` writes straight to a connected, idle transport
+    and queues otherwise; either way frames arrive whole, in order."""
+
+    def test_frames_stay_in_order_through_dial_direct_write_and_redial(self):
+        import asyncio
+        import types
+
+        from repro.net.asyncio_cluster import _PeerLink
+        from repro.net.codec import FrameReader
+
+        payloads = [bytes((i,)) * (1 + 7 * i) for i in range(9)]
+        received = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            arrived = asyncio.Event()
+
+            class Inbound(asyncio.Protocol):
+                def connection_made(self, transport):
+                    self.reader = FrameReader()
+
+                def data_received(self, data):
+                    received.extend(bytes(frame) for frame in self.reader.feed(data))
+                    arrived.set()
+
+            async def until_received(count):
+                while len(received) < count:
+                    arrived.clear()
+                    await asyncio.wait_for(arrived.wait(), 10.0)
+
+            server = await loop.create_server(Inbound, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            site = types.SimpleNamespace(
+                bytes_sent=0,
+                cluster=types.SimpleNamespace(config=ClusterConfig(), port_of=lambda dst: port),
+            )
+            link = _PeerLink(site, "site1")
+            try:
+                # Dialling: the first frame starts the dial, the next two
+                # find no transport yet and must wait behind it.
+                link.send(payloads[0])
+                await asyncio.sleep(0)
+                assert link.transport is None
+                link.send(payloads[1])
+                link.send(payloads[2])
+                await until_received(3)
+                # Connected and idle: written directly, nothing queued.
+                for payload in payloads[3:6]:
+                    link.send(payload)
+                    assert link.queue.empty()
+                await until_received(6)
+                # A lost connection: back to the queue, and a redial.
+                first = link.transport
+                first.close()
+                for payload in payloads[6:]:
+                    link.send(payload)
+                assert link.queue.qsize() == 3
+                await until_received(9)
+                assert link.transport is not first
+            finally:
+                link.close()
+                server.close()
+                await server.wait_closed()
+            return site.bytes_sent
+
+        assert asyncio.run(scenario()) == sum(len(p) for p in payloads)
+        assert received == payloads
+
+
 class TestTimeoutBackstop:
     """The timeout_s plumbing audit: a hung query must end in
     TerminationLost on every wall-clock transport, never a dead wait.

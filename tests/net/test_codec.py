@@ -8,16 +8,29 @@ from repro.core.oid import Oid
 from repro.core.parser import parse_query
 from repro.core.program import compile_query
 from repro.engine.items import WorkItem
-from repro.net.codec import CodecError, decode_message, encode_message
+from repro.net import codec
+from repro.net.codec import (
+    MAX_VALUE_DEPTH,
+    CodecError,
+    decode_envelope,
+    decode_message,
+    encode_envelope,
+    encode_message,
+)
 from repro.net.messages import (
+    BatchedQuery,
+    BatchedResults,
     ControlMessage,
     DerefRequest,
+    Envelope,
     FetchReply,
     FetchRequest,
+    Heartbeat,
     PurgeContext,
     QueryId,
     ResultBatch,
     SeedFromSaved,
+    ViewChange,
 )
 from repro.storage.blobstore import BlobRef
 
@@ -26,6 +39,58 @@ QID = QueryId(7, "site0")
 
 def prog(text='S [ (Pointer,"Ref",?X) ^^X ]^3 (Keyword,"K",?) -> T'):
     return compile_query(parse_query(text))
+
+
+def wire_corpus():
+    """One envelope of every message kind, header fields populated.
+
+    Shared with the framing fuzz property: mutations start from here.
+    """
+    from repro.cache import BloomFilter, SiteSummary
+    from repro.core.objects import HFObject
+    from repro.core.tuples import keyword_tuple, pointer_tuple
+    from repro.faults.reliable import ReliableAck, ReliableData
+
+    every_pattern = prog(
+        'S [ (Pointer, "Ref", ?X) ^^X ]^3 (Number, "Year", 1901..1902) (String, ?, /ab+/) '
+        '(String, "Author", ?A) (String, "Maintainer", $A) (Keyword, "X", ->out) -> T'
+    )
+    item = WorkItem(Oid("site1", 5, presumed_site="site2"), start=3, iters=((3, 2),))
+    credit = {"credit": Fraction(1, 2 ** 70)}
+    bloom = BloomFilter(64, 3)
+    bloom.add("site1:5")
+    summary = SiteSummary("site1", 4, 0, bloom, {"Ref": bloom}, 9)
+    results = ResultBatch(
+        QID,
+        oids=(Oid("site1", 1), Oid("site2", 300)),
+        emissions=(("title", "A Paper"), ("ratio", 2.5), ("raw", b"\x00\xff"),
+                   ("body", BlobRef(Oid("site1", 3), "Body", 4096))),
+        term=credit,
+        summary=summary,
+    )
+    obj = HFObject(Oid("site1", 3), [keyword_tuple("K"), pointer_tuple("Ref", Oid("site2", 9))], size_hint=99)
+    deref = DerefRequest(QID, every_pattern, item, credit)
+    payloads = {
+        "deref": deref,
+        "result": results,
+        "control": ControlMessage(QID, "ds-ack", (1, "x", None, True)),
+        "seed": SeedFromSaved(QueryId(8, "site0"), prog(), QID, credit),
+        "purge": PurgeContext(QID, 2),
+        "fetch_request": FetchRequest(7, Oid("site1", 3), reply_to="site0"),
+        "fetch_reply": FetchReply(7, obj),
+        "batched_query": BatchedQuery(QID, prog(), (item, item), (credit, {}), ((("site1", 4), (3,)),)),
+        "batched_results": BatchedResults((results, ResultBatch(QID, count_only=True, count=3))),
+        "heartbeat": Heartbeat("site1", (("site0", 3), ("site1", 17))),
+        "view_change": ViewChange(5, (("site0", "up"), ("site1", "leaving")), reason="fail"),
+        "reliable_data": ReliableData(4, deref),
+        "reliable_ack": ReliableAck(4),
+    }
+    corpus = {name: Envelope("site0", "site1", payload) for name, payload in payloads.items()}
+    corpus["full_header"] = Envelope(
+        "site0", "site1", deref,
+        spans=(11, 0, 300), src_epoch=7, tried=("site2",), priority="batch", pressure=1,
+    )
+    return corpus
 
 
 def roundtrip(message):
@@ -144,17 +209,343 @@ class TestRobustness:
         assert out.emissions[0][1] == value
 
     def test_corrupt_interior_bytes_never_crash(self):
-        # Bit-flips must raise CodecError (or decode to a different valid
-        # message), never escape with e.g. struct.error or MemoryError.
-        frame = bytearray(encode_message(
-            DerefRequest(QID, prog(), WorkItem(Oid("s1", 5), start=2))
+        # A flipped byte anywhere — in any message kind, envelope header
+        # included — must raise CodecError or decode to a different valid
+        # message.  Nothing else may escape: the transports catch
+        # HyperFileError only.
+        for env in wire_corpus().values():
+            frame = encode_envelope(env)
+            for i in range(len(frame)):
+                for mask in (0x5A, 0x80, 0x01):
+                    mutated = frame[:i] + bytes((frame[i] ^ mask,)) + frame[i + 1 :]
+                    try:
+                        decode_envelope(mutated, "site1")
+                    except CodecError:
+                        pass
+
+
+def _spliced(message, old: bytes, new: bytes) -> bytes:
+    """An enveloped ``message`` with one byte run replaced by hand."""
+    frame = encode_envelope(Envelope("site0", "site1", message))
+    assert frame.count(old) == 1, (old, frame.hex())
+    return frame.replace(old, new)
+
+
+class TestDecoderIsTotal:
+    """Hand-built hostile frames: each reached an exception the transports
+    do not catch (asyncio's fatal-error path, a dead reader thread)."""
+
+    def _rejected(self, frame: bytes) -> None:
+        with pytest.raises(CodecError):
+            decode_envelope(frame, "site1")
+
+    def test_zero_denominator(self):
+        msg = ResultBatch(QID, term={"credit": Fraction(1, 2)})
+        self._rejected(_spliced(msg, b"\x09\x02\x04", b"\x09\x02\x00"))
+
+    def test_text_that_is_not_utf8(self):
+        self._rejected(_spliced(ControlMessage(QID, "ds-ack"), b"ds-ack", b"ds\xff\xfeck"))
+
+    def test_regex_that_does_not_compile(self):
+        msg = DerefRequest(QID, prog("S (String, ?, /ab+/) -> T"), WorkItem(Oid("s1", 0)))
+        self._rejected(_spliced(msg, b"ab+", b"((("))
+
+    def test_regex_nested_past_the_parser_stack(self):
+        msg = DerefRequest(QID, prog("S (String, ?, /ab+/) -> T"), WorkItem(Oid("s1", 0)))
+        deep = b"(" * 2000 + b"a" + b")" * 2000
+        self._rejected(_spliced(msg, b"\x06ab+", b"\xc2\x3e" + deep))  # varint(4001)
+
+    def test_negative_local_id(self):
+        msg = FetchRequest(7, Oid("sX", 5), reply_to="site0")
+        self._rejected(_spliced(msg, b"\x04sX\x0a", b"\x04sX\x09"))  # zig-zag 5 -> -5
+
+    def test_empty_birth_site(self):
+        msg = FetchRequest(7, Oid("sX", 5), reply_to="site0")
+        self._rejected(_spliced(msg, b"\x04sX\x0a", b"\x00\x0a"))
+
+    def test_five_thousand_nested_tuples(self):
+        frame = encode_envelope(Envelope("site0", "site1", ControlMessage(QID, "k", None)))
+        assert frame.endswith(b"\x00")
+        self._rejected(frame[:-1] + b"\x07\x02" * 5000 + b"\x00")
+
+    def test_nesting_is_bounded_on_encode_too(self):
+        value = ()
+        for _ in range(MAX_VALUE_DEPTH - 1):
+            value = (value,)
+        assert roundtrip(ControlMessage(QID, "k", value)).payload == value
+        with pytest.raises(CodecError):
+            encode_message(ControlMessage(QID, "k", (value,)))
+
+    def test_reliable_frames_do_not_nest(self):
+        from repro.faults.reliable import ReliableData
+
+        from repro.faults.reliable import ReliableAck
+
+        # Refused before descending, so a frame of nothing but reliable
+        # headers cannot recurse the decoder.
+        for inner in (ReliableData(2, ControlMessage(QID, "k")), ReliableAck(2)):
+            self._rejected(encode_envelope(Envelope("site0", "site1", ReliableData(1, inner))))
+
+    def test_range_bounds_must_be_numbers(self):
+        msg = DerefRequest(QID, prog("S (Number, ?, 3..4) -> T"), WorkItem(Oid("s1", 0)))
+        self._rejected(_spliced(msg, b"\x23\x03\x06\x03\x08", b"\x23\x05\x02a\x03\x08"))
+
+    def test_one_of_needs_a_tuple(self):
+        from repro.core.patterns import ANY, OneOf
+        from repro.core.program import Program, SelectOp
+
+        program = Program("S", "T", [SelectOp(1, ANY, ANY, OneOf([7]))], [()])
+        msg = DerefRequest(QID, program, WorkItem(Oid("s1", 0)))
+        self._rejected(_spliced(msg, b"\x24\x07\x02\x03\x0e", b"\x24\x00"))
+        self._rejected(_spliced(msg, b"\x24\x07\x02\x03\x0e", b"\x24\x07\x00"))
+
+    def test_result_batch_shapes(self):
+        msg = ResultBatch(QID, oids=(Oid("sX", 5),), emissions=(("t", 1),))
+        self._rejected(_spliced(msg, b"\x07\x02\x08\x04sX\x0a\x00", b"\x03\x02"))  # oids = 1
+        self._rejected(_spliced(msg, b"\x07\x02\x08\x04sX\x0a\x00", b"\x07\x02\x03\x02"))  # oids = (1,)
+        self._rejected(_spliced(msg, b"\x07\x02\x07\x04\x05\x02t\x03\x02", b"\x07\x02\x03\x02"))  # emissions = (1,)
+
+    def test_work_item_start_below_one(self):
+        msg = DerefRequest(QID, prog(), WorkItem(Oid("sX", 5), start=2))
+        self._rejected(_spliced(msg, b"\x04sX\x0a\x00\x04", b"\x04sX\x0a\x00\x00"))
+
+
+class TestProgramStructure:
+    """A program that parses but cannot run is a malformed frame: it
+    used to decode and then fail inside the receiving site's drain task."""
+
+    def _frame(self, ops, enclosing):
+        from repro.core.program import Program
+
+        return encode_envelope(Envelope(
+            "site0", "site1", DerefRequest(QID, Program("S", "T", ops, enclosing), WorkItem(Oid("s1", 0)))
         ))
-        for i in range(len(frame)):
-            mutated = bytes(frame[:i]) + bytes((frame[i] ^ 0x5A,)) + bytes(frame[i + 1 :])
+
+    @pytest.mark.parametrize("start, count", [(9999, 3), (0, 3), (-1, 3), (2, 3), (1, -2)])
+    def test_loop_bounds(self, start, count):
+        from repro.core.program import LoopOp
+
+        with pytest.raises(CodecError):
+            decode_envelope(self._frame([LoopOp(1, start, count)], [(1,)]), "site1")
+
+    @pytest.mark.parametrize("chain", [(2,), (3,), (0,), (-1,), (1,)])
+    def test_enclosing_must_name_a_loop_at_or_after_the_position(self, chain):
+        from repro.core.patterns import ANY
+        from repro.core.program import DerefOp, LoopOp, SelectOp
+
+        # F1 select, F2 loop (body: F2 only), F3 deref: position 3 lies
+        # after the loop, position 1's select is not a loop.
+        ops = [SelectOp(1, ANY, ANY, ANY), LoopOp(2, 2, None), DerefOp(3, "X", True)]
+        bad = self._frame(ops, [(), (2,), chain])
+        with pytest.raises(CodecError):
+            decode_envelope(bad, "site1")
+
+    def test_compiled_programs_pass(self):
+        for text in (
+            'S [ [ (Pointer,"R",?X) ^^X ]^2 (Pointer,"Q",?Y) ^^Y ]^3 -> T',
+            'S [ (Pointer,"Ref",?X) ^^X ]* (Keyword,"K",?) -> T',
+            "S (Keyword, ?, ?) -> T",
+        ):
+            msg = DerefRequest(QID, prog(text), WorkItem(Oid("s1", 0)))
+            assert repr(roundtrip(msg).program) == repr(msg.program)
+
+
+def _same_program(a, b) -> bool:
+    return (a.source, a.result, repr(a.ops), a.enclosing) == (b.source, b.result, repr(b.ops), b.enclosing)
+
+
+#: Frames taken at the commit before the program-section cache (71d95a7):
+#: ``encode_envelope(Envelope("site0", "site1", message))`` for the four
+#: messages of ``_golden_messages``.  The cache must not move one byte.
+GOLDEN_FRAMES = {
+    "deref": (
+        "0a73697465300000000000400e0a736974653008526f6f740254083021050e506f696e74657221050a436861696e"
+        "250258310258013202013021050e52616e6431307021030a2002060206020600080a7369746531540a7369746532"
+        "06020602020c63726564697409028080808080808080808080808080808080808008"
+    ),
+    "result": (
+        "0a73697465300000000000410e0a73697465300704080a73697465310200080a7369746532120a73697465300704"
+        "0704050a7469746c65050e412050617065720704050873697a6503540000020c63726564697409062000"
+    ),
+    "batched": (
+        "0a73697465300000000000490e0a736974653008526f6f740254083021050e506f696e74657221050a436861696e"
+        "250258310258013202013021050e52616e6431307021030a200206020602060004080a736974653108000600020c"
+        "637265646974090210080a7369746531d8040002020604020c637265646974090280808080808080808080020702"
+        "07040704050a7369746531030807020306"
+    ),
+    "seed": (
+        "0a7369746530000000000043100a736974653008526f6f740254083021050e506f696e74657221050a436861696e"
+        "250258310258013202013021050e52616e6431307021030a20020602060206000e0a7369746530020c6372656469"
+        "74090206"
+    ),
+}
+
+
+def _golden_messages(program):
+    return {
+        "deref": DerefRequest(
+            QID, program,
+            WorkItem(Oid("site1", 42, presumed_site="site2"), start=3, iters=((3, 1),)),
+            {"credit": Fraction(1, 2 ** 135)},
+        ),
+        "result": ResultBatch(
+            QID,
+            oids=(Oid("site1", 1), Oid("site2", 9, presumed_site="site0")),
+            emissions=(("title", "A Paper"), ("size", 42)),
+            term={"credit": Fraction(3, 16)},
+        ),
+        "batched": BatchedQuery(
+            QID, program,
+            (WorkItem(Oid("site1", 4), start=3), WorkItem(Oid("site1", 300), start=1, iters=((3, 2),))),
+            ({"credit": Fraction(1, 8)}, {"credit": Fraction(1, 2 ** 70)}),
+            ((("site1", 4), (3,)),),
+        ),
+        "seed": SeedFromSaved(QueryId(8, "site0"), program, QID, {"credit": Fraction(1, 3)}),
+    }
+
+
+def _chain_closure():
+    from repro.workload import closure_query
+
+    return compile_query(closure_query("Chain", "Rand10p", 5))
+
+
+class TestFramesArePinned:
+    """Serialising the program once must not change what is sent."""
+
+    def _frames(self, program):
+        return {
+            name: encode_envelope(Envelope("site0", "site1", message)).hex()
+            for name, message in _golden_messages(program).items()
+        }
+
+    def test_fresh_program(self):
+        assert self._frames(_chain_closure()) == GOLDEN_FRAMES
+
+    def test_warm_program(self):
+        program = _chain_closure()
+        self._frames(program)
+        assert program._wire_section is not None
+        assert self._frames(program) == GOLDEN_FRAMES
+
+    def test_program_that_came_off_the_wire(self):
+        decoded = decode_envelope(bytes.fromhex(GOLDEN_FRAMES["deref"]), "site1").payload.program
+        assert decoded._wire_section is None  # only the encoder fills it
+        assert self._frames(decoded) == GOLDEN_FRAMES
+
+    def test_goldens_decode_to_what_was_sent(self):
+        sent = _golden_messages(_chain_closure())
+        for name, golden in GOLDEN_FRAMES.items():
+            got = decode_envelope(bytes.fromhex(golden), "site1").payload
+            assert type(got) is type(sent[name])
+            assert got.qid == sent[name].qid
+            if name != "result":
+                assert _same_program(got.program, sent[name].program)
+            if name != "batched":
+                assert got.term == sent[name].term
+
+    def test_modelled_size_is_memoised_not_changed(self):
+        program = _chain_closure()
+        first = program.wire_size()
+        assert program.wire_size() == first == _chain_closure().wire_size()
+        assert DerefRequest(QID, program, WorkItem(Oid("s1", 0))).wire_size() == 12 + 16 + first
+
+
+class TestProgramParsedOncePerQuery:
+    def _deref(self, program, qid=QID, local_id=1):
+        return encode_envelope(Envelope(
+            "site0", "site1", DerefRequest(qid, program, WorkItem(Oid("site1", local_id), start=3))
+        ))
+
+    def test_second_hop_gets_the_same_program_object(self):
+        program = _chain_closure()
+        first = decode_envelope(self._deref(program, local_id=1), "site1").payload
+        second = decode_envelope(memoryview(self._deref(program, local_id=2)), "site1").payload
+        assert second.program is first.program
+        assert second.item != first.item
+        batched = decode_envelope(
+            bytes.fromhex(GOLDEN_FRAMES["batched"]), "site1"
+        ).payload
+        assert batched.qid == QID and batched.program is first.program
+
+    def test_a_flipped_bit_never_gets_the_cached_program(self):
+        program = _chain_closure()
+        frame = self._deref(program)
+        section = program._wire_section
+        at = frame.index(section)
+        for bit in range(len(section) * 8):
+            cached = decode_envelope(frame, "site1").payload.program  # warm
+            i = at + bit // 8
+            mutated = frame[:i] + bytes((frame[i] ^ (1 << bit % 8),)) + frame[i + 1 :]
             try:
-                decode_message(mutated)
-            except (CodecError, ValueError):
-                pass
+                got = decode_envelope(mutated, "site1").payload.program
+            except CodecError:
+                got = None
+            codec._PARSED_PROGRAMS.clear()
+            try:
+                cold = decode_envelope(mutated, "site1").payload.program
+            except CodecError:
+                cold = None
+            assert got is not cached
+            assert (got is None) == (cold is None)
+            if got is not None:
+                assert _same_program(got, cold)
+
+    def test_reused_qid_with_another_program(self):
+        one = decode_envelope(self._deref(_chain_closure()), "site1").payload.program
+        other_program = prog()
+        other = decode_envelope(self._deref(other_program), "site1").payload.program
+        assert other is not one and _same_program(other, other_program)
+        assert decode_envelope(self._deref(other_program), "site1").payload.program is other
+
+    def test_table_is_bounded(self):
+        program = _chain_closure()
+        for seq in range(1000):
+            decode_envelope(self._deref(program, qid=QueryId(seq, "site0")), "site1")
+        assert len(codec._PARSED_PROGRAMS) == codec._PARSED_PROGRAMS_MAX
+        assert QueryId(999, "site0") in codec._PARSED_PROGRAMS
+        assert QueryId(0, "site0") not in codec._PARSED_PROGRAMS
+
+    def test_oversized_sections_are_not_remembered(self):
+        big = prog('S (String, "k", "%s") -> T' % ("x" * (codec._PARSED_SECTION_MAX + 1)))
+        qid = QueryId(123456, "site0")
+        decode_envelope(self._deref(big, qid=qid), "site1")
+        assert qid not in codec._PARSED_PROGRAMS
+
+    def test_reader_threads_share_the_table(self):
+        # SocketCluster decodes on one reader thread per connection.
+        import sys
+        import threading
+
+        programs = [_chain_closure(), prog()]
+        frames = [
+            (self._deref(programs[seq % 2], qid=QueryId(seq, "site0")), programs[seq % 2])
+            for seq in range(3 * codec._PARSED_PROGRAMS_MAX)
+        ]
+        errors = []
+
+        def reader():
+            try:
+                for _ in range(3):
+                    for frame, sent in frames:
+                        got = decode_envelope(frame, "site1").payload.program
+                        assert _same_program(got, sent)
+            except BaseException as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(codec._PARSED_PROGRAMS) <= codec._PARSED_PROGRAMS_MAX
 
 
 class TestWireEconomy:
