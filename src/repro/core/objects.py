@@ -12,10 +12,41 @@ shared-memory engine of paper §6 process objects without locking.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .oid import Oid
+from .patterns import _values_equal
 from .tuples import HFTuple, pointer_tuple
+
+#: :func:`probe_key` of a value no dictionary look-up can stand in for.
+NO_PROBE: Any = object()
+_TRUE: Any = object()
+_FALSE: Any = object()
+
+#: type -> (tuples of that type, key -> tuples with that key | None).
+_Index = Dict[str, Tuple[Tuple[HFTuple, ...], Optional[Dict[Any, Tuple[HFTuple, ...]]]]]
+
+
+def probe_key(value: Any) -> Any:
+    """Dictionary key meeting exactly the values ``_values_equal`` equates.
+
+    ``probe_key(a) == probe_key(b)`` iff ``_values_equal(a, b)``: booleans
+    map to private stand-ins so ``True`` never meets ``1``; numbers and
+    object ids are their own key, because ``5 == 5.0`` and ids differing
+    only in their hint already hash and compare equal.  Returns
+    :data:`NO_PROBE` for an unhashable value and for one with
+    ``value != value`` (NaN), which a dictionary finds by identity although
+    the matcher equates it with nothing.
+    """
+    if value is True:
+        return _TRUE
+    if value is False:
+        return _FALSE
+    try:
+        hash(value)
+    except TypeError:
+        return NO_PROBE
+    return value if value == value else NO_PROBE
 
 
 class HFObject:
@@ -23,10 +54,23 @@ class HFObject:
 
     Duplicate tuples are collapsed (the model is a *set* of tuples) while
     first-seen order is preserved for deterministic iteration, which keeps
-    query traces and tests reproducible.
+    query traces and tests reproducible.  Two tuples are duplicates when
+    the matcher cannot tell them apart (see :func:`probe_key`).
+
+    ``_index`` is what selections probe instead of scanning: ``type ->
+    (bucket, by_key)``, where ``bucket`` holds the tuples of that type and
+    ``by_key`` maps ``probe_key(key)`` to the tuples carrying that key,
+    both in insertion order.  ``by_key`` is ``None`` for a bucket of one
+    tuple (nothing to save) and for a bucket holding a key without a probe
+    key; such a bucket is matched tuple by tuple.  The slot is lazy — an
+    object no query touches costs nothing at load, and every functional
+    update starts from ``None`` again — and is filled by one assignment of
+    a mapping nobody mutates afterwards, so threads sharing the object see
+    either ``None`` or a complete index; two that race both build the same
+    one.
     """
 
-    __slots__ = ("_oid", "_tuples", "_size_hint")
+    __slots__ = ("_oid", "_tuples", "_size_hint", "_index")
 
     def __init__(self, oid: Oid, tuples: Iterable[HFTuple] = (), size_hint: Optional[int] = None) -> None:
         if not isinstance(oid, Oid):
@@ -43,6 +87,7 @@ class HFObject:
         self._oid = oid
         self._tuples = tuple(ordered)
         self._size_hint = size_hint
+        self._index: Optional[_Index] = None
 
     @property
     def oid(self) -> Oid:
@@ -71,24 +116,47 @@ class HFObject:
 
     # -- tuple access helpers -------------------------------------------------
 
+    # Field values compare as the matcher compares them (``_values_equal``),
+    # and every helper answers in insertion order.
+
+    def probe(self, type_name: str, key_probe: Any = NO_PROBE) -> Tuple[Sequence[HFTuple], bool]:
+        """Candidate tuples for ``(type_name, key, *)`` from the index.
+
+        ``key_probe`` is the :func:`probe_key` of the wanted key.  Returns
+        the candidates and whether the key has been applied to them: when
+        it has not (no ``key_probe``, or a bucket without a key map) the
+        caller tests the key field of each candidate itself.
+        """
+        index = self._index
+        if index is None:
+            index = self._index = _build_index(self._tuples)
+        entry = index.get(type_name)
+        if entry is None:
+            return (), True
+        bucket, by_key = entry
+        if by_key is None or key_probe is NO_PROBE:
+            return bucket, False
+        return by_key.get(key_probe, ()), True
+
+    def _matching(self, type_name: str, key: Any) -> Sequence[HFTuple]:
+        candidates, keyed = self.probe(type_name, probe_key(key))
+        return candidates if keyed else [t for t in candidates if _values_equal(t.key, key)]
+
     def tuples_of_type(self, type_name: str) -> List[HFTuple]:
         """All tuples whose type field equals ``type_name``."""
-        return [t for t in self._tuples if t.type == type_name]
+        return list(self.probe(type_name)[0])
 
     def tuples_with_key(self, key: Any) -> List[HFTuple]:
         """All tuples whose key field equals ``key``."""
-        return [t for t in self._tuples if t.key == key]
+        return [t for t in self._tuples if _values_equal(t.key, key)]
 
     def first(self, type_name: str, key: Any) -> Optional[HFTuple]:
         """First tuple matching ``(type_name, key, *)``, or ``None``."""
-        for t in self._tuples:
-            if t.type == type_name and t.key == key:
-                return t
-        return None
+        return next(iter(self._matching(type_name, key)), None)
 
     def values(self, type_name: str, key: Any) -> List[Any]:
         """Data fields of every tuple matching ``(type_name, key, *)``."""
-        return [t.data for t in self._tuples if t.type == type_name and t.key == key]
+        return [t.data for t in self._matching(type_name, key)]
 
     def pointers(self, key: Any = None) -> List[Oid]:
         """All pointer-valued data fields, optionally restricted to one key.
@@ -96,11 +164,8 @@ class HFObject:
         Follows the structural definition (data field is an Oid) so that
         application-defined pointer types are included.
         """
-        out: List[Oid] = []
-        for t in self._tuples:
-            if isinstance(t.data, Oid) and (key is None or t.key == key):
-                out.append(t.data)
-        return out
+        tuples = self._tuples if key is None else self.tuples_with_key(key)
+        return [t.data for t in tuples if isinstance(t.data, Oid)]
 
     # -- functional update helpers --------------------------------------------
 
@@ -117,13 +182,15 @@ class HFObject:
         kept = [
             t
             for t in self._tuples
-            if not (t.type == type_name and (key is None or t.key == key))
+            if not (t.type == type_name and (key is None or _values_equal(t.key, key)))
         ]
         return HFObject(self._oid, kept, size_hint=self._size_hint)
 
     def relocated(self, oid: Oid) -> "HFObject":
         """Return a copy carrying a different id (used by migration tooling)."""
-        return HFObject(oid, self._tuples, size_hint=self._size_hint)
+        moved = HFObject(oid, self._tuples, size_hint=self._size_hint)
+        moved._index = self._index
+        return moved
 
     # -- dunder protocol -------------------------------------------------------
 
@@ -166,20 +233,44 @@ def set_members(obj: HFObject, key: str = "Member") -> List[Oid]:
     return obj.pointers(key=key)
 
 
+def _build_index(tuples: Tuple[HFTuple, ...]) -> _Index:
+    buckets: Dict[str, List[HFTuple]] = {}
+    for t in tuples:
+        buckets.setdefault(t.type, []).append(t)
+    return {type_name: (tuple(bucket), _key_map(bucket)) for type_name, bucket in buckets.items()}
+
+
+def _key_map(bucket: List[HFTuple]) -> Optional[Dict[Any, Tuple[HFTuple, ...]]]:
+    if len(bucket) == 1:
+        return None
+    by_key: Dict[Any, List[HFTuple]] = {}
+    for t in bucket:
+        probe = probe_key(t.key)
+        if probe is NO_PROBE:
+            return None
+        by_key.setdefault(probe, []).append(t)
+    return {probe: tuple(same_key) for probe, same_key in by_key.items()}
+
+
 def _marker(t: HFTuple) -> tuple:
-    """Hashable identity for set-semantics dedup, tolerant of unhashable
-    keys/payloads (which fall back to their repr)."""
-    key = t.key if _hashable(t.key) else repr(t.key)
-    data = t.data if _hashable(t.data) else repr(t.data)
-    return (t.type, key, data)
+    """Hashable identity for set-semantics dedup: tuples the matcher tells
+    apart get different markers (``True`` is not ``1``, ``1`` is ``1.0``)."""
+    return (t.type, _marker_field(t.key), _marker_field(t.data))
 
 
-def _hashable(value: Any) -> bool:
+def _marker_field(value: Any) -> Any:
+    # probe_key(value) where there is one (spelt out: this runs twice per
+    # tuple of every object built); NaN stands for itself, an unhashable
+    # value for its repr.
+    if value is True:
+        return _TRUE
+    if value is False:
+        return _FALSE
     try:
         hash(value)
     except TypeError:
-        return False
-    return True
+        return repr(value)
+    return value
 
 
 def _value_size(value: Any) -> int:

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .ast import Deref, FilterNode, Iterate, Query, Retrieve, Select
-from .patterns import Pattern
+from .objects import NO_PROBE, probe_key
+from .patterns import Literal, Pattern
 
 
 class Op:
@@ -30,31 +31,52 @@ class Op:
         self.index = index
 
 
-class SelectOp(Op):
-    """Flattened :class:`~repro.core.ast.Select`."""
+def _index_probe(type_pattern: Pattern, key_pattern: Pattern) -> Tuple[Optional[str], Any]:
+    """What a (type, key) pattern pair can ask of an object's tuple index.
 
-    __slots__ = ("type_pattern", "key_pattern", "data_pattern")
+    ``(type name, probe key)`` when both are literals the index can answer,
+    ``(type name, NO_PROBE)`` when only the type is (the key pattern then
+    runs over that type's tuples), ``(None, NO_PROBE)`` when the type field
+    needs a pattern match and the op scans every tuple.
+    """
+    if type(type_pattern) is not Literal or type(type_pattern.value) is not str:
+        return None, NO_PROBE
+    if type(key_pattern) is not Literal:
+        return type_pattern.value, NO_PROBE
+    return type_pattern.value, probe_key(key_pattern.value)
+
+
+class SelectOp(Op):
+    """Flattened :class:`~repro.core.ast.Select`.
+
+    ``type_probe``/``key_probe`` are derived from the patterns once, here,
+    so compiled and wire-decoded programs carry them alike.
+    """
+
+    __slots__ = ("type_pattern", "key_pattern", "data_pattern", "type_probe", "key_probe")
 
     def __init__(self, index: int, type_pattern: Pattern, key_pattern: Pattern, data_pattern: Pattern) -> None:
         super().__init__(index)
         self.type_pattern = type_pattern
         self.key_pattern = key_pattern
         self.data_pattern = data_pattern
+        self.type_probe, self.key_probe = _index_probe(type_pattern, key_pattern)
 
     def __repr__(self) -> str:
         return f"F{self.index}:Select({self.type_pattern}, {self.key_pattern}, {self.data_pattern})"
 
 
 class RetrieveOp(Op):
-    """Flattened :class:`~repro.core.ast.Retrieve`."""
+    """Flattened :class:`~repro.core.ast.Retrieve` (probed like a :class:`SelectOp`)."""
 
-    __slots__ = ("type_pattern", "key_pattern", "target")
+    __slots__ = ("type_pattern", "key_pattern", "target", "type_probe", "key_probe")
 
     def __init__(self, index: int, type_pattern: Pattern, key_pattern: Pattern, target: str) -> None:
         super().__init__(index)
         self.type_pattern = type_pattern
         self.key_pattern = key_pattern
         self.target = target
+        self.type_probe, self.key_probe = _index_probe(type_pattern, key_pattern)
 
     def __repr__(self) -> str:
         return f"F{self.index}:Retrieve({self.type_pattern}, {self.key_pattern}, ->{self.target})"

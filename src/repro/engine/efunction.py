@@ -7,12 +7,26 @@ should continue) or ``None`` (if it failed, or a ``^X`` dropped it).
 
 The implementation follows the paper's pseudocode case by case:
 
-* **selection** — scan the object's tuples; a tuple matches when all three
-  field patterns match; bindings from matching tuples are applied to
-  ``O.mvars`` *as the scan proceeds* (so a later tuple can match a variable
+* **selection** — a tuple matches when all three field patterns match;
+  bindings from matching tuples are applied to ``O.mvars`` *as the tuples
+  are visited*, in insertion order (so a later tuple can match a variable
   bound by an earlier tuple of the same filter, exactly as the pseudocode's
   in-place "Modify O.mvars" implies); the object passes iff some tuple
-  matched.
+  matched.  Which tuples are visited is decided by what the op's
+  constructor found in its type and key patterns:
+
+  - literal type and literal key — the object's ``(type, key)`` index
+    hands over the tuples carrying both, and only the data pattern runs;
+  - literal type only — the index hands over the tuples of that type,
+    and the key and data patterns run over them;
+  - anything else in the type field (``?``, ``?X``, ``$X``, a regex, a
+    range, a set) — every tuple is visited and all three patterns run.
+
+  A literal key that is unhashable or NaN, a type whose tuples include
+  such a key and a type with a single tuple have no key map: the first
+  shape then runs as the second.  The index only narrows the candidates:
+  it groups by ``_values_equal``, and the patterns it stands in for bind
+  nothing.
 * **dereference** — every object-id binding of the variable becomes a new
   work item starting at the filter after the dereference, with the
   innermost iteration count bumped; ``⇑`` lets the source object continue,
@@ -21,17 +35,19 @@ The implementation follows the paper's pseudocode case by case:
   (``start <= j``) or whose pointer chain has reached length ``k``
   continue past the loop; everything else is sent back to the body start
   with ``start`` rewritten so it exits on the next encounter.
-* **retrieval** — like a selection on (type, key) with a wildcard data
-  field; every matching data value is emitted to the caller's sink.
+* **retrieval** — a selection on (type, key) with no data pattern; every
+  matching data value is emitted to the caller's sink.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from ..core.objects import HFObject
 from ..core.oid import Oid
+from ..core.patterns import Pattern
 from ..core.program import DerefOp, LoopOp, Op, Program, RetrieveOp, SelectOp
+from ..core.tuples import HFTuple
 from .items import ActiveItem, WorkItem, bump_iters, iter_count
 
 #: Sink receiving (target_variable, value) pairs from retrieval filters.
@@ -44,31 +60,56 @@ def evaluate(program: Program, active: ActiveItem, obj: HFObject, emit: EmitSink
     """Apply the filter at ``active.next`` to ``active``/``obj``."""
     op = program.op_at(active.next)
     if isinstance(op, SelectOp):
-        return _eval_select(op, active, obj)
+        return _eval_select(op, op.data_pattern, active, obj, None)
     if isinstance(op, DerefOp):
         return _eval_deref(program, op, active)
     if isinstance(op, LoopOp):
         return _eval_loop(op, active)
     if isinstance(op, RetrieveOp):
-        return _eval_retrieve(op, active, obj, emit)
+        return _eval_select(op, None, active, obj, emit)
     raise TypeError(f"unknown op {type(op).__name__}")  # pragma: no cover
 
 
-def _eval_select(op: SelectOp, active: ActiveItem, obj: HFObject) -> EResult:
+def _eval_select(
+    op: Union[SelectOp, RetrieveOp],
+    data_pattern: Optional[Pattern],
+    active: ActiveItem,
+    obj: HFObject,
+    emit: Optional[EmitSink],
+) -> EResult:
+    """Selection — and retrieval, which has no data pattern and an ``emit``."""
+    # A pattern left as None has been answered by the index probe.
+    type_pattern = key_pattern = None
+    if op.type_probe is None:
+        candidates: Sequence[HFTuple] = obj.tuples
+        type_pattern, key_pattern = op.type_pattern, op.key_pattern
+    else:
+        candidates, keyed = obj.probe(op.type_probe, op.key_probe)
+        if not keyed:
+            key_pattern = op.key_pattern
+    mvars = active.mvars
     matched = False
-    for t in obj.tuples:
-        ok, bindings = op.type_pattern.match(t.type, active.mvars)
-        if not ok:
-            continue
-        ok_key, key_bindings = op.key_pattern.match(t.key, active.mvars)
-        if not ok_key:
-            continue
-        ok_data, data_bindings = op.data_pattern.match(t.data, active.mvars)
-        if not ok_data:
-            continue
+    for t in candidates:
+        bindings: Tuple[Tuple[str, Any], ...] = ()
+        if type_pattern is not None:
+            ok, bindings = type_pattern.match(t.type, mvars)
+            if not ok:
+                continue
+        if key_pattern is not None:
+            ok, more = key_pattern.match(t.key, mvars)
+            if not ok:
+                continue
+            bindings += more
+        if data_pattern is not None:
+            ok, more = data_pattern.match(t.data, mvars)
+            if not ok:
+                continue
+            bindings += more
         matched = True
-        for name, value in bindings + key_bindings + data_bindings:
+        for name, value in bindings:
             active.bind(name, value)
+        if emit is not None:
+            emit(op.target, t.data)
     if matched:
         active.next += 1
         return [], active
@@ -100,25 +141,6 @@ def _eval_loop(op: LoopOp, active: ActiveItem) -> EResult:
         active.start = op.start  # so the object passes on its next encounter
         active.next = op.start
     return [], active
-
-
-def _eval_retrieve(op: RetrieveOp, active: ActiveItem, obj: HFObject, emit: EmitSink) -> EResult:
-    matched = False
-    for t in obj.tuples:
-        ok, bindings = op.type_pattern.match(t.type, active.mvars)
-        if not ok:
-            continue
-        ok_key, key_bindings = op.key_pattern.match(t.key, active.mvars)
-        if not ok_key:
-            continue
-        matched = True
-        for name, value in bindings + key_bindings:
-            active.bind(name, value)
-        emit(op.target, t.data)
-    if matched:
-        active.next += 1
-        return [], active
-    return [], None
 
 
 def _oid_sort_key(value: Any) -> Tuple[str, int]:

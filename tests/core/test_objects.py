@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.objects import HFObject, make_set_object, set_members
+from repro.core.objects import NO_PROBE, HFObject, make_set_object, probe_key, set_members
 from repro.core.oid import Oid
-from repro.core.tuples import keyword_tuple, pointer_tuple, string_tuple, text_tuple
+from repro.core.tuples import keyword_tuple, pointer_tuple, string_tuple, text_tuple, tuple_of
 
 OID = Oid("s1", 0)
 B = Oid("s1", 1)
@@ -36,6 +36,25 @@ class TestConstruction:
         obj = HFObject(OID, [keyword_tuple("X"), keyword_tuple("X")])
         assert len(obj) == 1
 
+    @pytest.mark.parametrize("keys", [(1, True), (True, 1)])
+    def test_tuples_the_matcher_tells_apart_are_both_kept(self, keys):
+        # hash(1) == hash(True): the marker used to collapse the pair, so
+        # which tuple survived depended on insertion order.
+        first, second = keys
+        obj = HFObject(OID, [tuple_of("N", first, "a"), tuple_of("N", second, "a")])
+        assert [t.key for t in obj] == [first, second]
+        assert obj.first("N", True).key is True
+        assert obj.first("N", 1).key == 1 and obj.first("N", 1).key is not True
+        assert obj == HFObject(OID, [tuple_of("N", second, "a"), tuple_of("N", first, "a")])
+        assert obj != HFObject(OID, [tuple_of("N", 1, "a")])
+        assert HFObject(OID, [tuple_of("N", 1, "a")]) != HFObject(OID, [tuple_of("N", True, "a")])
+        # Data fields are told apart the same way.
+        assert len(HFObject(OID, [tuple_of("N", "k", 0), tuple_of("N", "k", False)])) == 2
+
+    def test_values_the_matcher_equates_still_collapse(self):
+        assert len(HFObject(OID, [tuple_of("N", 1, "a"), tuple_of("N", 1.0, "a")])) == 1
+        assert len(HFObject(OID, [tuple_of("P", "k", B), tuple_of("P", "k", B.with_hint("s9"))])) == 1
+
     def test_preserves_first_seen_order(self):
         obj = sample()
         assert [t.key for t in obj] == ["Title", "Author", "Called Routine", "Library"]
@@ -65,13 +84,72 @@ class TestAccessors:
         assert sample().pointers(key="Called Routine") == [B]
 
     def test_pointers_include_app_defined_pointer_types(self):
-        from repro.core.tuples import tuple_of
-
         obj = HFObject(OID, [tuple_of("MyLink", "next", B)])
         assert obj.pointers() == [B]
 
     def test_contains(self):
         assert string_tuple("Title", "Main Program") in sample()
+
+    def test_lookups_compare_keys_as_the_matcher_does(self):
+        nan = float("nan")
+        obj = HFObject(
+            OID,
+            [
+                tuple_of("N", 1, "int"),
+                tuple_of("N", True, "bool"),
+                tuple_of("N", 1.0, "float"),
+                tuple_of("N", B.with_hint("s9"), C),
+                tuple_of("N", nan, "nan"),
+                tuple_of("U", [1], "list"),
+                tuple_of("U", 1, B),
+                tuple_of("One", True, "only"),
+            ],
+        )
+        assert obj.first("N", True).data == "bool"
+        assert obj.values("N", 1) == ["int", "float"]
+        assert obj.values("N", B) == [C]
+        assert obj.values("N", nan) == []
+        # "U" holds an unhashable key and "One" a single tuple: no key map.
+        assert obj.values("U", 1) == [B] and obj.values("U", [1]) == ["list"]
+        assert obj.first("One", 1) is None and obj.first("One", True).data == "only"
+        assert obj.first("Missing", 1) is None
+        assert [t.data for t in obj.tuples_with_key(1)] == ["int", "float", B]
+        assert [t.data for t in obj.tuples_with_key(True)] == ["bool", "only"]
+        assert obj.pointers(key=1) == [B] and obj.pointers(key=True) == []
+        assert [t.data for t in obj.tuples_of_type("U")] == ["list", B]
+        kept = [t.data for t in obj.without("N", True).tuples_of_type("N")]
+        assert kept == ["int", "float", C, "nan"]  # only the True-keyed tuple went
+
+
+class TestTupleIndex:
+    def test_built_by_the_first_probe_and_dropped_by_every_update(self):
+        obj = sample()
+        assert obj._index is None
+        obj.tuples_of_type("String")
+        built = obj._index
+        assert built is not None
+        obj.first("Pointer", "Library")
+        assert obj._index is built
+        assert obj.with_tuple(keyword_tuple("Sort"))._index is None
+        assert obj.with_tuples([keyword_tuple("Sort")])._index is None
+        assert obj.without("Pointer")._index is None
+        assert obj.relocated(Oid("s9", 44))._index is built
+        assert obj._index is built  # the original keeps its own
+
+    def test_buckets_keep_insertion_order(self):
+        obj = HFObject(OID, [pointer_tuple("a", B), string_tuple("a", "x"), pointer_tuple("b", C), pointer_tuple("a", C)])
+        assert obj.probe("Pointer") == (obj.tuples[0:1] + obj.tuples[2:4], False)
+        assert obj.probe("Pointer", probe_key("a")) == ((obj.tuples[0], obj.tuples[3]), True)
+        assert obj.probe("Pointer", probe_key("zzz")) == ((), True)
+        assert obj.probe("String", probe_key("a")) == (obj.tuples[1:2], False)
+        assert obj.probe("Missing", probe_key("a")) == ((), True)
+
+    def test_probe_keys_follow_the_matchers_equality(self):
+        assert probe_key(True) != probe_key(1) and probe_key(False) != probe_key(0)
+        assert probe_key(5) == probe_key(5.0)
+        assert probe_key(B) == probe_key(B.with_hint("s9"))
+        assert probe_key([1]) is NO_PROBE and probe_key(float("nan")) is NO_PROBE
+        assert probe_key(None) is None
 
 
 class TestFunctionalUpdates:

@@ -4,7 +4,10 @@ import pytest
 
 from repro.core.ast import closure, deref_keep, iterate, retrieve, select
 from repro.core.ast import Query
+from repro.core.objects import NO_PROBE, probe_key
+from repro.core.oid import Oid
 from repro.core.parser import parse_query
+from repro.core.patterns import ANY, Bind, Literal, OneOf, Range, Regex, Use
 from repro.core.program import DerefOp, LoopOp, Op, RetrieveOp, SelectOp, compile_query
 
 
@@ -89,3 +92,49 @@ class TestWireSize:
         small = compile_text('S (Keyword,"A",?) -> T')
         big = compile_text('S (Keyword,"A",?) (Keyword,"B",?) (Keyword,"C",?) -> T')
         assert big.wire_size() > small.wire_size()
+
+
+class TestIndexProbeClassification:
+    """Each select/retrieve decides at construction what it can ask of an
+    object's (type, key) index."""
+
+    @staticmethod
+    def probe_of(type_pattern, key_pattern):
+        ops = [SelectOp(1, type_pattern, key_pattern, ANY), RetrieveOp(1, type_pattern, key_pattern, "out")]
+        probes = {(op.type_probe, op.key_probe) for op in ops}
+        assert len(probes) == 1
+        return probes.pop()
+
+    def test_literal_type_and_key_probe_both_levels(self):
+        assert self.probe_of(Literal("Pointer"), Literal("Tree")) == ("Pointer", probe_key("Tree"))
+        assert self.probe_of(Literal("N"), Literal(5)) == ("N", probe_key(5.0))
+        assert self.probe_of(Literal("N"), Literal(True)) == ("N", probe_key(True))
+        assert self.probe_of(Literal("N"), Literal(True)) != self.probe_of(Literal("N"), Literal(1))
+
+    @pytest.mark.parametrize(
+        "key_pattern",
+        [ANY, Bind("X"), Use("X"), Regex("a+"), Range(1, 2), OneOf(["a"]), Literal([1]), Literal(float("nan"))],
+        ids=str,
+    )
+    def test_literal_type_only_probes_the_type(self, key_pattern):
+        assert self.probe_of(Literal("Pointer"), key_pattern) == ("Pointer", NO_PROBE)
+
+    @pytest.mark.parametrize(
+        "type_pattern", [ANY, Bind("T"), Use("T"), Regex("P.*"), Range(1, 2), OneOf(["Pointer"]), Literal(7)], ids=str
+    )
+    def test_any_other_type_pattern_scans(self, type_pattern):
+        assert self.probe_of(type_pattern, Literal("Tree")) == (None, NO_PROBE)
+
+    def test_programs_decoded_from_the_wire_are_classified_too(self):
+        from repro.engine.items import WorkItem
+        from repro.net.codec import decode_message, encode_message
+        from repro.net.messages import DerefRequest, QueryId
+
+        program = compile_text('S [ (Pointer,"R",?X) ^^X ]* (?, "k", ?) (Keyword,"D",->out) -> T')
+        decoded = decode_message(
+            encode_message(DerefRequest(QueryId(1, "s1"), program, WorkItem(Oid("s1", 0))))
+        ).program
+        assert decoded is not program
+        assert [(op.type_probe, op.key_probe) for op in decoded.ops if isinstance(op, (SelectOp, RetrieveOp))] == [
+            ("Pointer", "R"), (None, NO_PROBE), ("Keyword", "D"),
+        ]

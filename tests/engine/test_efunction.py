@@ -1,10 +1,15 @@
 """Unit tests for the E filter-evaluation function (paper §3.1 pseudocode)."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.core.ast import Query, Select
 from repro.core.objects import HFObject
 from repro.core.oid import Oid
 from repro.core.parser import parse_query
+from repro.core.patterns import ANY, Bind, Literal, Use
 from repro.core.program import compile_query
 from repro.core.tuples import keyword_tuple, pointer_tuple, string_tuple, tuple_of
 from repro.engine.efunction import evaluate
@@ -85,6 +90,78 @@ class TestSelection:
         assert result is active and active.next == 2
         _, result = evaluate(prog, active, obj, no_emit)
         assert result is active and active.next == 3
+
+
+class TestSelectionOverTheIndex:
+    @pytest.mark.parametrize("keys", [(1, True), (True, 1)])
+    def test_bool_and_int_keys_do_not_depend_on_insertion_order(self, keys):
+        # Used to pass or fail with the order: the object kept one tuple.
+        obj = HFObject(OID, [tuple_of("N", key, "a") for key in keys])
+        for literal in (True, 1):
+            prog = compile_query(Query("S", (Select(Literal("N"), Literal(literal), ANY),), "T"))
+            active = active_at(1)
+            _, result = evaluate(prog, active, obj, no_emit)
+            assert result is active
+        _, result = evaluate(
+            compile_query(Query("S", (Select(Literal("N"), Literal(False), ANY),), "T")), active_at(1), obj, no_emit
+        )
+        assert result is None
+
+    def test_later_tuple_sees_binding_of_earlier_tuple_in_the_same_bucket(self):
+        prog = program_for('S (Person, "boss", ?N) -> T')
+        chained = compile_query(Query("S", (Select(Literal("Person"), Use("N"), Bind("N")),), "T"))
+        obj = HFObject(
+            OID,
+            [
+                tuple_of("Person", "boss", "alice"),
+                tuple_of("Other", "alice", "zed"),
+                tuple_of("Person", "alice", "bob"),    # key ∈ {alice}: binds bob
+                tuple_of("Person", "carol", "dave"),   # carol never bound
+                tuple_of("Person", "bob", "erin"),     # sees bob, bound one tuple earlier
+            ],
+        )
+        active = active_at(1)
+        evaluate(prog, active, obj, no_emit)
+        active.next = 1
+        _, result = evaluate(chained, active, obj, no_emit)
+        assert result is active and active.bindings("N") == {"alice", "bob", "erin"}
+
+    def test_eight_threads_racing_to_build_one_index_agree_with_the_scan(self):
+        prog = program_for('S (Pointer, "Ref", ?X) -> T')
+        scan = program_for('S (Pointer, "Ref", ?X) -> T')
+        scan.ops[0].type_probe = None
+        tuples = [pointer_tuple("Ref" if i % 3 else "Other", Oid("s1", i)) for i in range(60)]
+        tuples += [string_tuple(f"k{i}", "v") for i in range(60)]
+        expected_active = active_at(1)
+        evaluate(scan, expected_active, HFObject(OID, tuples), no_emit)
+        expected = expected_active.bindings("X")
+        assert len(expected) == 40
+
+        barrier = threading.Barrier(8)
+        got, indexes = [], []
+
+        def select(obj):
+            active = active_at(1)
+            barrier.wait(timeout=10)
+            evaluate(prog, active, obj, no_emit)
+            got.append(active.bindings("X"))
+            indexes.append(obj._index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(25):
+                obj = HFObject(OID, tuples)  # fresh: no index yet
+                threads = [threading.Thread(target=select, args=(obj,)) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 200 and all(bound == expected for bound in got)
+        assert all(index is not None for index in indexes)
 
 
 class TestDereference:

@@ -96,3 +96,32 @@ class TestSelectivity:
         selective = closure_query("Tree", "Rand10p", 5)
         unselective = traversal_only_query("Tree")
         assert full_response_time(3, unselective) > full_response_time(3, selective)
+
+
+class TestModelledCostsArePinned:
+    """The virtual clock charges the paper's constants per object and per
+    message; how fast Python evaluates a select is not in the model.  The
+    literals were read at commit 920866b (selects still scanned)."""
+
+    @pytest.mark.parametrize(
+        "pointer_key, response_time_s, events, deref_requests, result_batches, objects, answers",
+        [
+            ("Tree", 1.6856591999999986, 837, 6, 2, 270, 24),
+            ("Chain", 20.588609600000087, 1895, 270, 180, 270, 24),
+            ("Rand05", 6.103303999999983, 2198, 411, 30, 219, 19),
+        ],
+    )
+    def test_closure_on_the_paper_database(
+        self, pointer_key, response_time_s, events, deref_requests, result_batches, objects, answers
+    ):
+        cluster = SimCluster(3)
+        workload = generate_into_cluster(cluster, FULL_SPEC, FULL_GRAPH)
+        out = cluster.run_query(closure_query(pointer_key, "Rand10p", 5), [workload.root])
+        cluster.run()  # let the originator's context purge land
+        stats = cluster.total_stats()
+        assert out.response_time == response_time_s
+        assert cluster.sim.events_fired == events
+        assert stats.messages_sent["DerefRequest"] == deref_requests
+        assert stats.messages_sent["ResultBatch"] == result_batches
+        assert stats.objects_processed == objects
+        assert len(out.result.oids) == answers
