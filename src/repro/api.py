@@ -66,6 +66,7 @@ from .engine.results import QueryResult
 from .net.messages import QueryId
 from .server.context import RECENT_QUERIES
 from .server.stats import NodeStats
+from .termination.weights import ledger_deficit, ledger_of
 
 #: Anything we can turn into an executable program.
 QueryLike = Union[str, Query, Program]
@@ -308,20 +309,5 @@ def credit_deficit(nodes, qid: QueryId) -> Optional[Fraction]:
     Returns ``None`` for detectors without a credit ledger (e.g.
     Dijkstra-Scholten) or when the originator's context is gone.
     """
-    recovered: Optional[Fraction] = None
-    held = Fraction(0)
-    for node in nodes.values():
-        ctx = node.contexts.get(qid)
-        if ctx is None:
-            continue
-        state = ctx.term_state
-        credit = getattr(state, "credit", None)
-        if not isinstance(credit, Fraction):
-            return None
-        held += credit
-        if getattr(state, "is_originator", False):
-            rec = getattr(state, "recovered", None)
-            recovered = rec if isinstance(rec, Fraction) else None
-    if recovered is None:
-        return None
-    return Fraction(1) - recovered - held
+    contexts = (node.contexts.get(qid) for node in nodes.values())
+    return ledger_deficit(ledger_of(ctx.term_state) for ctx in contexts if ctx is not None)

@@ -52,7 +52,7 @@ from ..faults.plan import FaultPlan
 from ..faults.reliable import ReliableAck, ReliableConfig, ReliableData, ReliableEndpoint
 from ..naming.directory import ReplicaDirectory
 from ..net.batching import BatchConfig
-from ..net.codec import FRAME_HEADER, FrameReader, decode_envelope, encode_envelope
+from ..net.codec import FRAME_HEADER, CodecError, FrameReader, decode_envelope, encode_envelope
 from ..qos import QoSConfig
 from ..replication import ReplicationConfig, ReplicationManager
 from ..net.messages import (
@@ -310,11 +310,26 @@ class _AsyncSite:
                 self._send_frame(env)
 
     def _send_frame(self, env: Envelope) -> None:
-        payload = encode_envelope(env)
+        try:
+            payload = encode_envelope(env)
+        except CodecError:
+            # Something in the envelope has no wire form (a value type the
+            # codec does not carry).  That costs this message, never the
+            # site: count it lost and take its work back.
+            self.cluster.messages_dropped += 1
+            self.bounce(env)
+            return
         link = self._links.get(env.dst)
         if link is None:
             link = self._links[env.dst] = _PeerLink(self, env.dst)
         link.send(payload)
+
+    def bounce(self, env: Envelope) -> None:
+        """Hand work this site could not get to ``env.dst`` back to its own
+        node as ``Undeliverable``, so the detector re-absorbs the credit it
+        carried; anything else a lost envelope held is simply lost."""
+        if isinstance(env.payload, (DerefRequest, BatchedQuery, SeedFromSaved)):
+            self.inbox.put_nowait(Envelope(env.dst, env.src, Undeliverable(env), spans=env.spans))
 
     def shutdown(self) -> None:
         if self._drain_task is not None:
@@ -581,11 +596,9 @@ class AsyncCluster(WallClockQueries):
     def _give_up(self, env: Envelope) -> None:
         """Retries exhausted: recover detector state like a bounce would."""
         self.undeliverable.append(env)
-        if not isinstance(env.payload, (DerefRequest, BatchedQuery, SeedFromSaved)):
-            return
         site = self._asites.get(env.src)
         if site is not None:
-            site.inbox.put_nowait(Envelope(env.dst, env.src, Undeliverable(env), spans=env.spans))
+            site.bounce(env)
 
     # -- event-loop plumbing ---------------------------------------------
 

@@ -4,7 +4,7 @@ The paper's prototype spoke UDP/TCP between PC/RTs; the in-process
 transports pass Python objects by reference, but the socket transport
 (:mod:`repro.net.sockets`) needs real bytes.  This codec serialises the
 four inter-site message types — and everything reachable from them:
-programs, patterns, work items, oids, credit fractions — into a compact
+programs, patterns, work items, oids, termination credit — into a compact
 tag-length-value format.
 
 Design notes:
@@ -39,6 +39,7 @@ from ..engine.items import WorkItem
 from ..errors import HyperFileError
 from ..faults.reliable import ReliableAck, ReliableData
 from ..storage.blobstore import BlobRef
+from ..termination.weights import Credit
 from ..core.objects import HFObject
 from ..core.tuples import HFTuple
 from .messages import (
@@ -75,6 +76,7 @@ _T_TUPLE = 0x07
 _T_OID = 0x08
 _T_FRACTION = 0x09
 _T_BLOBREF = 0x0A
+_T_CREDIT = 0x0B
 
 # -- pattern tags ------------------------------------------------------------
 
@@ -110,10 +112,17 @@ _M_HEARTBEAT = 0x4B
 _M_VIEW_CHANGE = 0x4C
 
 
-#: Magnitude bound for one encoded integer (512-byte ints).  Termination
-#: credit denominators reach 2^depth, so this admits chains ~4000 hops
-#: deep while still rejecting absurd lengths from corrupt frames.
+#: Magnitude bound for one encoded integer (512-byte ints): generous for
+#: anything a query ships — termination credit travels as a (mantissa,
+#: exponent) pair, so no field grows with the depth of a pointer chain —
+#: while still rejecting absurd lengths from corrupt frames.
 MAX_VARINT_BITS = 4096
+
+#: Largest exponent a credit may carry: a credit is halved once per work
+#: message on its path, so this is the deepest chain of sequential hops a
+#: query may make.  The detector's over-recovery check builds
+#: ``1 << exponent``; the bound keeps that a 128 KiB integer at worst.
+MAX_CREDIT_EXPONENT = 1 << 20
 
 #: Deepest nesting of tuples / blob references inside one value.  Real
 #: values nest two or three deep (emission lists, mark hints); the bound
@@ -140,11 +149,10 @@ class _Writer:
         if -64 <= value < 64:
             self.chunks.append(_ONE_BYTE[value << 1 if value >= 0 else (-value << 1) - 1])
             return
-        # zig-zag then LEB128, arbitrary precision: weighted-termination
-        # credit rides the wire as a Fraction whose denominator doubles
-        # per sequential hop (2^depth), so a 64-bit cap turns any deep
-        # chain into a silently dropped message and a hung query.  The
-        # bit bound only guards against absurd/hostile values.
+        # zig-zag then LEB128, arbitrary precision: a credit's mantissa
+        # (the sum of many pieces) and a user's Fraction or integer may
+        # be wider than 64 bits.  The bit bound only guards against
+        # absurd/hostile values.
         if value.bit_length() > MAX_VARINT_BITS:
             raise CodecError(f"integer out of range: {value.bit_length()} bits")
         encoded = (value << 1) if value >= 0 else ((-value << 1) - 1)
@@ -268,6 +276,13 @@ def _write_value(w: _Writer, value: Any, depth: int = 0) -> None:
         w.text(value.birth_site)
         w.varint(value.local_id)
         w.text(value.presumed_site if value.presumed_site is not None else "")
+    elif type(value) is Credit:
+        exponent = value.exponent
+        if exponent > MAX_CREDIT_EXPONENT:
+            raise CodecError(f"credit exponent {exponent} out of range")
+        w.byte(_T_CREDIT)
+        w.varint(value.mantissa)
+        w.varint(exponent)
     elif isinstance(value, Fraction):
         w.byte(_T_FRACTION)
         w.varint(value.numerator)
@@ -315,6 +330,13 @@ def _read_value(r: _Reader, depth: int = 0) -> Any:
         if not birth or local_id < 0:
             raise CodecError("oid needs a birth site and a non-negative local id")
         return Oid(birth, local_id, presumed_site=hint or None)
+    if tag == _T_CREDIT:
+        mantissa = r.varint()
+        exponent = r.varint()
+        # Only the normal form decodes: odd mantissa, or plain 0.
+        if mantissa < 0 or not 0 <= exponent <= MAX_CREDIT_EXPONENT or (exponent and not mantissa & 1):
+            raise CodecError(f"credit {mantissa}/2**{exponent} is not in normal form")
+        return Credit(mantissa, exponent)
     if tag == _T_FRACTION:
         numerator = r.varint()
         denominator = r.varint()

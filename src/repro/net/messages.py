@@ -16,7 +16,7 @@ The distributed algorithm needs only two kinds of message:
   or (under the distributed-set optimisation of §5) just a local count.
 
 Both carry an opaque ``term`` attachment owned by the termination detector
-(credit fractions for the weighted scheme; nothing for Dijkstra–Scholten,
+(dyadic credit for the weighted scheme; nothing for Dijkstra–Scholten,
 which uses explicit :class:`ControlMessage` acks instead).
 
 An :class:`Envelope` wraps a payload with routing and an estimated wire

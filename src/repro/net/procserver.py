@@ -131,6 +131,7 @@ from ..faults.reliable import ReliableConfig
 from ..naming.directory import ReplicaDirectory
 from ..replication import ReplicationManager
 from ..server.stats import NodeStats
+from ..termination.weights import ledger_deficit, ledger_of
 from ..tracing import KINDS, FlightRecorder, QueryTracer, TeeTracer, TraceEvent, _jsonable
 from .codec import (
     _read_object,
@@ -417,8 +418,6 @@ def _install_reliable(runtime: _ChildRuntime, asite, rconfig: ReliableConfig) ->
     so the parent's ``undeliverable`` diagnostics stay truthful.
     """
     from ..faults.reliable import ReliableEndpoint
-    from .messages import BatchedQuery, DerefRequest, Envelope, SeedFromSaved, Undeliverable
-
     loop = runtime._loop
     node = asite.node
 
@@ -433,10 +432,7 @@ def _install_reliable(runtime: _ChildRuntime, asite, rconfig: ReliableConfig) ->
             w.text(type(env.payload).__name__)
             w.text(str(getattr(env.payload, "qid", "") or ""))
             runtime.send_oob(w.getvalue())
-        if isinstance(env.payload, (DerefRequest, BatchedQuery, SeedFromSaved)):
-            asite.inbox.put_nowait(
-                Envelope(env.dst, env.src, Undeliverable(env), spans=env.spans)
-            )
+        asite.bounce(env)
 
     runtime._endpoint = ReliableEndpoint(
         runtime.site,
@@ -814,13 +810,9 @@ def _handle_control(frame, runtime: _ChildRuntime, asite, store):
             if ctx is None:
                 w.byte(0)
             else:
-                state = ctx.term_state
-                credit = getattr(state, "credit", None)
-                recovered = getattr(state, "recovered", None)
                 w.byte(1)
-                _write_value(w, credit if isinstance(credit, Fraction) else None)
-                w.byte(1 if getattr(state, "is_originator", False) else 0)
-                _write_value(w, recovered if isinstance(recovered, Fraction) else None)
+                for part in ledger_of(ctx.term_state):  # credits, or None
+                    _write_value(w, part)
             return w.getvalue()
         if tag == _C_SHUTDOWN:
             return _SHUTDOWN
@@ -1526,23 +1518,11 @@ class ProcessCluster(WallClockQueries):
         w.byte(_C_CREDIT)
         _write_qid(w, qid)
         frame = w.getvalue()
-        recovered: Optional[Fraction] = None
-        held = Fraction(0)
-        for site in list(self._links):
-            reply = self._request(site, frame, expect=_C_CREDIT_REPLY)
-            if reply.byte() == 0:
-                continue  # no context for qid at this child
-            credit = _read_value(reply)
-            is_originator = bool(reply.byte())
-            rec = _read_value(reply)
-            if not isinstance(credit, Fraction):
-                return None
-            held += credit
-            if is_originator:
-                recovered = rec if isinstance(rec, Fraction) else None
-        if recovered is None:
-            return None
-        return Fraction(1) - recovered - held
+        replies = (self._request(site, frame, expect=_C_CREDIT_REPLY) for site in list(self._links))
+        # A leading 0 byte: no context for qid at that child.
+        return ledger_deficit(
+            (_read_value(reply), _read_value(reply)) for reply in replies if reply.byte()
+        )
 
     def _credit_deficit(self, qid: QueryId):
         """TerminationLost diagnostics must never mask the original

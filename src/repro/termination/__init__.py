@@ -2,9 +2,10 @@
 
 from .base import TerminationStrategy, make_strategy
 from .dijkstra_scholten import DijkstraScholtenStrategy, DSState
-from .weights import WeightedState, WeightedStrategy
+from .weights import Credit, WeightedState, WeightedStrategy
 
 __all__ = [
+    "Credit",
     "DijkstraScholtenStrategy",
     "DSState",
     "TerminationStrategy",

@@ -1,0 +1,111 @@
+"""A site outlives the messages it cannot send.
+
+Two regressions on the ``async`` transport, inline and with one process
+per site (CI job ``site-survives`` runs this file alone under a
+two-minute timeout, so a site that dies again fails by name):
+
+* an envelope the codec cannot encode used to raise out of the site's
+  drain task, which died silently — that query waited out its timeout and
+  so did every later query that touched the site;
+* a pointer chain deeper than ~4 095 hops used to be exactly such an
+  envelope (its credit denominator outgrew the codec's integer bound).
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from repro.api import credit_deficit, make_cluster
+from repro.config import ClusterConfig
+from repro.core.builder import QueryBuilder
+from repro.core.program import compile_query
+from repro.core.tuples import HFTuple, keyword_tuple, pointer_tuple
+from repro.errors import TerminationLost
+from repro.net.codec import MAX_VALUE_DEPTH
+from tests.integration.test_cluster_api_conformance import deficit_of
+
+RETRIEVE = 'S (Pointer,"Ref",?X) ^X (Val,"v",->T)'
+CLOSURE = 'S [ (Pointer,"Ref",?X) ^^X ]* (Keyword,"K",?) -> T'
+
+#: Storable (a store request carries it one level down) but not
+#: retrievable from a remote site: inside a ``ResultBatch`` it sits two
+#: levels further in, past the codec's nesting bound.
+TOO_DEEP_TO_SHIP = 1
+for _ in range(MAX_VALUE_DEPTH - 1):
+    TOO_DEEP_TO_SHIP = (TOO_DEEP_TO_SHIP,)
+
+DEPLOYMENTS = [
+    pytest.param(None, id="inline"),
+    pytest.param(ClusterConfig(processes=True), id="procs"),
+]
+
+
+def pointing_at(cluster, value):
+    """A root at the first site pointing at an object, at the second site,
+    whose ``Val`` tuple holds ``value``."""
+    first, second = cluster.sites[:2]
+    target = cluster.store(second).create([keyword_tuple("K"), HFTuple("Val", "v", value)])
+    return cluster.store(first).create([pointer_tuple("Ref", target.oid)]).oid
+
+
+@pytest.mark.parametrize("config", DEPLOYMENTS)
+def test_unencodable_result_costs_one_query_not_the_site(config):
+    with make_cluster("async", 2, config=config) as cluster:
+        good = pointing_at(cluster, 7)
+        bad = pointing_at(cluster, TOO_DEEP_TO_SHIP)
+
+        before = cluster.run_query(RETRIEVE, [good], timeout_s=10)
+        assert before.result.retrieved["T"] == [7]
+
+        # The result frame cannot be built, so its credit is lost: the
+        # query fails typed, with the exact deficit, at its own timeout.
+        with pytest.raises(TerminationLost) as lost:
+            cluster.run_query(RETRIEVE, [bad], timeout_s=1.0)
+        assert isinstance(lost.value.deficit, Fraction) and lost.value.deficit == Fraction(1, 2)
+        assert cluster.messages_dropped == 1
+
+        after = cluster.run_query(RETRIEVE, [good], timeout_s=10)
+        assert after.result.retrieved["T"] == [7]
+        assert deficit_of(cluster, after.qid) == 0
+
+
+def test_unencodable_work_is_bounced_and_its_credit_reabsorbed():
+    """A work envelope that cannot be framed comes back to its sender as
+    ``Undeliverable``: the branch is abandoned and the query terminates
+    cleanly instead of waiting for credit that never left."""
+
+    def selecting(value):
+        return compile_query(
+            QueryBuilder("S").select("Pointer", "Ref", "?X").deref_keep("X").select("Val", "v", value).into("T")
+        )
+
+    with make_cluster("async", 2) as cluster:
+        root = pointing_at(cluster, 7)
+        assert len(cluster.run_query(selecting(7), [root], timeout_s=10).result.oids) == 1
+
+        outcome = cluster.run_query(selecting(1 + 2j), [root], timeout_s=10)  # no wire form
+        assert len(outcome.result.oids) == 0
+        assert credit_deficit(cluster.nodes, outcome.qid) == 0
+        assert cluster.messages_dropped == 1
+        assert cluster.total_stats().failed_sends == 1
+
+        assert len(cluster.run_query(selecting(7), [root], timeout_s=10).result.oids) == 1
+
+
+def test_five_thousand_hop_chain_completes():
+    hops = 5000
+    with make_cluster("async", 2) as cluster:
+        stores = [cluster.store(site) for site in cluster.sites]
+        oids = [stores[i % 2].create([keyword_tuple("K")]).oid for i in range(hops)]
+        for i, oid in enumerate(oids):
+            store = stores[i % 2]
+            # The last object points at itself (DESIGN.md finding 2).
+            store.replace(store.get(oid).with_tuple(pointer_tuple("Ref", oids[min(i + 1, hops - 1)])))
+
+        outcome = cluster.run_query(CLOSURE, [oids[0]], timeout_s=60)
+        assert len(outcome.result.oids) == hops
+        assert credit_deficit(cluster.nodes, outcome.qid) == 0
+        assert cluster.messages_dropped == 0
+
+        again = cluster.run_query(CLOSURE, [oids[hops // 2]], timeout_s=60)
+        assert len(again.result.oids) == hops - hops // 2

@@ -10,6 +10,7 @@ from repro.core.program import compile_query
 from repro.engine.items import WorkItem
 from repro.net import codec
 from repro.net.codec import (
+    MAX_CREDIT_EXPONENT,
     MAX_VALUE_DEPTH,
     CodecError,
     decode_envelope,
@@ -33,6 +34,7 @@ from repro.net.messages import (
     ViewChange,
 )
 from repro.storage.blobstore import BlobRef
+from repro.termination.weights import ONE, ZERO, Credit
 
 QID = QueryId(7, "site0")
 
@@ -84,6 +86,13 @@ def wire_corpus():
         "view_change": ViewChange(5, (("site0", "up"), ("site1", "leaving")), reason="fail"),
         "reliable_data": ReliableData(4, deref),
         "reliable_ack": ReliableAck(4),
+        # What the detector itself ships: credit at the first hop of a
+        # chain, at the benchmark's last (270) and past the old 4 095 cap.
+        "credit_1": DerefRequest(QID, prog(), item, {"credit": Credit(1, 1)}),
+        "credit_270": ResultBatch(QID, oids=(Oid("site1", 1),), term={"credit": Credit(3, 270)}),
+        "credit_5000": BatchedQuery(
+            QID, prog(), (item, item), ({"credit": Credit(1, 5000)}, {"credit": Credit(2 ** 4000 + 1, 5000)}), ()
+        ),
     }
     corpus = {name: Envelope("site0", "site1", payload) for name, payload in payloads.items()}
     corpus["full_header"] = Envelope(
@@ -243,6 +252,28 @@ class TestDecoderIsTotal:
         msg = ResultBatch(QID, term={"credit": Fraction(1, 2)})
         self._rejected(_spliced(msg, b"\x09\x02\x04", b"\x09\x02\x00"))
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            b"\x0b\x04\x02",  # 2/2: even mantissa under a positive exponent
+            b"\x0b\x00\x02",  # 0/2: zero with an exponent
+            b"\x0b\x01\x02",  # negative mantissa
+            b"\x0b\x02\x01",  # negative exponent
+            b"\x0b\x02\x82\x80\x80\x01",  # exponent 2**20 + 1
+            b"\x0b\x02\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01",  # exponent 2**69
+            b"\x0b\x02",  # truncated after the mantissa
+            b"\x0b",
+            b"\x0b\x82",  # truncated inside a varint
+        ],
+    )
+    def test_credit_outside_its_normal_form(self, value):
+        msg = ResultBatch(QID, term={"credit": Credit(1, 1)})
+        frame = encode_envelope(Envelope("site0", "site1", msg))
+        at = frame.index(b"credit\x0b\x02\x02") + len(b"credit")
+        # A well-formed value is followed by the rest of the frame; a
+        # truncated one is where the frame ends.
+        self._rejected(frame[:at] + value + (frame[at + 3 :] if len(value) >= 3 else b""))
+
     def test_text_that_is_not_utf8(self):
         self._rejected(_spliced(ControlMessage(QID, "ds-ack"), b"ds-ack", b"ds\xff\xfeck"))
 
@@ -381,6 +412,38 @@ GOLDEN_FRAMES = {
 }
 
 
+#: The same three work-bearing messages carrying what the detector ships —
+#: a ``Credit``, value tag 0x0B — taken when the tag was introduced.
+GOLDEN_CREDIT_FRAMES = {
+    "deref": (
+        "0a73697465300000000000400e0a736974653008526f6f740254083021050e506f696e74657221050a436861696e"
+        "250258310258013202013021050e52616e6431307021030a2002060206020600080a7369746531540a7369746532"
+        "06020602020c6372656469740b028e02"
+    ),
+    "result": (
+        "0a73697465300000000000410e0a73697465300704080a73697465310200080a7369746532120a73697465300704"
+        "0704050a7469746c65050e412050617065720704050873697a6503540000020c6372656469740b060800"
+    ),
+    "batched": (
+        "0a73697465300000000000490e0a736974653008526f6f740254083021050e506f696e74657221050a436861696e"
+        "250258310258013202013021050e52616e6431307021030a200206020602060004080a736974653108000600020c"
+        "6372656469740b0206080a7369746531d8040002020604020c6372656469740b0a904e070207040704050a736974"
+        "6531030807020306"
+    ),
+}
+
+def _golden_credit_messages(program):
+    """Three of ``_golden_messages`` with a ``Credit`` in every term."""
+    from dataclasses import replace
+
+    sent = _golden_messages(program)
+    return {
+        "deref": replace(sent["deref"], term={"credit": Credit(1, 135)}),
+        "result": replace(sent["result"], term={"credit": Credit(3, 4)}),
+        "batched": replace(sent["batched"], terms=({"credit": Credit(1, 3)}, {"credit": Credit(5, 5000)})),
+    }
+
+
 def _golden_messages(program):
     return {
         "deref": DerefRequest(
@@ -443,6 +506,17 @@ class TestFramesArePinned:
                 assert _same_program(got.program, sent[name].program)
             if name != "batched":
                 assert got.term == sent[name].term
+
+    def test_credit_frames(self):
+        sent = _golden_credit_messages(_chain_closure())
+        for name, message in sent.items():
+            assert encode_envelope(Envelope("site0", "site1", message)).hex() == GOLDEN_CREDIT_FRAMES[name]
+            got = decode_envelope(bytes.fromhex(GOLDEN_CREDIT_FRAMES[name]), "site1").payload
+            terms = got.terms if name == "batched" else (got.term,)
+            assert terms == (message.terms if name == "batched" else (message.term,))
+            assert all(type(term["credit"]) is Credit for term in terms)
+            # The modelled size never saw the encoding of a credit.
+            assert message.wire_size() == _golden_messages(_chain_closure())[name].wire_size()
 
     def test_modelled_size_is_memoised_not_changed(self):
         program = _chain_closure()
@@ -698,11 +772,11 @@ class TestEnvelopeQoS:
 
 
 class TestDeepCreditIntegers:
-    """Termination credit is a Fraction whose denominator doubles per
-    sequential hop; the varint must carry 2^depth for deep chains.  A
-    64-bit cap here silently dropped the message at send time and hung
-    the query until TerminationLost (seen on any >62-hop cross-site
-    chain on the wire transports)."""
+    """A ``Fraction`` is user data to the codec: numerator and denominator
+    ride as arbitrary-precision varints up to ``MAX_VARINT_BITS``.  (The
+    detector shipped its credit this way once — denominator 2^depth — and
+    a 64-bit cap silently dropped the message of any >62-hop cross-site
+    chain; see ``TestCreditTag`` for what it ships now.)"""
 
     def test_deep_chain_credit_round_trips(self):
         for depth in (62, 63, 64, 200, 1000):
@@ -710,6 +784,7 @@ class TestDeepCreditIntegers:
             out = roundtrip(DerefRequest(QID, prog(), WorkItem(Oid("s1", 0)),
                                          {"credit": credit}))
             assert out.term == {"credit": credit}
+            assert type(out.term["credit"]) is Fraction
 
     def test_absurd_magnitude_still_rejected(self):
         from repro.net.codec import MAX_VARINT_BITS
@@ -718,6 +793,45 @@ class TestDeepCreditIntegers:
         with pytest.raises(CodecError):
             encode_message(DerefRequest(QID, prog(), WorkItem(Oid("s1", 0)),
                                         {"credit": too_big}))
+
+
+class TestCreditTag:
+    """Termination credit rides as (mantissa, exponent): the frame of a
+    chain's hop does not grow with the chain."""
+
+    def _hop(self, credit):
+        return Envelope("site0", "site1", DerefRequest(QID, _chain_closure(), WorkItem(Oid("site1", 42), start=3),
+                                                       {"credit": credit}))
+
+    @pytest.mark.parametrize("exponent, size", [(1, 100), (270, 101), (5000, 101), (100_000, 102)])
+    def test_frame_size_does_not_follow_depth(self, exponent, size):
+        frame = encode_envelope(self._hop(Credit(1, exponent)))
+        assert len(frame) == size
+        got = decode_envelope(frame, "site1").payload.term["credit"]
+        assert type(got) is Credit and (got.mantissa, got.exponent) == (1, exponent)
+
+    @pytest.mark.parametrize("credit", [ZERO, ONE, Credit(3, 2), Credit(2 ** 300 - 1, 300), Credit(1, MAX_CREDIT_EXPONENT)])
+    def test_round_trip(self, credit):
+        out = roundtrip(ResultBatch(QID, term={"credit": credit, "#inc": 2}))
+        assert out.term == {"credit": credit, "#inc": 2}
+        assert type(out.term["credit"]) is Credit
+
+    def test_exponent_bound_holds_on_encode_too(self):
+        with pytest.raises(CodecError):
+            encode_envelope(self._hop(Credit(1, MAX_CREDIT_EXPONENT + 1)))
+
+    def test_mantissa_is_an_ordinary_varint(self):
+        # Only a site that adds pieces more than MAX_VARINT_BITS halvings
+        # apart holds such a credit; it costs that query, not the site
+        # (tests/integration/test_site_survives.py).
+        with pytest.raises(CodecError):
+            encode_envelope(self._hop(Credit(2 ** 4990 + 1, 5000)))
+
+    def test_a_credit_is_not_a_fraction_on_the_wire(self):
+        as_credit = encode_envelope(self._hop(Credit(1, 270)))
+        as_fraction = encode_envelope(self._hop(Fraction(1, 2 ** 270)))
+        assert len(as_fraction) - len(as_credit) == 37
+        assert decode_envelope(as_credit, "site1").payload.term == decode_envelope(as_fraction, "site1").payload.term
 
 
 class TestMembershipFrames:
