@@ -201,6 +201,7 @@ class SimCluster:
         #: the QueryOutcome at completion, so the keys *are* the set).
         self._submitted_at: Dict[QueryId, float] = {}
         self._completed = OutcomeTable()
+        self._waiting = False
         self._deadline_handles: Dict[QueryId, object] = {}
         # Telemetry plane: crash flight recorder + streaming stats.
         self.flight_recorder = None
@@ -648,19 +649,23 @@ class SimCluster:
         raise on their hard timeout.
         """
         del timeout_s  # virtual time: idleness, not wall-clock, means failure
-        fired = 0
-        while qid not in self._completed:
-            if not self.sim.step():
-                self._flightrec_dump(qid, "termination_lost")
-                raise TerminationLost(
-                    qid,
-                    deficit=credit_deficit(self.nodes, qid),
-                    undeliverable=self.network.messages_dropped,
-                    site=self._last_failed_site,
-                )
-            fired += 1
-            if fired > max_events:
-                raise HyperFileError(f"query {qid} exceeded {max_events} simulation events")
+        budget = self.sim.events_fired + max_events
+        self._waiting = True  # every completion now stops the drain below
+        try:
+            while qid not in self._completed:
+                if self.sim.events_fired >= budget:
+                    raise HyperFileError(f"query {qid} exceeded {max_events} simulation events")
+                self.sim.run(max_events=budget - self.sim.events_fired)
+                if qid not in self._completed and not self.sim.pending:
+                    self._flightrec_dump(qid, "termination_lost")
+                    raise TerminationLost(
+                        qid,
+                        deficit=credit_deficit(self.nodes, qid),
+                        undeliverable=self.network.messages_dropped,
+                        site=self._last_failed_site,
+                    )
+        finally:
+            self._waiting = False
         outcome = self._completed.get(qid)
         if outcome.result.partial and outcome.result.partial_reason in ("crash", "deadline"):
             self._flightrec_dump(qid, outcome.result.partial_reason)
@@ -819,3 +824,5 @@ class SimCluster:
             metrics.counter("cluster.queries_completed_total").inc()
         self._completed.put(qid, outcome)
         self._maybe_finalize_membership()
+        if self._waiting:
+            self.sim.stop()

@@ -37,6 +37,13 @@ The implementation follows the paper's pseudocode case by case:
   with ``start`` rewritten so it exits on the next encounter.
 * **retrieval** — a selection on (type, key) with no data pattern; every
   matching data value is emitted to the caller's sink.
+
+:func:`evaluate` picks the case by ``type(op) is`` on
+``program.ops[next - 1]``: the four op classes are final and none
+subclasses another, so the exact-type test is the ``isinstance`` test
+without the MRO walk.  A dereference sorts its fan-out (so traces are
+stable) only when more than one value is bound — one value is already in
+order.
 """
 
 from __future__ import annotations
@@ -58,16 +65,17 @@ EResult = Tuple[List[WorkItem], Optional[ActiveItem]]
 
 def evaluate(program: Program, active: ActiveItem, obj: HFObject, emit: EmitSink) -> EResult:
     """Apply the filter at ``active.next`` to ``active``/``obj``."""
-    op = program.op_at(active.next)
-    if isinstance(op, SelectOp):
+    op = program.ops[active.next - 1]
+    kind = type(op)
+    if kind is SelectOp:
         return _eval_select(op, op.data_pattern, active, obj, None)
-    if isinstance(op, DerefOp):
+    if kind is DerefOp:
         return _eval_deref(program, op, active)
-    if isinstance(op, LoopOp):
+    if kind is LoopOp:
         return _eval_loop(op, active)
-    if isinstance(op, RetrieveOp):
+    if kind is RetrieveOp:
         return _eval_select(op, None, active, obj, emit)
-    raise TypeError(f"unknown op {type(op).__name__}")  # pragma: no cover
+    raise TypeError(f"unknown op {kind.__name__}")  # pragma: no cover
 
 
 def _eval_select(
@@ -117,12 +125,14 @@ def _eval_select(
 
 
 def _eval_deref(program: Program, op: DerefOp, active: ActiveItem) -> EResult:
-    enclosing = program.loops_enclosing(op.index)
-    new_iters = bump_iters(active.iters, enclosing, caps=program.loop_counts())
+    new_iters = bump_iters(active.iters, program.enclosing[op.index - 1], caps=program._loop_counts)
     start = active.next + 1
+    values = active.mvars.get(op.var, ())
+    if len(values) > 1:
+        values = sorted(values, key=_oid_sort_key)
     produced = [
         WorkItem(oid=value, start=start, iters=new_iters)
-        for value in sorted(active.bindings(op.var), key=_oid_sort_key)
+        for value in values
         if isinstance(value, Oid)
     ]
     if op.keep_source:

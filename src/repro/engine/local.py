@@ -170,7 +170,6 @@ class QueryExecution:
                 outcome.from_cache = True
                 return outcome
 
-        marks_rec: List[int] = []
         spawned_rec: List[WorkItem] = []
 
         try:
@@ -193,26 +192,32 @@ class QueryExecution:
             raise QueryLimitExceeded("max_objects", self.max_objects)
 
         active: Optional[ActiveItem] = item.activate()
-        n = self.program.size
+        program = self.program
+        n = program.size
+        emit = self._emit_collector(outcome)
+        site, locate = self.site, self.locate
+        # The filters the object flows through; no filter changes its oid
+        # or iteration counts, so they are marked in one go below.
+        positions: List[int] = []
         while active is not None and active.next <= n:
-            self.mark_table.mark(active.oid, active.next, active.iters)
-            if cache is not None:
-                marks_rec.append(active.next - base)
-            spawned, active = evaluate(self.program, active, obj, self._emit_collector(outcome))
-            outcome.filters_applied += 1
-            stats.filters_applied += 1
+            positions.append(active.next)
+            spawned, active = evaluate(program, active, obj, emit)
             for new_item in spawned:
                 if cache is not None:
                     spawned_rec.append(new_item)
-                if self._is_local(new_item.oid):
+                dst = site if locate is None or site is None else locate(new_item.oid)
+                if dst == site:
                     self.workset.add(new_item)
                     outcome.local_spawned += 1
                     if self.collect_spawns:
                         outcome.local_items.append(new_item)
                     stats.local_derefs += 1
                 else:
-                    outcome.remote.append((self._site_of(new_item.oid), new_item))
+                    outcome.remote.append((dst, new_item))
                     stats.remote_derefs += 1
+        self.mark_table.mark_all(item.oid, positions, item.iters)
+        outcome.filters_applied = len(positions)
+        stats.filters_applied += len(positions)
 
         if active is not None:
             if self.result.oids.add(active.oid):
@@ -222,7 +227,7 @@ class QueryExecution:
             cache.store(key, _fragment_entry(
                 missing=False,
                 passed=active is not None,
-                marks=tuple(marks_rec),
+                marks=tuple(position - base for position in positions),
                 spawned=tuple(
                     (it.oid, it.start - base, _rebase_iters(it.iters, base))
                     for it in spawned_rec
@@ -259,8 +264,7 @@ class QueryExecution:
         stats.objects_processed += 1
         if self.max_objects is not None and stats.objects_processed > self.max_objects:
             raise QueryLimitExceeded("max_objects", self.max_objects)
-        for rel_pos in entry.marks:
-            self.mark_table.mark(item.oid, rel_pos + base, item.iters)
+        self.mark_table.mark_all(item.oid, [rel_pos + base for rel_pos in entry.marks], item.iters)
         outcome.filters_applied = len(entry.marks)
         stats.filters_applied += len(entry.marks)
         for oid, rel_start, rel_iters in entry.spawned:

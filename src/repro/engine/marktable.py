@@ -126,16 +126,34 @@ class MarkTable:
     def should_process(self, oid: Oid, start: int, iters: IterCounts = EMPTY_ITERS) -> bool:
         """Admission test of Figure 3: process iff the mark is absent."""
         marks = self._marks.get(oid.key())
-        return marks is None or self._key(start, iters) not in marks
+        if marks is None:
+            return True
+        return ((start,) if self._granularity == "position" else (start, iters)) not in marks
 
     def mark(self, oid: Oid, position: int, iters: IterCounts = EMPTY_ITERS) -> None:
         """Record that ``oid`` flowed through filter ``position``."""
-        key = self._key(position, iters)
-        marks = self._marks.setdefault(oid.key(), set())
+        key = (position,) if self._granularity == "position" else (position, iters)
+        oid_key = oid.key()
+        marks = self._marks.setdefault(oid_key, set())
         if self._journal is not None and key not in marks:
-            self._journal.append((oid.key(), key))
+            self._journal.append((oid_key, key))
         marks.add(key)
         self._mark_ops += 1
+
+    def mark_all(self, oid: Oid, positions: List[int], iters: IterCounts = EMPTY_ITERS) -> None:
+        """:meth:`mark` ``oid`` at each of ``positions``, in order."""
+        if not positions:
+            return
+        by_position = self._granularity == "position"
+        oid_key = oid.key()
+        marks = self._marks.setdefault(oid_key, set())
+        journal = self._journal
+        for position in positions:
+            key = (position,) if by_position else (position, iters)
+            if journal is not None and key not in marks:
+                journal.append((oid_key, key))
+            marks.add(key)
+        self._mark_ops += len(positions)
 
     def positions(self, oid: Oid) -> Set[int]:
         """Filter positions recorded for ``oid`` (any iteration state)."""

@@ -64,6 +64,9 @@ class FifoWorkSet(WorkSet):
     def __len__(self) -> int:
         return len(self._queue)
 
+    def __bool__(self) -> bool:
+        return bool(self._queue)
+
 
 class LifoWorkSet(WorkSet):
     """Stack discipline — depth-first traversal."""

@@ -12,6 +12,19 @@ class HyperFileError(Exception):
     """Base class for every error raised by this library."""
 
 
+def _exact(value: object) -> str:
+    """``str(value)``, or — past the interpreter's int-to-decimal digit
+    limit (a credit lost ~14 000 hops deep) — the same ratio in hex, with
+    a power-of-two denominator written ``2**e`` as ``Credit`` prints it."""
+    try:
+        return str(value)
+    except ValueError:
+        numerator, denominator = value.numerator, value.denominator
+        if denominator & (denominator - 1):
+            return f"{numerator:#x}/{denominator:#x}"
+        return f"{numerator:#x}/2**{denominator.bit_length() - 1}"
+
+
 class ConfigError(HyperFileError, ValueError):
     """A deployment configuration is invalid or names a capability the
     selected transport cannot honour.
@@ -192,7 +205,7 @@ class TerminationLost(HyperFileError):
         self.site = site
         detail = []
         if deficit is not None:
-            detail.append(f"credit deficit {deficit}")
+            detail.append(f"credit deficit {_exact(deficit)}")
         if undeliverable:
             detail.append(f"{undeliverable} undeliverable envelope(s)")
         if site is not None:

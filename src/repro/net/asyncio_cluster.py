@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import logging
 import threading
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Union
@@ -72,6 +73,8 @@ from .common import WallClockQueries
 #: How many node steps a drain task runs before yielding the loop, so
 #: one busy site cannot starve its peers' I/O on the shared loop.
 _STEPS_PER_YIELD = 16
+
+_log = logging.getLogger(__name__)
 
 
 class _TimerHandle:
@@ -232,27 +235,47 @@ class _AsyncSite:
                 except asyncio.QueueEmpty:
                     break
             outgoing: List[Envelope] = []
-            for env in batch:
-                if env is None:
-                    continue
-                if isinstance(env.payload, (ReliableData, ReliableAck)):
-                    cluster._reliable_ingest(env)
-                else:
-                    node.on_message(env)
-            steps = 0
-            while node.has_work:
-                report = node.step()
-                outgoing.extend(report.outgoing)
-                steps += 1
-                if steps % _STEPS_PER_YIELD == 0:
-                    for out in outgoing:
-                        self._send(out)
-                    outgoing = []
+            arrivals = iter(batch)
+            while True:
+                try:
+                    for env in arrivals:
+                        if env is None:
+                            continue
+                        if isinstance(env.payload, (ReliableData, ReliableAck)):
+                            cluster._reliable_ingest(env)
+                        else:
+                            node.on_message(env)
+                    steps = 0
+                    while node.has_work:
+                        report = node.step()
+                        outgoing.extend(report.outgoing)
+                        steps += 1
+                        if steps % _STEPS_PER_YIELD == 0:
+                            for out in outgoing:
+                                self._send(out)
+                            outgoing = []
+                            await asyncio.sleep(0)
+                            while cluster.is_down(self.name):
+                                await self.up_event.wait()
+                    break
+                except Exception as exc:  # noqa: BLE001 — one bad message or step must not end the site
+                    self._contain(exc)
+                    # Resume after the envelope or step that raised; yield
+                    # first, so even a raise that recurs cannot hog the loop.
                     await asyncio.sleep(0)
-                    while cluster.is_down(self.name):
-                        await self.up_event.wait()
             for out in outgoing:
                 self._send(out)
+
+    def _contain(self, exc: Exception) -> None:
+        """Log and count a raise from ``on_message`` / ``step``, snapshot
+        the flight recorder if one is armed, and restore the node's work
+        counters the interrupted call may have left stale."""
+        _log.error("site %s: contained a raise and keeps serving", self.name, exc_info=exc)
+        self.node.stats.site_errors += 1
+        self.node.recount_work()
+        recorder = self.cluster.flight_recorder
+        if recorder is not None:
+            recorder.dump("", f"site_error:{type(exc).__name__}", site=self.name)
 
     def submit(
         self,

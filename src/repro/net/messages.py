@@ -358,11 +358,14 @@ class Envelope:
     tried: Optional[Tuple[str, ...]] = None
     priority: Optional[str] = None
     pressure: Optional[int] = None
+    #: The payload's modelled wire size, computed once here: sent and
+    #: received stats, wire delay and delivered bytes all read it.  Not
+    #: part of ``==``, the hash or ``repr``.
+    size_bytes: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def size_bytes(self) -> int:
+    def __post_init__(self) -> None:
         wire = getattr(self.payload, "wire_size", None)
-        return wire() if callable(wire) else 64
+        object.__setattr__(self, "size_bytes", wire() if callable(wire) else 64)
 
     def __repr__(self) -> str:
         return f"Envelope({self.src} -> {self.dst}: {type(self.payload).__name__})"

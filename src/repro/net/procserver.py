@@ -365,7 +365,7 @@ class _ChildRuntime:
         self.tracer: Optional[QueryTracer] = None
         self.trace_cursor = 0
         #: Per-site flight-recorder ring, armed from the shipped config.
-        self.recorder: Optional[FlightRecorder] = None
+        self.flight_recorder: Optional[FlightRecorder] = None
         self.metrics = None
 
     def take_trace_events(self) -> List[TraceEvent]:
@@ -511,13 +511,13 @@ async def _child_serve(
     index = names.index(site)
     lanes = 2 * len(names) + 1
     if config.flight_recorder is not None:
-        runtime.recorder = FlightRecorder(
+        runtime.flight_recorder = FlightRecorder(
             replace(config.flight_recorder, dump_dir=None),  # parent writes the files
             span_start=len(names) + 1 + index,
             span_step=lanes,
         )
-        runtime.recorder.now_fn = time.monotonic
-        node.tracer = runtime.recorder
+        runtime.flight_recorder.now_fn = time.monotonic
+        node.tracer = runtime.flight_recorder
     asite = _AsyncSite(node, runtime)
     await asite.bootstrap()
     asite._drain_task = asyncio.get_running_loop().create_task(asite.drain())
@@ -655,14 +655,13 @@ def _handle_control(frame, runtime: _ChildRuntime, asite, store):
             tracer.now_fn = time.monotonic
             runtime.tracer = tracer
             runtime.trace_cursor = 0
-            asite.node.tracer = (
-                TeeTracer(tracer, runtime.recorder) if runtime.recorder is not None else tracer
-            )
+            recorder = runtime.flight_recorder
+            asite.node.tracer = TeeTracer(tracer, recorder) if recorder is not None else tracer
             return bytes((_C_OK,))
         if tag == _C_TRACE_OFF:
             runtime.tracer = None
             runtime.trace_cursor = 0
-            asite.node.tracer = runtime.recorder
+            asite.node.tracer = runtime.flight_recorder
             return bytes((_C_OK,))
         if tag == _C_TRACE_DRAIN:
             w = _Writer()
@@ -686,7 +685,8 @@ def _handle_control(frame, runtime: _ChildRuntime, asite, store):
             w.text(json.dumps(snap))
             return w.getvalue()
         if tag == _C_FLIGHT_SNAP:
-            events = list(runtime.recorder.events) if runtime.recorder is not None else []
+            recorder = runtime.flight_recorder
+            events = list(recorder.events) if recorder is not None else []
             w = _Writer()
             w.byte(_C_TRACE_EVENTS)
             w.text(_events_to_json(events))
@@ -1356,6 +1356,13 @@ class ProcessCluster(WallClockQueries):
         if proxy is None:
             raise UnknownSite(site)
         return proxy
+
+    def port_of(self, site: str) -> int:
+        """The port ``site``'s process accepts inter-site frames on."""
+        link = self._links.get(site)
+        if link is None:
+            raise UnknownSite(site)
+        return link.data_port
 
     # migrate/replicate_all: inherited from WallClockQueries — they run
     # against the store/forwarding proxies (and the parent-side

@@ -150,12 +150,7 @@ class SimNetwork:
             # Clean wire: schedule the arrival directly (and *now*, so
             # same-timestamp event ordering matches the historical
             # behaviour the calibrated benchmarks depend on).
-            costs = self.hosts[env.src].node.costs
-            wire = self.latency(env.src, env.dst, costs.msg_latency_s)
-            wire += env.size_bytes / costs.bandwidth_bytes_per_s
-            if self.metrics is not None:
-                self.metrics.histogram("net.wire_latency_s").observe(wire)
-            self.sim.schedule_at(depart + wire, lambda: self._arrive(env))
+            self.sim.schedule_at(depart + self._wire_delay(env), lambda: self._arrive(env))
             return
         self.sim.schedule_at(depart, lambda: self._transmit(env))
 
@@ -171,11 +166,7 @@ class SimNetwork:
         """One wire transmission: latency + bandwidth + chaos."""
         if env.dst not in self.hosts:
             raise UnknownSite(env.dst)
-        costs = self.hosts[env.src].node.costs
-        wire = self.latency(env.src, env.dst, costs.msg_latency_s)
-        wire += env.size_bytes / costs.bandwidth_bytes_per_s
-        if self.metrics is not None:
-            self.metrics.histogram("net.wire_latency_s").observe(wire)
+        wire = self._wire_delay(env)
         if self.fault_plan is not None:
             decision = self.fault_plan.decide(env.src, env.dst)
             if decision.dropped:
@@ -185,6 +176,14 @@ class SimNetwork:
                 self.sim.schedule(wire + extra, lambda e=env: self._arrive(e))
         else:
             self.sim.schedule(wire, lambda: self._arrive(env))
+
+    def _wire_delay(self, env: Envelope) -> float:
+        costs = self.hosts[env.src].node.costs
+        latency = self.latency(env.src, env.dst, costs.msg_latency_s)
+        wire = latency + env.size_bytes / costs.bandwidth_bytes_per_s
+        if self.metrics is not None:
+            self.metrics.histogram("net.wire_latency_s").observe(wire)
+        return wire
 
     def deliver(self, env: Envelope, at: float) -> None:
         """Schedule delivery of ``env`` at absolute virtual time ``at``.
@@ -210,14 +209,11 @@ class SimNetwork:
         if self._endpoints is not None and isinstance(env.payload, (ReliableData, ReliableAck)):
             self._endpoint(env.dst).on_wire(env)
             return
-        host.node.on_message(env)
-        host.kick()
+        host.receive(env)
 
     def _deliver_up(self, env: Envelope) -> None:
         """A deduplicated payload surfaced by the reliable channel."""
-        host = self.hosts[env.dst]
-        host.node.on_message(env)
-        host.kick()
+        self.hosts[env.dst].receive(env)
 
     def _give_up(self, env: Envelope) -> None:
         """The reliable channel exhausted its retries for ``env``.
@@ -231,8 +227,7 @@ class SimNetwork:
         host = self.hosts.get(env.src)
         if host is None or not self.is_up(env.src):
             return
-        host.node.on_message(Envelope(env.dst, env.src, Undeliverable(env), spans=env.spans))
-        host.kick()
+        host.receive(Envelope(env.dst, env.src, Undeliverable(env), spans=env.spans))
 
     def _bounce(self, env: Envelope) -> None:
         """Return an undeliverable *work* message to its sender.
@@ -256,8 +251,7 @@ class SimNetwork:
             self.messages_dropped += 1
             return
         self.messages_delivered += 1
-        host.node.on_message(env)
-        host.kick()
+        host.receive(env)
 
 
 class SimHost:
@@ -280,12 +274,14 @@ class SimHost:
 
     def kick(self) -> None:
         """Ensure the work loop is scheduled (idempotent)."""
-        if self._running or not self.network.is_up(self.site):
-            return
-        if not self.node.has_work:
+        if self._running or not self.network.is_up(self.site) or not self.node.has_work:
             return
         self._running = True
         self.sim.schedule(0.0, self._work)
+
+    def receive(self, env: Envelope) -> None:
+        self.node.on_message(env)
+        self.kick()
 
     def dispatch(self, report: StepReport) -> None:
         """Account a step's cost and ship its outgoing messages.
@@ -313,17 +309,30 @@ class SimHost:
         self.kick()
 
     def _work(self) -> None:
-        if not self.network.is_up(self.site):
-            self._running = False
-            return
-        if not self.node.has_work:
-            self._running = False
-            return
-        report = self.node.step()
-        self.dispatch(report)
-        # Occupy the CPU for the step's duration, then continue.
-        self.sim.schedule(report.elapsed, self._continue)
+        self._running = self.network.is_up(self.site) and self.node.has_work
+        if self._running:
+            self._steps()
 
     def _continue(self) -> None:
-        self._running = False
-        self.kick()
+        self._running = self.network.is_up(self.site) and self.node.has_work
+        # The _work a kick would queue fires in place if it fires next anyway.
+        if self._running and self.sim.advance(self.sim.now, 1):
+            self._steps()
+        elif self._running:
+            self.sim.schedule(0.0, self._work)
+
+    def _steps(self) -> None:
+        """Step, each step occupying the CPU for its duration; while the next
+        start is strictly the earliest thing queued, its _continue and _work
+        fire in place."""
+        sim, node = self.sim, self.node
+        while True:
+            report = node.step()
+            self.dispatch(report)
+            more = self.network.is_up(self.site) and node.has_work
+            if not sim.advance(sim.now + report.elapsed, 2 if more else 1):
+                break
+            if not more:
+                self._running = False
+                return
+        sim.schedule(report.elapsed, self._continue)

@@ -116,7 +116,7 @@ class QueryContext:
     @property
     def busy(self) -> bool:
         """Does this site still hold work for the query?"""
-        return self.execution.has_work
+        return bool(self.execution.workset)
 
     def take_unflushed(self) -> Tuple[Tuple[Oid, ...], Tuple[Tuple[str, Any], ...]]:
         """Results accumulated since the last drain (and advance cursors)."""

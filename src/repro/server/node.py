@@ -572,6 +572,18 @@ class ServerNode:
             return True
         return self._busy > 0
 
+    def recount_work(self) -> None:
+        """Re-derive the counters behind ``has_work`` from the contexts,
+        and put every busy context back in rotation — for a site loop
+        that caught a raise part-way through a step, which may have
+        skipped their upkeep.  Scans every context: not a per-step call."""
+        self._busy = self._pending = 0
+        for qid, ctx in self.contexts.items():
+            if ctx.busy:
+                self._busy += 1
+                self._pending += ctx.execution.pending
+                self._enqueue_rr(qid)
+
     @property
     def work_depth(self) -> int:
         """This site's work-queue depth: unhandled messages plus pending
@@ -1106,7 +1118,8 @@ class ServerNode:
         report = StepReport()
         outcome = ctx.execution.step()
         self._pending += outcome.local_spawned - 1
-        if not ctx.busy:
+        idle = not ctx.busy
+        if idle:
             self._busy -= 1
         if self.tracer is not None:
             # Parent on the step that admitted this exact item; fall back
@@ -1147,7 +1160,9 @@ class ServerNode:
                 report.elapsed += self.costs.result_insert_s
         for dst, item in outcome.remote:
             self._send_work(ctx, dst, item, report)
-        self._drain_if_idle(ctx, report)
+        # Only a failover of a remote item can re-admit work here.
+        if idle and not (outcome.remote and ctx.busy):
+            self._drain(ctx, report)
         return report
 
     # ------------------------------------------------------------------
@@ -1362,8 +1377,11 @@ class ServerNode:
             self._flush_results([dst], report, "size")
 
     def _drain_if_idle(self, ctx: QueryContext, report: StepReport) -> None:
-        if ctx.busy:
-            return
+        if not ctx.busy:
+            self._drain(ctx, report)
+
+    def _drain(self, ctx: QueryContext, report: StepReport) -> None:
+        """This site's working set for ``ctx`` just emptied."""
         if self._batcher is not None:
             # Liveness: queued work carries credit; when this query's
             # working set drains here, everything pending for it must go.

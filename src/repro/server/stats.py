@@ -31,6 +31,7 @@ class NodeStats:
     drains: int = 0                #: local working-set drain events
     contexts_created: int = 0
     contexts_retired: int = 0      #: contexts freed (purge, LRU eviction, reused id)
+    site_errors: int = 0           #: raises the site loop contained (a message or step threw)
     # Fault-tolerance counters (reliable channel + query deadlines).
     retransmits: int = 0           #: reliable-channel frames re-sent (unacked in time)
     duplicates_dropped: int = 0    #: replayed frames the receive-side dedup absorbed

@@ -1,20 +1,28 @@
 """Discrete-event simulation kernel.
 
 The paper's experiments ran on a network of IBM PC/RTs; we substitute a
-deterministic discrete-event simulator (see DESIGN.md §2).  The kernel is
-deliberately tiny: a virtual clock, a binary-heap event queue, and stable
-FIFO tie-breaking so that runs are exactly reproducible — equal-time events
-fire in schedule order.
+deterministic discrete-event simulator (see DESIGN.md §2): a virtual
+clock, a binary heap of ``[time, seq, action]`` lists (compared natively;
+cancelling sets ``action`` to ``None``) and FIFO tie-breaking, so that
+equal-time events fire in schedule order and runs reproduce exactly.
 
-Nothing in here knows about HyperFile; hosts and networks are built on top
-in :mod:`repro.net.simnet`.
+**Coalescing.**  Inside :meth:`Simulator.run`, a caller about to queue
+events that would fire back to back may run them in place:
+:meth:`Simulator.advance` moves the clock and counts them in
+``events_fired`` only if no live entry is due at or before their time.
+The order cannot change — a new entry takes the largest ``seq``, so it
+fires next exactly when everything queued is due strictly later.
+``advance`` refuses under a schedule policy, past ``run``'s ``until`` or
+``max_events``, and outside ``run``: a bare :meth:`step` fires one event.
+Nothing in here knows about HyperFile (see :mod:`repro.net.simnet`).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
+from operator import itemgetter
 from typing import Callable, List, Optional
 
 #: An event action is any zero-argument callable; it runs at its scheduled
@@ -22,12 +30,11 @@ from typing import Callable, List, Optional
 Action = Callable[[], None]
 
 
-@dataclass(order=True)
-class _Entry:
-    time: float
-    seq: int
-    action: Action = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+class _Entry(list):
+    """``[time, seq, action]``; what a schedule policy sees has ``.time``."""
+
+    __slots__ = ()
+    time = property(itemgetter(0))
 
 
 class EventHandle:
@@ -40,15 +47,15 @@ class EventHandle:
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
-        self._entry.cancelled = True
+        self._entry[2] = None
 
     @property
     def time(self) -> float:
-        return self._entry.time
+        return self._entry[0]
 
     @property
     def cancelled(self) -> bool:
-        return self._entry.cancelled
+        return self._entry[2] is None
 
 
 #: A schedule policy picks which pending event fires next: it is called
@@ -69,6 +76,7 @@ class Simulator:
         self._seq = itertools.count()
         self.events_fired = 0
         self._policy: Optional[SchedulePolicy] = None
+        self._horizon, self._budget, self._stopped = math.inf, -1, False  # run()'s limits
 
     def set_policy(self, policy: Optional[SchedulePolicy]) -> None:
         """Install (or clear) a schedule-exploration policy.
@@ -90,13 +98,30 @@ class Simulator:
         """Run ``action`` at ``now + delay`` virtual seconds."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        entry = _Entry(self._now + delay, next(self._seq), action)
+        entry = _Entry((self._now + delay, next(self._seq), action))
         heapq.heappush(self._queue, entry)
         return EventHandle(entry)
 
     def schedule_at(self, time: float, action: Action) -> EventHandle:
         """Run ``action`` at absolute virtual time ``time``."""
         return self.schedule(time - self._now, action)
+
+    def advance(self, time: float, events: int) -> bool:
+        """Fire ``events`` in place at ``time`` if they would fire next; see the module doc."""
+        if self._policy is not None or time > self._horizon or self.events_fired + events > self._budget:
+            return False
+        queue = self._queue
+        while queue and queue[0][2] is None:
+            heapq.heappop(queue)
+        if queue and queue[0][0] <= time:
+            return False
+        self._now = time
+        self.events_fired += events
+        return True
+
+    def stop(self) -> None:
+        """Make the running :meth:`run` return after the current event."""
+        self._stopped = True
 
     def step(self) -> bool:
         """Fire the next event; returns False when the queue is empty.
@@ -110,67 +135,63 @@ class Simulator:
         if self._policy is not None:
             return self._step_policy()
         while self._queue:
-            entry = heapq.heappop(self._queue)
-            if entry.cancelled:
+            time, _, action = heapq.heappop(self._queue)
+            if action is None:
                 continue
-            self._now = entry.time
+            self._now = time
             self.events_fired += 1
-            entry.action()
+            action()
             return True
         return False
 
     def _step_policy(self) -> bool:
-        live = sorted(
-            (e for e in self._queue if not e.cancelled),
-            key=lambda e: (e.time, e.seq),
-        )
+        queue = self._queue
+        live = sorted(e for e in queue if e[2] is not None)
         if not live:
-            self._queue.clear()
+            queue.clear()
             return False
-        if len(self._queue) > 64 and len(live) * 2 < len(self._queue):
-            # Consumed entries are only marked, never popped; rebuild the
-            # heap when they dominate so policy steps stay near-linear.
-            self._queue = list(live)
-            heapq.heapify(self._queue)
+        if len(queue) > 64 and len(live) * 2 < len(queue):
+            # Consumed entries are marked, not popped: drop them when they dominate.
+            queue[:] = live
         assert self._policy is not None
         index = self._policy(live)
         if not 0 <= index < len(live):
-            raise IndexError(
-                f"schedule policy chose event {index} of {len(live)} pending"
-            )
+            raise IndexError(f"schedule policy chose event {index} of {len(live)} pending")
         entry = live[index]
-        entry.cancelled = True  # consumed; lazily dropped from the heap
-        self._now = max(self._now, entry.time)
+        action, entry[2] = entry[2], None  # consumed; lazily dropped from the heap
+        self._now = max(self._now, entry[0])
         self.events_fired += 1
-        entry.action()
+        action()
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Drain the event queue.
-
-        Stops when the queue empties, when virtual time would pass
-        ``until``, or after ``max_events`` (a runaway-simulation guard).
-        Returns the final virtual time.
-        """
-        fired = 0
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if until is not None and head.time > until:
-                self._now = until
-                break
-            if max_events is not None and fired >= max_events:
-                break
-            self.step()
-            fired += 1
+        """Drain the event queue until it empties, virtual time would pass
+        ``until``, ``max_events`` logical events have fired (a runaway
+        guard) or an event called :meth:`stop`; returns the final time."""
+        queue = self._queue
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else self.events_fired + max_events
+        self._horizon, self._budget, self._stopped = horizon, budget, False
+        try:
+            while queue and not self._stopped:
+                head = queue[0]
+                if head[2] is None:
+                    heapq.heappop(queue)
+                elif head[0] > horizon:
+                    self._now = until
+                    break
+                elif self.events_fired >= budget:
+                    break
+                else:
+                    self.step()
+        finally:  # outside run() a budget of -1 makes advance() refuse
+            self._horizon, self._budget = math.inf, -1
         return self._now
 
     @property
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for e in self._queue if e[2] is not None)
 
     def __repr__(self) -> str:
         return f"Simulator(now={self._now:.6f}, pending={self.pending})"

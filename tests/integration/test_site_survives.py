@@ -1,16 +1,21 @@
-"""A site outlives the messages it cannot send.
+"""A site outlives the messages it cannot send, and the ones it cannot take.
 
-Two regressions on the ``async`` transport, inline and with one process
-per site (CI job ``site-survives`` runs this file alone under a
-two-minute timeout, so a site that dies again fails by name):
+Regressions on the ``async`` transport, inline and with one process per
+site (CI job ``site-survives`` runs this file alone under a two-minute
+timeout, so a site that dies again fails by name):
 
 * an envelope the codec cannot encode used to raise out of the site's
   drain task, which died silently — that query waited out its timeout and
   so did every later query that touched the site;
 * a pointer chain deeper than ~4 095 hops used to be exactly such an
-  envelope (its credit denominator outgrew the codec's integer bound).
+  envelope (its credit denominator outgrew the codec's integer bound);
+* anything ``on_message`` or ``step`` raised inside the drain task — a
+  well-formed frame the node rejects, a value the engine cannot bind —
+  killed the task the same way.
 """
 
+import socket
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +26,9 @@ from repro.core.builder import QueryBuilder
 from repro.core.program import compile_query
 from repro.core.tuples import HFTuple, keyword_tuple, pointer_tuple
 from repro.errors import TerminationLost
-from repro.net.codec import MAX_VALUE_DEPTH
+from repro.net.codec import FRAME_HEADER, MAX_VALUE_DEPTH, encode_envelope
+from repro.net.messages import Envelope, QueryId, ResultBatch
+from repro.tracing import FlightRecorderConfig
 from tests.integration.test_cluster_api_conformance import deficit_of
 
 RETRIEVE = 'S (Pointer,"Ref",?X) ^X (Val,"v",->T)'
@@ -109,3 +116,58 @@ def test_five_thousand_hop_chain_completes():
 
         again = cluster.run_query(CLOSURE, [oids[hops // 2]], timeout_s=60)
         assert len(again.result.oids) == hops - hops // 2
+
+
+def send_raw(cluster, dst, payload):
+    """Frame ``payload`` as if another site sent it and write it straight
+    to ``dst``'s inter-site port."""
+    frame = encode_envelope(Envelope(cluster.sites[0], dst, payload))
+    with socket.create_connection((cluster.config.host, cluster.port_of(dst))) as sock:
+        sock.sendall(FRAME_HEADER.pack(len(frame)) + frame)
+
+
+def wait_for_site_errors(cluster, count):
+    deadline = time.monotonic() + 10
+    while cluster.total_stats().site_errors < count:
+        assert time.monotonic() < deadline, "the site never processed the frame"
+        time.sleep(0.01)
+    assert cluster.total_stats().site_errors == count
+
+
+@pytest.mark.parametrize("config", DEPLOYMENTS)
+def test_a_message_that_raises_costs_that_message_not_the_site(config):
+    with make_cluster("async", 2, config=config) as cluster:
+        good = pointing_at(cluster, 7)
+        assert cluster.run_query(RETRIEVE, [good], timeout_s=10).result.retrieved["T"] == [7]
+
+        # Results for a query the second site never originated: the frame
+        # decodes, and the node raises on it.
+        send_raw(cluster, cluster.sites[1], ResultBatch(QueryId(10**6, cluster.sites[0])))
+        wait_for_site_errors(cluster, 1)
+
+        after = cluster.run_query(RETRIEVE, [good], timeout_s=10)
+        assert after.result.retrieved["T"] == [7]
+        assert deficit_of(cluster, after.qid) == 0
+
+
+def test_a_step_that_raises_costs_that_query_not_the_site():
+    """Binding a list (unhashable) raises inside the engine, part-way
+    through a step.  That query's credit is lost — it fails typed at its
+    timeout — and the site's work counters are restored, so it serves the
+    next query instead of spinning on work it no longer holds."""
+    binding = 'S (Pointer,"Ref",?X) ^X (Val,"v",?Y) -> T'
+    config = ClusterConfig(flight_recorder=FlightRecorderConfig(capacity=256))
+    with make_cluster("async", 2, config=config) as cluster:
+        good = pointing_at(cluster, 7)
+        bad = pointing_at(cluster, [7])
+        assert len(cluster.run_query(binding, [good], timeout_s=10).result.oids) == 1
+
+        with pytest.raises(TerminationLost):
+            cluster.run_query(binding, [bad], timeout_s=1.0)
+        assert cluster.total_stats().site_errors == 1
+        assert "site_error:TypeError" in cluster.flight_recorder.dump_reasons
+
+        after = cluster.run_query(binding, [good], timeout_s=10)
+        assert len(after.result.oids) == 1
+        assert deficit_of(cluster, after.qid) == 0
+        assert not any(node.has_work for node in cluster.nodes.values())

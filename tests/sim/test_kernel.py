@@ -80,6 +80,17 @@ class TestCancellation:
         h.cancel()
         assert sim.pending == 1
 
+    def test_a_cancelled_entry_never_fires_when_stepped(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1.0, lambda: fired.append("cancelled"))
+        sim.schedule(1.0, lambda: fired.append("kept"))
+        handle.cancel()
+        assert handle.cancelled and handle.time == 1.0
+        while sim.step():
+            pass
+        assert fired == ["kept"] and sim.events_fired == 1
+
 
 class TestRunControls:
     def test_run_until_stops_clock(self):
@@ -102,9 +113,82 @@ class TestRunControls:
         sim.run(max_events=10)
         assert sim.events_fired == 10
 
+    def test_max_events_counts_logical_events(self):
+        sim = Simulator()
+
+        def rearm():
+            sim.schedule(1.0, rearm)
+            sim.advance(sim.now + 0.5, 1)  # a coalesced event counts too
+
+        sim.schedule(1.0, rearm)
+        sim.run(max_events=10)
+        assert sim.events_fired == 10
+
+    def test_stop_ends_the_running_drain_after_the_current_event(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: (fired.append(1), sim.stop()))
+        sim.schedule(2.0, lambda: fired.append(2))
+        sim.run()
+        assert fired == [1] and sim.pending == 1
+        sim.run()
+        assert fired == [1, 2]
+
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
 
     def test_run_empty_returns_current_time(self):
         sim = Simulator()
         assert sim.run() == 0.0
+
+
+class TestAdvance:
+    def _draining(self, sim, probe, **limits):
+        """Call ``probe`` from inside ``sim.run(**limits)``; return its result."""
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(probe()))
+        sim.run(**limits)
+        return seen[0]
+
+    @staticmethod
+    def _advance(sim, time, events):
+        """A probe: try ``advance``, then read the clock and the count."""
+        return lambda: (sim.advance(time, events), sim.now, sim.events_fired)
+
+    def test_advances_when_nothing_is_due_first(self):
+        sim = Simulator()
+        sim.schedule(5.0, lambda: None)
+        assert self._draining(sim, self._advance(sim, 2.0, 2)) == (True, 2.0, 3)
+
+    def test_refuses_an_equal_timestamp(self):
+        sim = Simulator()
+        sim.schedule(2.0, lambda: None)
+        assert self._draining(sim, self._advance(sim, 2.0, 1)) == (False, 1.0, 1)
+
+    def test_cancelled_entries_do_not_block_it(self):
+        sim = Simulator()
+        sim.schedule(1.5, lambda: None).cancel()
+        assert self._draining(sim, lambda: sim.advance(2.0, 1)) is True
+
+    def test_refuses_past_until(self):
+        sim = Simulator()
+        assert self._draining(sim, lambda: sim.advance(3.0, 1), until=2.0) is False
+        assert self._draining(sim, lambda: sim.advance(sim.now + 1.0, 1), until=10.0) is True
+
+    def test_refuses_past_max_events(self):
+        sim = Simulator()
+        assert self._draining(sim, lambda: sim.advance(2.0, 2), max_events=2) is False
+        assert self._draining(sim, lambda: sim.advance(sim.now + 1.0, 1), max_events=2) is True
+
+    def test_refuses_under_a_policy(self):
+        sim = Simulator()
+        sim.set_policy(lambda live: 0)
+        assert self._draining(sim, lambda: sim.advance(2.0, 1)) is False
+
+    def test_refuses_outside_a_drain_loop(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(sim.advance(2.0, 1)))
+        assert sim.step() and seen == [False]
+        assert sim.advance(2.0, 1) is False
+        assert sim.now == 1.0 and sim.events_fired == 1

@@ -1,9 +1,12 @@
 """Tests for the exception hierarchy."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro import errors
 from repro.core.oid import Oid
+from repro.termination.weights import Credit
 
 
 class TestHierarchy:
@@ -58,3 +61,24 @@ class TestMessages:
     def test_unknown_site_and_unavailable(self):
         assert "siteX" in str(errors.UnknownSite("siteX"))
         assert "siteY" in str(errors.SiteUnavailable("siteY"))
+
+
+class TestTerminationLostDeficit:
+    """A credit lost very deep in a chain still yields the typed error: the
+    decimal form of ``1/2**15000`` is past CPython's 4 300-digit limit."""
+
+    def test_small_deficit_prints_as_a_ratio(self):
+        assert "credit deficit 1/8" in str(errors.TerminationLost("q", deficit=Fraction(1, 8)))
+
+    def test_deep_fraction_deficit_falls_back_to_hex(self):
+        exc = errors.TerminationLost("q", deficit=Fraction(1, 2**15000))
+        assert exc.deficit == Fraction(1, 2**15000)
+        assert "credit deficit 0x1/2**15000" in str(exc)
+
+    def test_deep_credit_deficit_falls_back_to_hex(self):
+        exc = errors.TerminationLost("q", deficit=Credit(1, 15000))
+        assert "credit deficit 0x1/2**15000" in str(exc)
+
+    def test_deep_non_dyadic_deficit_prints_both_terms_in_hex(self):
+        exc = errors.TerminationLost("q", deficit=Fraction(1, 3**10000))
+        assert f"credit deficit 0x1/{3**10000:#x}" in str(exc)
