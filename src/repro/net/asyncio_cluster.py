@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import logging
 import threading
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Union
@@ -68,13 +67,11 @@ from ..server.node import ServerNode
 from ..sim.costs import FREE_COSTS
 from ..storage.memstore import MemStore
 from ..termination.base import make_strategy
-from .common import WallClockQueries
+from .common import WallClockQueries, contain_site_error
 
 #: How many node steps a drain task runs before yielding the loop, so
 #: one busy site cannot starve its peers' I/O on the shared loop.
 _STEPS_PER_YIELD = 16
-
-_log = logging.getLogger(__name__)
 
 
 class _TimerHandle:
@@ -216,7 +213,9 @@ class _AsyncSite:
     # -- processing (event-loop thread only) ----------------------------
 
     async def drain(self) -> None:
-        """The site's server loop: one envelope in, step until idle."""
+        """The site's server loop: the site-loop rule of
+        :mod:`repro.net.common`, as a coroutine that yields every
+        ``_STEPS_PER_YIELD`` steps so sites on the shared loop interleave."""
         node = self.node
         cluster = self.cluster
         while True:
@@ -259,23 +258,12 @@ class _AsyncSite:
                                 await self.up_event.wait()
                     break
                 except Exception as exc:  # noqa: BLE001 — one bad message or step must not end the site
-                    self._contain(exc)
+                    contain_site_error(node, cluster.flight_recorder, exc)
                     # Resume after the envelope or step that raised; yield
                     # first, so even a raise that recurs cannot hog the loop.
                     await asyncio.sleep(0)
             for out in outgoing:
                 self._send(out)
-
-    def _contain(self, exc: Exception) -> None:
-        """Log and count a raise from ``on_message`` / ``step``, snapshot
-        the flight recorder if one is armed, and restore the node's work
-        counters the interrupted call may have left stale."""
-        _log.error("site %s: contained a raise and keeps serving", self.name, exc_info=exc)
-        self.node.stats.site_errors += 1
-        self.node.recount_work()
-        recorder = self.cluster.flight_recorder
-        if recorder is not None:
-            recorder.dump("", f"site_error:{type(exc).__name__}", site=self.name)
 
     def submit(
         self,

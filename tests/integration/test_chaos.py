@@ -219,4 +219,4 @@ class TestCrashSchedules:
             assert len(cluster.undeliverable) == 1
             assert cluster.undeliverable[0].dst == "ghost"
             # Threads are all still alive.
-            assert all(t.thread.is_alive() for t in cluster._threads.values())
+            assert all(t.thread.is_alive() for t in cluster._loops.values())

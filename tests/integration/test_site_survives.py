@@ -1,8 +1,10 @@
 """A site outlives the messages it cannot send, and the ones it cannot take.
 
 Regressions on the ``async`` transport, inline and with one process per
-site (CI job ``site-survives`` runs this file alone under a two-minute
-timeout, so a site that dies again fails by name):
+site, and — for a raise inside the site loop — on the thread-backed
+``threaded`` and ``sockets`` transports (CI job ``site-survives`` runs
+this file under a two-minute timeout, so a site that dies again fails by
+name):
 
 * an envelope the codec cannot encode used to raise out of the site's
   drain task, which died silently — that query waited out its timeout and
@@ -11,7 +13,8 @@ timeout, so a site that dies again fails by name):
   envelope (its credit denominator outgrew the codec's integer bound);
 * anything ``on_message`` or ``step`` raised inside the drain task — a
   well-formed frame the node rejects, a value the engine cannot bind —
-  killed the task the same way.
+  killed the task the same way, and killed a thread-backed site's worker
+  thread too.
 """
 
 import socket
@@ -27,7 +30,7 @@ from repro.core.program import compile_query
 from repro.core.tuples import HFTuple, keyword_tuple, pointer_tuple
 from repro.errors import TerminationLost
 from repro.net.codec import FRAME_HEADER, MAX_VALUE_DEPTH, encode_envelope
-from repro.net.messages import Envelope, QueryId, ResultBatch
+from repro.net.messages import DerefRequest, Envelope, QueryId, ResultBatch
 from repro.tracing import FlightRecorderConfig
 from tests.integration.test_cluster_api_conformance import deficit_of
 
@@ -42,9 +45,12 @@ for _ in range(MAX_VALUE_DEPTH - 1):
     TOO_DEEP_TO_SHIP = (TOO_DEEP_TO_SHIP,)
 
 DEPLOYMENTS = [
-    pytest.param(None, id="inline"),
-    pytest.param(ClusterConfig(processes=True), id="procs"),
+    pytest.param("async", None, id="inline"),
+    pytest.param("async", ClusterConfig(processes=True), id="procs"),
 ]
+
+#: The transports whose sites run the shared thread loop.
+THREAD_SITES = ("threaded", "sockets")
 
 
 def pointing_at(cluster, value):
@@ -55,9 +61,9 @@ def pointing_at(cluster, value):
     return cluster.store(first).create([pointer_tuple("Ref", target.oid)]).oid
 
 
-@pytest.mark.parametrize("config", DEPLOYMENTS)
-def test_unencodable_result_costs_one_query_not_the_site(config):
-    with make_cluster("async", 2, config=config) as cluster:
+@pytest.mark.parametrize("transport, config", DEPLOYMENTS)
+def test_unencodable_result_costs_one_query_not_the_site(transport, config):
+    with make_cluster(transport, 2, config=config) as cluster:
         good = pointing_at(cluster, 7)
         bad = pointing_at(cluster, TOO_DEEP_TO_SHIP)
 
@@ -119,9 +125,14 @@ def test_five_thousand_hop_chain_completes():
 
 
 def send_raw(cluster, dst, payload):
-    """Frame ``payload`` as if another site sent it and write it straight
-    to ``dst``'s inter-site port."""
-    frame = encode_envelope(Envelope(cluster.sites[0], dst, payload))
+    """Hand ``payload`` to ``dst`` as if another site sent it: framed and
+    written straight to its inter-site port, or, on the threaded
+    transport, which has no port, put straight into its inbox."""
+    env = Envelope(cluster.sites[0], dst, payload)
+    if not hasattr(cluster, "port_of"):
+        cluster._loops[dst].inbox.put(env)
+        return
+    frame = encode_envelope(env)
     with socket.create_connection((cluster.config.host, cluster.port_of(dst))) as sock:
         sock.sendall(FRAME_HEADER.pack(len(frame)) + frame)
 
@@ -134,9 +145,11 @@ def wait_for_site_errors(cluster, count):
     assert cluster.total_stats().site_errors == count
 
 
-@pytest.mark.parametrize("config", DEPLOYMENTS)
-def test_a_message_that_raises_costs_that_message_not_the_site(config):
-    with make_cluster("async", 2, config=config) as cluster:
+@pytest.mark.parametrize(
+    "transport, config", DEPLOYMENTS + [pytest.param(t, None, id=t) for t in THREAD_SITES]
+)
+def test_a_message_that_raises_costs_that_message_not_the_site(transport, config):
+    with make_cluster(transport, 2, config=config) as cluster:
         good = pointing_at(cluster, 7)
         assert cluster.run_query(RETRIEVE, [good], timeout_s=10).result.retrieved["T"] == [7]
 
@@ -151,13 +164,22 @@ def test_a_message_that_raises_costs_that_message_not_the_site(config):
 
 
 def test_a_step_that_raises_costs_that_query_not_the_site():
+    check_a_step_that_raises("async")
+
+
+@pytest.mark.parametrize("transport", THREAD_SITES)
+def test_a_step_that_raises_costs_that_query_not_the_thread_site(transport):
+    check_a_step_that_raises(transport)
+
+
+def check_a_step_that_raises(transport):
     """Binding a list (unhashable) raises inside the engine, part-way
     through a step.  That query's credit is lost — it fails typed at its
     timeout — and the site's work counters are restored, so it serves the
     next query instead of spinning on work it no longer holds."""
     binding = 'S (Pointer,"Ref",?X) ^X (Val,"v",?Y) -> T'
     config = ClusterConfig(flight_recorder=FlightRecorderConfig(capacity=256))
-    with make_cluster("async", 2, config=config) as cluster:
+    with make_cluster(transport, 2, config=config) as cluster:
         good = pointing_at(cluster, 7)
         bad = pointing_at(cluster, [7])
         assert len(cluster.run_query(binding, [good], timeout_s=10).result.oids) == 1
@@ -171,3 +193,31 @@ def test_a_step_that_raises_costs_that_query_not_the_site():
         assert len(after.result.oids) == 1
         assert deficit_of(cluster, after.qid) == 0
         assert not any(node.has_work for node in cluster.nodes.values())
+
+
+@pytest.mark.parametrize("transport", THREAD_SITES)
+def test_a_raise_mid_burst_costs_that_envelope_not_the_rest_of_the_burst(transport, monkeypatch):
+    """A frame the node rejects, released to a frozen site between the work
+    envelopes of a live query: the envelopes behind it in the same burst
+    are still served, and the query's work there still drains once."""
+    with make_cluster(transport, 2) as cluster:
+        first, second = cluster.sites
+        seeds = [cluster.store(second).create([keyword_tuple("K")]).oid for _ in range(4)]
+        held = []
+        monkeypatch.setattr(cluster._loops[first], "_send", held.append)
+        qid = cluster.submit('S (Keyword,"K",?) -> T', seeds)
+        monkeypatch.undo()
+        assert [type(env.payload) for env in held] == [DerefRequest] * len(seeds)
+
+        rejected = Envelope(first, second, ResultBatch(QueryId(10**6, first)))
+        inbox = cluster._loops[second].inbox
+        cluster.set_down(second)
+        for env in held[:1] + [rejected] + held[1:]:
+            inbox.put(env)
+        cluster.set_up(second)
+
+        outcome = cluster.wait(qid, timeout_s=10)
+        assert outcome.result.oid_keys() == {oid.key() for oid in seeds}
+        assert cluster.total_stats().site_errors == 1
+        assert cluster.node(second).stats.drains == 1
+        assert deficit_of(cluster, outcome.qid) == 0

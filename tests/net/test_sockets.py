@@ -124,3 +124,25 @@ class TestFraming:
         finally:
             a.close()
             b.close()
+
+
+class TestSiteLoopTakesWholeBursts:
+    """The socket twin of the threaded burst regression: the worker loop is
+    the same :class:`~repro.net.common.ThreadSite`."""
+
+    def test_a_held_burst_drains_once(self, monkeypatch):
+        from tests.net.test_threaded import (
+            SELECT_K,
+            check_burst_drained_once,
+            release_as_one_burst,
+            seeds_on_second_site,
+        )
+
+        with SocketCluster(2) as cluster:
+            seeds = seeds_on_second_site(cluster)
+            held = []
+            monkeypatch.setattr(cluster._loops[cluster.sites[0]], "_send", held.append)
+            qid = cluster.submit(SELECT_K, seeds)
+            monkeypatch.undo()
+            release_as_one_burst(cluster, cluster._loops[cluster.sites[1]].inbox, held)
+            check_burst_drained_once(cluster, qid, seeds, held)

@@ -5,12 +5,45 @@ import pytest
 from repro.core.parser import parse_query
 from repro.core.program import compile_query
 from repro.core.tuples import keyword_tuple, pointer_tuple
+from repro.net.messages import DerefRequest
 from repro.net.threaded import ThreadedCluster
 from repro.workload import WorkloadSpec, build_graph, closure_query, materialize
+
+#: Work envelopes held back and released to one site as a single burst.
+BURST = 8
+SELECT_K = 'S (Keyword,"K",?) -> T'
 
 
 def prog(text):
     return compile_query(parse_query(text))
+
+
+def seeds_on_second_site(cluster, n=BURST):
+    store = cluster.store(cluster.sites[1])
+    return [store.create([keyword_tuple("K")]).oid for _ in range(n)]
+
+
+def release_as_one_burst(cluster, inbox, held):
+    """Freeze the second site, queue ``held`` straight onto its inbox (past
+    the router, which would bounce them off a down site), then thaw it."""
+    site = cluster.sites[1]
+    cluster.set_down(site)
+    for env in held:
+        inbox.put(env)
+    cluster.set_up(site)
+
+
+def check_burst_drained_once(cluster, qid, seeds, held):
+    """The held burst was the query's whole work at the second site: W
+    emptied there once, and at most one ``ResultBatch`` went home."""
+    assert len(held) == len(seeds)
+    assert all(isinstance(env.payload, DerefRequest) for env in held)
+    outcome = cluster.wait(qid, timeout_s=10)
+    assert outcome.result.oid_keys() == {oid.key() for oid in seeds}
+    stats = cluster.node(cluster.sites[1]).stats
+    assert stats.objects_processed == len(seeds)
+    assert stats.drains == 1
+    assert stats.messages_sent.get("ResultBatch", 0) <= 1
 
 
 class TestThreadedQueries:
@@ -85,3 +118,19 @@ class TestThreadedQueries:
         cluster = ThreadedCluster(2)
         cluster.close()
         cluster.close()
+
+
+class TestSiteLoopTakesWholeBursts:
+    """A site hands the node every envelope already in its inbox before it
+    steps, so W empties — and the site ships its results home — once per
+    burst, not once per envelope (the site-loop rule, repro.net.common)."""
+
+    def test_a_held_burst_drains_once(self, monkeypatch):
+        with ThreadedCluster(2) as cluster:
+            seeds = seeds_on_second_site(cluster)
+            held = []
+            monkeypatch.setattr(cluster, "route", held.append)
+            qid = cluster.submit(SELECT_K, seeds)
+            monkeypatch.undo()
+            release_as_one_burst(cluster, cluster._loops[cluster.sites[1]].inbox, held)
+            check_burst_drained_once(cluster, qid, seeds, held)

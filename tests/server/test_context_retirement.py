@@ -281,7 +281,7 @@ class TestDeadlineWithBusyParticipants:
                     break
                 time.sleep(0.01)
             assert outcome.qid not in site1.contexts
-            assert all(t.thread.is_alive() for t in cluster._threads.values())
+            assert all(t.thread.is_alive() for t in cluster._loops.values())
             assert credit_deficit(cluster.nodes, outcome.qid) == 0
             again = cluster.run_query(CLOSURE, [root], timeout_s=30.0)
             assert not again.result.partial and len(again.result.oids) == total
