@@ -11,7 +11,7 @@ whether parallelism can pay.
 
 The numbers land in ``BENCH_procscale.json`` at the repo root; the CI
 ``proc-conformance-smoke`` job regenerates and uploads them.  The
-tracked claim — **process-mode qps >= max(threaded, sockets) qps at
+tracked claim — **process-mode qps >= max(threaded, async) qps at
 saturation** — is asserted only on genuinely multi-core hosts (4+
 CPUs): on one or two cores process mode is all overhead and no
 parallelism, and the recorded numbers say so honestly.
@@ -52,7 +52,6 @@ OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_procscale.jso
 
 DEPLOYMENTS = {
     "threaded": lambda: make_cluster("threaded", MACHINES),
-    "sockets": lambda: make_cluster("sockets", MACHINES),
     "async": lambda: make_cluster("async", MACHINES),
     "async+procs": lambda: make_cluster(
         "async", MACHINES, config=ClusterConfig(processes=True)
@@ -143,7 +142,7 @@ def test_process_mode_scales_past_the_gil(benchmark):
     # 4+ cores the per-site processes must out-saturate the transports
     # serialised by one interpreter lock.
     if cores >= MIN_CORES_FOR_CLAIM:
-        gil_bound = max(rows["threaded"]["qps"], rows["sockets"]["qps"])
+        gil_bound = max(rows["threaded"]["qps"], rows["async"]["qps"])
         assert rows["async+procs"]["qps"] >= gil_bound, (
             f"process mode slower than GIL-bound transports on {cores} cores: "
             f"{rows['async+procs']['qps']:.1f} < {gil_bound:.1f} qps"

@@ -2,7 +2,7 @@
 
 The simulated cluster charges the paper's 1990 costs; this bench measures
 what the same distributed algorithm costs *today*, end to end, on the two
-real transports — threads+queues (objects by reference) and TCP sockets
+real transports — threads+queues (objects by reference) and asyncio TCP
 (real encoded frames) — in host wall-clock time.  The point: a full
 cross-site closure query, including termination detection, completes in
 milliseconds; the paper's measured seconds were the era's hardware, not
@@ -12,7 +12,7 @@ the algorithm.
 import pytest
 
 from repro.core.program import compile_query
-from repro.net.sockets import SocketCluster
+from repro.net.asyncio_cluster import AsyncCluster
 from repro.net.threaded import ThreadedCluster
 from repro.workload import WorkloadSpec, build_graph, closure_query, materialize
 
@@ -21,30 +21,15 @@ GRAPH = build_graph(n=90)
 PROGRAM = compile_query(closure_query("Tree", "Rand10p", 5))
 
 
-@pytest.fixture(scope="module")
-def threaded_cluster():
-    cluster = ThreadedCluster(3)
+@pytest.fixture(scope="module", params=[ThreadedCluster, AsyncCluster], ids=["threaded", "async"])
+def loaded_cluster(request):
+    cluster = request.param(3)
     workload = materialize(SPEC, [cluster.store(s) for s in cluster.sites], graph=GRAPH)
     yield cluster, workload
     cluster.close()
 
 
-@pytest.fixture(scope="module")
-def socket_cluster():
-    cluster = SocketCluster(3)
-    workload = materialize(SPEC, [cluster.store(s) for s in cluster.sites], graph=GRAPH)
-    yield cluster, workload
-    cluster.close()
-
-
-def test_threaded_transport(benchmark, threaded_cluster):
-    cluster, workload = threaded_cluster
+def test_transport(benchmark, loaded_cluster):
+    cluster, workload = loaded_cluster
     outcome = benchmark(lambda: cluster.run_query(PROGRAM, [workload.root]))
     assert len(outcome.result.oids) > 0
-
-
-def test_socket_transport(benchmark, socket_cluster):
-    cluster, workload = socket_cluster
-    outcome = benchmark(lambda: cluster.run_query(PROGRAM, [workload.root]))
-    assert len(outcome.result.oids) > 0
-    assert cluster.bytes_on_the_wire() > 0

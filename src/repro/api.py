@@ -3,8 +3,8 @@
 The reproduction has three ways to run the same server algorithm — the
 discrete-event :class:`~repro.cluster.SimCluster` (calibrated virtual
 time), the :class:`~repro.net.threaded.ThreadedCluster` (real threads,
-objects by reference) and the :class:`~repro.net.sockets.SocketCluster`
-(real TCP frames).  Historically each grew its own client surface; this
+objects by reference) and the :class:`~repro.net.asyncio_cluster.AsyncCluster`
+(real TCP frames, optionally one process per site).  Historically each grew its own client surface; this
 module pins down the one contract they all satisfy, so a scenario script
 written against :class:`ClusterAPI` runs unchanged on any of them:
 
@@ -292,7 +292,6 @@ def _builtin(module: str, cls: str) -> TransportFactory:
 
 register_transport("sim", _builtin("repro.cluster", "SimCluster"))
 register_transport("threaded", _builtin("repro.net.threaded", "ThreadedCluster"))
-register_transport("sockets", _builtin("repro.net.sockets", "SocketCluster"))
 register_transport("async", _builtin("repro.net.asyncio_cluster", "AsyncCluster"))
 
 

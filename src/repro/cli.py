@@ -12,7 +12,7 @@ Nine subcommands::
     python -m repro qos-stats [-n Q]     # admission / shed / backpressure counters under a burst
     python -m repro explore [-n RUNS]    # schedule-exploration sweep with crash injection
 
-Every subcommand takes ``--transport`` (sim, threaded, sockets, async);
+Every subcommand takes ``--transport`` (sim, threaded, async);
 ``trace``, ``profile`` and ``top`` additionally take ``--processes`` to
 run the async transport in one-OS-process-per-site mode, exercising the
 cross-process telemetry plane (span shipping, streamed stats, flight

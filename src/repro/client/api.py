@@ -42,8 +42,7 @@ class HyperFile:
     ``transport`` selects the deployment behind the same session API,
     resolved through the :mod:`repro.api` transport registry: ``"sim"``
     (default — discrete-event, calibrated virtual time), ``"threaded"``
-    (real threads, objects by reference), ``"sockets"`` (real TCP frames
-    on loopback, one thread per connection) or ``"async"`` (framed TCP
+    (real threads, objects by reference) or ``"async"`` (framed TCP
     on an asyncio event loop; ``ClusterConfig(processes=True)`` runs one
     OS process per site).  Third-party transports registered with
     :func:`repro.api.register_transport` work here too.  Every transport

@@ -2,10 +2,10 @@
 
 The facade and the transports historically grew one keyword argument per
 subsystem (``batching=``, ``caching=``, ``replication=``, ``qos=`` ...).
-Four transports times seven knobs is a combinatorial kwarg pile, and the
+Three transports times seven knobs is a combinatorial kwarg pile, and the
 asyncio transport adds more (process mode, bind host, reconnect pacing).
 :class:`ClusterConfig` freezes all of it into a single value object that
-:class:`~repro.client.api.HyperFile` and all four cluster constructors
+:class:`~repro.client.api.HyperFile` and all three cluster constructors
 accept uniformly::
 
     config = ClusterConfig(batching=BatchConfig(), qos=QoSConfig())
@@ -46,8 +46,8 @@ DEPRECATED_KWARGS: Tuple[str, ...] = ("batching", "caching", "replication", "qos
 class ClusterConfig:
     """Everything a HyperFile deployment can be configured with.
 
-    One frozen value accepted by ``HyperFile`` and all four transports
-    (``sim`` / ``threaded`` / ``sockets`` / ``async``).  Fields a given
+    One frozen value accepted by ``HyperFile`` and all three transports
+    (``sim`` / ``threaded`` / ``async``).  Fields a given
     transport does not implement must stay at their defaults there —
     the transport rejects the config otherwise rather than silently
     ignoring it.

@@ -1,10 +1,10 @@
 """Asyncio transport: framed TCP with persistent connections.
 
-The fourth :class:`~repro.api.ClusterAPI` transport.  Sites speak the
-same wire format as the socket transport — envelopes from
-:mod:`repro.net.codec`, framed as 4-byte big-endian length + payload —
-but the I/O runs on :class:`asyncio.Protocol` machinery instead of
-blocking sockets and per-connection reader threads:
+The one :class:`~repro.api.ClusterAPI` transport whose sites exchange
+real bytes (the paper's prototype used "UDP and TCP/IP ... for
+inter-process communication").  Envelopes are serialised with
+:mod:`repro.net.codec`, framed as 4-byte big-endian length + payload,
+and the I/O runs on :class:`asyncio.Protocol` machinery:
 
 * every site runs a frame server; inbound chunks stream through the
   codec's :class:`~repro.net.codec.FrameReader`, whose fast path hands
@@ -27,7 +27,7 @@ multi-core parallelism, with the same capability surface — replication,
 the reliable channel, fault plans, migration and telemetry all ride the
 parent↔child control channel instead of shared memory.
 
-Fault semantics mirror the socket transport exactly: a
+Fault semantics mirror the threaded transport's: a
 :class:`~repro.faults.plan.FaultPlan` drops/delays frames at the
 sender, ``set_down`` freezes a site's drain task (already-delivered
 frames survive and are processed after ``set_up``) and makes every

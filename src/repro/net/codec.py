@@ -1,11 +1,11 @@
 """Binary wire codec for HyperFile messages.
 
-The paper's prototype spoke UDP/TCP between PC/RTs; the in-process
-transports pass Python objects by reference, but the socket transport
-(:mod:`repro.net.sockets`) needs real bytes.  This codec serialises the
-four inter-site message types — and everything reachable from them:
-programs, patterns, work items, oids, termination credit — into a compact
-tag-length-value format.
+The paper's prototype spoke UDP/TCP between PC/RTs; the simulated and
+threaded transports pass Python objects by reference, but the asyncio
+transport (:mod:`repro.net.asyncio_cluster`) needs real bytes.  This
+codec serialises the four inter-site message types — and everything
+reachable from them: programs, patterns, work items, oids, termination
+credit — into a compact tag-length-value format.
 
 Design notes:
 
@@ -901,7 +901,7 @@ def decode_message(frame: bytes) -> Any:
 
 
 # --------------------------------------------------------------------------
-# envelopes (socket framing)
+# envelopes (the inter-site wire)
 # --------------------------------------------------------------------------
 
 
@@ -914,7 +914,7 @@ _PRIORITY_CODES = ("interactive", "batch")
 def encode_envelope(env: Envelope) -> bytes:
     """Serialise an envelope: sender, trace-span context, then the message.
 
-    The socket transport frames these (length-prefixed) on the wire; the
+    The asyncio transport frames these (length-prefixed) on the wire; the
     span block is how tracing causality crosses a real TCP connection.  A
     span count of zero means "untraced" (``spans=None``), matching the
     in-process transports bit for bit.  Span entries of ``0`` are per-item
@@ -1000,7 +1000,7 @@ def decode_envelope(frame: bytes, dst: str) -> Envelope:
 
 
 #: Frame header: a 4-byte big-endian payload length.  Shared by the
-#: socket and asyncio transports so their wire formats are identical.
+#: inter-site links and the process-mode control channel.
 FRAME_HEADER = struct.Struct(">I")
 
 #: Upper bound on one frame's payload — anything larger is treated as

@@ -1,17 +1,16 @@
 """Shared machinery for the wall-clock transports.
 
-The threaded and socket clusters expose the same blocking query contract
-as the simulator (see :class:`repro.api.ClusterAPI`); this module holds
-the pieces they would otherwise duplicate — the completion-wait loop
-with originator-side deadlines, :class:`WallClockQueries`, the whole
-submit/wait/run_query surface parameterised over how a transport reaches
-its sites, and, for the thread-backed transports, :class:`ThreadSite`
-(the site loop) and :class:`ThreadSiteCluster` (availability, crash
-schedules and dispatch over those loops).
+The threaded and asyncio clusters (inline and process mode) expose the
+same blocking query contract as the simulator (see
+:class:`repro.api.ClusterAPI`); this module holds the pieces they would
+otherwise duplicate — the completion-wait loop with originator-side
+deadlines, :func:`contain_site_error`, and :class:`WallClockQueries`, the
+whole submit/wait/run_query surface parameterised over how a transport
+reaches its sites.
 
 **The site-loop rule.**  Every wall-clock transport serves a site the
-same way (:meth:`ThreadSite.serve` on a thread, ``_AsyncSite.drain`` as a
-coroutine, which must yield):
+same way (``_SiteLoop.serve`` in :mod:`repro.net.threaded` on a thread,
+``_AsyncSite.drain`` as a coroutine, which must yield):
 
 1. block for the first envelope; while the site is down, hold it until
    ``set_up`` — a frozen site keeps what was delivered to it, never
@@ -30,19 +29,15 @@ coroutine, which must yield):
 from __future__ import annotations
 
 import logging
-import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..api import OutcomeTable, QueryLike, QueryOutcome, compile_query_like, credit_deficit
 from ..core.oid import Oid
 from ..core.program import Program
 from ..engine.results import QueryResult
-from ..faults.plan import FaultPlan
-from ..faults.reliable import ReliableAck, ReliableConfig, ReliableData, ReliableEndpoint
-from ..faults.timers import TimerThread
 from ..errors import (
     ConfigError,
     HyperFileError,
@@ -57,14 +52,10 @@ from ..membership import UP, MembershipService, MembershipView, Rebalancer
 from ..qos import PRIORITIES, ClientLimiter, QoSConfig
 from ..server.node import ServerNode
 from ..server.stats import NodeStats
-from ..storage.memstore import MemStore
-from .messages import Envelope, QueryId
+from .messages import QueryId
 
 #: Default hard backstop for blocking waits on the real transports.
 DEFAULT_TIMEOUT_S = 30.0
-
-#: How often a down thread-backed site looks for its ``set_up``.
-_DOWN_POLL_S = 0.01
 
 _log = logging.getLogger(__name__)
 
@@ -78,104 +69,6 @@ def contain_site_error(node: ServerNode, flight_recorder, exc: Exception) -> Non
     node.recount_work()
     if flight_recorder is not None:
         flight_recorder.dump("", f"site_error:{type(exc).__name__}", site=node.site)
-
-
-class ThreadSite:
-    """One site of a thread-backed transport: an inbox queue served by one
-    worker thread under the site-loop rule (module docstring).
-
-    ``None`` in the inbox only wakes the loop (a submit's nudge,
-    ``set_up``, ``stop``).  ``lock`` guards the node against the client
-    threads that submit or expire queries.  Outgoing envelopes go through
-    :meth:`_send`, and one wire transmission (what the reliable channel
-    retransmits) through :meth:`_send_raw`; they default to the cluster's
-    ``route`` and ``_route_raw``.
-    """
-
-    def __init__(self, node: ServerNode, cluster, thread_name: str) -> None:
-        self.node = node
-        self.cluster = cluster
-        self.inbox: "queue.Queue[Optional[Envelope]]" = queue.Queue()
-        self.lock = threading.Lock()
-        self.stopped = threading.Event()
-        self.thread = threading.Thread(target=self.serve, name=thread_name, daemon=True)
-
-    def start(self) -> None:
-        self.thread.start()
-
-    def stop(self) -> None:
-        self.stopped.set()
-        self.inbox.put(None)  # wake the loop
-
-    def _send(self, env: Envelope) -> None:
-        self.cluster.route(env)
-
-    def _send_raw(self, env: Envelope) -> None:
-        self.cluster._route_raw(env)
-
-    def submit(
-        self,
-        qid: QueryId,
-        program: Program,
-        initial: List[Oid],
-        priority: Optional[str] = None,
-        tenant: Optional[str] = None,
-    ) -> None:
-        with self.lock:
-            report = self.node.submit(qid, program, initial, priority=priority, tenant=tenant)
-        for env in report.outgoing:
-            self._send(env)
-        self.inbox.put(None)  # nudge: local work may now exist
-
-    def submit_from_saved(self, qid: QueryId, program: Program, source_qid: QueryId) -> None:
-        with self.lock:
-            report = self.node.submit_from_saved(qid, program, source_qid, self.cluster.sites)
-        for env in report.outgoing:
-            self._send(env)
-        self.inbox.put(None)
-
-    def expire(self, qid: QueryId) -> None:
-        with self.lock:
-            report = self.node.expire_query(qid)
-        for env in report.outgoing:
-            self._send(env)
-
-    def serve(self) -> None:
-        """The worker thread: one burst per wake (see the module docstring)."""
-        node = self.node
-        cluster = self.cluster
-        inbox = self.inbox
-        stopped = self.stopped
-        while True:
-            burst = [inbox.get()]
-            while cluster.is_down(node.site) and not stopped.is_set():
-                time.sleep(_DOWN_POLL_S)
-            if stopped.is_set():
-                return
-            while True:
-                try:
-                    burst.append(inbox.get_nowait())
-                except queue.Empty:
-                    break
-            outgoing: List[Envelope] = []
-            arrivals = iter(burst)
-            with self.lock:
-                while True:
-                    try:
-                        for env in arrivals:
-                            if env is None:
-                                continue
-                            if isinstance(env.payload, (ReliableData, ReliableAck)):
-                                cluster._reliable_ingest(env)
-                            else:
-                                node.on_message(env)
-                        while node.has_work:
-                            outgoing.extend(node.step().outgoing)
-                        break
-                    except Exception as exc:  # noqa: BLE001 — one bad message or step must not end the site
-                        contain_site_error(node, cluster.flight_recorder, exc)
-            for env in outgoing:
-                self._send(env)
 
 
 def await_completion(
@@ -234,8 +127,8 @@ class WallClockQueries:
     ``_dispatch_*`` hooks plus ``nodes`` and an ``undeliverable`` list;
     everything client-visible — qid allocation, the in-flight registry
     that carries ``deadline_s`` across the submit/wait split, outcome
-    construction, the uniform failure types — lives here, so the two
-    real transports cannot drift apart.
+    construction, the uniform failure types — lives here, so the real
+    transports cannot drift apart.
     """
 
     # Provided by the concrete transport (listed for readability):
@@ -733,184 +626,3 @@ class WallClockQueries:
             ),
         )
         self._outcomes.put(qid, outcome)
-
-
-class ThreadSiteCluster(WallClockQueries):
-    """The cluster side of the thread-backed transports: availability,
-    crash schedules, reliable-channel plumbing and the dispatch hooks,
-    over ``_loops``, one :class:`ThreadSite` per site.
-
-    A concrete transport calls :meth:`_init_thread_sites`, builds its
-    nodes and loops, then calls :meth:`_start`; it supplies the reliable
-    channel's ``_give_up``.
-    """
-
-    def _init_thread_sites(self, qos: Optional[QoSConfig]) -> None:
-        self.stores: Dict[str, MemStore] = {}
-        self.nodes: Dict[str, ServerNode] = {}
-        self._loops: Dict[str, ThreadSite] = {}
-        self._init_queries(qos)
-        self._closed = False
-        self._down: set = set()
-        self._down_lock = threading.Lock()
-        self._timers: Optional[TimerThread] = None
-        self._timers_lock = threading.Lock()
-        self.fault_plan: Optional[FaultPlan] = None
-        self._endpoints: Optional[Dict[str, ReliableEndpoint]] = None
-        self._reliable_config: Optional[ReliableConfig] = None
-        self.messages_dropped = 0
-        #: Envelopes that could not be delivered, recorded instead of
-        #: raised from a site thread.
-        self.undeliverable: List[Envelope] = []
-
-    def _start(self, config) -> None:
-        """Arm membership and telemetry, start every site loop, then the
-        reliable channel and the fault plan ``config`` asks for."""
-        self._init_membership(config)
-        self._init_telemetry(config)
-        for loop in self._loops.values():
-            loop.start()
-        if config.reliable:
-            reliable = config.reliable
-            self.enable_reliable(reliable if isinstance(reliable, ReliableConfig) else None)
-        if config.fault_plan is not None:
-            self.use_faults(config.fault_plan)
-
-    # -- lifecycle -------------------------------------------------------
-
-    def close(self) -> None:
-        self._closed = True
-        self._stop_stats_stream()
-        if self._endpoints is not None:
-            for endpoint in self._endpoints.values():
-                endpoint.close()
-        if self._timers is not None:
-            self._timers.stop()
-        for loop in self._loops.values():
-            loop.stop()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- data ------------------------------------------------------------
-
-    @property
-    def sites(self) -> List[str]:
-        return list(self.nodes)
-
-    def store(self, site: str) -> MemStore:
-        try:
-            return self.stores[site]
-        except KeyError:
-            raise UnknownSite(site) from None
-
-    def node(self, site: str) -> ServerNode:
-        try:
-            return self.nodes[site]
-        except KeyError:
-            raise UnknownSite(site) from None
-
-    # -- availability ----------------------------------------------------
-
-    def is_up(self, site: str) -> bool:
-        with self._down_lock:
-            return site not in self._down
-
-    def is_down(self, site: str) -> bool:
-        return not self.is_up(site)
-
-    def set_down(self, site: str) -> None:
-        """Freeze a site: its loop holds what it was sent until ``set_up``."""
-        if site not in self._loops:
-            raise UnknownSite(site)
-        with self._down_lock:
-            self._down.add(site)
-
-    def set_up(self, site: str) -> None:
-        if site not in self._loops:
-            raise UnknownSite(site)
-        with self._down_lock:
-            self._down.discard(site)
-        self._loops[site].inbox.put(None)  # wake the frozen loop
-
-    # -- fault injection -------------------------------------------------
-
-    def use_faults(self, plan: FaultPlan) -> None:
-        """Attach a chaos schedule; scheduled crashes start arming now."""
-        for crash in plan.crashes:
-            if crash.site not in self._loops:
-                raise UnknownSite(crash.site)
-        self.fault_plan = plan
-        timers = self._timer_thread()
-        for crash in plan.crashes:
-            timers.schedule(crash.at, lambda s=crash.site: self.set_down(s))
-            if crash.recover_at is not None:
-                timers.schedule(crash.recover_at, lambda s=crash.site: self.set_up(s))
-
-    def enable_reliable(self, config: Optional[ReliableConfig] = None) -> None:
-        """Interpose the reliable-delivery channel on every link."""
-        self._reliable_config = config if config is not None else ReliableConfig()
-        timers = self._timer_thread()
-        self._endpoints = {
-            name: ReliableEndpoint(
-                name,
-                clock=timers.now,
-                scheduler=timers.schedule,
-                send_raw=loop._send_raw,
-                # on_wire runs on the destination's loop with its node lock
-                # already held, so deliver straight into the node.
-                deliver_up=loop.node.on_message,
-                node=loop.node,
-                config=self._reliable_config,
-                on_give_up=self._give_up,
-            )
-            for name, loop in self._loops.items()
-        }
-
-    @property
-    def reliable_enabled(self) -> bool:
-        return self._endpoints is not None
-
-    def _endpoint_for(self, site: str) -> Optional[ReliableEndpoint]:
-        if self._endpoints is None:
-            return None
-        return self._endpoints.get(site)
-
-    def _reliable_ingest(self, env: Envelope) -> None:
-        """A reliable-channel frame reached ``env.dst``'s loop (which holds
-        the node lock); a channel disabled mid-flight drops it."""
-        endpoint = self._endpoint_for(env.dst)
-        if endpoint is not None:
-            endpoint.on_wire(env)
-
-    def _timer_thread(self) -> TimerThread:
-        with self._timers_lock:
-            if self._timers is None:
-                self._timers = TimerThread()
-            return self._timers
-
-    # -- queries ---------------------------------------------------------
-    # submit / wait / run_query / run_followup / total_stats come from
-    # WallClockQueries; these hooks reach the sites through their loops.
-
-    def _dispatch_submit(
-        self,
-        origin: str,
-        qid: QueryId,
-        program: Program,
-        initial: List[Oid],
-        priority: Optional[str] = None,
-        tenant: Optional[str] = None,
-    ) -> None:
-        self._loops[origin].submit(qid, program, initial, priority, tenant)
-
-    def _dispatch_submit_from_saved(
-        self, origin: str, qid: QueryId, program: Program, source_qid: QueryId
-    ) -> None:
-        self._loops[origin].submit_from_saved(qid, program, source_qid)
-
-    def _dispatch_expire(self, origin: str, qid: QueryId) -> None:
-        self._loops[origin].expire(qid)

@@ -134,6 +134,9 @@ from ..server.stats import NodeStats
 from ..termination.weights import ledger_deficit, ledger_of
 from ..tracing import KINDS, FlightRecorder, QueryTracer, TeeTracer, TraceEvent, _jsonable
 from .codec import (
+    FRAME_HEADER,
+    MAX_FRAME,
+    encode_frame,
     _read_object,
     _read_program,
     _read_qid,
@@ -147,7 +150,6 @@ from .codec import (
 )
 from .common import WallClockQueries
 from .messages import QueryId
-from .sockets import recv_frame, send_frame
 
 # -- control vocabulary ------------------------------------------------------
 
@@ -323,6 +325,51 @@ def _raise_err(r: _Reader) -> None:
     raise _ERROR_TYPES.get(name, HyperFileError)(r.text())
 
 
+# Blocking frame reads on the parent's side of a control link (the child
+# side runs on asyncio streams); the parent sends with ``encode_frame``.
+
+
+def _recv_exact(sock: socket.socket, n: int) -> bytes:
+    """Up to ``n`` bytes; fewer only if the peer closed first."""
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = sock.recv(n - len(buf))
+        if not chunk:
+            break
+        buf += chunk
+    return bytes(buf)
+
+
+def _recv_frame(sock: socket.socket) -> Optional[bytes]:
+    """Read one frame: None on an orderly EOF between frames, and
+    :class:`~repro.errors.HyperFileError` on a close that cuts one short."""
+    header = _recv_exact(sock, FRAME_HEADER.size)
+    if not header:
+        return None
+    if len(header) < FRAME_HEADER.size:
+        raise HyperFileError("connection closed mid-header")
+    (length,) = FRAME_HEADER.unpack(header)
+    if length > MAX_FRAME:
+        raise HyperFileError(f"frame of {length} bytes exceeds limit")
+    payload = _recv_exact(sock, length)
+    if len(payload) < length:
+        raise HyperFileError("connection closed mid-frame")
+    return payload
+
+
+def _recv_hello(conn: socket.socket, unlinked: List[str]) -> Tuple[str, int]:
+    """A new child's HELLO: its site name and inter-site port.  A child
+    that hangs up first is one of the ``unlinked`` sites, dead."""
+    frame = _recv_frame(conn)
+    if frame is None:
+        site = unlinked[0] if len(unlinked) == 1 else tuple(unlinked)
+        raise ChildProcessDied(site, "control link closed before HELLO")
+    r = _Reader(frame)
+    if r.byte() != _C_HELLO:
+        raise HyperFileError("child handshake out of order")
+    return r.text(), r.varint()
+
+
 # --------------------------------------------------------------------------
 # child process
 # --------------------------------------------------------------------------
@@ -461,7 +508,7 @@ async def _child_serve(
     from ..storage.memstore import MemStore
     from ..termination.base import make_strategy
     from .asyncio_cluster import _AsyncSite
-    from .codec import FrameReader, FRAME_HEADER
+    from .codec import FrameReader
 
     runtime = _ChildRuntime(site, names, config)
     runtime._loop = asyncio.get_running_loop()
@@ -1136,12 +1183,7 @@ class ProcessCluster(WallClockQueries):
             for _ in names:
                 conn, _addr = listener.accept()
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                frame = recv_frame(conn)
-                r = _Reader(frame)
-                if r.byte() != _C_HELLO:
-                    raise HyperFileError("child handshake out of order")
-                site = r.text()
-                port = r.varint()
+                site, port = _recv_hello(conn, [n for n in names if n not in self._links])
                 self._links[site] = _ChildLink(site, procs[site], conn, port)
         except Exception:
             for proc in procs.values():
@@ -1191,7 +1233,7 @@ class ProcessCluster(WallClockQueries):
     def _reader_loop(self, link: _ChildLink) -> None:
         try:
             while True:
-                frame = recv_frame(link.conn)
+                frame = _recv_frame(link.conn)
                 if frame is None:
                     return
                 if frame[0] == _C_COMPLETE:
@@ -1239,7 +1281,7 @@ class ProcessCluster(WallClockQueries):
             if link.dead:
                 raise ChildProcessDied(site)
             try:
-                send_frame(link.conn, frame)
+                link.conn.sendall(encode_frame(frame))
             except OSError as exc:
                 raise ChildProcessDied(site, f"control send failed ({exc})") from None
             try:
@@ -1324,7 +1366,7 @@ class ProcessCluster(WallClockQueries):
             # socket; a child that never frees the lock gets terminated.
             acquired = link.lock.acquire(timeout=2.0)
             try:
-                send_frame(link.conn, shutdown)
+                link.conn.sendall(encode_frame(shutdown))
             except OSError:
                 pass
             finally:

@@ -36,7 +36,7 @@ class TestBloomFilter:
 
     def test_stable_across_instances(self):
         # blake2b-based positions, not hash(): two filters built the same
-        # way are bit-identical (they travel over sockets).
+        # way are bit-identical (they travel over the wire).
         a = BloomFilter(bits=512, hashes=3)
         b = BloomFilter(bits=512, hashes=3)
         for token in ("x:1", "y:2", "z:3"):

@@ -18,7 +18,7 @@ from repro.core.parser import parse_query
 from repro.core.program import compile_query
 from repro.errors import HyperFileError, QueryTimeout
 from repro.faults import FaultPlan, ReliableConfig
-from repro.net.sockets import SocketCluster
+from repro.net.asyncio_cluster import AsyncCluster
 from repro.net.threaded import ThreadedCluster
 
 CLOSURE = 'S [ (Pointer,"Ref",?X) ^^X ]* (Keyword,"K",?) -> T'
@@ -85,9 +85,9 @@ class TestChaosWithReliableChannel:
             assert not outcome.result.partial
             assert plan.dropped > 0
 
-    def test_sockets_completes_with_full_results(self):
+    def test_async_completes_with_full_results(self):
         plan = FaultPlan(seed=11, **CHAOS)
-        with SocketCluster(3, fault_plan=plan, reliable=True) as cluster:
+        with AsyncCluster(3, fault_plan=plan, reliable=True) as cluster:
             oids = build_chain(cluster)
             outcome = cluster.run_query(CLOSURE_PROG, [oids[0]], timeout_s=30.0)
             assert outcome.result.oid_keys() == {o.key() for o in oids}
@@ -156,8 +156,8 @@ class TestDeadlines:
             )
             assert outcome.result.partial
 
-    def test_sockets_deadline_returns_partial(self):
-        with SocketCluster(3, fault_plan=FaultPlan(seed=2, drop=1.0)) as cluster:
+    def test_async_deadline_returns_partial(self):
+        with AsyncCluster(3, fault_plan=FaultPlan(seed=2, drop=1.0)) as cluster:
             oids = build_chain(cluster)
             outcome = cluster.run_query(
                 CLOSURE_PROG, [oids[0]], deadline_s=0.4, timeout_s=10.0

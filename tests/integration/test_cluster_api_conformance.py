@@ -1,13 +1,12 @@
-"""ClusterAPI conformance: one scenario script, four transports.
+"""ClusterAPI conformance: one scenario script, three transports.
 
 The point of the unified cluster API is that everything above the
 transport — sessions, benchmarks, applications — is written once.  These
 tests encode that contract directly: every test in this file runs
-verbatim against the simulator, the threaded transport, the socket
-transport, the asyncio transport *and* the asyncio transport's
-process-per-site deployment (``ClusterConfig(processes=True)``), and
-must behave identically (same results, same error types, same deadline
-semantics) on all five.
+verbatim against the simulator, the threaded transport, the asyncio
+transport *and* the asyncio transport's process-per-site deployment
+(``ClusterConfig(processes=True)``), and must behave identically (same
+results, same error types, same deadline semantics) on all four.
 
 Clusters are built through the transport registry with a
 :class:`~repro.config.ClusterConfig`, so the suite also pins down the
@@ -30,11 +29,11 @@ from repro.workload import WorkloadSpec, build_graph, generate_into_cluster, tra
 
 CLOSURE = 'S [ (Pointer,"Ref",?X) ^^X ]* (Keyword,"K",?) -> T'
 
-TRANSPORTS = ("sim", "threaded", "sockets", "async")
+TRANSPORTS = ("sim", "threaded", "async")
 
 #: The asyncio transport's one-OS-process-per-site deployment.  Not a
-#: fifth registry name — the registry builds it from ``transport="async"``
-#: with ``ClusterConfig(processes=True)`` — but it IS a fifth way to run
+#: fourth registry name — the registry builds it from ``transport="async"``
+#: with ``ClusterConfig(processes=True)`` — but it IS a fourth way to run
 #: every scenario in this file, and the one most likely to regress (no
 #: shared memory to lean on).
 PROCESS_PARAM = "async+procs"
@@ -280,8 +279,8 @@ class TestContextRetirement:
 class TestCrossTransportAgreement:
     def test_same_database_same_results_everywhere(self):
         """The whole point, in one assertion: an identical database gives
-        an identical result set on all four transports — and on the
-        process-per-site deployment of the fourth."""
+        an identical result set on all three transports — and on the
+        process-per-site deployment of the third."""
         results = {}
         for name in ALL_PARAMS:
             cluster = build_param_cluster(name, 3)
@@ -348,7 +347,7 @@ class TestProcessParity:
 class TestQoS:
     """Admission control and load shedding behave identically everywhere.
 
-    On the socket transport these scenarios additionally prove the codec
+    On the asyncio transport these scenarios additionally prove the codec
     round-trip: priority classes and backpressure bits reach the remote
     sites as real bytes, not shared references.
     """
@@ -397,7 +396,7 @@ class TestQoS:
 
 class TestMembership:
     """Administrative membership is part of the ClusterAPI contract:
-    the same join/leave/fail scenario behaves identically on all five
+    the same join/leave/fail scenario behaves identically on all four
     transport params — same results as the healthy baseline, zero
     termination-credit deficit, same typed errors."""
 

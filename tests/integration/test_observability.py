@@ -4,7 +4,7 @@ The three headline guarantees:
 
 * **Connected span trees on every transport** — each traced query's
   events form one tree rooted at its ``submit``, across the simulator,
-  the threaded cluster and the TCP sockets, batching included.
+  the threaded cluster and the asyncio TCP transport, batching included.
 * **The critical path explains the response time** — on the simulator
   the extracted path's duration equals the measured response time up to
   the completing step's own cost (the ``complete`` event is stamped when
@@ -29,7 +29,6 @@ from repro.errors import TerminationLost
 from repro.faults import FaultPlan
 from repro.net.asyncio_cluster import AsyncCluster
 from repro.net.batching import BatchConfig
-from repro.net.sockets import SocketCluster
 from repro.net.threaded import ThreadedCluster
 from repro.profiling import credit_audit, critical_path, render_profile, tree_report
 from repro.tracing import FlightRecorderConfig, QueryTracer, events_from_jsonl
@@ -76,7 +75,7 @@ class TestSpanTreeConnectivity:
         assert report.connected, report.describe()
         assert report.root.site == outcome.qid.originator
 
-    @pytest.mark.parametrize("cluster_cls", [ThreadedCluster, SocketCluster])
+    @pytest.mark.parametrize("cluster_cls", [ThreadedCluster, AsyncCluster])
     def test_real_transports(self, cluster_cls):
         with cluster_cls(3) as cluster:
             oids = build_chain(cluster)
@@ -237,8 +236,8 @@ class TestObserverEffectEveryTransport:
 
     @pytest.mark.parametrize(
         "transport,processes",
-        [("threaded", False), ("sockets", False), ("async", False), ("async", True)],
-        ids=["threaded", "sockets", "async", "processes"],
+        [("threaded", False), ("async", False), ("async", True)],
+        ids=["threaded", "async", "processes"],
     )
     def test_traced_equals_untraced(self, transport, processes):
         def run(traced):
@@ -446,7 +445,7 @@ class TestMetricsAcrossTransports:
         assert "net.wire_latency_s" in names
         assert "node.busy_seconds" in names
 
-    @pytest.mark.parametrize("cluster_cls", [ThreadedCluster, SocketCluster])
+    @pytest.mark.parametrize("cluster_cls", [ThreadedCluster, AsyncCluster])
     def test_real_transport_snapshot(self, cluster_cls):
         with cluster_cls(2) as cluster:
             s0 = cluster.store("site0")

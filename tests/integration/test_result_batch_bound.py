@@ -1,8 +1,8 @@
-"""Thread-backed sites ship results once per inbox burst, on real traffic.
+"""Threaded sites ship results once per inbox burst, on real traffic.
 
 Thirty dense Rand05 closures on the paper database, four in flight, as
 the ``dense_threaded`` benchmark runs them.  Every answer must equal
-``run_local``'s, and each thread-backed transport may send at most twice
+``run_local``'s, and the thread-backed transport may send at most twice
 the ``ResultBatch`` messages per query that the simulator sends for the
 same queries.  A site loop that empties W once per envelope instead of
 once per burst sends about six times as many (272 a query against 47),
@@ -48,6 +48,6 @@ def sim_result_batches():
     return run_closures("sim")
 
 
-@pytest.mark.parametrize("transport", ["threaded", "sockets"])
+@pytest.mark.parametrize("transport", ["threaded"])
 def test_result_batches_per_query_stay_within_twice_the_simulators(transport, sim_result_batches):
     assert run_closures(transport) <= 2 * sim_result_batches

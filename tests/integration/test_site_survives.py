@@ -1,8 +1,8 @@
 """A site outlives the messages it cannot send, and the ones it cannot take.
 
 Regressions on the ``async`` transport, inline and with one process per
-site, and — for a raise inside the site loop — on the thread-backed
-``threaded`` and ``sockets`` transports (CI job ``site-survives`` runs
+site, and — for a raise inside the site loop — on the ``threaded``
+transport (CI job ``site-survives`` runs
 this file under a two-minute timeout, so a site that dies again fails by
 name):
 
@@ -49,8 +49,8 @@ DEPLOYMENTS = [
     pytest.param("async", ClusterConfig(processes=True), id="procs"),
 ]
 
-#: The transports whose sites run the shared thread loop.
-THREAD_SITES = ("threaded", "sockets")
+#: The transports whose sites run on threads.
+THREAD_SITES = ("threaded",)
 
 
 def pointing_at(cluster, value):
@@ -204,7 +204,7 @@ def test_a_raise_mid_burst_costs_that_envelope_not_the_rest_of_the_burst(transpo
         first, second = cluster.sites
         seeds = [cluster.store(second).create([keyword_tuple("K")]).oid for _ in range(4)]
         held = []
-        monkeypatch.setattr(cluster._loops[first], "_send", held.append)
+        monkeypatch.setattr(cluster, "route", held.append)
         qid = cluster.submit('S (Keyword,"K",?) -> T', seeds)
         monkeypatch.undo()
         assert [type(env.payload) for env in held] == [DerefRequest] * len(seeds)

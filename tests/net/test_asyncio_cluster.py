@@ -46,6 +46,12 @@ class TestInlineAsync:
             assert out.result.oid_keys() == {o.key() for o in oids}
             assert cluster.bytes_on_the_wire() > 0
 
+    def test_dijkstra_scholten_over_asyncio_tcp(self):
+        with AsyncCluster(3, termination="dijkstra-scholten") as cluster:
+            oids = build_chain(cluster)
+            out = cluster.run_query(CLOSURE, [oids[0]], timeout_s=30.0)
+            assert out.result.oid_keys() == {o.key() for o in oids}
+
     def test_sequential_queries_reuse_connections(self):
         with AsyncCluster(3) as cluster:
             oids = build_chain(cluster)
@@ -63,7 +69,7 @@ class TestInlineAsync:
 
     def test_queued_frames_survive_a_crash_window(self):
         """set_down freezes the drain task; already-delivered frames are
-        processed after set_up rather than lost (socket-transport parity)."""
+        processed after set_up rather than lost (threaded-transport parity)."""
         with AsyncCluster(2) as cluster:
             oids = build_chain(cluster, 4)
             cluster.set_down("site1")
@@ -155,7 +161,7 @@ class TestTimeoutBackstop:
     stands between the caller and a dead wait.
     """
 
-    @pytest.mark.parametrize("transport", ["threaded", "sockets", "async"])
+    @pytest.mark.parametrize("transport", ["threaded", "async"])
     def test_hung_query_yields_termination_lost(self, transport):
         plan = FaultPlan(seed=7).link("site0", "site1", drop=1.0)
         cluster = make_cluster(transport, 3, config=ClusterConfig(fault_plan=plan))

@@ -388,10 +388,10 @@ class TestWallClockBatching:
             assert out.result.oid_keys() == {o.key() for o in everything}
             assert cluster.total_stats().batched_items > 0
 
-    def test_socket_cluster_batched_frames_cross_the_wire(self):
-        from repro.net.sockets import SocketCluster
+    def test_async_cluster_batched_frames_cross_the_wire(self):
+        from repro.net.asyncio_cluster import AsyncCluster
 
-        with SocketCluster(3, batching=BatchConfig(max_batch=4)) as cluster:
+        with AsyncCluster(3, batching=BatchConfig(max_batch=4)) as cluster:
             root, everything = build_fanout(cluster)
             out = cluster.run_query(PROGRAM, [root])
             assert out.result.oid_keys() == {o.key() for o in everything}

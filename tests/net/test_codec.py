@@ -587,7 +587,8 @@ class TestProgramParsedOncePerQuery:
         assert qid not in codec._PARSED_PROGRAMS
 
     def test_reader_threads_share_the_table(self):
-        # SocketCluster decodes on one reader thread per connection.
+        # Every inline AsyncCluster decodes on its own event-loop thread,
+        # and one process may hold several.
         import sys
         import threading
 

@@ -3,9 +3,11 @@
 The cross-transport conformance suite runs the shared scenarios against
 ``async+procs``; this file covers what only process mode can get wrong —
 the StoreProxy/MemStore surface contract, typed child-death errors, the
-GIVE_UP push path, dynamic reliable arming, and the CREDIT merge.
+control link's framing, the GIVE_UP push path, dynamic reliable arming,
+and the CREDIT merge.
 """
 
+import socket
 import time
 
 import pytest
@@ -17,10 +19,12 @@ from repro.errors import (
     ChildProcessDied,
     ConfigError,
     DuplicateObject,
+    HyperFileError,
     TerminationLost,
 )
 from repro.faults import FaultPlan
 from repro.faults.reliable import ReliableConfig
+from repro.net.codec import FRAME_HEADER, encode_frame
 
 CLOSURE = 'S [ (Pointer,"Ref",?X) ^^X ]* (Keyword,"K",?) -> T'
 
@@ -135,6 +139,52 @@ class TestChildDeath:
             assert "site1" in str(excinfo.value)
         finally:
             cluster.close()
+
+
+class TestControlFraming:
+    """The parent's blocking reads on a control link, over a socketpair:
+    an orderly EOF between frames is ``None``, and a close that cuts a
+    frame short is an error, never an EOF."""
+
+    def test_frame_round_trip(self):
+        from repro.net.procserver import _recv_frame
+
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(encode_frame(b"hello world") + encode_frame(b""))
+            assert _recv_frame(b) == b"hello world"
+            assert _recv_frame(b) == b""
+            a.close()
+            assert _recv_frame(b) is None
+
+    def test_oversized_frame_rejected(self):
+        from repro.net.procserver import _recv_frame
+
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(FRAME_HEADER.pack(2**31))
+            with pytest.raises(HyperFileError, match="exceeds limit"):
+                _recv_frame(b)
+
+    def test_truncated_header_is_an_error_not_an_eof(self):
+        from repro.net.procserver import _recv_frame
+
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(FRAME_HEADER.pack(5)[:2])
+            a.close()
+            with pytest.raises(HyperFileError, match="mid-header"):
+                _recv_frame(b)
+
+    def test_eof_before_hello_is_a_dead_child(self):
+        from repro.net.procserver import _recv_hello
+
+        a, b = socket.socketpair()
+        with a, b:
+            a.close()
+            with pytest.raises(ChildProcessDied) as excinfo:
+                _recv_hello(b, ["site1"])
+        assert excinfo.value.site == "site1"
 
 
 class TestReliableChannel:

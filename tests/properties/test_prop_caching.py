@@ -24,7 +24,7 @@ from repro.api import credit_deficit
 from repro.cache import CacheConfig
 from repro.cluster import SimCluster
 from repro.core import keyword_tuple, pointer_tuple
-from repro.net.sockets import SocketCluster
+from repro.net.asyncio_cluster import AsyncCluster
 from repro.net.threaded import ThreadedCluster
 
 CLOSURE = 'S [ (Pointer,"Ref",?X) ^^X ]* (Keyword,"K",?) -> T'
@@ -153,8 +153,8 @@ class TestCachingTransparencySim:
             assert credit_deficit(cached.nodes, qid) == Fraction(0)
 
 
-@pytest.mark.parametrize("factory", [ThreadedCluster, SocketCluster],
-                         ids=["threaded", "sockets"])
+@pytest.mark.parametrize("factory", [ThreadedCluster, AsyncCluster],
+                         ids=["threaded", "async"])
 class TestCachingTransparencyRealTransports:
     """The same transparency contract on the wall-clock transports (a
     handful of hypothesis examples — each spins up real threads/sockets)."""

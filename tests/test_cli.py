@@ -175,7 +175,7 @@ class TestTraceAndProfile:
         dumps = sorted(tmp_path.glob("flightrec-*-cli.jsonl"))
         assert dumps and dumps[0].read_text().count("\n") > 0
 
-    @pytest.mark.parametrize("transport", ["sim", "threaded", "sockets", "async"])
+    @pytest.mark.parametrize("transport", ["sim", "threaded", "async"])
     def test_trace_accepts_every_transport(self, transport):
         out = io.StringIO()
         assert run_trace(sites=3, n_objects=30, out=out, transport=transport) == 0

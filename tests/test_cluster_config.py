@@ -69,7 +69,7 @@ class TestAliasParity:
         via_config = SimCluster(3, config=ClusterConfig(**LEGACY))
         assert via_kwargs.config == via_config.config
 
-    @pytest.mark.parametrize("transport", ["threaded", "sockets", "async"])
+    @pytest.mark.parametrize("transport", ["threaded", "async"])
     def test_wall_clock_parity(self, transport):
         legacy = dict(batching=BatchConfig(max_batch=4), qos=QoSConfig())
         factory = transport_factory(transport)
@@ -93,7 +93,11 @@ class TestAliasParity:
 
 class TestTransportRegistry:
     def test_builtins_are_registered(self):
-        assert set(transport_names()) >= {"sim", "threaded", "sockets", "async"}
+        assert transport_names() == ["async", "sim", "threaded"]
+
+    def test_sockets_is_not_a_transport(self):
+        with pytest.raises(ValueError, match="registered: async, sim, threaded"):
+            make_cluster("sockets")
 
     def test_names_are_sorted(self):
         assert transport_names() == sorted(transport_names())
