@@ -21,6 +21,7 @@ import os
 import pytest
 
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.metrics.collect import Series
 from repro.workload import (
     WorkloadSpec,
@@ -42,9 +43,10 @@ def paper_graph():
     return build_graph(n=SPEC.n_objects)
 
 
-def make_cluster(machines: int, paper_graph, **kwargs):
-    """A loaded cluster of the given size over the shared graph."""
-    cluster = SimCluster(machines, **kwargs)
+def make_cluster(machines: int, paper_graph, **fields):
+    """A loaded cluster of the given size over the shared graph; ``fields``
+    are :class:`~repro.config.ClusterConfig` fields."""
+    cluster = SimCluster(machines, config=ClusterConfig(**fields))
     workload = generate_into_cluster(cluster, SPEC, paper_graph)
     return cluster, workload
 

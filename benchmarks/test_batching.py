@@ -123,6 +123,7 @@ def test_batching_threshold_sweep(benchmark, paper_graph):
 
     payload = {
         "experiment": "batching_threshold_sweep",
+        "time_unit": "virtual seconds",
         "workload": {"p_local": P_LOCAL, "search_type": "Rand10p", "machines": 3},
         "n_queries": N_QUERIES,
         "thresholds": rows,

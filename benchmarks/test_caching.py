@@ -159,6 +159,7 @@ def test_caching_ablation(benchmark, paper_graph):
 
     payload = {
         "experiment": "caching_ablation",
+        "time_unit": "virtual seconds",
         "workload": {"p_local": P_LOCAL, "search_type": "Rand10p", "machines": 3,
                      "repeats": REPEATS},
         "n_queries": N_QUERIES,

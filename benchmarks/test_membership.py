@@ -32,7 +32,6 @@ import pathlib
 import random
 
 from repro.api import credit_deficit
-from repro.config import ClusterConfig
 from repro.membership import MembershipConfig
 from repro.replication import ReplicationConfig
 from repro.workload import pointer_key_for, query_script
@@ -78,11 +77,7 @@ def phase_stats(rows, lo, hi):
 
 def run_join_experiment(paper_graph, capacity_qps, base_mean):
     cluster, workload = make_cluster(
-        3,
-        paper_graph,
-        config=ClusterConfig(
-            replication=ReplicationConfig(k=2), membership=MembershipConfig()
-        ),
+        3, paper_graph, replication=ReplicationConfig(k=2), membership=MembershipConfig()
     )
     cluster.replicate_all()
 
@@ -170,6 +165,7 @@ def test_join_rebalance_under_load(benchmark, paper_graph):
 
     payload = {
         "experiment": "membership_join_rebalance",
+        "time_unit": "virtual seconds",
         "workload": {"p_local": P_LOCAL, "search_type": "Rand10p", "machines": 3},
         "n_arrivals": N_ARRIVALS,
         "load_fraction": LOAD_FRACTION,

@@ -223,6 +223,7 @@ def test_overload_sweep(benchmark, paper_graph):
 
     payload = {
         "experiment": "open_loop_overload",
+        "time_unit": "virtual seconds",
         "workload": {"p_local": P_LOCAL, "search_type": "Rand10p", "machines": 3},
         "n_arrivals": N_ARRIVALS,
         "capacity_qps": data["capacity_qps"],

@@ -5,9 +5,8 @@ Demonstrates the distributed-systems story of the paper on a library of
 papers spread over three institutions:
 
 * **citation closure** — "find every paper referenced directly or
-  indirectly by this one that also carries a keyword", the query the
-  paper's reachability-index facility targets; we answer it both with
-  the distributed engine and with the index and check they agree;
+  indirectly by this one that also carries a keyword", answered by
+  shipping the query from site to site (paper §3);
 * **archival migration** — old papers move to an archive site; queries
   keep working through birth-site naming and forwarding (paper §4);
 * **partial results** — an institution goes down; queries posed at the
@@ -23,7 +22,6 @@ import random
 from repro.cluster import SimCluster
 from repro.client.session import Session
 from repro.core import keyword_tuple, number_tuple, pointer_tuple, string_tuple
-from repro.storage import build_index, build_reachability, answer_closure_query
 
 INSTITUTIONS = ["princeton", "stanford", "archive"]
 TOPICS = ["databases", "hypertext", "distribution", "storage"]
@@ -69,22 +67,6 @@ def main() -> None:
     for title in session.retrieve("title"):
         print("  ", title)
     print(f"  -> {len(found)} papers, {session.last_response_time*1000:.0f} ms simulated")
-
-    # -- the same query through the reachability index ------------------------
-    program = cluster.compile(
-        'Reading [ (Pointer, "Cites", ?X) | ^^X ]* (Keyword, "hypertext", ?) -> Hits'
-    )
-    stores = [cluster.store(s) for s in cluster.sites]
-    reach = build_reachability(stores, "Cites")
-    from repro.storage.indexes import TupleIndex
-
-    tuple_index = TupleIndex()
-    for store in stores:
-        for obj in store.objects():
-            tuple_index.add_object(obj)
-    indexed = answer_closure_query(program, [newest], reach, tuple_index)
-    assert indexed is not None and indexed.oid_keys() == {o.key() for o in found}
-    print(f"  reachability index agrees ({len(indexed.oids)} papers, no traversal)")
 
     # -- archival migration ------------------------------------------------------
     print("== archiving the 20 oldest papers ==")

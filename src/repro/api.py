@@ -235,14 +235,14 @@ class ClusterAPI(Protocol):
 # --------------------------------------------------------------------------
 
 
-#: name -> factory(sites, *, config=None, **kwargs) -> ClusterAPI.
+#: name -> factory(sites, *, config=None) -> ClusterAPI.
 #: Builtins register lazily (import-on-first-use) so importing this
 #: module never pulls in asyncio/socket machinery the caller won't use.
 _TRANSPORTS: Dict[str, "TransportFactory"] = {}
 
 
 class TransportFactory(Protocol):
-    def __call__(self, sites: int = 3, **kwargs) -> "ClusterAPI": ...
+    def __call__(self, sites: int = 3, *, config=None) -> "ClusterAPI": ...
 
 
 def register_transport(name: str, factory: TransportFactory, *, replace: bool = False) -> None:
@@ -275,16 +275,16 @@ def transport_factory(name: str) -> TransportFactory:
         raise ValueError(f"unknown transport {name!r} (registered: {known})") from None
 
 
-def make_cluster(name: str, sites: int = 3, **kwargs) -> "ClusterAPI":
+def make_cluster(name: str, sites: int = 3, *, config=None) -> "ClusterAPI":
     """Build a cluster by transport name (the registry's front door)."""
-    return transport_factory(name)(sites, **kwargs)
+    return transport_factory(name)(sites, config=config)
 
 
 def _builtin(module: str, cls: str) -> TransportFactory:
-    def factory(sites: int = 3, **kwargs) -> "ClusterAPI":
+    def factory(sites: int = 3, *, config=None) -> "ClusterAPI":
         import importlib
 
-        return getattr(importlib.import_module(module), cls)(sites, **kwargs)
+        return getattr(importlib.import_module(module), cls)(sites, config=config)
 
     factory.__name__ = f"{module}.{cls}"
     return factory

@@ -1,6 +1,6 @@
 """Comparator systems: centralized single-site and file-server baselines."""
 
-from .centralized import CentralizedRun, centralized_cluster, run_centralized, union_fetcher
+from .centralized import CentralizedRun, run_centralized, union_fetcher
 from .fileserver import FileServerBaseline, FileServerCosts, FileServerRun
 
 __all__ = [
@@ -8,7 +8,6 @@ __all__ = [
     "FileServerBaseline",
     "FileServerCosts",
     "FileServerRun",
-    "centralized_cluster",
     "run_centralized",
     "union_fetcher",
 ]

@@ -3,12 +3,9 @@
 "We also ran the tests with all items on a single machine.  This gave a
 base case with which to compare the cost of handling remote pointers."
 
-Two entry points:
-
-* :func:`run_centralized` — analytic single-site run over any fetcher,
-  costed with the paper's constants (no simulator needed);
-* :func:`centralized_cluster` — a 1-site :class:`~repro.cluster.SimCluster`
-  for experiments that want identical plumbing to the distributed runs.
+:func:`run_centralized` is an analytic single-site run over any fetcher,
+costed with the paper's constants (no simulator needed); experiments that
+want identical plumbing to the distributed runs build ``SimCluster(1)``.
 """
 
 from __future__ import annotations
@@ -61,9 +58,3 @@ def union_fetcher(stores: Iterable[MemStore]) -> Fetcher:
     union = UnionStore(stores)
     return union.get
 
-
-def centralized_cluster(costs: CostModel = PAPER_COSTS, **kwargs):
-    """A 1-site simulated cluster (import-cycle-free convenience)."""
-    from ..cluster import SimCluster
-
-    return SimCluster(1, costs=costs, **kwargs)

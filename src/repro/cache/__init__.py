@@ -28,7 +28,7 @@ from .bloom import BloomFilter, oid_token
 from .config import CacheConfig
 from .fragments import FragmentCache, FragmentEntry, program_suffix_hash
 from .nodecache import NodeCache
-from .summary import SiteSummary, build_summary
+from .summary import SiteSummary, build_summary, closure_pointer_key
 
 __all__ = [
     "BloomFilter",
@@ -38,6 +38,7 @@ __all__ = [
     "NodeCache",
     "SiteSummary",
     "build_summary",
+    "closure_pointer_key",
     "oid_token",
     "program_suffix_hash",
 ]

@@ -8,12 +8,12 @@ about its holdings in a few hundred bytes, Bloofi-style:
   birth site stays the final arbiter of location, so its summary must
   cover migrated-away objects);
 * ``reach`` — per pointer key, a Bloom filter over the keys of local
-  objects with *at least one* outgoing pointer of that key, built from
-  :mod:`repro.storage.reachability`.  The engine's leaf-drop rule (an
-  object reached by a closure must still pass the iterator body) means
-  an object absent from this filter can never produce results, spawns
-  or emissions for the canonical closure shape — so work for it need
-  not be sent at all;
+  objects with *at least one* outgoing pointer of that key.  The
+  engine's leaf-drop rule (an object reached by a closure must still
+  pass the iterator body) means an object absent from this filter can
+  never produce results, spawns or emissions for the canonical closure
+  shape (:func:`closure_pointer_key`) — so work for it need not be sent
+  at all;
 * ``forward_count`` — how many forwarding records exist.  Suppression
   rules only fire against a summary with ``forward_count == 0``: once a
   site forwards objects elsewhere, "not in my store" stops meaning
@@ -35,11 +35,12 @@ piggyback the sender's current epoch).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, Mapping, Optional
 
+from ..core.patterns import Literal
+from ..core.program import DerefOp, LoopOp, Program, SelectOp
 from ..naming.directory import ForwardingTable
 from ..storage.memstore import MemStore
-from ..storage.reachability import build_reachability
 from .bloom import BloomFilter, oid_token
 from .config import CacheConfig
 
@@ -91,11 +92,10 @@ def build_summary(
             alloc_high = key[1] + 1
     reach: Dict[str, BloomFilter] = {}
     for pointer_key in sorted(set(pointer_keys)):
-        index = build_reachability([store], pointer_key)
         bloom = BloomFilter(config.bloom_bits, config.bloom_hashes)
-        for oid in store.oids():
-            if index.has_outgoing(oid):
-                bloom.add(oid_token(oid.key()))
+        for obj in store.objects():
+            if obj.pointers(key=pointer_key):
+                bloom.add(oid_token(obj.oid.key()))
         reach[pointer_key] = bloom
     return SiteSummary(
         site=site,
@@ -105,3 +105,33 @@ def build_summary(
         reach=reach,
         alloc_high=alloc_high,
     )
+
+
+def closure_pointer_key(program: Program) -> Optional[str]:
+    """The pointer key of the canonical closure shape, else ``None``.
+
+    The shape is exactly ``[ (Pointer, key, ?X) ^^X ]* (type, value, ?)``
+    with literal key, type and value: an unbounded closure followed by
+    one literal selection.  Only for it does the reach filter's leaf rule
+    hold, so only its key is summarised and consulted.
+    """
+    ops = program.ops
+    if len(ops) != 4:
+        return None
+    sel, der, loop, search = ops
+    if not (
+        isinstance(sel, SelectOp)
+        and isinstance(der, DerefOp)
+        and isinstance(loop, LoopOp)
+        and isinstance(search, SelectOp)
+    ):
+        return None
+    if loop.count is not None or loop.start != 1 or not der.keep_source:
+        return None
+    if not isinstance(sel.type_pattern, Literal) or sel.type_pattern.value != "Pointer":
+        return None
+    if not isinstance(sel.key_pattern, Literal):
+        return None
+    if not (isinstance(search.type_pattern, Literal) and isinstance(search.key_pattern, Literal)):
+        return None
+    return str(sel.key_pattern.value)

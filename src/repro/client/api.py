@@ -9,14 +9,9 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..api import transport_factory, transport_names
-from ..cache import CacheConfig
-from ..config import ClusterConfig, resolve_config
+from ..config import ClusterConfig
 from ..core.oid import Oid
 from ..core.tuples import HFTuple
-from ..net.batching import BatchConfig
-from ..qos import QoSConfig
-from ..replication import ReplicationConfig
-from ..sim.costs import CostModel, PAPER_COSTS
 from .session import Session
 
 
@@ -49,44 +44,23 @@ class HyperFile:
     implements :class:`~repro.api.ClusterAPI`, so everything above them
     is shared.
 
-    All tuning — batching, caching, replication, QoS, faults, async
-    knobs — rides in one frozen :class:`~repro.config.ClusterConfig`
-    passed as ``config=``.  The historical per-feature kwargs
-    (``batching=``, ``caching=``, ``replication=``, ``qos=``) keep
-    working as deprecated aliases that build the equivalent config (and
-    emit :class:`DeprecationWarning`); mixing them with ``config=`` is
-    an error.  The pre-transport constructor signature (``sites``,
-    ``costs``, ``termination``, ``result_mode``) keeps working unchanged
-    and implies ``transport="sim"``; note that ``costs`` only has
-    meaning there — the wall-clock transports run uncosted and reject a
+    All tuning — termination, result mode, batching, caching,
+    replication, QoS, faults, cost model, async knobs — rides in one
+    frozen :class:`~repro.config.ClusterConfig` passed as ``config=``;
+    ``None`` means ``ClusterConfig()``.  ``costs`` only has meaning on
+    ``"sim"`` — the wall-clock transports run uncosted and reject a
     non-default cost model rather than silently ignoring it.
     """
 
     def __init__(
         self,
         sites: Union[int, Sequence[str]] = 1,
-        costs: CostModel = PAPER_COSTS,
-        termination: str = "weighted",
-        result_mode: str = "ship",
         transport: str = "sim",
-        batching: Optional[BatchConfig] = None,
-        caching: Optional[CacheConfig] = None,
-        replication: Optional[ReplicationConfig] = None,
-        qos: Optional[QoSConfig] = None,
+        *,
         config: Optional[ClusterConfig] = None,
     ) -> None:
         factory = transport_factory(transport)  # ValueError on unknown names
-        config = resolve_config(
-            config,
-            owner="HyperFile",
-            termination=termination,
-            result_mode=result_mode,
-            costs=None if costs is PAPER_COSTS else costs,
-            batching=batching,
-            caching=caching,
-            replication=replication,
-            qos=qos,
-        )
+        config = config if config is not None else ClusterConfig()
         self.cluster = factory(sites, config=config)
         self.config = config
         self.transport = transport

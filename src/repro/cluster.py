@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Union
 
 from .api import OutcomeTable, QueryLike, QueryOutcome, compile_query_like, credit_deficit
-from .config import ClusterConfig, resolve_config
+from .config import ClusterConfig
 from .core.oid import Oid
 from .engine.results import QueryResult
 from .errors import (
@@ -41,17 +41,16 @@ from .faults.reliable import ReliableConfig
 from .membership import UP, MembershipService, MembershipView, Rebalancer
 from .naming.directory import ForwardingTable, ReplicaDirectory
 from .naming.names import migrate_object
-from .cache import CacheConfig
-from .net.batching import BatchConfig
-from .qos import PRIORITIES, ClientLimiter, QoSConfig
-from .replication import ReplicationConfig, ReplicationManager
+from .qos import PRIORITIES, ClientLimiter
+from .replication import ReplicationManager
 from .net.messages import Envelope, Heartbeat, QueryId
 from .net.simnet import SimNetwork
 from .server.node import ServerNode
 from .server.stats import NodeStats
-from .sim.costs import CostModel, PAPER_COSTS
+from .sim.costs import PAPER_COSTS
 from .sim.kernel import Simulator
-from .termination.base import TerminationStrategy, make_strategy
+from .storage.memstore import MemStore
+from .termination.base import make_strategy
 
 __all__ = ["QueryLike", "QueryOutcome", "SimCluster", "site_name"]
 
@@ -67,47 +66,12 @@ class SimCluster:
     def __init__(
         self,
         sites: Union[int, Iterable[str]] = 3,
-        costs: Optional[CostModel] = None,
-        termination: Union[str, TerminationStrategy] = "weighted",
-        discipline: str = "fifo",
-        result_mode: str = "ship",
-        mark_granularity: str = "iteration",
-        fault_plan: Optional[FaultPlan] = None,
-        reliable: Union[bool, ReliableConfig] = False,
-        batching: Optional[BatchConfig] = None,
-        caching: Optional[CacheConfig] = None,
-        replication: Optional[ReplicationConfig] = None,
-        qos: Optional[QoSConfig] = None,
+        *,
         config: Optional[ClusterConfig] = None,
     ) -> None:
-        config = resolve_config(
-            config,
-            owner="SimCluster",
-            costs=costs,
-            termination=termination,
-            discipline=discipline,
-            result_mode=result_mode,
-            mark_granularity=mark_granularity,
-            fault_plan=fault_plan,
-            reliable=reliable,
-            batching=batching,
-            caching=caching,
-            replication=replication,
-            qos=qos,
-        )
-        config.require_default("processes", transport="sim")
+        config = config if config is not None else ClusterConfig()
+        config.require_default("processes", "host", transport="sim")
         self.config = config
-        costs = config.costs if config.costs is not None else PAPER_COSTS
-        termination = config.termination
-        discipline = config.discipline
-        result_mode = config.result_mode
-        mark_granularity = config.mark_granularity
-        fault_plan = config.fault_plan
-        reliable = config.reliable
-        batching = config.batching
-        caching = config.caching
-        replication = config.replication
-        qos = config.qos
         if isinstance(sites, int):
             names = [site_name(i) for i in range(sites)]
         else:
@@ -119,12 +83,10 @@ class SimCluster:
 
         self.sim = Simulator()
         self.network = SimNetwork(self.sim)
-        self.costs = costs
-        strategy = termination if isinstance(termination, TerminationStrategy) else make_strategy(termination)
-        self.termination = strategy
+        self.costs = config.costs if config.costs is not None else PAPER_COSTS
+        self.termination = make_strategy(config.termination)
 
-        from .storage.memstore import MemStore
-
+        replication = config.replication
         directory = (
             ReplicaDirectory() if replication is not None and replication.enabled else None
         )
@@ -132,30 +94,7 @@ class SimCluster:
         self.forwarding: Dict[str, ForwardingTable] = {}
         self.nodes: Dict[str, ServerNode] = {}
         for name in names:
-            store = MemStore(name)
-            table = ForwardingTable(name)
-            node = ServerNode(
-                name,
-                store,
-                costs=costs,
-                termination=strategy,
-                discipline=discipline,
-                result_mode=result_mode,
-                mark_granularity=mark_granularity,
-                forwarding=table,
-                batching=batching,
-                caching=caching,
-                replicas=directory,
-                qos=qos,
-            )
-            self.stores[name] = store
-            self.forwarding[name] = table
-            self.nodes[name] = node
-            # Virtual clock: batching never timer-flushes on sim (the
-            # value is only stored), but SLO watermarks stamp from it.
-            node.now_fn = lambda: self.sim.now
-            host = self.network.attach(node)
-            host.completion_sink = self._on_complete
+            self._build_site(name, directory)
 
         self.replication: Optional[ReplicationManager] = None
         if directory is not None:
@@ -188,7 +127,7 @@ class SimCluster:
                 node.heartbeat_sink = self._on_heartbeat
             self.membership.add_listener(self._on_view_change)
 
-        self.qos = qos
+        qos = self.qos = config.qos
         self._qos_limiter: Optional[ClientLimiter] = (
             ClientLimiter(qos.rate_limit_qps, qos.rate_burst, lambda: self.sim.now)
             if qos is not None and qos.rate_limit_qps is not None
@@ -220,10 +159,12 @@ class SimCluster:
             from .metrics.collect import StatsTimeline
 
             self.stats_timeline = StatsTimeline()
-        if reliable:
-            self.enable_reliable(reliable if isinstance(reliable, ReliableConfig) else None)
-        if fault_plan is not None:
-            self.use_faults(fault_plan)
+        if config.reliable:
+            self.enable_reliable(
+                config.reliable if isinstance(config.reliable, ReliableConfig) else None
+            )
+        if config.fault_plan is not None:
+            self.use_faults(config.fault_plan)
 
     # ------------------------------------------------------------------
     # lifecycle (ClusterAPI parity: the simulator holds no real resources)
@@ -405,11 +346,9 @@ class SimCluster:
         if self.rebalancer is not None and not self._submitted_at:
             self.rebalancer.flush_removals(lambda _s: True)
 
-    def _add_site(self, name: str) -> None:
-        """Build the store/node/host stack for a site joining a running
-        cluster, wired exactly like a founding site's."""
-        from .storage.memstore import MemStore
-
+    def _build_site(self, name: str, directory: Optional[ReplicaDirectory]) -> ServerNode:
+        """Build one site's store/node/host stack (founding sites and
+        sites joining a running cluster are wired the same way)."""
         cfg = self.config
         store = MemStore(name)
         table = ForwardingTable(name)
@@ -424,17 +363,27 @@ class SimCluster:
             forwarding=table,
             batching=cfg.batching,
             caching=cfg.caching,
-            replicas=self.replication.directory if self.replication is not None else None,
+            replicas=directory,
             qos=cfg.qos,
         )
         self.stores[name] = store
         self.forwarding[name] = table
         self.nodes[name] = node
+        # Virtual clock: batching never timer-flushes on sim (the
+        # value is only stored), but SLO watermarks stamp from it.
         node.now_fn = lambda: self.sim.now
-        node.tracer = next(iter(self.nodes.values())).tracer
-        node.metrics = getattr(self, "metrics", None)
         host = self.network.attach(node)
         host.completion_sink = self._on_complete
+        return node
+
+    def _add_site(self, name: str) -> None:
+        """Build the stack for a site joining a running cluster and hook
+        it into the telemetry, replication and membership planes."""
+        node = self._build_site(
+            name, self.replication.directory if self.replication is not None else None
+        )
+        node.tracer = next(iter(self.nodes.values())).tracer
+        node.metrics = getattr(self, "metrics", None)
         if self.replication is not None:
             self.replication.add_epoch_listener(node.observe_epoch)
         if self.membership is not None:

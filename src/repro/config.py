@@ -1,31 +1,27 @@
 """One consolidated deployment configuration for every transport.
 
-The facade and the transports historically grew one keyword argument per
-subsystem (``batching=``, ``caching=``, ``replication=``, ``qos=`` ...).
-Three transports times seven knobs is a combinatorial kwarg pile, and the
-asyncio transport adds more (process mode, bind host, reconnect pacing).
-:class:`ClusterConfig` freezes all of it into a single value object that
-:class:`~repro.client.api.HyperFile` and all three cluster constructors
-accept uniformly::
+:class:`ClusterConfig` freezes every deployment knob — the algorithm
+switches, the batching / caching / replication / QoS / membership
+subsystems, telemetry, and the transport-specific fields — into a single
+value object.  It is the *only* way to configure a deployment: every
+cluster constructor is ``(sites, *, config=None)`` and the facade is
+``HyperFile(sites, transport, *, config=None)``::
 
     config = ClusterConfig(batching=BatchConfig(), qos=QoSConfig())
-    hf = HyperFile(sites=3, transport="async", config=config)
+    hf = HyperFile(3, "async", config=config)
     cluster = AsyncCluster(3, config=config)          # same object, any transport
 
-The old per-subsystem kwargs keep working on every constructor but emit
-:class:`DeprecationWarning`; passing both a ``config`` and a non-default
-legacy kwarg is an error (two sources of truth would be worse than one
-deprecated one).  Transport-specific fields (``costs`` on the simulator,
-``processes`` on the asyncio transport) are validated by the transport
-that cares via :meth:`ClusterConfig.require_default`, so a config that
-silently means different things on different transports cannot be built.
+Transport-specific fields (``costs`` on the simulator, ``processes``
+and ``host`` on the asyncio transport) are rejected by every transport
+that does not implement them, via :meth:`ClusterConfig.require_default`,
+so a config that silently means different things on different
+transports cannot be built.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from .cache import CacheConfig
 from .errors import ConfigError
@@ -36,10 +32,6 @@ from .net.batching import BatchConfig
 from .qos import QoSConfig
 from .replication import ReplicationConfig
 from .tracing import FlightRecorderConfig
-
-#: Legacy kwargs that now live in :class:`ClusterConfig`; passing them
-#: directly to a constructor still works but warns.
-DEPRECATED_KWARGS: Tuple[str, ...] = ("batching", "caching", "replication", "qos")
 
 
 @dataclass(frozen=True)
@@ -97,17 +89,8 @@ class ClusterConfig:
     processes: bool = False
     #: Interface the per-site frame servers bind to.
     host: str = "127.0.0.1"
-    #: Wall-clock budget for establishing one inter-site connection.
-    connect_timeout_s: float = 5.0
-    #: Initial delay before re-dialling a lost inter-site connection
-    #: (doubles per consecutive failure, capped at ~1s).
-    reconnect_backoff_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.connect_timeout_s <= 0:
-            raise ValueError("connect_timeout_s must be positive")
-        if self.reconnect_backoff_s <= 0:
-            raise ValueError("reconnect_backoff_s must be positive")
         if self.stats_stream_s is not None and self.stats_stream_s <= 0:
             raise ValueError("stats_stream_s must be positive when set")
         # Combinations that no transport can honour fail here, at
@@ -149,42 +132,3 @@ class ClusterConfig:
 
 
 _FIELD_DEFAULTS: Dict[str, Any] = {f.name: f.default for f in fields(ClusterConfig)}
-
-
-def resolve_config(
-    config: Optional[ClusterConfig],
-    *,
-    owner: str,
-    stacklevel: int = 3,
-    **legacy: Any,
-) -> ClusterConfig:
-    """Merge a ``config=`` argument with legacy per-subsystem kwargs.
-
-    Every constructor that accepts both calls this once: if ``config``
-    is given, any legacy kwarg moved off its default is an error (one
-    source of truth); if not, the legacy kwargs build the config — with
-    a :class:`DeprecationWarning` for the kwargs that have a home in
-    :class:`ClusterConfig` (see :data:`DEPRECATED_KWARGS`).
-    """
-    if config is not None:
-        clashing = sorted(
-            name for name, value in legacy.items() if value != _FIELD_DEFAULTS[name]
-        )
-        if clashing:
-            raise ValueError(
-                f"{owner} got both config= and legacy kwarg(s) {clashing}; "
-                "pass everything through the ClusterConfig"
-            )
-        return config
-    deprecated_used = sorted(
-        name for name in DEPRECATED_KWARGS
-        if name in legacy and legacy[name] != _FIELD_DEFAULTS[name]
-    )
-    if deprecated_used:
-        warnings.warn(
-            f"passing {', '.join(f'{n}=' for n in deprecated_used)} to {owner} directly "
-            "is deprecated; pass config=ClusterConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    return ClusterConfig(**legacy)

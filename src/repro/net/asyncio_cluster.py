@@ -43,18 +43,15 @@ import threading
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
-from ..cache import CacheConfig
-from ..config import ClusterConfig, resolve_config
+from ..config import ClusterConfig
 from ..core.oid import Oid
 from ..core.program import Program
 from ..errors import HyperFileError, UnknownSite
 from ..faults.plan import FaultPlan
 from ..faults.reliable import ReliableAck, ReliableConfig, ReliableData, ReliableEndpoint
 from ..naming.directory import ReplicaDirectory
-from ..net.batching import BatchConfig
 from ..net.codec import FRAME_HEADER, CodecError, FrameReader, decode_envelope, encode_envelope
-from ..qos import QoSConfig
-from ..replication import ReplicationConfig, ReplicationManager
+from ..replication import ReplicationManager
 from ..net.messages import (
     BatchedQuery,
     DerefRequest,
@@ -69,6 +66,11 @@ from ..storage.memstore import MemStore
 from ..termination.base import make_strategy
 from .common import WallClockQueries, contain_site_error
 
+#: Wall-clock budget for establishing one inter-site connection.
+CONNECT_TIMEOUT_S = 5.0
+#: Initial delay before re-dialling a lost inter-site connection
+#: (doubles per consecutive failure, capped at 1 s).
+RECONNECT_BACKOFF_S = 0.05
 #: How many node steps a drain task runs before yielding the loop, so
 #: one busy site cannot starve its peers' I/O on the shared loop.
 _STEPS_PER_YIELD = 16
@@ -158,7 +160,7 @@ class _PeerLink:
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
         config = self.site.cluster.config
-        backoff = config.reconnect_backoff_s
+        backoff = RECONNECT_BACKOFF_S
         while True:
             payload = await self.queue.get()
             while self.transport is None or self.transport.is_closing():
@@ -169,9 +171,9 @@ class _PeerLink:
                             config.host,
                             self.site.cluster.port_of(self.dst),
                         ),
-                        config.connect_timeout_s,
+                        CONNECT_TIMEOUT_S,
                     )
-                    backoff = config.reconnect_backoff_s
+                    backoff = RECONNECT_BACKOFF_S
                 except (OSError, asyncio.TimeoutError):
                     await asyncio.sleep(backoff)
                     backoff = min(backoff * 2, 1.0)
@@ -358,8 +360,9 @@ class AsyncCluster(WallClockQueries):
     other transports; registered as ``transport="async"``.
     """
 
-    def __new__(cls, sites: Union[int, Iterable[str]] = 3, *args, **kwargs):
-        config = kwargs.get("config")
+    def __new__(
+        cls, sites: Union[int, Iterable[str]] = 3, *, config: Optional[ClusterConfig] = None
+    ):
         if cls is AsyncCluster and config is not None and config.processes:
             from .procserver import ProcessCluster
 
@@ -371,30 +374,10 @@ class AsyncCluster(WallClockQueries):
     def __init__(
         self,
         sites: Union[int, Iterable[str]] = 3,
-        termination: str = "weighted",
-        discipline: str = "fifo",
-        result_mode: str = "ship",
-        fault_plan: Optional[FaultPlan] = None,
-        reliable: Union[bool, ReliableConfig] = False,
-        batching: Optional[BatchConfig] = None,
-        caching: Optional[CacheConfig] = None,
-        replication: Optional[ReplicationConfig] = None,
-        qos: Optional[QoSConfig] = None,
+        *,
         config: Optional[ClusterConfig] = None,
     ) -> None:
-        config = resolve_config(
-            config,
-            owner="AsyncCluster",
-            termination=termination,
-            discipline=discipline,
-            result_mode=result_mode,
-            fault_plan=fault_plan,
-            reliable=reliable,
-            batching=batching,
-            caching=caching,
-            replication=replication,
-            qos=qos,
-        )
+        config = config if config is not None else ClusterConfig()
         config.require_default("costs", "mark_granularity", transport="async")
         self.config = config
         names = [f"site{i}" for i in range(sites)] if isinstance(sites, int) else list(sites)

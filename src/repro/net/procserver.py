@@ -1130,7 +1130,7 @@ class ProcessCluster(WallClockQueries):
     RPC_TIMEOUT_S = 30.0
 
     def __init__(
-        self, sites: Union[int, Iterable[str]] = 3, config: Optional[ClusterConfig] = None
+        self, sites: Union[int, Iterable[str]] = 3, *, config: Optional[ClusterConfig] = None
     ) -> None:
         config = config if config is not None else ClusterConfig(processes=True)
         # ClusterConfig.__post_init__ rejects these when processes=True is

@@ -37,7 +37,7 @@ import threading
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
-from ..config import ClusterConfig, resolve_config
+from ..config import ClusterConfig
 from ..core.oid import Oid
 from ..core.program import Program
 from ..errors import UnknownSite
@@ -45,10 +45,7 @@ from ..faults.plan import FaultPlan
 from ..faults.reliable import ReliableAck, ReliableConfig, ReliableData, ReliableEndpoint
 from ..faults.timers import TimerThread
 from ..naming.directory import ForwardingTable, ReplicaDirectory
-from ..cache import CacheConfig
-from ..net.batching import BatchConfig
-from ..qos import QoSConfig
-from ..replication import ReplicationConfig, ReplicationManager
+from ..replication import ReplicationManager
 from ..net.messages import (
     BatchedQuery,
     DerefRequest,
@@ -136,31 +133,13 @@ class ThreadedCluster(WallClockQueries):
     def __init__(
         self,
         sites: Union[int, Iterable[str]] = 3,
-        termination: str = "weighted",
-        discipline: str = "fifo",
-        result_mode: str = "ship",
-        fault_plan: Optional[FaultPlan] = None,
-        reliable: Union[bool, ReliableConfig] = False,
-        batching: Optional[BatchConfig] = None,
-        caching: Optional[CacheConfig] = None,
-        replication: Optional[ReplicationConfig] = None,
-        qos: Optional[QoSConfig] = None,
+        *,
         config: Optional[ClusterConfig] = None,
     ) -> None:
-        config = resolve_config(
-            config,
-            owner="ThreadedCluster",
-            termination=termination,
-            discipline=discipline,
-            result_mode=result_mode,
-            fault_plan=fault_plan,
-            reliable=reliable,
-            batching=batching,
-            caching=caching,
-            replication=replication,
-            qos=qos,
+        config = config if config is not None else ClusterConfig()
+        config.require_default(
+            "costs", "mark_granularity", "processes", "host", transport="threaded"
         )
-        config.require_default("costs", "mark_granularity", "processes", transport="threaded")
         self.config = config
         replication = config.replication
         if isinstance(sites, int):

@@ -29,7 +29,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
-from ..cache import CacheConfig, NodeCache
+from ..cache import CacheConfig, NodeCache, closure_pointer_key
 from ..core.oid import Oid
 from ..core.program import Program
 from ..engine.items import WorkItem
@@ -57,7 +57,6 @@ from ..net.messages import (
 )
 from ..sim.costs import CostModel, PAPER_COSTS
 from ..storage.memstore import MemStore
-from ..storage.reachability import match_closure_shape
 from ..termination.base import TerminationStrategy
 from ..termination.weights import WeightedStrategy
 from .context import RECENT_QUERIES, QueryContext
@@ -1554,10 +1553,10 @@ class ServerNode:
             if self._cache.fragments is not None:
                 execution.fragment_cache = self._cache.fragments
                 execution.epoch_fn = lambda: self.store.epoch
-            shape = match_closure_shape(program)
-            self._closure_keys[qid] = shape[0] if shape is not None else None
-            if shape is not None:
-                self._cache.note_pointer_key(shape[0])
+            pointer_key = closure_pointer_key(program)
+            self._closure_keys[qid] = pointer_key
+            if pointer_key is not None:
+                self._cache.note_pointer_key(pointer_key)
         if self.tracer is not None:
             # Every outcome of this context descends (at worst) from the
             # event that created it — the submit here, the recv elsewhere —

@@ -1,28 +1,13 @@
-"""Storage substrates: main-memory stores, blob segregation, indexes."""
+"""Storage substrates: main-memory stores and blob segregation."""
 
 from .blobstore import BlobRef, BlobStore, resolve_value, spill_large_tuples
-from .indexes import TupleIndex, build_index
 from .memstore import MemStore, UnionStore
-from .planner import QueryPlanner
-from .reachability import (
-    ReachabilityIndex,
-    answer_closure_query,
-    build_reachability,
-    match_closure_shape,
-)
 
 __all__ = [
     "BlobRef",
     "BlobStore",
     "MemStore",
-    "QueryPlanner",
-    "ReachabilityIndex",
-    "TupleIndex",
     "UnionStore",
-    "answer_closure_query",
-    "build_index",
-    "build_reachability",
-    "match_closure_shape",
     "resolve_value",
     "spill_large_tuples",
 ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.centralized import centralized_cluster, run_centralized, union_fetcher
+from repro.baselines.centralized import run_centralized, union_fetcher
 from repro.baselines.fileserver import FileServerBaseline, FileServerCosts
 from repro.cluster import SimCluster
 from repro.core.oid import Oid
@@ -53,8 +53,8 @@ class TestCentralized:
         with pytest.raises(ObjectNotFound):
             fetch(Oid("s0", 99))
 
-    def test_centralized_cluster_helper(self):
-        cluster = centralized_cluster()
+    def test_centralized_cluster_is_one_sim_site(self):
+        cluster = SimCluster(1)
         assert cluster.sites == ["site0"]
 
 

@@ -1,8 +1,12 @@
 """Tests for site summaries and the per-node cache state machine."""
 
-from repro.cache import CacheConfig, NodeCache, build_summary
+import pytest
+
+from repro.cache import CacheConfig, NodeCache, build_summary, closure_pointer_key
 from repro.cache.bloom import oid_token
 from repro.core.oid import Oid
+from repro.core.parser import parse_query
+from repro.core.program import compile_query
 from repro.core.tuples import keyword_tuple, pointer_tuple
 from repro.engine.items import WorkItem
 from repro.naming.directory import ForwardingTable
@@ -23,6 +27,32 @@ def populated_store(site="site1", n=5, pointer_key="Ref"):
             store.get(oids[i]).with_tuple(pointer_tuple(pointer_key, oids[i + 1]))
         )
     return store, oids
+
+
+def prog(text):
+    return compile_query(parse_query(text))
+
+
+class TestClosurePointerKey:
+    """Only the canonical closure shape has a summarised pointer key."""
+
+    def test_canonical_shape_matches(self):
+        p = prog('Root [ (Pointer, "Tree", ?X) ^^X ]* (Rand10p, 5, ?) -> T')
+        assert closure_pointer_key(p) == "Tree"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'Root [ (Pointer,"Tree",?X) ^^X ]^3 (Rand10p,5,?) -> T',
+            'Root [ (Pointer,"Tree",?X) ^X ]* (Rand10p,5,?) -> T',
+            'Root (Rand10p,5,?) -> T',
+            'Root [ (Pointer,"Tree",?X) ^^X ]* (Rand10p,?,?) -> T',
+            'Root [ (Pointer,"Tree",?X) ^^X ]* (Rand10p,5,?) (Common,0,?) -> T',
+        ],
+        ids=["bounded", "drops_source", "no_loop", "open_key", "extra_filter"],
+    )
+    def test_rejects(self, text):
+        assert closure_pointer_key(prog(text)) is None
 
 
 class TestBuildSummary:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.client.session import Session
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core import keyword_tuple, pointer_tuple, string_tuple
 from repro.errors import HyperFileError
 
@@ -75,7 +76,7 @@ class TestSetObjects:
 
 class TestDistributedSets:
     def test_count_mode_keeps_ids_at_sites(self):
-        cluster = SimCluster(3, result_mode="count")
+        cluster = SimCluster(3, config=ClusterConfig(result_mode="count"))
         stores = [cluster.store(s) for s in cluster.sites]
         oids = []
         for store in stores:
@@ -95,7 +96,7 @@ class TestDistributedSets:
             session.set_members("T")
 
     def test_followup_query_over_distributed_set(self):
-        cluster = SimCluster(3, result_mode="count")
+        cluster = SimCluster(3, config=ClusterConfig(result_mode="count"))
         s0, s1 = cluster.store("site0"), cluster.store("site1")
         a = s0.create([keyword_tuple("K"), keyword_tuple("Blue")])
         b = s1.create([keyword_tuple("K")])

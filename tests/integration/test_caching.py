@@ -11,6 +11,7 @@ from fractions import Fraction
 from repro.api import credit_deficit
 from repro.cache import CacheConfig
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core import keyword_tuple, pointer_tuple
 from repro.workload import WorkloadSpec, build_graph, closure_query, generate_into_cluster
 
@@ -53,7 +54,7 @@ def total_sent(cluster):
 class TestQueryCache:
     def test_repeated_query_answered_without_messages(self):
         plain = SimCluster(3)
-        cached = SimCluster(3, caching=CacheConfig())
+        cached = SimCluster(3, config=ClusterConfig(caching=CacheConfig()))
         root_p, _ = star_graph(plain)
         root_c, _ = star_graph(cached)
 
@@ -71,7 +72,7 @@ class TestQueryCache:
         assert second.response_time < first_c.response_time
 
     def test_different_seed_is_not_a_hit(self):
-        cached = SimCluster(3, caching=CacheConfig())
+        cached = SimCluster(3, config=ClusterConfig(caching=CacheConfig()))
         root, targets = star_graph(cached)
         cached.run_query(CLOSURE, [root])
         cached.run_query(CLOSURE, [targets[0]])
@@ -83,7 +84,7 @@ class TestFragmentCache:
 
     def test_repeat_replays_fragments(self):
         plain = SimCluster(3)
-        cached = SimCluster(3, caching=self.CFG)
+        cached = SimCluster(3, config=ClusterConfig(caching=self.CFG))
         root_p, _ = star_graph(plain)
         root_c, _ = star_graph(cached)
 
@@ -98,7 +99,7 @@ class TestFragmentCache:
         assert second.response_time < first.response_time
 
     def test_credit_stays_exact_across_replays(self):
-        cached = SimCluster(3, caching=self.CFG)
+        cached = SimCluster(3, config=ClusterConfig(caching=self.CFG))
         root, _ = star_graph(cached)
         for _ in range(3):
             qid = cached.submit(CLOSURE, [root])
@@ -131,7 +132,7 @@ class TestBloomSuppression:
         # the leaf send — which only comes up after site1's spawn message
         # confirmed the epoch — is already suppressed in the first run.
         plain = SimCluster(2)
-        cached = SimCluster(2, caching=self.CFG)
+        cached = SimCluster(2, config=ClusterConfig(caching=self.CFG))
         root_p = self.build(plain)
         root_c = self.build(cached)
 
@@ -151,7 +152,7 @@ class TestBloomSuppression:
         assert credit_deficit(cached.nodes, qid) == Fraction(0)
 
     def test_suppression_repeats_across_queries(self):
-        cached = SimCluster(2, caching=self.CFG)
+        cached = SimCluster(2, config=ClusterConfig(caching=self.CFG))
         root = self.build(cached)
         first = cached.run_query(CLOSURE, [root])
         second = cached.run_query(CLOSURE, [root])
@@ -166,7 +167,7 @@ class TestBloomSuppression:
 class TestEpochInvalidation:
     def test_mutation_is_visible_to_the_next_query(self):
         plain = SimCluster(3)
-        cached = SimCluster(3, caching=CacheConfig())
+        cached = SimCluster(3, config=ClusterConfig(caching=CacheConfig()))
         root_p, _ = star_graph(plain)
         root_c, _ = star_graph(cached)
         cached.run_query(CLOSURE, [root_c])  # warm every layer
@@ -193,7 +194,7 @@ class TestEpochInvalidation:
         cache may serve the pre-mutation answer (bounded staleness, see
         docs/CACHING.md).  The first envelope from the mutated site — any
         traffic, any query — closes the window for good."""
-        cached = SimCluster(3, caching=CacheConfig())
+        cached = SimCluster(3, config=ClusterConfig(caching=CacheConfig()))
         root, targets = star_graph(cached)
         baseline = cached.run_query(CLOSURE, [root])
 
@@ -221,7 +222,7 @@ class TestEpochInvalidation:
         assert new.oid.key() in fresh.result.oid_keys()
 
     def test_unchanged_store_keeps_serving_hits(self):
-        cached = SimCluster(3, caching=CacheConfig())
+        cached = SimCluster(3, config=ClusterConfig(caching=CacheConfig()))
         root, _ = star_graph(cached)
         cached.run_query(CLOSURE, [root])
         for _ in range(3):
@@ -239,7 +240,7 @@ class TestCachingOffBitIdentical:
     QUERY = closure_query("Tree", "Rand10p", 5)
 
     def run(self, caching):
-        cluster = SimCluster(3, caching=caching)
+        cluster = SimCluster(3, config=ClusterConfig(caching=caching))
         workload = generate_into_cluster(cluster, self.SPEC, self.GRAPH)
         outcome = cluster.run_query(self.QUERY, [workload.root])
         per_node = {

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core import keyword_tuple, pointer_tuple
 from repro.core.parser import parse_query
 from repro.core.program import compile_query
@@ -45,7 +46,7 @@ def build_chain(cluster, length=30):
 
 class TestChaosWithReliableChannel:
     def test_sim_completes_with_full_results(self):
-        cluster = SimCluster(3, fault_plan=FaultPlan(seed=7, **CHAOS), reliable=True)
+        cluster = SimCluster(3, config=ClusterConfig(fault_plan=FaultPlan(seed=7, **CHAOS), reliable=True))
         oids = build_chain(cluster)
         outcome = cluster.run_query(CLOSURE, [oids[0]])
         assert outcome.result.oid_keys() == {o.key() for o in oids}
@@ -56,7 +57,7 @@ class TestChaosWithReliableChannel:
         assert sum(n.stats.duplicates_dropped for n in cluster.nodes.values()) > 0
 
     def test_sim_conserves_credit_exactly(self):
-        cluster = SimCluster(3, fault_plan=FaultPlan(seed=7, **CHAOS), reliable=True)
+        cluster = SimCluster(3, config=ClusterConfig(fault_plan=FaultPlan(seed=7, **CHAOS), reliable=True))
         oids = build_chain(cluster)
         qid = cluster.submit(CLOSURE, [oids[0]])
         cluster.wait(qid)
@@ -65,8 +66,12 @@ class TestChaosWithReliableChannel:
 
     def test_dijkstra_scholten_terminates_under_chaos(self):
         cluster = SimCluster(
-            3, termination="dijkstra-scholten",
-            fault_plan=FaultPlan(seed=7, **CHAOS), reliable=True,
+            3,
+            config=ClusterConfig(
+                termination="dijkstra-scholten",
+                fault_plan=FaultPlan(seed=7, **CHAOS),
+                reliable=True,
+            ),
         )
         oids = build_chain(cluster)
         outcome = cluster.run_query(CLOSURE, [oids[0]])
@@ -78,7 +83,7 @@ class TestChaosWithReliableChannel:
 
     def test_threaded_completes_with_full_results(self):
         plan = FaultPlan(seed=7, **CHAOS)
-        with ThreadedCluster(3, fault_plan=plan, reliable=True) as cluster:
+        with ThreadedCluster(3, config=ClusterConfig(fault_plan=plan, reliable=True)) as cluster:
             oids = build_chain(cluster)
             outcome = cluster.run_query(CLOSURE_PROG, [oids[0]], timeout_s=30.0)
             assert outcome.result.oid_keys() == {o.key() for o in oids}
@@ -87,7 +92,7 @@ class TestChaosWithReliableChannel:
 
     def test_async_completes_with_full_results(self):
         plan = FaultPlan(seed=11, **CHAOS)
-        with AsyncCluster(3, fault_plan=plan, reliable=True) as cluster:
+        with AsyncCluster(3, config=ClusterConfig(fault_plan=plan, reliable=True)) as cluster:
             oids = build_chain(cluster)
             outcome = cluster.run_query(CLOSURE_PROG, [oids[0]], timeout_s=30.0)
             assert outcome.result.oid_keys() == {o.key() for o in oids}
@@ -101,7 +106,7 @@ class TestChaosWithoutReliableChannel:
         # take their credit with them, so the detector can never fire —
         # the simulation goes idle and the conservation check shows the
         # originator stuck below full recovery.
-        cluster = SimCluster(3, fault_plan=FaultPlan(seed=7, **CHAOS))
+        cluster = SimCluster(3, config=ClusterConfig(fault_plan=FaultPlan(seed=7, **CHAOS)))
         oids = build_chain(cluster)
         qid = cluster.submit(CLOSURE, [oids[0]])
         with pytest.raises(HyperFileError, match="termination detector never fired"):
@@ -116,7 +121,7 @@ class TestChaosWithoutReliableChannel:
         # double-counting.
         from repro.errors import TerminationProtocolError
 
-        cluster = SimCluster(3, fault_plan=FaultPlan(seed=3, duplicate=0.5))
+        cluster = SimCluster(3, config=ClusterConfig(fault_plan=FaultPlan(seed=3, duplicate=0.5)))
         oids = build_chain(cluster, 12)
         qid = cluster.submit(CLOSURE, [oids[0]])
         with pytest.raises((TerminationProtocolError, HyperFileError)):
@@ -126,7 +131,7 @@ class TestChaosWithoutReliableChannel:
 
 class TestDeadlines:
     def test_sim_deadline_returns_partial(self):
-        cluster = SimCluster(3, fault_plan=FaultPlan(seed=1, drop=1.0))
+        cluster = SimCluster(3, config=ClusterConfig(fault_plan=FaultPlan(seed=1, drop=1.0)))
         oids = build_chain(cluster)
         outcome = cluster.run_query(CLOSURE, [oids[0]], deadline_s=0.5)
         assert outcome.result.partial
@@ -134,7 +139,7 @@ class TestDeadlines:
         assert cluster.node("site0").stats.deadline_expiries == 1
 
     def test_sim_deadline_raise_mode(self):
-        cluster = SimCluster(3, fault_plan=FaultPlan(seed=1, drop=1.0))
+        cluster = SimCluster(3, config=ClusterConfig(fault_plan=FaultPlan(seed=1, drop=1.0)))
         oids = build_chain(cluster)
         with pytest.raises(QueryTimeout) as excinfo:
             cluster.run_query(CLOSURE, [oids[0]], deadline_s=0.5, on_deadline="raise")
@@ -149,7 +154,7 @@ class TestDeadlines:
         assert cluster.node("site0").stats.deadline_expiries == 0
 
     def test_threaded_deadline_returns_partial(self):
-        with ThreadedCluster(3, fault_plan=FaultPlan(seed=1, drop=1.0)) as cluster:
+        with ThreadedCluster(3, config=ClusterConfig(fault_plan=FaultPlan(seed=1, drop=1.0))) as cluster:
             oids = build_chain(cluster)
             outcome = cluster.run_query(
                 CLOSURE_PROG, [oids[0]], deadline_s=0.4, timeout_s=10.0
@@ -157,7 +162,7 @@ class TestDeadlines:
             assert outcome.result.partial
 
     def test_async_deadline_returns_partial(self):
-        with AsyncCluster(3, fault_plan=FaultPlan(seed=2, drop=1.0)) as cluster:
+        with AsyncCluster(3, config=ClusterConfig(fault_plan=FaultPlan(seed=2, drop=1.0))) as cluster:
             oids = build_chain(cluster)
             outcome = cluster.run_query(
                 CLOSURE_PROG, [oids[0]], deadline_s=0.4, timeout_s=10.0
@@ -165,7 +170,7 @@ class TestDeadlines:
             assert outcome.result.partial
 
     def test_threaded_deadline_raise_mode(self):
-        with ThreadedCluster(3, fault_plan=FaultPlan(seed=1, drop=1.0)) as cluster:
+        with ThreadedCluster(3, config=ClusterConfig(fault_plan=FaultPlan(seed=1, drop=1.0))) as cluster:
             oids = build_chain(cluster)
             with pytest.raises(QueryTimeout):
                 cluster.run_query(
@@ -186,7 +191,7 @@ class TestCrashSchedules:
         # query still terminates cleanly (possibly minus the branch the
         # originator wrote off while site1 was down).
         plan = FaultPlan(seed=5).crash("site1", at=0.05, recover_at=0.4)
-        cluster = SimCluster(3, fault_plan=plan, reliable=True)
+        cluster = SimCluster(3, config=ClusterConfig(fault_plan=plan, reliable=True))
         oids = build_chain(cluster)
         outcome = cluster.run_query(CLOSURE, [oids[0]])
         assert not outcome.result.partial
@@ -207,7 +212,7 @@ class TestCrashSchedules:
 
     def test_threaded_crash_schedule_validates_sites(self):
         with pytest.raises(Exception):
-            ThreadedCluster(2, fault_plan=FaultPlan().crash("nope", at=0.1))
+            ThreadedCluster(2, config=ClusterConfig(fault_plan=FaultPlan().crash("nope", at=0.1)))
 
     def test_unknown_destination_is_recorded_not_raised(self):
         # An envelope to a site that does not exist must not kill the

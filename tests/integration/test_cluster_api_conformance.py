@@ -40,9 +40,6 @@ PROCESS_PARAM = "async+procs"
 
 ALL_PARAMS = (*sorted(TRANSPORTS), PROCESS_PARAM)
 
-#: Back-compat alias: transport name -> factory through the registry.
-FACTORIES = {name: (lambda s=3, _n=name, **kw: build_cluster(_n, s, **kw)) for name in TRANSPORTS}
-
 #: Generous wall-clock budget for the real transports; the simulator
 #: accepts and ignores it (virtual time cannot hang on a live queue).
 TIMEOUT = 30.0

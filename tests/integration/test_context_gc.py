@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core import keyword_tuple, pointer_tuple
 from repro.core.program import compile_query
 from repro.core.parser import parse_query
@@ -56,7 +57,7 @@ class TestContextGC:
         assert cluster.total_stats().messages_received.get("PurgeContext") == 2
 
     def test_count_mode_keeps_contexts_for_distributed_sets(self):
-        cluster = SimCluster(3, result_mode="count")
+        cluster = SimCluster(3, config=ClusterConfig(result_mode="count"))
         seed = build(cluster)
         outcome = cluster.run_query(CLOSURE, [seed])
         cluster.run()

@@ -6,6 +6,7 @@ termination detectors."""
 import pytest
 
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core.program import compile_query
 from repro.engine.local import run_local
 from repro.storage.memstore import MemStore
@@ -56,7 +57,7 @@ def test_distributed_matches_single_site(reference, machines, qi):
 
 @pytest.mark.parametrize("discipline", ["fifo", "lifo", "priority"])
 def test_discipline_does_not_change_results(reference, discipline):
-    cluster = SimCluster(3, discipline=discipline)
+    cluster = SimCluster(3, config=ClusterConfig(discipline=discipline))
     workload = generate_into_cluster(cluster, SPEC, GRAPH)
     outcome = cluster.run_query(QUERIES[0], [workload.root])
     assert oid_indices(workload, outcome.result.oid_keys()) == reference[0]
@@ -64,7 +65,7 @@ def test_discipline_does_not_change_results(reference, discipline):
 
 @pytest.mark.parametrize("strategy", ["weighted", "dijkstra-scholten"])
 def test_termination_strategy_does_not_change_results(reference, strategy):
-    cluster = SimCluster(9, termination=strategy)
+    cluster = SimCluster(9, config=ClusterConfig(termination=strategy))
     workload = generate_into_cluster(cluster, SPEC, GRAPH)
     outcome = cluster.run_query(QUERIES[3], [workload.root])
     assert oid_indices(workload, outcome.result.oid_keys()) == reference[3]

@@ -9,6 +9,7 @@ the new query."
 import pytest
 
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.storage.memstore import MemStore
 from repro.engine.local import run_local
 from repro.core.program import compile_query
@@ -28,7 +29,7 @@ GRAPH = build_graph(n=90)
 
 @pytest.fixture
 def count_cluster():
-    cluster = SimCluster(3, result_mode="count")
+    cluster = SimCluster(3, config=ClusterConfig(result_mode="count"))
     workload = generate_into_cluster(cluster, SPEC, GRAPH)
     return cluster, workload
 
@@ -57,7 +58,7 @@ class TestCountMode:
         query = traversal_only_query("Tree")
         times = {}
         for mode in ("ship", "count"):
-            cluster = SimCluster(3, result_mode=mode)
+            cluster = SimCluster(3, config=ClusterConfig(result_mode=mode))
             workload = generate_into_cluster(cluster, SPEC, GRAPH)
             times[mode] = cluster.run_query(query, [workload.root]).response_time
         assert times["count"] < times["ship"]

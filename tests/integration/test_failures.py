@@ -17,6 +17,7 @@ Coverage:
 import pytest
 
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core import keyword_tuple, pointer_tuple
 from repro.errors import HyperFileError
 
@@ -49,7 +50,7 @@ def build_striped_chain(cluster, length=30):
 class TestInFlightBounce:
     @pytest.mark.parametrize("strategy", ["weighted", "dijkstra-scholten"])
     def test_message_in_flight_to_dying_site_is_recovered(self, strategy):
-        cluster = SimCluster(2, termination=strategy)
+        cluster = SimCluster(2, config=ClusterConfig(termination=strategy))
         a, b = build_two_site_hop(cluster)
         qid = cluster.submit(CLOSURE, [a])
         # The deref to site1 departs after site0 processes `a` (~38 ms)

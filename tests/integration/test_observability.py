@@ -90,7 +90,7 @@ class TestSpanTreeConnectivity:
     def test_sim_with_batching(self):
         # Batched frames fan into per-item child spans; the tree must
         # stay connected through batch_flush/batch_recv indirection.
-        cluster = SimCluster(3, batching=BatchConfig(max_batch=4))
+        cluster = SimCluster(3, config=ClusterConfig(batching=BatchConfig(max_batch=4)))
         root = build_fanout(cluster)
         tracer = QueryTracer()
         cluster.attach_tracer(tracer)
@@ -103,8 +103,10 @@ class TestSpanTreeConnectivity:
     def test_sim_under_chaos_with_reliable_channel(self):
         cluster = SimCluster(
             3,
-            fault_plan=FaultPlan(seed=7, drop=0.15, duplicate=0.1, reorder=0.2),
-            reliable=True,
+            config=ClusterConfig(
+                fault_plan=FaultPlan(seed=7, drop=0.15, duplicate=0.1, reorder=0.2),
+                reliable=True,
+            ),
         )
         oids = build_chain(cluster, 24)
         tracer = QueryTracer()
@@ -198,7 +200,7 @@ class TestCreditAudit:
         # Total packet loss, no reliable channel: the detector can never
         # fire, and the audit must attribute the exact missing credit to
         # the sends that never landed.
-        cluster = SimCluster(3, fault_plan=FaultPlan(seed=1, drop=1.0))
+        cluster = SimCluster(3, config=ClusterConfig(fault_plan=FaultPlan(seed=1, drop=1.0)))
         oids = build_chain(cluster)
         tracer = QueryTracer()
         cluster.attach_tracer(tracer)
@@ -213,7 +215,7 @@ class TestCreditAudit:
             assert audit.lost == Fraction(deficit)
 
     def test_timeout_flagged_in_audit(self):
-        cluster = SimCluster(3, fault_plan=FaultPlan(seed=1, drop=1.0))
+        cluster = SimCluster(3, config=ClusterConfig(fault_plan=FaultPlan(seed=1, drop=1.0)))
         oids = build_chain(cluster)
         tracer = QueryTracer()
         cluster.attach_tracer(tracer)

@@ -47,7 +47,7 @@ class TestInlineAsync:
             assert cluster.bytes_on_the_wire() > 0
 
     def test_dijkstra_scholten_over_asyncio_tcp(self):
-        with AsyncCluster(3, termination="dijkstra-scholten") as cluster:
+        with AsyncCluster(3, config=ClusterConfig(termination="dijkstra-scholten")) as cluster:
             oids = build_chain(cluster)
             out = cluster.run_query(CLOSURE, [oids[0]], timeout_s=30.0)
             assert out.result.oid_keys() == {o.key() for o in oids}

@@ -8,6 +8,7 @@ clusters — where the contract is "same results, fewer messages".
 import pytest
 
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core.oid import Oid
 from repro.core.parser import parse_query
 from repro.core.program import compile_query
@@ -258,7 +259,7 @@ class TestClusterBatching:
         """The headline contract: on a fan-out workload batching changes
         message counts, never the result set."""
         plain = SimCluster(3)
-        batched = SimCluster(3, batching=BatchConfig(max_batch=8))
+        batched = SimCluster(3, config=ClusterConfig(batching=BatchConfig(max_batch=8)))
         root_p, all_p = build_fanout(plain)
         root_b, all_b = build_fanout(batched)
         out_p = plain.run_query(CLOSURE, [root_p])
@@ -274,7 +275,7 @@ class TestClusterBatching:
         """max_batch=1 must reproduce the unbatched figures exactly —
         same messages, same bytes, same virtual response time."""
         plain = SimCluster(3)
-        degenerate = SimCluster(3, batching=BatchConfig(max_batch=1))
+        degenerate = SimCluster(3, config=ClusterConfig(batching=BatchConfig(max_batch=1)))
         oids_p = build_chain(plain)
         oids_d = build_chain(degenerate)
         out_p = plain.run_query(CLOSURE, [oids_p[0]])
@@ -291,7 +292,7 @@ class TestClusterBatching:
         *enabled* batcher must therefore reproduce the unbatched figures
         exactly on this workload (hints are piggyback-only)."""
         plain = SimCluster(3)
-        batched = SimCluster(3, batching=BatchConfig(max_batch=8))
+        batched = SimCluster(3, config=ClusterConfig(batching=BatchConfig(max_batch=8)))
         oids_p = build_chain(plain, 30)
         oids_b = build_chain(batched, 30)
         out_p = plain.run_query(CLOSURE, [oids_p[0]])
@@ -304,7 +305,7 @@ class TestClusterBatching:
 
     def test_batched_response_time_better_on_fanout(self):
         plain = SimCluster(3)
-        batched = SimCluster(3, batching=BatchConfig(max_batch=8))
+        batched = SimCluster(3, config=ClusterConfig(batching=BatchConfig(max_batch=8)))
         root_p, _ = build_fanout(plain, 30)
         root_b, _ = build_fanout(batched, 30)
         rt_plain = plain.run_query(CLOSURE, [root_p]).response_time
@@ -314,7 +315,7 @@ class TestClusterBatching:
     def test_sent_set_suppression_counts(self):
         """A diamond graph re-discovers the same remote pointer twice;
         the sent-set suppresses the second send entirely."""
-        cluster = SimCluster(2, batching=BatchConfig(max_batch=8))
+        cluster = SimCluster(2, config=ClusterConfig(batching=BatchConfig(max_batch=8)))
         s0, s1 = cluster.store("site0"), cluster.store("site1")
         shared = s1.create([keyword_tuple("K")])
         s1.replace(shared.with_tuple(pointer_tuple("Ref", shared.oid)))
@@ -328,7 +329,7 @@ class TestClusterBatching:
         assert cluster.total_stats().sends_suppressed >= 1
 
     def test_batching_with_down_site_still_terminates(self):
-        cluster = SimCluster(3, batching=BatchConfig(max_batch=8))
+        cluster = SimCluster(3, config=ClusterConfig(batching=BatchConfig(max_batch=8)))
         oids = build_chain(cluster)
         cluster.set_down("site1")
         out = cluster.run_query(CLOSURE, [oids[0]])
@@ -342,9 +343,11 @@ class TestClusterBatching:
 
         cluster = SimCluster(
             3,
-            fault_plan=FaultPlan(seed=7, drop=0.15, duplicate=0.1, reorder=0.2),
-            reliable=True,
-            batching=BatchConfig(max_batch=4),
+            config=ClusterConfig(
+                fault_plan=FaultPlan(seed=7, drop=0.15, duplicate=0.1, reorder=0.2),
+                reliable=True,
+                batching=BatchConfig(max_batch=4),
+            ),
         )
         oids = build_chain(cluster)
         qid = cluster.submit(CLOSURE, [oids[0]])
@@ -354,14 +357,19 @@ class TestClusterBatching:
         assert ctx.term_state.recovered == Fraction(1)
 
     def test_deadline_expiry_drops_pending_batches(self):
-        cluster = SimCluster(3, fault_plan=FaultPlan(seed=1, drop=1.0),
-                             batching=BatchConfig(max_batch=8))
+        cluster = SimCluster(
+            3,
+            config=ClusterConfig(
+                fault_plan=FaultPlan(seed=1, drop=1.0),
+                batching=BatchConfig(max_batch=8),
+            ),
+        )
         oids = build_chain(cluster)
         out = cluster.run_query(CLOSURE, [oids[0]], deadline_s=0.5)
         assert out.result.partial
 
     def test_mark_hints_can_be_disabled(self):
-        cluster = SimCluster(3, batching=BatchConfig(max_batch=8, mark_hints=False))
+        cluster = SimCluster(3, config=ClusterConfig(batching=BatchConfig(max_batch=8, mark_hints=False)))
         oids = build_chain(cluster)
         out = cluster.run_query(CLOSURE, [oids[0]])
         assert out.result.oid_keys() == {o.key() for o in oids}
@@ -369,7 +377,7 @@ class TestClusterBatching:
     def test_tracer_records_batch_events(self):
         from repro.tracing import QueryTracer
 
-        cluster = SimCluster(3, batching=BatchConfig(max_batch=4))
+        cluster = SimCluster(3, config=ClusterConfig(batching=BatchConfig(max_batch=4)))
         root, _ = build_fanout(cluster)
         tracer = QueryTracer(kinds=["batch_flush", "batch_recv"])
         cluster.attach_tracer(tracer)
@@ -382,7 +390,7 @@ class TestWallClockBatching:
     def test_threaded_cluster_batched_results_match(self):
         from repro.net.threaded import ThreadedCluster
 
-        with ThreadedCluster(3, batching=BatchConfig(max_batch=4)) as cluster:
+        with ThreadedCluster(3, config=ClusterConfig(batching=BatchConfig(max_batch=4))) as cluster:
             root, everything = build_fanout(cluster)
             out = cluster.run_query(PROGRAM, [root])
             assert out.result.oid_keys() == {o.key() for o in everything}
@@ -391,7 +399,7 @@ class TestWallClockBatching:
     def test_async_cluster_batched_frames_cross_the_wire(self):
         from repro.net.asyncio_cluster import AsyncCluster
 
-        with AsyncCluster(3, batching=BatchConfig(max_batch=4)) as cluster:
+        with AsyncCluster(3, config=ClusterConfig(batching=BatchConfig(max_batch=4))) as cluster:
             root, everything = build_fanout(cluster)
             out = cluster.run_query(PROGRAM, [root])
             assert out.result.oid_keys() == {o.key() for o in everything}

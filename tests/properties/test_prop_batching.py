@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core import keyword_tuple, pointer_tuple
 from repro.faults import FaultPlan
 from repro.net.batching import BatchConfig
@@ -75,7 +76,7 @@ class TestBatchingTransparency:
            cfg=batch_configs)
     def test_batching_never_changes_results(self, seed, n, cfg):
         plain = SimCluster(3)
-        batched = SimCluster(3, batching=cfg)
+        batched = SimCluster(3, config=ClusterConfig(batching=cfg))
         oids_p = build_random_graph(plain, n, seed)
         oids_b = build_random_graph(batched, n, seed)
         out_p = plain.run_query(CLOSURE, [oids_p[0]])
@@ -87,7 +88,7 @@ class TestBatchingTransparency:
     @given(seed=st.integers(0, 2**20), n=st.integers(min_value=4, max_value=16),
            cfg=batch_configs)
     def test_batching_conserves_credit(self, seed, n, cfg):
-        cluster = SimCluster(3, batching=cfg)
+        cluster = SimCluster(3, config=ClusterConfig(batching=cfg))
         oids = build_random_graph(cluster, n, seed)
         qid = cluster.submit(CLOSURE, [oids[0]])
         cluster.wait(qid)
@@ -103,12 +104,14 @@ class TestBatchingTransparency:
         """Chaos drops/duplicates whole *frames*; the reliable channel
         retransmits them and the receiver dedups each frame as a unit.
         Results and credit must come out exactly as without batching."""
-        plain = SimCluster(
-            3, fault_plan=FaultPlan(seed=seed, **rates), reliable=True
-        )
+        plain = SimCluster(3, config=ClusterConfig(fault_plan=FaultPlan(seed=seed, **rates), reliable=True))
         batched = SimCluster(
-            3, fault_plan=FaultPlan(seed=seed, **rates), reliable=True,
-            batching=cfg,
+            3,
+            config=ClusterConfig(
+                fault_plan=FaultPlan(seed=seed, **rates),
+                reliable=True,
+                batching=cfg,
+            ),
         )
         oids_p = build_random_graph(plain, n, seed)
         oids_b = build_random_graph(batched, n, seed)
@@ -130,8 +133,11 @@ class TestBatchingTransparency:
         overtake a large in-flight ResultBatch on the same link, with or
         without batching)."""
         batched = SimCluster(
-            3, termination="dijkstra-scholten",
-            batching=BatchConfig(max_batch=4),
+            3,
+            config=ClusterConfig(
+                termination="dijkstra-scholten",
+                batching=BatchConfig(max_batch=4),
+            ),
         )
         oids = build_random_graph(batched, n, seed)
         qid = batched.submit(CLOSURE, [oids[0]])

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.api import credit_deficit
 from repro.cache import CacheConfig
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core import keyword_tuple, pointer_tuple
 from repro.net.asyncio_cluster import AsyncCluster
 from repro.net.threaded import ThreadedCluster
@@ -81,7 +82,7 @@ class TestCachingTransparencySim:
            cfg=cache_configs, repeats=st.integers(min_value=1, max_value=3))
     def test_cached_equals_uncached_across_repeats(self, seed, n, cfg, repeats):
         plain = SimCluster(3)
-        cached = SimCluster(3, caching=cfg)
+        cached = SimCluster(3, config=ClusterConfig(caching=cfg))
         oids_p = build_random_graph(plain, n, seed)
         oids_c = build_random_graph(cached, n, seed)
         for _ in range(repeats):
@@ -99,7 +100,7 @@ class TestCachingTransparencySim:
         leak the first query's bindings or results."""
         other = 'S [ (Pointer,"Ref",?X) ^^X ]* (Keyword,"Q",?) -> T'
         plain = SimCluster(3)
-        cached = SimCluster(3, caching=cfg)
+        cached = SimCluster(3, config=ClusterConfig(caching=cfg))
         oids_p = build_random_graph(plain, n, seed)
         oids_c = build_random_graph(cached, n, seed)
         for query in (CLOSURE, other, CLOSURE):
@@ -115,7 +116,7 @@ class TestCachingTransparencySim:
         must answer from the *new* data, exactly like a fresh uncached
         cluster over the mutated graph."""
         plain = SimCluster(3)
-        cached = SimCluster(3, caching=cfg)
+        cached = SimCluster(3, config=ClusterConfig(caching=cfg))
         oids_p = build_random_graph(plain, n, seed)
         oids_c = build_random_graph(cached, n, seed)
         cached.run_query(CLOSURE, [oids_c[0]])  # warm every cache layer
@@ -143,7 +144,7 @@ class TestCachingTransparencySim:
     @SETTINGS
     @given(seed=st.integers(0, 2**20), n=st.integers(min_value=4, max_value=16))
     def test_full_config_conserves_credit(self, seed, n):
-        cached = SimCluster(3, caching=CacheConfig())
+        cached = SimCluster(3, config=ClusterConfig(caching=CacheConfig()))
         oids = build_random_graph(cached, n, seed)
         for _ in range(2):
             qid = cached.submit(CLOSURE, [oids[0]])
@@ -164,7 +165,7 @@ class TestCachingTransparencyRealTransports:
     @given(seed=st.integers(0, 2**20), n=st.integers(min_value=4, max_value=10))
     def test_cached_equals_uncached(self, factory, seed, n):
         plain = factory(3)
-        cached = factory(3, caching=CacheConfig())
+        cached = factory(3, config=ClusterConfig(caching=CacheConfig()))
         try:
             oids_p = build_random_graph(plain, n, seed)
             oids_c = build_random_graph(cached, n, seed)

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core import keyword_tuple, pointer_tuple
 from repro.faults import FaultPlan
 
@@ -58,9 +59,7 @@ class TestReliableChaosProperties:
     @given(seed=st.integers(0, 2**20), rates=chaos_rates,
            length=st.integers(min_value=4, max_value=16))
     def test_weighted_terminates_conserves_and_completes(self, seed, rates, length):
-        cluster = SimCluster(
-            3, fault_plan=FaultPlan(seed=seed, **rates), reliable=True
-        )
+        cluster = SimCluster(3, config=ClusterConfig(fault_plan=FaultPlan(seed=seed, **rates), reliable=True))
         oids = build_chain(cluster, length)
         qid = cluster.submit(CLOSURE, [oids[0]])
         outcome = cluster.wait(qid)
@@ -74,8 +73,12 @@ class TestReliableChaosProperties:
            length=st.integers(min_value=4, max_value=16))
     def test_dijkstra_scholten_terminates_cleanly(self, seed, rates, length):
         cluster = SimCluster(
-            3, termination="dijkstra-scholten",
-            fault_plan=FaultPlan(seed=seed, **rates), reliable=True,
+            3,
+            config=ClusterConfig(
+                termination="dijkstra-scholten",
+                fault_plan=FaultPlan(seed=seed, **rates),
+                reliable=True,
+            ),
         )
         oids = build_chain(cluster, length)
         qid = cluster.submit(CLOSURE, [oids[0]])

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core.program import compile_query
 from repro.core.builder import QueryBuilder
 from repro.core.tuples import keyword_tuple, pointer_tuple, tuple_of
@@ -66,7 +67,7 @@ def load_single(n, edges, kw):
 
 
 def load_cluster(n, edges, kw, placement):
-    cluster = SimCluster(3, costs=FREE_COSTS)
+    cluster = SimCluster(3, config=ClusterConfig(costs=FREE_COSTS))
     stores = [cluster.store(s) for s in cluster.sites]
     oids = [stores[placement[i]].create([]).oid for i in range(n)]
     for i in range(n):
@@ -142,7 +143,7 @@ class TestTerminationDetectors:
         store, oids = load_single(n, edges, kw)
         expected = _indices(oids, run_local(program, [oids[s] for s in seeds], store.get).oid_keys())
 
-        cluster = SimCluster(3, costs=FREE_COSTS, termination=strategy)
+        cluster = SimCluster(3, config=ClusterConfig(costs=FREE_COSTS, termination=strategy))
         stores = [cluster.store(s) for s in cluster.sites]
         c_oids = [stores[placement[i]].create([]).oid for i in range(n)]
         for i in range(n):

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core.builder import QueryBuilder
 from repro.core.program import compile_query
 from repro.core.tuples import keyword_tuple, pointer_tuple, tuple_of
@@ -54,7 +55,7 @@ QUERY = compile_query(
 
 
 def build(n, edges):
-    cluster = SimCluster(3, costs=FREE_COSTS)
+    cluster = SimCluster(3, config=ClusterConfig(costs=FREE_COSTS))
     store0 = cluster.store("site0")
     oids = [store0.create([keyword_tuple("K")]).oid for _ in range(n)]
     for i in range(n):

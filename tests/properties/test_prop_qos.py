@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.api import credit_deficit
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core import keyword_tuple, pointer_tuple
 from repro.qos import QoSConfig
 
@@ -64,7 +65,7 @@ def build_random_graph(cluster, n, seed):
 
 
 def run_once(qos, n, seed, priority=None):
-    cluster = SimCluster(3, qos=qos)
+    cluster = SimCluster(3, config=ClusterConfig(qos=qos))
     oids = build_random_graph(cluster, n, seed)
     out = cluster.run_query(CLOSURE, [oids[0]], priority=priority)
     return cluster, out

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core import keyword_tuple, pointer_tuple
 from repro.replication import ReplicationConfig
 from repro.sim.explore import crash_is_safe
@@ -64,7 +65,7 @@ class TestSafeCrashSetsAreInvisible:
         oracle = healthy.run_query(CLOSURE, [oids[0]]).result.oid_keys()
         healthy.close()
 
-        cluster = SimCluster(3, replication=ReplicationConfig(k=k))
+        cluster = SimCluster(3, config=ClusterConfig(replication=ReplicationConfig(k=k)))
         load_random_graph(cluster, seed, n)
         cluster.replicate_all()
         try:
@@ -87,7 +88,7 @@ class TestSafeCrashSetsAreInvisible:
         oracle = plain.run_query(CLOSURE, [oids[0]]).result.oid_keys()
         plain.close()
 
-        cluster = SimCluster(3, replication=ReplicationConfig(k=2))
+        cluster = SimCluster(3, config=ClusterConfig(replication=ReplicationConfig(k=2)))
         load_random_graph(cluster, seed, n)
         cluster.replicate_all()
         out = cluster.run_query(CLOSURE, [oids[0]])

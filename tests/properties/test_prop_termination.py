@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core.builder import QueryBuilder
 from repro.core.program import compile_query
 from repro.core.tuples import keyword_tuple, pointer_tuple
@@ -31,7 +32,7 @@ def random_scenarios(draw):
 
 
 def run_scenario(n, edges, placement, seed, strategy):
-    cluster = SimCluster(3, costs=FREE_COSTS, termination=strategy)
+    cluster = SimCluster(3, config=ClusterConfig(costs=FREE_COSTS, termination=strategy))
     stores = [cluster.store(s) for s in cluster.sites]
     oids = [stores[placement[i]].create([]).oid for i in range(n)]
     for i in range(n):

@@ -7,6 +7,7 @@ what must hold externally is service order and result transparency.
 """
 
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core import keyword_tuple, pointer_tuple
 from repro.net.batching import BatchConfig
 from repro.qos import QoSConfig
@@ -32,7 +33,7 @@ class TestWeightedFairDrain:
         """A batch query submitted *first* still finishes after an
         interactive one of identical shape: the 4:1 drain share, not
         arrival order, decides who gets the CPU."""
-        cluster = SimCluster(1, qos=QoSConfig())
+        cluster = SimCluster(1, config=ClusterConfig(qos=QoSConfig()))
         chain_a = build_chain(cluster, 40)
         chain_b = build_chain(cluster, 40)
         batch_qid = cluster.submit(CLOSURE, [chain_a[0]], priority="batch")
@@ -45,7 +46,7 @@ class TestWeightedFairDrain:
     def test_batch_only_workload_is_work_conserving(self):
         """With no interactive work present, batch queries use the whole
         CPU — the interactive class forfeits its unused credits."""
-        cluster = SimCluster(1, qos=QoSConfig())
+        cluster = SimCluster(1, config=ClusterConfig(qos=QoSConfig()))
         oids = build_chain(cluster, 20)
         out = cluster.run_query(CLOSURE, [oids[0]], priority="batch")
         assert out.result.oid_keys() == {o.key() for o in oids}
@@ -60,7 +61,7 @@ class TestWeightedFairDrain:
         scheduler interleaved them (bit-identical timing)."""
         timings = []
         for qos in (None, QoSConfig()):
-            cluster = SimCluster(1, qos=qos)
+            cluster = SimCluster(1, config=ClusterConfig(qos=qos))
             chain_a = build_chain(cluster, 25)
             chain_b = build_chain(cluster, 25)
             qid_a = cluster.submit(CLOSURE, [chain_a[0]])
@@ -90,7 +91,7 @@ class TestBackpressure:
         the result set never changes (backpressure shapes traffic, it
         never drops work)."""
         qos = QoSConfig(high_watermark=1, low_watermark=0)
-        cluster = SimCluster(3, qos=qos, batching=BatchConfig(max_batch=2))
+        cluster = SimCluster(3, config=ClusterConfig(qos=qos, batching=BatchConfig(max_batch=2)))
         root, kids = build_star(cluster)
         out = cluster.run_query(CLOSURE, [root])
         assert len(out.result.oid_keys()) == len(kids) + 1
@@ -103,7 +104,7 @@ class TestBackpressure:
         """A sender that knows its destinations are pressured defers the
         size flush by ``pressure_batch_factor`` and counts the holds."""
         qos = QoSConfig(high_watermark=1, low_watermark=0, pressure_batch_factor=8)
-        cluster = SimCluster(3, qos=qos, batching=BatchConfig(max_batch=2))
+        cluster = SimCluster(3, config=ClusterConfig(qos=qos, batching=BatchConfig(max_batch=2)))
         root, kids = build_star(cluster)
         # White-box: the origin has already heard pressure bits from both
         # peers (as it would mid-overload); its fan-out must then hold

@@ -14,6 +14,7 @@ import pytest
 
 from repro.api import credit_deficit
 from repro.cluster import SimCluster
+from repro.config import ClusterConfig
 from repro.core.oid import Oid
 from repro.core.parser import parse_query
 from repro.core.program import compile_query
@@ -203,7 +204,7 @@ class TestWorkAccounting:
         """``has_work`` / ``work_depth`` read counters; the scan they
         replaced is the oracle, checked after every simulator event of a
         run with concurrent, deadline-expired and purged queries."""
-        cluster = SimCluster(3, result_mode=result_mode)
+        cluster = SimCluster(3, config=ClusterConfig(result_mode=result_mode))
         workload = generate_into_cluster(cluster, SPEC, build_graph(n=60))
         query = traversal_only_query("Rand05")
         qids = [
@@ -291,8 +292,8 @@ SPEC = WorkloadSpec(n_objects=60)
 
 
 class TestFollowupLease:
-    def build(self, **kwargs):
-        cluster = SimCluster(3, **kwargs)
+    def build(self, **fields):
+        cluster = SimCluster(3, config=ClusterConfig(**fields))
         return cluster, generate_into_cluster(cluster, SPEC, build_graph(n=60))
 
     def test_followup_inside_the_window_then_typed_error_outside_it(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import QueryOutcome, SimCluster, site_name
+from repro.config import ClusterConfig
 from repro.core import keyword_tuple, pointer_tuple
 from repro.core.oid import Oid
 from repro.errors import HyperFileError, UnknownSite
@@ -176,7 +177,7 @@ class TestMigrationIntegration:
 class TestTerminationChoices:
     @pytest.mark.parametrize("strategy", ["weighted", "dijkstra-scholten"])
     def test_both_strategies_complete(self, strategy):
-        cluster = SimCluster(3, termination=strategy)
+        cluster = SimCluster(3, config=ClusterConfig(termination=strategy))
         ids = build_cross_site_chain(cluster)
         out = cluster.run_query(CLOSURE, [ids["a"]])
         assert len(out.result.oids) == 3
@@ -184,7 +185,7 @@ class TestTerminationChoices:
     def test_ds_sends_control_messages_weighted_does_not(self):
         results = {}
         for strategy in ("weighted", "dijkstra-scholten"):
-            cluster = SimCluster(3, termination=strategy)
+            cluster = SimCluster(3, config=ClusterConfig(termination=strategy))
             ids = build_cross_site_chain(cluster)
             cluster.run_query(CLOSURE, [ids["a"]])
             results[strategy] = cluster.total_stats().messages_sent.get("ControlMessage", 0)

@@ -1,13 +1,14 @@
-"""ClusterConfig consolidation + transport registry contract tests.
+"""ClusterConfig surface + transport registry contract tests.
 
-Two API-surface guarantees live here: (1) the legacy per-subsystem
-kwargs (``batching=``, ``caching=``, ``replication=``, ``qos=``) build
-EXACTLY the same deployment as the equivalent ``ClusterConfig`` — they
-warn, but they cannot drift; (2) the transport registry resolves names
+Two API-surface guarantees live here: (1) a :class:`ClusterConfig` is
+the only way to configure a deployment — no constructor takes a
+parameter that duplicates one of its fields, and a transport rejects a
+field it does not implement; (2) the transport registry resolves names
 uniformly for the facade, ``make_cluster`` and third-party factories.
 """
 
-import warnings
+import importlib
+import inspect
 
 import pytest
 
@@ -15,80 +16,48 @@ from repro.api import make_cluster, register_transport, transport_factory, trans
 from repro.cache import CacheConfig
 from repro.client import HyperFile
 from repro.cluster import SimCluster
-from repro.config import DEPRECATED_KWARGS, ClusterConfig, resolve_config
-from repro.net.batching import BatchConfig
-from repro.qos import QoSConfig
-from repro.replication import ReplicationConfig
+from repro.config import ClusterConfig
+from repro.errors import ConfigError
+from repro.net.procserver import ProcessCluster
 
-LEGACY = dict(
-    batching=BatchConfig(max_batch=4),
-    caching=CacheConfig(),
-    replication=ReplicationConfig(k=2),
-    qos=QoSConfig(),
-)
-
-
-class TestResolveConfig:
-    def test_defaults_resolve_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any warning fails the test
-            config = resolve_config(None, owner="X")
-        assert config == ClusterConfig()
-
-    @pytest.mark.parametrize("name", DEPRECATED_KWARGS)
-    def test_each_legacy_kwarg_warns_and_lands_in_the_config(self, name):
-        with pytest.warns(DeprecationWarning, match=f"{name}=.*deprecated"):
-            config = resolve_config(None, owner="X", **{name: LEGACY[name]})
-        assert getattr(config, name) == LEGACY[name]
-
-    def test_config_plus_clashing_legacy_kwarg_is_an_error(self):
-        with pytest.raises(ValueError, match="both config= and legacy kwarg"):
-            resolve_config(ClusterConfig(), owner="X", qos=QoSConfig())
-
-    def test_config_plus_default_legacy_kwargs_is_fine(self):
-        config = ClusterConfig(qos=QoSConfig())
-        assert resolve_config(config, owner="X", batching=None, qos=None) is config
+#: Where each builtin transport's class lives (the registry's factories
+#: import them lazily, so the classes are named here).
+BUILTIN_CLASSES = {
+    "sim": ("repro.cluster", "SimCluster"),
+    "threaded": ("repro.net.threaded", "ThreadedCluster"),
+    "async": ("repro.net.asyncio_cluster", "AsyncCluster"),
+}
 
 
-class TestAliasParity:
-    """legacy kwargs ≡ config= — same resulting deployment, field by field."""
+def surface_classes():
+    assert set(BUILTIN_CLASSES) == set(transport_names())
+    classes = [
+        getattr(importlib.import_module(module), name)
+        for module, name in BUILTIN_CLASSES.values()
+    ]
+    return classes + [ProcessCluster, HyperFile]
 
-    def test_facade_parity(self):
-        with pytest.warns(DeprecationWarning):
-            via_kwargs = HyperFile(sites=2, **LEGACY)
-        via_config = HyperFile(sites=2, config=ClusterConfig(**LEGACY))
-        assert via_kwargs.config == via_config.config
-        for hf in (via_kwargs, via_config):
-            assert hf.cluster.replication is not None
-            assert hf.cluster.replication.config.k == 2
-            hf.close()
 
-    def test_simulator_parity(self):
-        with pytest.warns(DeprecationWarning):
-            via_kwargs = SimCluster(3, **LEGACY)
-        via_config = SimCluster(3, config=ClusterConfig(**LEGACY))
-        assert via_kwargs.config == via_config.config
+class TestOneConfigSurface:
+    @pytest.mark.parametrize("cls", surface_classes(), ids=lambda cls: cls.__name__)
+    def test_constructor_takes_only_sites_transport_and_keyword_config(self, cls):
+        for method in (cls.__init__, cls.__new__):
+            if method is object.__init__ or method is object.__new__:
+                continue
+            params = dict(inspect.signature(method).parameters)
+            params.pop("self", None)
+            params.pop("cls", None)
+            assert set(params) <= {"sites", "transport", "config"}, (cls, method)
+            assert params["config"].kind is inspect.Parameter.KEYWORD_ONLY
 
-    @pytest.mark.parametrize("transport", ["threaded", "async"])
-    def test_wall_clock_parity(self, transport):
-        legacy = dict(batching=BatchConfig(max_batch=4), qos=QoSConfig())
-        factory = transport_factory(transport)
-        with pytest.warns(DeprecationWarning):
-            via_kwargs = factory(2, **legacy)
-        try:
-            via_config = factory(2, config=ClusterConfig(**legacy))
-        except Exception:
-            via_kwargs.close()
-            raise
-        try:
-            assert via_kwargs.config == via_config.config
-        finally:
-            via_kwargs.close()
-            via_config.close()
+    def test_a_field_passed_as_a_kwarg_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            SimCluster(3, caching=CacheConfig())
 
-    def test_facade_rejects_config_plus_legacy(self):
-        with pytest.raises(ValueError, match="both config= and legacy kwarg"):
-            HyperFile(sites=2, config=ClusterConfig(), qos=QoSConfig())
+    @pytest.mark.parametrize("transport", ["sim", "threaded"])
+    def test_host_is_rejected_where_nothing_binds(self, transport):
+        with pytest.raises(ConfigError, match="host"):
+            make_cluster(transport, 3, config=ClusterConfig(host="0.0.0.0"))
 
 
 class TestTransportRegistry:
@@ -113,8 +82,8 @@ class TestTransportRegistry:
             register_transport("has spaces", lambda sites=3, **kw: None)
 
     def test_duplicate_registration_needs_replace(self):
-        def factory(sites=3, **kwargs):
-            return SimCluster(sites, **kwargs)
+        def factory(sites=3, *, config=None):
+            return SimCluster(sites, config=config)
 
         register_transport("_test_dup", factory)
         try:
@@ -129,9 +98,9 @@ class TestTransportRegistry:
     def test_third_party_transport_reaches_the_facade(self):
         calls = []
 
-        def factory(sites=3, **kwargs):
+        def factory(sites=3, *, config=None):
             calls.append(sites)
-            return SimCluster(sites, **kwargs)
+            return SimCluster(sites, config=config)
 
         register_transport("_test_custom", factory)
         try:
