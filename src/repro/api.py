@@ -4,9 +4,11 @@ The reproduction has three ways to run the same server algorithm — the
 discrete-event :class:`~repro.cluster.SimCluster` (calibrated virtual
 time), the :class:`~repro.net.threaded.ThreadedCluster` (real threads,
 objects by reference) and the :class:`~repro.net.asyncio_cluster.AsyncCluster`
-(real TCP frames, optionally one process per site).  Historically each grew its own client surface; this
-module pins down the one contract they all satisfy, so a scenario script
-written against :class:`ClusterAPI` runs unchanged on any of them:
+(real TCP frames, optionally one process per site).  All of them subclass
+:class:`~repro.net.common.ClusterBase`, which implements the client
+surface once; this module pins that surface down as a contract, so a
+scenario script written against :class:`ClusterAPI` runs unchanged on any
+of them (and on a third-party transport that conforms to it):
 
 * ``submit`` / ``wait`` — non-blocking install plus blocking collection,
   returning a :class:`QueryOutcome` (never a bare result);
@@ -161,9 +163,11 @@ class OutcomeTable:
 class ClusterAPI(Protocol):
     """The client surface shared by every registered transport.
 
-    Structural (``Protocol``): the clusters do not inherit from it, they
-    conform to it — ``isinstance(cluster, ClusterAPI)`` checks the shape,
-    and the conformance suite checks the behaviour.
+    Structural (``Protocol``): the builtin clusters get it from
+    :class:`~repro.net.common.ClusterBase`, and a third-party transport
+    conforms without inheriting anything — ``isinstance(cluster,
+    ClusterAPI)`` checks the shape, and the conformance suite checks the
+    behaviour.
     """
 
     @property

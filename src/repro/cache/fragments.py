@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from ..core.oid import Oid
 from ..core.program import DerefOp, LoopOp, Program, RetrieveOp, SelectOp

@@ -24,7 +24,7 @@ the processing algorithm of paper §3 operates on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Iterator, Optional, Tuple
 
 from .patterns import Pattern, as_pattern

@@ -14,7 +14,6 @@ objects of the initial set; the query is done when ``O.next > n``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .ast import Deref, FilterNode, Iterate, Query, Retrieve, Select

@@ -53,7 +53,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 from ..core.objects import HFObject
 from ..core.oid import Oid
 from ..core.patterns import Pattern
-from ..core.program import DerefOp, LoopOp, Op, Program, RetrieveOp, SelectOp
+from ..core.program import DerefOp, LoopOp, Program, RetrieveOp, SelectOp
 from ..core.tuples import HFTuple
 from .items import ActiveItem, WorkItem, bump_iters, iter_count
 

@@ -18,7 +18,7 @@ at the network's availability table.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from ..errors import MembershipError
 from .config import MembershipConfig

@@ -49,9 +49,7 @@ from ..core.program import Program
 from ..errors import HyperFileError, UnknownSite
 from ..faults.plan import FaultPlan
 from ..faults.reliable import ReliableAck, ReliableConfig, ReliableData, ReliableEndpoint
-from ..naming.directory import ReplicaDirectory
 from ..net.codec import FRAME_HEADER, CodecError, FrameReader, decode_envelope, encode_envelope
-from ..replication import ReplicationManager
 from ..net.messages import (
     BatchedQuery,
     DerefRequest,
@@ -61,10 +59,7 @@ from ..net.messages import (
     Undeliverable,
 )
 from ..server.node import ServerNode
-from ..sim.costs import FREE_COSTS
-from ..storage.memstore import MemStore
-from ..termination.base import make_strategy
-from .common import WallClockQueries, contain_site_error
+from .common import ClusterBase, contain_site_error
 
 #: Wall-clock budget for establishing one inter-site connection.
 CONNECT_TIMEOUT_S = 5.0
@@ -353,7 +348,7 @@ class _AsyncSite:
             self.server.close()
 
 
-class AsyncCluster(WallClockQueries):
+class AsyncCluster(ClusterBase):
     """A HyperFile deployment on asyncio framed TCP.
 
     Implements the same :class:`~repro.api.ClusterAPI` contract as the
@@ -379,14 +374,7 @@ class AsyncCluster(WallClockQueries):
     ) -> None:
         config = config if config is not None else ClusterConfig()
         config.require_default("costs", "mark_granularity", transport="async")
-        self.config = config
-        names = [f"site{i}" for i in range(sites)] if isinstance(sites, int) else list(sites)
-        strategy = make_strategy(config.termination)
-        self.stores: Dict[str, MemStore] = {}
-        self.nodes: Dict[str, ServerNode] = {}
         self._asites: Dict[str, _AsyncSite] = {}
-        self._init_queries(config.qos)
-        self._closed = False
         self._down: set = set()
         self._down_lock = threading.Lock()
         self.fault_plan: Optional[FaultPlan] = None
@@ -395,57 +383,17 @@ class AsyncCluster(WallClockQueries):
         self.messages_dropped = 0
         #: Envelopes whose delivery was abandoned (reliable give-up).
         self.undeliverable: List[Envelope] = []
-        directory = (
-            ReplicaDirectory()
-            if config.replication is not None and config.replication.enabled
-            else None
-        )
-        for name in names:
-            store = MemStore(name)
-            node = ServerNode(
-                name,
-                store,
-                costs=FREE_COSTS,
-                termination=strategy,
-                discipline=config.discipline,
-                result_mode=config.result_mode,
-                on_query_complete=self._on_complete,
-                is_site_up=self.is_up,
-                batching=config.batching,
-                caching=config.caching,
-                replicas=directory,
-                qos=config.qos,
-            )
-            node.now_fn = time.monotonic
-            self.stores[name] = store
-            self.nodes[name] = node
-            self._asites[name] = _AsyncSite(node, self)
-        self.replication: Optional[ReplicationManager] = None
-        if directory is not None:
-            self.replication = ReplicationManager(
-                config.replication,
-                self.stores,
-                {name: node.forwarding for name, node in self.nodes.items()},
-                directory,
-            )
-            for node in self.nodes.values():
-                self.replication.add_epoch_listener(node.observe_epoch)
-
-        self._init_membership(config)
-        self._init_telemetry(config)
+        super().__init__(sites, config, now=time.monotonic)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="hf-async-loop", daemon=True
         )
         self._thread.start()
         asyncio.run_coroutine_threadsafe(self._bootstrap(), self._loop).result(timeout=10.0)
+        self._arm_faults()
 
-        if config.reliable:
-            self.enable_reliable(
-                config.reliable if isinstance(config.reliable, ReliableConfig) else None
-            )
-        if config.fault_plan is not None:
-            self.use_faults(config.fault_plan)
+    def _attach_site(self, node: ServerNode) -> None:
+        self._asites[node.site] = _AsyncSite(node, self)
 
     async def _bootstrap(self) -> None:
         loop = asyncio.get_running_loop()
@@ -477,29 +425,7 @@ class AsyncCluster(WallClockQueries):
             site.shutdown()
         await asyncio.sleep(0)
 
-    def __enter__(self) -> "AsyncCluster":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- data ------------------------------------------------------------
-
-    @property
-    def sites(self) -> List[str]:
-        return list(self.nodes)
-
-    def store(self, site: str) -> MemStore:
-        try:
-            return self.stores[site]
-        except KeyError:
-            raise UnknownSite(site) from None
-
-    def node(self, site: str) -> ServerNode:
-        try:
-            return self.nodes[site]
-        except KeyError:
-            raise UnknownSite(site) from None
 
     def port_of(self, site: str) -> int:
         try:
@@ -515,9 +441,6 @@ class AsyncCluster(WallClockQueries):
     def is_up(self, site: str) -> bool:
         with self._down_lock:
             return site not in self._down
-
-    def is_down(self, site: str) -> bool:
-        return not self.is_up(site)
 
     def set_down(self, site: str) -> None:
         """Freeze a site's drain task; frames to it drop at the wire."""
@@ -643,11 +566,10 @@ class AsyncCluster(WallClockQueries):
         return proxy
 
     # -- queries ---------------------------------------------------------
-    # submit / wait / run_query / run_followup / total_stats come from
-    # WallClockQueries; this transport only supplies the dispatch hooks,
-    # each of which hops onto the event loop and blocks for the result so
-    # submit-time errors surface in the caller, exactly like the
-    # blocking transports.
+    # The query surface comes from ClusterBase; this transport only
+    # supplies the dispatch hooks, each of which hops onto the event loop
+    # and blocks for the result so submit-time errors surface in the
+    # caller, exactly like the blocking transports.
 
     def _dispatch_submit(
         self,

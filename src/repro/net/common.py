@@ -1,12 +1,27 @@
-"""Shared machinery for the wall-clock transports.
+"""The one cluster base every deployment builds on.
 
-The threaded and asyncio clusters (inline and process mode) expose the
-same blocking query contract as the simulator (see
-:class:`repro.api.ClusterAPI`); this module holds the pieces they would
-otherwise duplicate — the completion-wait loop with originator-side
-deadlines, :func:`contain_site_error`, and :class:`WallClockQueries`, the
-whole submit/wait/run_query surface parameterised over how a transport
-reaches its sites.
+All four deployments — the simulator (:class:`~repro.cluster.SimCluster`),
+threads, asyncio inline and asyncio process mode — serve the paper's one
+client protocol: a query is submitted at an originating site, results
+and credit flow back to it (§3.2), and response time is read at the
+client (§5).  :class:`ClusterBase` holds that protocol once — site naming
+and the per-site build (:func:`build_node`), qid allocation, admission,
+the in-flight registry, outcome construction, membership administration
+and the telemetry hooks — over the seams a transport supplies:
+
+* a clock, ``self._now``: ``time.monotonic`` on the wall-clock
+  transports, the virtual clock on the simulator;
+* the dispatch hooks ``_dispatch_submit`` / ``_dispatch_submit_from_saved``
+  / ``_dispatch_expire``, which reach an originating site;
+* ``_attach_site`` (how a built node is served), ``is_up`` / ``set_down``
+  / ``set_up`` and ``close``;
+* optionally ``_add_site`` and ``_crash_site`` (membership) and ``wait``
+  — the one here blocks on the wall clock (:func:`await_completion`); the
+  simulator's drives its event loop instead.
+
+This module does not import :mod:`repro.cluster`, so a process-mode child
+builds its node with :func:`build_node` without loading the simulated
+deployment.
 
 **The site-loop rule.**  Every wall-clock transport serves a site the
 same way (``_SiteLoop.serve`` in :mod:`repro.net.threaded` on a thread,
@@ -28,11 +43,9 @@ same way (``_SiteLoop.serve`` in :mod:`repro.net.threaded` on a thread,
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..api import OutcomeTable, QueryLike, QueryOutcome, compile_query_like, credit_deficit
 from ..core.oid import Oid
@@ -48,23 +61,87 @@ from ..errors import (
     TransportClosed,
     UnknownSite,
 )
+from ..faults.reliable import ReliableConfig
 from ..membership import UP, MembershipService, MembershipView, Rebalancer
-from ..qos import PRIORITIES, ClientLimiter, QoSConfig
+from ..naming.directory import ForwardingTable, ReplicaDirectory
+from ..qos import PRIORITIES, ClientLimiter
+from ..replication import ReplicationManager
 from ..server.node import ServerNode
 from ..server.stats import NodeStats
+from ..sim.costs import FREE_COSTS
+from ..storage.memstore import MemStore
+from ..termination.base import make_strategy
 from .messages import QueryId
 
 #: Default hard backstop for blocking waits on the real transports.
 DEFAULT_TIMEOUT_S = 30.0
 
-_log = logging.getLogger(__name__)
+
+def site_name(index: int) -> str:
+    """Canonical site naming used throughout benchmarks: site0, site1, ..."""
+    return f"site{index}"
+
+
+def site_names(sites: Union[int, Iterable[str]]) -> List[str]:
+    """Resolve a cluster's ``sites`` argument (a count, or the names).
+
+    Raises ``ValueError`` for an empty or duplicated list — before a
+    transport has started any thread, event loop or child process.
+    """
+    names = [site_name(i) for i in range(sites)] if isinstance(sites, int) else list(sites)
+    if not names:
+        raise ValueError("a cluster needs at least one site")
+    if len(set(names)) != len(names):
+        raise ValueError("site names must be unique")
+    return names
+
+
+def build_node(
+    site: str,
+    store: MemStore,
+    config,
+    *,
+    costs,
+    now_fn: Callable[[], float],
+    forwarding: Optional[ForwardingTable] = None,
+    replicas: Optional[ReplicaDirectory] = None,
+    on_query_complete=None,
+    is_site_up: Optional[Callable[[str], bool]] = None,
+) -> ServerNode:
+    """One site's :class:`ServerNode`, configured from a
+    :class:`~repro.config.ClusterConfig` — the only place any transport
+    (or a process-mode child) constructs one."""
+    node = ServerNode(
+        site,
+        store,
+        costs=costs,
+        termination=make_strategy(config.termination),
+        discipline=config.discipline,
+        result_mode=config.result_mode,
+        mark_granularity=config.mark_granularity,
+        forwarding=forwarding,
+        is_site_up=is_site_up,
+        on_query_complete=on_query_complete,
+        batching=config.batching,
+        caching=config.caching,
+        replicas=replicas,
+        qos=config.qos,
+    )
+    node.now_fn = now_fn
+    return node
 
 
 def contain_site_error(node: ServerNode, flight_recorder, exc: Exception) -> None:
     """Log and count a raise from ``on_message`` / ``step``, snapshot the
     flight recorder if one is armed, and restore the node's work counters
     the interrupted call may have left stale."""
-    _log.error("site %s: contained a raise and keeps serving", node.site, exc_info=exc)
+    # Imported here: only the wall-clock site loops contain raises, and the
+    # simulator imports this module without needing logging.
+    import logging
+
+    logging.getLogger(__name__).error(
+        "site %s: contained a raise and keeps serving", node.site, exc_info=exc
+    )
     node.stats.site_errors += 1
     node.recount_work()
     if flight_recorder is not None:
@@ -112,143 +189,256 @@ def await_completion(
             return outcome
 
 
-@dataclass
 class _Inflight:
-    submitted_at: float
-    deadline_s: Optional[float]
+    __slots__ = ("submitted_at", "deadline_s", "timer")
+
+    def __init__(self, submitted_at: float, deadline_s: Optional[float]) -> None:
+        self.submitted_at = submitted_at
+        self.deadline_s = deadline_s
+        #: A deadline event armed on the cluster's own clock (the
+        #: simulator's), cancelled when the query completes first.
+        self.timer: Optional[object] = None
 
 
-class WallClockQueries:
-    """The :class:`~repro.api.ClusterAPI` query surface for transports
-    whose clock is ``time.monotonic()``.
+class ClusterBase:
+    """The :class:`~repro.api.ClusterAPI` surface, once, for every transport.
 
-    A concrete transport provides site reachability (how to install a
-    query at a site, how to fire its deadline expiry) through the
-    ``_dispatch_*`` hooks plus ``nodes`` and an ``undeliverable`` list;
-    everything client-visible — qid allocation, the in-flight registry
-    that carries ``deadline_s`` across the submit/wait split, outcome
-    construction, the uniform failure types — lives here, so the real
-    transports cannot drift apart.
+    A concrete transport sets up what its seams need (see the module
+    docstring), then calls ``super().__init__(sites, config, now=...)``,
+    which resolves the site names, builds every site and arms the
+    replication, membership and telemetry planes.  Everything
+    client-visible — qid allocation, the in-flight registry that carries
+    ``deadline_s`` across the submit/wait split, outcome construction,
+    the uniform failure types — lives here, so the transports cannot
+    drift apart.
     """
 
-    # Provided by the concrete transport (listed for readability):
-    #   nodes: Dict[str, ServerNode]
-    #   undeliverable: List[Envelope]
-    #   sites property, _closed flag
-    #   _dispatch_submit / _dispatch_submit_from_saved / _dispatch_expire
+    #: What a node charges per operation: nothing on the wall-clock
+    #: transports, whose time is real.  The simulator sets its model.
+    costs = FREE_COSTS
 
-    def _init_queries(self, qos: Optional[QoSConfig] = None) -> None:
+    def __init__(self, sites: Union[int, Iterable[str]], config, *, now: Callable[[], float]):
+        names = site_names(sites)
+        self.config = config
+        self._now = now
+        self._closed = False
         self._seq = 0
         self._seq_lock = threading.Lock()
+        #: Queries submitted and not yet completed (the keys *are* the set).
         self._inflight: Dict[QueryId, _Inflight] = {}
         self._outcomes = OutcomeTable()
-        self.qos = qos
+        qos = self.qos = config.qos
         self._qos_limiter: Optional[ClientLimiter] = (
-            ClientLimiter(qos.rate_limit_qps, qos.rate_burst, time.monotonic)
+            ClientLimiter(qos.rate_limit_qps, qos.rate_burst, now)
             if qos is not None and qos.rate_limit_qps is not None
             else None
         )
+        #: Submits bounced by admission control (see `repro qos-stats`).
         self.qos_bounces = 0
-        # Telemetry plane defaults, so transports that never call
-        # _init_telemetry (none today) still answer the API.
+        self.metrics = None
         self.flight_recorder = None
         self.stats_timeline = None
         self._flightrec_dumped: set = set()
         self._stats_stop = threading.Event()
         self._stats_thread: Optional[threading.Thread] = None
-        # Membership defaults, so transports that never call
-        # _init_membership still answer the API.
         self.membership: Optional[MembershipService] = None
         self.rebalancer: Optional[Rebalancer] = None
+        self.replication: Optional[ReplicationManager] = None
+        self.stores: Dict[str, MemStore] = {}
+        self.forwarding: Dict[str, ForwardingTable] = {}
+        self.nodes: Dict[str, ServerNode] = {}
+        self._build_sites(names)
+        self._init_membership()
+        self._init_telemetry()
+
+    # -- site build ------------------------------------------------------
+
+    def _build_sites(self, names: List[str]) -> None:
+        """Build every site's store, forwarding table and node, then the
+        replication plane over them.  Process mode overrides this: its
+        nodes live in the child processes."""
+        replication = self.config.replication
+        directory = (
+            ReplicaDirectory() if replication is not None and replication.enabled else None
+        )
+        for name in names:
+            self._build_site(name, directory)
+        self._wire_replication(directory)
+
+    def _build_site(self, name: str, directory: Optional[ReplicaDirectory]) -> ServerNode:
+        """One site's store/forwarding/node stack, handed to the transport
+        (founding sites and sites joining a running cluster alike)."""
+        store = MemStore(name)
+        table = ForwardingTable(name)
+        node = build_node(
+            name,
+            store,
+            self.config,
+            costs=self.costs,
+            now_fn=self._now,
+            forwarding=table,
+            replicas=directory,
+            on_query_complete=self._on_complete,
+            is_site_up=self.is_up,
+        )
+        self.stores[name] = store
+        self.forwarding[name] = table
+        self.nodes[name] = node
+        self._attach_site(node)
+        return node
+
+    def _wire_replication(self, directory: Optional[ReplicaDirectory]) -> None:
+        """Arm k-way replication over the built sites.  Write fan-out
+        invalidates every node's cached view of the mutated holders
+        immediately (version/epoch gating)."""
+        if directory is None:
+            return
+        self.replication = ReplicationManager(
+            self.config.replication, self.stores, self.forwarding, directory
+        )
+        for node in self.nodes.values():
+            self.replication.add_epoch_listener(node.observe_epoch)
+
+    def _arm_faults(self) -> None:
+        """Adopt the config's reliable channel and fault plan; a transport
+        calls this once its sites are serving."""
+        reliable = self.config.reliable
+        if reliable:
+            self.enable_reliable(reliable if isinstance(reliable, ReliableConfig) else None)
+        if self.config.fault_plan is not None:
+            self.use_faults(self.config.fault_plan)
+
+    # -- topology ----------------------------------------------------------
+
+    @property
+    def sites(self) -> List[str]:
+        return list(self.nodes)
+
+    def store(self, site: str):
+        try:
+            return self.stores[site]
+        except KeyError:
+            raise UnknownSite(site) from None
+
+    def node(self, site: str):
+        try:
+            return self.nodes[site]
+        except KeyError:
+            raise UnknownSite(site) from None
+
+    def is_down(self, site: str) -> bool:
+        return not self.is_up(site)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- membership (administrative) --------------------------------------
 
-    def _init_membership(self, config) -> None:
-        """Arm administrative membership from a ClusterConfig.
-
-        Call after ``nodes``, ``stores`` and ``replication`` exist.  The
-        wall-clock transports take *administrative* membership only —
-        ``join_site`` / ``leave_site`` / ``fail_site`` drive view changes
-        and rebalancing, but the gossip failure detector needs the
-        simulator's virtual clock, so ``heartbeat_s`` is rejected here.
-        """
-        membership = getattr(config, "membership", None) if config is not None else None
-        if membership is None:
+    def _init_membership(self) -> None:
+        """Arm membership (view service, rebalancer, routing guards) when
+        the config asks for it; ``membership=None`` leaves every hook at
+        its default, so a static deployment runs bit-identically."""
+        config = self.config.membership
+        if config is None:
             return
-        if membership.heartbeat_s is not None:
-            raise ConfigError(
-                "membership.heartbeat_s",
-                "the gossip failure detector runs on the simulator's virtual "
-                "clock; wall-clock transports take administrative membership "
-                "only (join_site / leave_site / fail_site)",
-            )
-        self.membership = MembershipService(membership, list(self.sites))
+        self._arm_gossip(config)
+        self.membership = MembershipService(config, list(self.nodes))
         self.rebalancer = Rebalancer(
-            self.replication, self.stores, self._membership_forwarding(), self.membership
+            self.replication, self.stores, self.forwarding, self.membership
         )
         if self.replication is not None:
             self.replication.active_sites = lambda: list(self.membership.view.active)
         self.membership.add_listener(self._on_membership_change)
         self._apply_membership_view()
 
-    def _membership_forwarding(self) -> Dict[str, object]:
-        """Forwarding tables for the rebalancer, however this transport
-        stores them (an attribute, or hanging off each node)."""
-        forwarding = getattr(self, "forwarding", None)
-        if forwarding is not None:
-            return forwarding
-        return {site: node.forwarding for site, node in self.nodes.items()}
+    def _arm_gossip(self, config) -> None:
+        """The gossip failure detector needs a clock the cluster drives
+        (the simulator's, which overrides this); wall-clock transports
+        take administrative membership only."""
+        if config.heartbeat_s is not None:
+            raise ConfigError(
+                "membership.heartbeat_s",
+                "the gossip failure detector runs on the simulator's virtual "
+                "clock; wall-clock transports take administrative membership "
+                "only (join_site / leave_site / fail_site)",
+            )
 
     def _apply_membership_view(self) -> None:
-        """Push the current view into every node's routing guard."""
+        """Point every node's routing guard at the current view."""
         assert self.membership is not None
         for node in self.nodes.values():
             node.membership_status = self.membership.status_of
 
     def _on_membership_change(self, old_view, new_view, reason: str) -> None:
         self._apply_membership_view()
+        tracer = self._cluster_tracer()
+        if tracer is not None:
+            tracer.emit(
+                "cluster", "member", "",
+                reason=reason, epoch=new_view.epoch, active=len(new_view.active),
+            )
         assert self.membership is not None
-        if self.membership.config.auto_rebalance and reason in ("join", "leave", "fail"):
-            assert self.rebalancer is not None
-            self.rebalancer.rebalance(reason)
+        if (
+            self.membership.config.auto_rebalance
+            and reason in ("join", "leave", "fail")
+            and self.rebalancer is not None
+        ):
+            report = self.rebalancer.rebalance(reason)
+            if tracer is not None:
+                tracer.emit(
+                    "cluster", "rebalance", "",
+                    reason=reason,
+                    epoch=new_view.epoch,
+                    moved=report.moved,
+                    installed=report.copies_installed,
+                    lost=report.lost,
+                )
 
     @property
     def membership_view(self) -> MembershipView:
-        self._require_membership()
-        assert self.membership is not None
-        return self.membership.view
+        """The current membership view (``ConfigError`` without
+        ``membership=``, like the administrative calls)."""
+        return self._require_membership().view
 
-    def _require_membership(self) -> None:
+    def _require_membership(self) -> MembershipService:
         if self.membership is None:
             raise ConfigError(
                 "membership",
                 "this cluster was built without ClusterConfig(membership=...)",
             )
+        return self.membership
 
     def join_site(self, site: str) -> MembershipView:
-        """Re-admit a departed site (its endpoint stays provisioned).
-
-        Wall-clock transports cannot conjure a new endpoint mid-run —
-        threads, sockets and child processes are created at construction
-        — so only sites the cluster was built with can (re)join here;
-        brand-new sites join on the simulator.
-        """
-        self._require_membership()
+        """Admit ``site`` (a brand-new site where the transport can build
+        one, or a rejoin of one that left).  The view change rebalances
+        the ring: the site takes over its rendezvous share of backups."""
+        service = self._require_membership()
         if site not in self.nodes:
-            raise ConfigError(
-                "membership",
-                f"{site!r} has no provisioned endpoint; new sites can only "
-                "join on the simulator transport",
-            )
+            self._add_site(site)
         self.set_up(site)
-        assert self.membership is not None
-        return self.membership.join(site)
+        view = service.join(site)
+        self._maybe_finalize_membership()
+        return view
+
+    def _add_site(self, site: str) -> None:
+        """Threads, sockets and child processes are created at
+        construction, so a wall-clock transport only re-admits sites it
+        was built with; the simulator builds new ones."""
+        raise ConfigError(
+            "membership",
+            f"{site!r} has no provisioned endpoint; new sites can only "
+            "join on the simulator transport",
+        )
 
     def leave_site(self, site: str) -> MembershipView:
-        """Start a graceful leave; finalized once nothing needs the site."""
-        self._require_membership()
-        assert self.membership is not None
-        view = self.membership.leave_begin(site)
+        """Begin a graceful leave: the site's placements move to the
+        remaining members immediately (routing stops targeting it), its
+        local copies linger until it has drained the work already in
+        hand, and the departure is finalized at the next idle point."""
+        view = self._require_membership().leave_begin(site)
         self._maybe_finalize_membership()
         return view
 
@@ -257,25 +447,35 @@ class WallClockQueries:
         restore the replication target from the survivors, and write the
         dead machine's store off (a later rejoin starts empty — what was
         only there is lost, and stays lost)."""
-        self._require_membership()
+        service = self._require_membership()
         if site in self.nodes:
-            self.set_down(site)
-        assert self.membership is not None
-        view = self.membership.fail(site)
+            self._crash_site(site)
+        view = service.fail(site)
         self._wipe_store(site)
         self._maybe_finalize_membership()
         return view
 
+    def _crash_site(self, site: str) -> None:
+        self.set_down(site)
+
     def finalize_membership(self) -> None:
-        """Complete pending leaves and deferred copy removals (idle only)."""
+        """Force the idle-point membership work now: finalize drained
+        leavers and delete displaced copies."""
         self._require_membership()
         self._maybe_finalize_membership()
 
     def _maybe_finalize_membership(self) -> None:
+        """Idle-point membership work: finalize leavers that originate no
+        query in flight and hold no work, then — once no query is in
+        flight — delete the displaced copies the rebalancer deferred
+        (they may still serve admitted work; see docs/MEMBERSHIP.md)."""
         if self.membership is None:
             return
         for site in list(self.membership.view.leaving):
-            if any(qid.originator == site for qid in self._inflight):
+            node = self.nodes.get(site)
+            if (node is not None and node.has_work) or any(
+                qid.originator == site for qid in self._inflight
+            ):
                 continue
             self.set_down(site)
             if self.rebalancer is not None:
@@ -288,7 +488,7 @@ class WallClockQueries:
     def _wipe_store(self, site: str) -> None:
         """Best-effort erase of a departed site's store (in process mode
         the child carrying it may already be gone)."""
-        store = self.stores.get(site) if hasattr(self, "stores") else None
+        store = self.stores.get(site)
         if store is None:
             return
         try:
@@ -297,23 +497,17 @@ class WallClockQueries:
         except HyperFileError:
             pass
 
-    def _check_membership_origin(self, origin: str) -> None:
-        if self.membership is not None:
-            status = self.membership.status_of(origin)
-            if status != UP:
-                raise SiteDeparted(origin, status)
+    # -- telemetry ---------------------------------------------------------
 
-    def _init_telemetry(self, config) -> None:
-        """Arm the flight recorder and the streaming-stats sampler from a
-        :class:`~repro.config.ClusterConfig`.  Call after ``nodes`` exist
-        (the recorder wires itself in as every node's default tracer)."""
-        if config is None:
-            return
+    def _init_telemetry(self) -> None:
+        """Arm the flight recorder (every node's default tracer) and the
+        streaming-stats timeline from the config."""
+        config = self.config
         if config.flight_recorder is not None:
             from ..tracing import FlightRecorder
 
             recorder = FlightRecorder(config.flight_recorder)
-            recorder.now_fn = time.monotonic
+            recorder.now_fn = self._now
             self.flight_recorder = recorder
             for node in self.nodes.values():
                 node.tracer = recorder
@@ -330,7 +524,7 @@ class WallClockQueries:
 
         def loop() -> None:
             while not self._stats_stop.wait(period_s):
-                if getattr(self, "_closed", False):
+                if self._closed:
                     return
                 try:
                     self._sample_stats()
@@ -355,10 +549,14 @@ class WallClockQueries:
             sample = node.stats.sample()
             sample["work_depth"] = node.work_depth
             sites[site] = sample
-        self.stats_timeline.append(time.monotonic(), sites)
-        tracer = next(iter(self.nodes.values())).tracer
+        self.stats_timeline.append(self._now(), sites)
+        tracer = self._cluster_tracer()
         if tracer is not None:
             tracer.emit("cluster", "stats_push", "", sites=len(sites))
+
+    def _cluster_tracer(self):
+        """Where cluster-level events (stats, view changes) are traced."""
+        return next(iter(self.nodes.values())).tracer
 
     def _credit_deficit(self, qid: QueryId):
         """Cluster-wide missing termination credit for ``qid`` (the
@@ -381,15 +579,29 @@ class WallClockQueries:
             return
         if not self._qos_limiter.try_acquire(client):
             self.qos_bounces += 1
-            metrics = getattr(self, "metrics", None)
-            if metrics is not None:
-                metrics.counter("qos.overload_bounces_total", client=client).inc()
+            if self.metrics is not None:
+                self.metrics.counter("qos.overload_bounces_total", client=client).inc()
             raise Overloaded(client, retry_after_s=self._qos_limiter.retry_after_s(client))
 
     # -- ClusterAPI ------------------------------------------------------
 
     def compile(self, query: QueryLike) -> Program:
+        """Accept query text, AST, or a compiled program."""
         return compile_query_like(query)
+
+    def _origin(self, origin: str) -> str:
+        """Check that ``origin`` can originate a query: a known site that
+        has not departed (a departing originator could never deliver its
+        answer)."""
+        if self._closed:
+            raise TransportClosed("cluster is closed")
+        if origin not in self.nodes:
+            raise UnknownSite(origin)
+        if self.membership is not None:
+            status = self.membership.status_of(origin)
+            if status != UP:
+                raise SiteDeparted(origin, status)
+        return origin
 
     def submit(
         self,
@@ -402,27 +614,23 @@ class WallClockQueries:
     ) -> QueryId:
         """Install a query at its originating site (non-blocking).
 
-        ``deadline_s`` starts counting now; :meth:`wait` enforces it even
-        if called later (the elapsed gap is charged against the budget).
-        With a QoS config active, ``priority`` selects the service class
-        and ``client`` is the admission-control identity; a drained token
-        bucket bounces the submit with :class:`~repro.errors.Overloaded`.
+        ``deadline_s`` starts counting now: if the query has not
+        terminated by then it is force-completed with whatever results
+        arrived, flagged ``partial=True``.  With a QoS config active,
+        ``priority`` selects the service class and ``client`` is the
+        admission-control identity; a drained token bucket bounces the
+        submit with :class:`~repro.errors.Overloaded` before anything is
+        installed.
         """
-        if self._closed:
-            raise TransportClosed("cluster is closed")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
         if priority is not None and priority not in PRIORITIES:
             raise ValueError(f"priority must be one of {PRIORITIES}, got {priority!r}")
         program = compile_query_like(query)
-        origin = originator if originator is not None else self.sites[0]
-        if origin not in self.nodes:
-            raise UnknownSite(origin)
-        # A departing originator could never deliver its answer.
-        self._check_membership_origin(origin)
+        origin = self._origin(originator if originator is not None else self.sites[0])
         self._admit(client)
         qid = self._next_qid(origin)
-        self._inflight[qid] = _Inflight(time.monotonic(), deadline_s)
+        self._inflight[qid] = _Inflight(self._now(), deadline_s)
         self._dispatch_submit(origin, qid, program, list(initial), priority, client)
         return qid
 
@@ -432,16 +640,12 @@ class WallClockQueries:
         source_qid: QueryId,
         originator: Optional[str] = None,
     ) -> QueryId:
-        """Start a query seeded from a distributed result set (paper §5)."""
-        if self._closed:
-            raise TransportClosed("cluster is closed")
+        """Start a query whose initial set is a *distributed set* held at
+        the sites (paper §5's optimisation)."""
         program = compile_query_like(query)
-        origin = originator if originator is not None else source_qid.originator
-        if origin not in self.nodes:
-            raise UnknownSite(origin)
-        self._check_membership_origin(origin)
+        origin = self._origin(originator if originator is not None else source_qid.originator)
         qid = self._next_qid(origin)
-        self._inflight[qid] = _Inflight(time.monotonic(), None)
+        self._inflight[qid] = _Inflight(self._now(), None)
         try:
             self._dispatch_submit_from_saved(origin, qid, program, source_qid)
         except HyperFileError:  # e.g. ResultSetRetired: nothing was installed
@@ -459,7 +663,7 @@ class WallClockQueries:
         budget = timeout_s if timeout_s is not None else DEFAULT_TIMEOUT_S
         deadline_remaining: Optional[float] = None
         if info is not None and info.deadline_s is not None:
-            elapsed = time.monotonic() - info.submitted_at
+            elapsed = self._now() - info.submitted_at
             deadline_remaining = max(info.deadline_s - elapsed, 0.0005)
         try:
             outcome = await_completion(
@@ -528,32 +732,28 @@ class WallClockQueries:
         """Move an object between sites, maintaining naming invariants.
 
         Administrative operation: call between queries, not while one is
-        in flight (the simulator shares this caveat — migration is
-        outside the paper's query cost model).  Replication-aware when a
-        replication config is active.
+        in flight (migration is outside the paper's query cost model).
+        With replication enabled the move is replication-aware: the new
+        primary leads the holder list and k copies are preserved.
         """
-        replication = getattr(self, "replication", None)
-        if replication is not None:
-            return replication.migrate(oid, to_site)
+        if self.replication is not None:
+            return self.replication.migrate(oid, to_site)
         from ..naming.names import migrate_object
 
-        forwarding = getattr(self, "forwarding", None)
-        if forwarding is None:
-            forwarding = {name: node.forwarding for name, node in self.nodes.items()}
-        return migrate_object(oid, self.stores, forwarding, to_site)
+        return migrate_object(oid, self.stores, self.forwarding, to_site)
 
     def replicate_all(self) -> int:
-        """Install the configured k copies of every loaded object; no-op
-        (returns 0) without a replication config."""
-        replication = getattr(self, "replication", None)
-        return replication.replicate_all() if replication is not None else 0
+        """Install the configured k copies of every loaded object (call
+        once after loading the workload); no-op (returns 0) without a
+        replication config."""
+        return self.replication.replicate_all() if self.replication is not None else 0
 
     def total_stats(self) -> NodeStats:
         """Cluster-wide node counters, merged.
 
-        Unlike the simulator this reads live per-site state without
-        stopping the site threads; counters are monotonically increasing
-        ints, so the snapshot is sane but not a consistent cut.
+        On a wall-clock transport this reads live per-site state without
+        stopping the sites; counters are monotonically increasing ints,
+        so the snapshot is sane but not a consistent cut.
         """
         merged = NodeStats()
         for node in self.nodes.values():
@@ -564,12 +764,12 @@ class WallClockQueries:
 
     def attach_tracer(self, tracer) -> None:
         """Record a :class:`~repro.tracing.QueryTracer` timeline of every
-        node's work, timestamped with the wall clock.  Same contract as
-        the simulator's; span ids stay valid across site threads (the
-        tracer's allocation is thread-safe).  With the flight recorder
-        armed the tracer is teed into its ring, so postmortem dumps stay
-        current while a user tracer is attached."""
-        tracer.now_fn = time.monotonic
+        node's work, timestamped with the cluster's clock (span ids stay
+        valid across site threads: the tracer's allocation is
+        thread-safe).  With the flight recorder armed the tracer is teed
+        into its ring, so postmortem dumps stay current while a user
+        tracer is attached."""
+        tracer.now_fn = self._now
         if self.flight_recorder is not None:
             from ..tracing import TeeTracer
 
@@ -597,7 +797,7 @@ class WallClockQueries:
     def metrics_snapshot(self):
         """Current registry contents with per-node stats freshly mirrored
         in; None when :meth:`enable_metrics` was never called."""
-        registry = getattr(self, "metrics", None)
+        registry = self.metrics
         if registry is None:
             return None
         for site, node in self.nodes.items():
@@ -612,17 +812,33 @@ class WallClockQueries:
             return QueryId(self._seq, originator)
 
     def _on_complete(self, qid: QueryId, result: QueryResult) -> None:
-        """Runs at the originator, under its site's node lock."""
-        info = self._inflight.pop(qid, None)
+        """A query completed at its originator (on a wall-clock transport:
+        on the originator's site, under its node lock)."""
         node = self.nodes.get(qid.originator)
         ctx = node.contexts.get(qid) if node is not None else None
+        self._record_outcome(
+            qid,
+            result,
+            dict(ctx.partition_counts) if ctx is not None and ctx.partition_counts else None,
+        )
+
+    def _record_outcome(
+        self, qid: QueryId, result: QueryResult, partition_counts: Optional[Dict[str, int]]
+    ) -> None:
+        """Turn a completion into the client's :class:`QueryOutcome`."""
+        info = self._inflight.pop(qid, None)
+        if info is not None and info.timer is not None:
+            info.timer.cancel()
         outcome = QueryOutcome(
             qid=qid,
             result=result,
             submitted_at=info.submitted_at if info is not None else 0.0,
-            completed_at=time.monotonic(),
-            partition_counts=(
-                dict(ctx.partition_counts) if ctx is not None and ctx.partition_counts else None
-            ),
+            completed_at=self._now(),
+            client_link_s=self.costs.client_link_s,
+            partition_counts=partition_counts,
         )
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.histogram("cluster.response_time_s").observe(outcome.response_time)
+            metrics.counter("cluster.queries_completed_total").inc()
         self._outcomes.put(qid, outcome)

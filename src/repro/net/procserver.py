@@ -129,8 +129,8 @@ from ..errors import (
 from ..faults.plan import FaultPlan
 from ..faults.reliable import ReliableConfig
 from ..naming.directory import ReplicaDirectory
-from ..replication import ReplicationManager
 from ..server.stats import NodeStats
+from ..sim.costs import FREE_COSTS
 from ..termination.weights import ledger_deficit, ledger_of
 from ..tracing import KINDS, FlightRecorder, QueryTracer, TeeTracer, TraceEvent, _jsonable
 from .codec import (
@@ -148,7 +148,7 @@ from .codec import (
     _Reader,
     _Writer,
 )
-from .common import WallClockQueries
+from .common import ClusterBase, build_node
 from .messages import QueryId
 
 # -- control vocabulary ------------------------------------------------------
@@ -503,10 +503,7 @@ def _child_main(site: str, names: List[str], parent_port: int, config: ClusterCo
 async def _child_serve(
     site: str, names: List[str], parent_port: int, config: ClusterConfig
 ) -> None:
-    from ..server.node import ServerNode
-    from ..sim.costs import FREE_COSTS
     from ..storage.memstore import MemStore
-    from ..termination.base import make_strategy
     from .asyncio_cluster import _AsyncSite
     from .codec import FrameReader
 
@@ -536,21 +533,16 @@ async def _child_serve(
     if config.replication is not None and config.replication.enabled:
         runtime.replicas = ReplicaDirectory()
 
-    node = ServerNode(
+    node = build_node(
         site,
         store,
+        config,
         costs=FREE_COSTS,
-        termination=make_strategy(config.termination),
-        discipline=config.discipline,
-        result_mode=config.result_mode,
+        now_fn=time.monotonic,
+        replicas=runtime.replicas,
         on_query_complete=push_complete,
         is_site_up=lambda s: not runtime.is_down(s),
-        batching=config.batching,
-        caching=config.caching,
-        replicas=runtime.replicas,
-        qos=config.qos,
     )
-    node.now_fn = time.monotonic
     # Span-id namespacing: with n sites and m = 2n + 1 lanes, child i's
     # shipping tracer allocates from lane i+1 and its flight recorder
     # from lane n+1+i; the parent keeps lane 0 (start=m, step=m) for its
@@ -1092,14 +1084,25 @@ _LINK_LOST = object()
 class _RemoteSiteHandle:
     """Stand-in for a ServerNode in the parent's ``nodes`` map.
 
-    The shared query surface only touches ``contexts`` (for credit
-    diagnostics, empty here: the contexts live in the child), so this
-    carries just enough shape to keep the common code honest.
+    The contexts live in the child, so ``contexts`` is empty (credit
+    diagnostics ask the child instead) and ``has_work`` reads False; an
+    epoch bump at any store reaches the child's node over the control
+    channel, as ``observe_epoch`` reaches an inline node.
     """
 
-    def __init__(self, site: str) -> None:
+    has_work = False
+
+    def __init__(self, cluster: "ProcessCluster", site: str) -> None:
+        self.cluster = cluster
         self.site = site
         self.contexts: Dict = {}
+
+    def observe_epoch(self, site: str, epoch: int) -> None:
+        w = _Writer()
+        w.byte(_C_EPOCH)
+        w.text(site)
+        w.varint(epoch)
+        self.cluster._request(self.site, w.getvalue(), expect=_C_OK)
 
 
 class _ChildLink:
@@ -1118,7 +1121,7 @@ class _ChildLink:
         self.dead = False
 
 
-class ProcessCluster(WallClockQueries):
+class ProcessCluster(ClusterBase):
     """The asyncio transport with one OS process per site.
 
     Built by ``AsyncCluster(..., config=ClusterConfig(processes=True))``
@@ -1137,22 +1140,24 @@ class ProcessCluster(WallClockQueries):
         # set on the config itself; this catches a default-mode config
         # handed straight to ProcessCluster.
         config.require_default("costs", "mark_granularity", transport="async (process mode)")
-        self.config = config
-        names = [f"site{i}" for i in range(sites)] if isinstance(sites, int) else list(sites)
-        if not names:
-            raise ValueError("a cluster needs at least one site")
-        self._init_queries(config.qos)
-        self._closed = False
         self._down: set = set()
         self._down_lock = threading.Lock()
-        self.replication = None
         self.undeliverable: List = []
-        self.nodes: Dict[str, _RemoteSiteHandle] = {n: _RemoteSiteHandle(n) for n in names}
         self._tracer: Optional[QueryTracer] = None
         self.fault_plan: Optional[FaultPlan] = None
         self._fault_timers: List[threading.Timer] = []
-        self._init_telemetry(config)
+        self._links: Dict[str, _ChildLink] = {}
+        super().__init__(sites, config, now=time.monotonic)
+        self._reliable_enabled = bool(config.reliable)
+        if config.fault_plan is not None:
+            self.use_faults(config.fault_plan)
 
+    def _build_sites(self, names: List[str]) -> None:
+        """Spawn one child per site (each builds its own node), introduce
+        them to each other, and run the parent's data-management plane
+        against store/forwarding proxies."""
+        config = self.config
+        self.nodes = {n: _RemoteSiteHandle(self, n) for n in names}
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((config.host, 0))
@@ -1175,7 +1180,6 @@ class ProcessCluster(WallClockQueries):
             )
             for name in names
         }
-        self._links: Dict[str, _ChildLink] = {}
         try:
             for proc in procs.values():
                 proc.start()
@@ -1210,23 +1214,15 @@ class ProcessCluster(WallClockQueries):
         for site in self._links:
             self._request(site, frame, expect=_C_OK)
 
-        # The shared data-management surface (WallClockQueries.migrate,
+        # The shared data-management surface (ClusterBase.migrate,
         # replicate_all, ReplicationManager) runs against these proxies
         # exactly as it runs against MemStore/ForwardingTable inline.
-        self.stores: Dict[str, StoreProxy] = {n: StoreProxy(self, n) for n in names}
-        self.forwarding: Dict[str, _ForwardingProxy] = {
-            n: _ForwardingProxy(self, n) for n in names
-        }
-        if config.replication is not None and config.replication.enabled:
-            self.replication = ReplicationManager(
-                config.replication, self.stores, self.forwarding, _SyncedDirectory(self)
-            )
-            self.replication.add_epoch_listener(self._broadcast_epoch)
-        self._init_membership(config)
-        self._reliable_enabled = bool(config.reliable)
-
-        if config.fault_plan is not None:
-            self.use_faults(config.fault_plan)
+        self.stores = {n: StoreProxy(self, n) for n in names}
+        self.forwarding = {n: _ForwardingProxy(self, n) for n in names}
+        replication = config.replication
+        self._wire_replication(
+            _SyncedDirectory(self) if replication is not None and replication.enabled else None
+        )
 
     # -- control channel -------------------------------------------------
 
@@ -1342,15 +1338,7 @@ class ProcessCluster(WallClockQueries):
     ) -> None:
         if trace_json and self._tracer is not None:
             self._tracer.ingest(_events_from_json(trace_json))
-        info = self._inflight.pop(qid, None)
-        outcome = QueryOutcome(
-            qid=qid,
-            result=result,
-            submitted_at=info.submitted_at if info is not None else 0.0,
-            completed_at=time.monotonic(),
-            partition_counts=counts,
-        )
-        self._outcomes.put(qid, outcome)
+        self._record_outcome(qid, result, counts)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -1381,23 +1369,7 @@ class ProcessCluster(WallClockQueries):
             except OSError:
                 pass
 
-    def __enter__(self) -> "ProcessCluster":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- data ------------------------------------------------------------
-
-    @property
-    def sites(self) -> List[str]:
-        return list(self.nodes)
-
-    def store(self, site: str) -> StoreProxy:
-        proxy = self.stores.get(site)
-        if proxy is None:
-            raise UnknownSite(site)
-        return proxy
 
     def port_of(self, site: str) -> int:
         """The port ``site``'s process accepts inter-site frames on."""
@@ -1406,29 +1378,16 @@ class ProcessCluster(WallClockQueries):
             raise UnknownSite(site)
         return link.data_port
 
-    # migrate/replicate_all: inherited from WallClockQueries — they run
+    # migrate/replicate_all: inherited from ClusterBase — they run
     # against the store/forwarding proxies (and the parent-side
     # ReplicationManager when replication is on), so process mode keeps
     # the exact inline semantics including epoch-listener fan-out.
-
-    def _broadcast_epoch(self, site: str, epoch: int) -> None:
-        """Epoch-listener hook: tell every child node that ``site``'s
-        store mutated, so PR 4/5 cache invalidation fires in each child
-        exactly as it does in each inline node."""
-        w = _Writer()
-        w.byte(_C_EPOCH)
-        w.text(site)
-        w.varint(epoch)
-        self._broadcast(w.getvalue())
 
     # -- availability ----------------------------------------------------
 
     def is_up(self, site: str) -> bool:
         with self._down_lock:
             return site not in self._down
-
-    def is_down(self, site: str) -> bool:
-        return not self.is_up(site)
 
     def _broadcast_availability(self, tag: int, site: str) -> None:
         w = _Writer()
@@ -1605,11 +1564,12 @@ class ProcessCluster(WallClockQueries):
             merged.merge(_decode_stats(reply))
         return merged
 
-    def _init_telemetry(self, config) -> None:
+    def _init_telemetry(self) -> None:
         """Process-mode override: the children arm their own recorders
         and samplers straight from the shipped config, so the parent
         only prepares the merge targets (no timer thread, no node
         wiring — there are no local nodes)."""
+        config = self.config
         lanes = 2 * len(self.nodes) + 1
         if config.flight_recorder is not None:
             recorder = FlightRecorder(
@@ -1621,6 +1581,9 @@ class ProcessCluster(WallClockQueries):
             from ..metrics.collect import StatsTimeline
 
             self.stats_timeline = StatsTimeline()
+
+    def _cluster_tracer(self):
+        return self._tracer if self._tracer is not None else self.flight_recorder
 
     def attach_tracer(self, tracer) -> None:
         """Cross-process span shipping: every child gets a TRACE_ON with
@@ -1733,7 +1696,7 @@ class ProcessCluster(WallClockQueries):
         return registry
 
     def metrics_snapshot(self):
-        registry = getattr(self, "metrics", None)
+        registry = self.metrics
         if registry is None:
             return None
         from ..metrics.registry import merge_snapshots

@@ -265,8 +265,9 @@ class SimHost:
         node.is_site_up = network.is_up
         #: Called with (qid, result) when a query completes here; fired
         #: only after the completing step's cost has elapsed, so the
-        #: virtual completion timestamp includes that work.
-        self.completion_sink = None
+        #: virtual completion timestamp includes that work.  The host
+        #: takes the node's own completion callback over for this.
+        self.completion_sink, node.on_query_complete = node.on_query_complete, None
 
     @property
     def site(self) -> str:

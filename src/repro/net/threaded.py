@@ -44,8 +44,6 @@ from ..errors import UnknownSite
 from ..faults.plan import FaultPlan
 from ..faults.reliable import ReliableAck, ReliableConfig, ReliableData, ReliableEndpoint
 from ..faults.timers import TimerThread
-from ..naming.directory import ForwardingTable, ReplicaDirectory
-from ..replication import ReplicationManager
 from ..net.messages import (
     BatchedQuery,
     DerefRequest,
@@ -55,10 +53,7 @@ from ..net.messages import (
     Undeliverable,
 )
 from ..server.node import ServerNode
-from ..sim.costs import FREE_COSTS
-from ..storage.memstore import MemStore
-from ..termination.base import make_strategy
-from .common import WallClockQueries, contain_site_error
+from .common import ClusterBase, contain_site_error
 
 #: How often a down site's loop looks for its ``set_up``.
 _DOWN_POLL_S = 0.01
@@ -122,7 +117,7 @@ class _SiteLoop:
                 cluster.route(env)
 
 
-class ThreadedCluster(WallClockQueries):
+class ThreadedCluster(ClusterBase):
     """A HyperFile deployment where every site is a real thread.
 
     Implements the same :class:`~repro.api.ClusterAPI` contract as the
@@ -140,18 +135,7 @@ class ThreadedCluster(WallClockQueries):
         config.require_default(
             "costs", "mark_granularity", "processes", "host", transport="threaded"
         )
-        self.config = config
-        replication = config.replication
-        if isinstance(sites, int):
-            names = [f"site{i}" for i in range(sites)]
-        else:
-            names = list(sites)
-        self.stores: Dict[str, MemStore] = {}
-        self.forwarding: Dict[str, ForwardingTable] = {}
-        self.nodes: Dict[str, ServerNode] = {}
         self._loops: Dict[str, _SiteLoop] = {}
-        self._init_queries(config.qos)
-        self._closed = False
         self._down: set = set()
         self._down_lock = threading.Lock()
         self._timers: Optional[TimerThread] = None
@@ -163,50 +147,13 @@ class ThreadedCluster(WallClockQueries):
         #: Envelopes that could not be delivered (unknown or down
         #: destination), recorded instead of raised from a site thread.
         self.undeliverable: List[Envelope] = []
-        strategy = make_strategy(config.termination)
-        directory = (
-            ReplicaDirectory() if replication is not None and replication.enabled else None
-        )
-        for name in names:
-            store = MemStore(name)
-            table = ForwardingTable(name)
-            node = ServerNode(
-                name,
-                store,
-                costs=FREE_COSTS,
-                termination=strategy,
-                discipline=config.discipline,
-                result_mode=config.result_mode,
-                forwarding=table,
-                on_query_complete=self._on_complete,
-                is_site_up=self.is_up,
-                batching=config.batching,
-                caching=config.caching,
-                replicas=directory,
-                qos=config.qos,
-            )
-            node.now_fn = time.monotonic
-            self.stores[name] = store
-            self.forwarding[name] = table
-            self.nodes[name] = node
-            self._loops[name] = _SiteLoop(node, self)
-        self.replication: Optional[ReplicationManager] = None
-        if directory is not None:
-            assert replication is not None
-            self.replication = ReplicationManager(
-                replication, self.stores, self.forwarding, directory
-            )
-            for node in self.nodes.values():
-                self.replication.add_epoch_listener(node.observe_epoch)
-        self._init_membership(config)
-        self._init_telemetry(config)
+        super().__init__(sites, config, now=time.monotonic)
         for loop in self._loops.values():
             loop.thread.start()
-        if config.reliable:
-            reliable = config.reliable
-            self.enable_reliable(reliable if isinstance(reliable, ReliableConfig) else None)
-        if config.fault_plan is not None:
-            self.use_faults(config.fault_plan)
+        self._arm_faults()
+
+    def _attach_site(self, node: ServerNode) -> None:
+        self._loops[node.site] = _SiteLoop(node, self)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -221,38 +168,11 @@ class ThreadedCluster(WallClockQueries):
         for loop in self._loops.values():
             loop.stop()
 
-    def __enter__(self) -> "ThreadedCluster":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- data ------------------------------------------------------------
-
-    @property
-    def sites(self) -> List[str]:
-        return list(self.nodes)
-
-    def store(self, site: str) -> MemStore:
-        try:
-            return self.stores[site]
-        except KeyError:
-            raise UnknownSite(site) from None
-
-    def node(self, site: str) -> ServerNode:
-        try:
-            return self.nodes[site]
-        except KeyError:
-            raise UnknownSite(site) from None
-
     # -- availability ----------------------------------------------------
 
     def is_up(self, site: str) -> bool:
         with self._down_lock:
             return site not in self._down
-
-    def is_down(self, site: str) -> bool:
-        return not self.is_up(site)
 
     def set_down(self, site: str) -> None:
         """Freeze a site: its loop holds what it was sent until ``set_up``."""
@@ -320,8 +240,8 @@ class ThreadedCluster(WallClockQueries):
             return self._timers
 
     # -- queries ---------------------------------------------------------
-    # submit / wait / run_query / run_followup / total_stats come from
-    # WallClockQueries; these hooks reach a site through its loop.
+    # The query surface comes from ClusterBase; these hooks reach a site
+    # through its loop.
 
     def _dispatch_submit(
         self,

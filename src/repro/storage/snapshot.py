@@ -15,7 +15,6 @@ prefixed; truncation and corruption raise
 
 from __future__ import annotations
 
-import io
 import os
 from typing import BinaryIO, Union
 

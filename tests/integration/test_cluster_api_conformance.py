@@ -20,7 +20,7 @@ import pytest
 from repro.api import ClusterAPI, QueryOutcome, credit_deficit, make_cluster as build_cluster
 from repro.config import ClusterConfig
 from repro.core.tuples import keyword_tuple, pointer_tuple
-from repro.errors import Overloaded, QueryTimeout, ResultSetRetired
+from repro.errors import Overloaded, QueryTimeout, ResultSetRetired, UnknownSite
 from repro.faults import FaultPlan
 from repro.qos import QoSConfig
 from repro.replication import ReplicationConfig
@@ -98,6 +98,13 @@ class TestProtocolShape:
             out = cluster.run_query(CLOSURE, [oids[0]], timeout_s=TIMEOUT)
             assert len(out.result.oid_keys()) == 3
 
+    @pytest.mark.parametrize("param", ALL_PARAMS)
+    @pytest.mark.parametrize("sites", [[], ["a", "a"]], ids=["empty", "duplicate"])
+    def test_site_list_must_be_nonempty_and_unique(self, param, sites):
+        # Rejected before any thread, event loop or child starts.
+        with pytest.raises(ValueError):
+            build_param_cluster(param, sites)
+
 
 class TestQueryLifecycle:
     def test_textual_query_full_results(self, make_cluster):
@@ -128,8 +135,11 @@ class TestQueryLifecycle:
         assert cluster.total_stats().objects_processed >= len(oids)
 
     def test_deadline_must_be_positive(self, make_cluster):
+        cluster = make_cluster()
         with pytest.raises(ValueError):
-            make_cluster().submit(CLOSURE, [], deadline_s=0.0)
+            cluster.submit(CLOSURE, [], deadline_s=0.0)
+        # Validated before anything was installed: no qid was spent.
+        assert cluster.submit(CLOSURE, []).seq == 1
 
     def test_on_deadline_mode_is_validated(self, make_cluster):
         cluster = make_cluster()
@@ -229,6 +239,8 @@ class TestFollowupQueries:
             'T (Rand10p, 5, ?) -> U', first.qid, timeout_s=TIMEOUT
         )
         assert followup.partition_counts is not None
+        with pytest.raises(UnknownSite):
+            cluster.submit_followup('T (Rand10p, 5, ?) -> U', first.qid, originator="nope")
 
     def test_followup_without_a_retained_partition_is_a_typed_error(self, make_cluster):
         # Ship mode purges the sites' partitions at completion: a
@@ -400,6 +412,7 @@ class TestMembership:
     def test_leave_join_fail_scenario(self, make_cluster):
         from repro.errors import SiteDeparted
         from repro.membership import MembershipConfig
+        from repro.tracing import QueryTracer
 
         cluster = make_cluster(
             replication=ReplicationConfig(k=2), membership=MembershipConfig()
@@ -408,7 +421,12 @@ class TestMembership:
         cluster.replicate_all()
         expected = cluster.run_query(CLOSURE, [oids[0]], timeout_s=TIMEOUT).result.oid_keys()
 
+        tracer = QueryTracer()
+        cluster.attach_tracer(tracer)
         cluster.leave_site("site2")
+        # View changes are traced on every transport.
+        kinds = {event.kind for event in tracer.events if event.site == "cluster"}
+        assert {"member", "rebalance"} <= kinds
         out = cluster.run_query(CLOSURE, [oids[0]], timeout_s=TIMEOUT)
         assert out.result.oid_keys() == expected
         assert not out.result.partial
@@ -432,6 +450,8 @@ class TestMembership:
         assert cluster.membership is None
         with pytest.raises(ConfigError):
             cluster.join_site("site0")
+        with pytest.raises(ConfigError):
+            cluster.membership_view
 
     @pytest.mark.parametrize("transport", sorted(set(TRANSPORTS) - {"sim"}))
     def test_heartbeat_detector_is_simulator_only(self, transport):

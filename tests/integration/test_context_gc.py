@@ -163,8 +163,8 @@ class TestFlatPerQueryCost:
             assert node._busy == 0 and node._pending == 0
         stats = cluster.total_stats()
         assert stats.contexts_created - stats.contexts_retired == RECENT_QUERIES
-        assert len(cluster._completed) == RECENT_QUERIES
-        assert not cluster._submitted_at
+        assert len(cluster._outcomes) == RECENT_QUERIES
+        assert not cluster._inflight
 
     def test_query_300_costs_what_query_30_did(self, long_run):
         calls = long_run[2]

@@ -117,7 +117,7 @@ class TestCrashDuringRebalanceAttribution:
         for _ in range(50_000):
             if any(ctx.busy for ctx in node.contexts.values()):
                 return True
-            if qid in cluster._completed or not cluster.sim.step():
+            if qid in cluster._outcomes or not cluster.sim.step():
                 return False
         return False
 

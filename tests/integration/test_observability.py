@@ -248,8 +248,12 @@ class TestObserverEffectEveryTransport:
                 oids = build_chain(cluster)
                 if traced:
                     cluster.attach_tracer(QueryTracer())
-                    cluster.enable_metrics()
+                    registry = cluster.enable_metrics()
                 outcome = cluster.run_query(CLOSURE_PROG, [oids[0]], timeout_s=30.0)
+                if traced:
+                    # Completions are measured at the client on every transport.
+                    assert registry.value("cluster.queries_completed_total") == 1
+                    assert registry.histogram("cluster.response_time_s").count == 1
                 stats = cluster.total_stats()
                 return outcome.result.oid_keys(), dict(stats.messages_sent)
 

@@ -313,7 +313,7 @@ class TestFollowupLease:
         assert cluster.total_stats().messages_sent["PurgeContext"] >= 2
         with pytest.raises(ResultSetRetired):
             cluster.run_followup("T (Rand10p, 5, ?) -> U", first.qid)
-        assert not cluster._submitted_at  # the refused follow-up left nothing in flight
+        assert not cluster._inflight  # the refused follow-up left nothing in flight
 
     def test_ship_mode_has_no_distributed_set_to_follow_up_on(self):
         cluster, workload = self.build()

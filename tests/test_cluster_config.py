@@ -9,8 +9,11 @@ uniformly for the facade, ``make_cluster`` and third-party factories.
 
 import importlib
 import inspect
+import pathlib
 
 import pytest
+
+import repro
 
 from repro.api import make_cluster, register_transport, transport_factory, transport_names
 from repro.cache import CacheConfig
@@ -18,6 +21,7 @@ from repro.client import HyperFile
 from repro.cluster import SimCluster
 from repro.config import ClusterConfig
 from repro.errors import ConfigError
+from repro.net.common import ClusterBase
 from repro.net.procserver import ProcessCluster
 
 #: Where each builtin transport's class lives (the registry's factories
@@ -58,6 +62,33 @@ class TestOneConfigSurface:
     def test_host_is_rejected_where_nothing_binds(self, transport):
         with pytest.raises(ConfigError, match="host"):
             make_cluster(transport, 3, config=ClusterConfig(host="0.0.0.0"))
+
+
+class TestOneClusterBase:
+    """Every deployment serves the client protocol from one base: none
+    re-implements it, and one factory builds every ServerNode."""
+
+    SHARED = (
+        "compile", "submit", "submit_followup", "run_query", "run_followup", "outcome",
+        "migrate", "replicate_all", "is_down", "__enter__", "__exit__", "_admit",
+        "_next_qid", "membership_view", "leave_site",
+    )
+
+    @pytest.mark.parametrize("cls", surface_classes()[:-1], ids=lambda cls: cls.__name__)
+    def test_cluster_subclasses_the_base_and_redefines_none_of_it(self, cls):
+        assert issubclass(cls, ClusterBase)
+        assert not set(self.SHARED) & set(vars(cls))
+
+    def test_server_nodes_are_constructed_in_one_place(self):
+        root = pathlib.Path(repro.__file__).parent
+        files = sorted((root / "net").glob("*.py")) + [root / "cluster.py"]
+        sites = [
+            (path.name, number)
+            for path in files
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if "ServerNode(" in line
+        ]
+        assert len(sites) == 1, sites
 
 
 class TestTransportRegistry:
