@@ -65,6 +65,7 @@ from .core.parser import parse_query
 from .core.program import Program, compile_query
 from .core.validate import validate_query
 from .engine.results import QueryResult
+from .errors import HyperFileError
 from .net.messages import QueryId
 from .server.context import RECENT_QUERIES
 from .server.stats import NodeStats
@@ -123,15 +124,16 @@ class OutcomeTable:
     will come for it — and after that for as long as it is among the
     last :data:`~repro.server.context.RECENT_QUERIES` outcomes read.
     Completions arrive from site threads; :meth:`wait` sleeps on a
-    condition until *its* query is present.
+    condition until *its* query is present.  A query that can never
+    complete is stored as the error every read of it raises.
     """
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
-        self._unread: Dict[QueryId, QueryOutcome] = {}
-        self._read: "OrderedDict[QueryId, QueryOutcome]" = OrderedDict()
+        self._unread: Dict[QueryId, Union[QueryOutcome, HyperFileError]] = {}
+        self._read: "OrderedDict[QueryId, Union[QueryOutcome, HyperFileError]]" = OrderedDict()
 
-    def put(self, qid: QueryId, outcome: QueryOutcome) -> None:
+    def put(self, qid: QueryId, outcome: Union[QueryOutcome, HyperFileError]) -> None:
         with self._cond:
             self._unread[qid] = outcome
             self._cond.notify_all()
@@ -140,11 +142,14 @@ class OutcomeTable:
         with self._cond:
             outcome = self._unread.pop(qid, None)
             if outcome is None:
-                return self._read.get(qid)
-            self._read[qid] = outcome
-            if len(self._read) > RECENT_QUERIES:
-                self._read.popitem(last=False)
-            return outcome
+                outcome = self._read.get(qid)
+            else:
+                self._read[qid] = outcome
+                if len(self._read) > RECENT_QUERIES:
+                    self._read.popitem(last=False)
+        if isinstance(outcome, HyperFileError):
+            raise outcome.with_traceback(None)
+        return outcome
 
     def wait(self, qid: QueryId, timeout_s: float) -> Optional[QueryOutcome]:
         """Block until ``qid`` has completed, ``timeout_s`` at most."""

@@ -10,84 +10,42 @@ transports — the child reuses the :class:`~repro.net.asyncio_cluster`
 site machinery verbatim against a small duck-typed runtime.
 
 What changes is everything that silently leaned on shared memory.  The
-parent holds no stores and no nodes; each shared-memory convenience now
-has an explicit wire representation on a per-child *control* channel
-(same length-prefixed framing, a small tag-based control vocabulary):
+parent holds no stores and no nodes; each shared-memory convenience is
+an *op* on a per-child control channel (same length-prefixed framing as
+the data plane).  Every op is declared once, in the table :data:`_OPS`
+at the end of this module: its name, its handler, and whether it is a
+request (parent to child, answered) or a push (child to parent,
+unprompted: ``hello``, ``complete``, ``stats_push``, ``give_up``).
 
-* ``HELLO`` / ``PEERS`` — bootstrap handshake: each child reports its
-  data port, the parent broadcasts the full port map;
-* ``CREATE`` / ``GET`` / ``REPLACE`` — store access, proxied by
-  :class:`StoreProxy` (objects cross as codec bytes, not references);
-* ``SUBMIT`` / ``SUBMIT_SAVED`` / ``EXPIRE`` — query dispatch hooks;
-* ``SET_DOWN`` / ``SET_UP`` — availability broadcasts, so every child's
-  sender drops frames to a down peer exactly like the inline transport;
-* ``STATS`` — per-site :class:`~repro.server.stats.NodeStats` snapshots
-  for ``total_stats``;
-* ``COMPLETE`` — the child-side originator pushes the finished
-  :class:`~repro.engine.results.QueryResult` (with partition counts,
-  plus any trace events buffered since the last drain) back unprompted;
-  the parent turns it into the usual :class:`~repro.api.QueryOutcome`;
-* ``TRACE_ON`` / ``TRACE_OFF`` / ``TRACE_DRAIN`` — cross-process span
-  shipping: each child buffers :class:`~repro.tracing.TraceEvent`
-  records in a span-id namespace of its own (child *i* of *n* sites
-  allocates ``i+1, i+1+m, ...`` with stride ``m = 2n+1``), so the
-  parent ingests shipped events into the user's tracer verbatim and
-  the causal tree reconstructs with no id remapping;
-* ``METRICS_ON`` / ``METRICS_SNAP`` — each child runs its own
-  :class:`~repro.metrics.MetricsRegistry`; the parent merges child
-  snapshots into one cluster view (``merge_snapshots``);
-* ``STATS_PUSH`` — with ``stats_stream_s`` configured each child pushes
-  periodic :meth:`NodeStats.sample` rows out-of-band; the reader thread
-  lands them in the parent's :class:`~repro.metrics.collect.StatsTimeline`;
-* ``FLIGHT_SNAP`` — fetch a child's flight-recorder ring (the per-site
-  bounded span buffer armed by ``ClusterConfig.flight_recorder``); the
-  parent merges the rings and writes the postmortem dump when a query
-  dies badly;
-* ``FAULTS`` — ships a :class:`~repro.faults.plan.FaultPlan`'s link
-  chaos parameters (the plan object itself is not picklable); every
-  drop/duplicate/reorder/jitter decision is then made child-side by the
-  sending child's own plan copy, exactly where the inline transports
-  make it; scheduled crashes stay parent-side as timers driving the
-  ``SET_DOWN``/``SET_UP`` broadcasts (semantically identical — a crash
-  *is* a set_down everywhere); ``FAULT_STATS`` pulls each child's chaos
-  counters back so the parent's plan object reports cluster totals;
-* ``PUT`` / ``CONTAINS`` / ``REMOVE`` / ``OIDS`` / ``OBJECTS`` /
-  ``STORE_META`` — the rest of the :class:`~repro.storage.memstore.MemStore`
-  surface, so :class:`StoreProxy` is a full drop-in (workload loading,
-  migration and replication all run against it unchanged);
-* ``FWD`` — the per-site forwarding table (record/drop/lookup), so
-  :func:`~repro.naming.names.migrate_object` maintains the paper's
-  naming invariants across process boundaries;
-* ``REPL_DIR`` / ``EPOCH`` — replication: the parent runs the ordinary
-  :class:`~repro.replication.ReplicationManager` against the store
-  proxies, and every directory change (holder list, version counter)
-  broadcasts to all children, which keep a local
-  :class:`~repro.naming.directory.ReplicaDirectory` replica — so
-  read-anycast routing and ``tried``-exclusion failover run child-side
-  with zero extra round-trips; ``EPOCH`` fans write epochs out to every
-  child's cache-invalidation listener (the PR 4/5 epoch listeners);
-* ``RELIABLE_ON`` — arms a per-child
-  :class:`~repro.faults.reliable.ReliableEndpoint` (ack + retransmit +
-  dedup state lives child-side, timers on the child's loop); a
-  retransmit give-up bounces detector credit child-side exactly like
-  the inline transports *and* pushes a ``GIVE_UP`` note to the parent,
-  which records it in ``cluster.undeliverable`` for diagnostics;
-* ``CREDIT`` — per-query termination-credit snapshots, merged by the
-  parent into the same ``credit_deficit`` number the inline transports
-  compute from shared memory.
+A control frame is ``(request id, code, value)``.  A request carries its
+op's code and argument tuple; the reply echoes the request id with code
+``_OK`` and the result, or ``_ERR`` and ``(error type, message)``, which
+the parent re-raises typed.  A push carries its op under the reserved
+id 0 and is routed by the per-child reader thread through the same
+table.  Arguments and results are codec values; the only other types
+that cross — objects, programs and query ids — convert at one boundary
+(:func:`_write_arg` / :func:`_read_arg`).  The parent makes every request
+through :meth:`ProcessCluster._call`, one in flight per child, and drops
+a reply whose id is not the one it waits for: the late answer to a
+request that timed out.  Trace drains and flight snaps run on the client
+thread (never the reader thread, which must stay free to route replies).
 
-The parent serialises requests per child (one outstanding request, FIFO
-replies), so replies need no correlation ids; ``COMPLETE``,
-``STATS_PUSH`` and ``GIVE_UP`` pushes are routed out-of-band by the
-per-child reader thread.  Trace drains and flight snaps run on the
-client thread (never the reader thread, which must stay free to route
-the replies).
+Span shipping gives child *i* of *n* sites its own span-id lanes (stride
+``m = 2n+1``), so the parent ingests shipped events into the user's
+tracer verbatim.  Link chaos ships as fault-plan parameters (the plan
+object itself is not picklable) and is decided child-side by the sending
+child's plan copy; scheduled crashes stay parent-side as timers driving
+``set_down`` / ``set_up`` broadcasts.  Replication runs the ordinary
+:class:`~repro.replication.ReplicationManager` in the parent against the
+store proxies, and every directory change broadcasts to the children's
+local :class:`~repro.naming.directory.ReplicaDirectory` copies.
 
 A child that dies is detected two ways: its reader thread sees EOF and
 fails the link immediately (in-flight requests and waits raise
 :class:`~repro.errors.ChildProcessDied` / ``TerminationLost`` naming
 the site), and a request that times out checks ``process.is_alive()``
-before reporting anything vaguer.
+before reporting anything vaguer.  A child that exits before its HELLO
+is reported as ``ChildProcessDied`` while the parent is still waiting.
 
 The only configs still rejected are the simulator-only knobs (``costs``,
 ``mark_granularity``) — and those fail at ``ClusterConfig`` construction
@@ -105,12 +63,14 @@ import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..api import QueryOutcome
 from ..config import ClusterConfig
+from ..core.objects import HFObject
 from ..core.oid import Oid
 from ..core.program import Program
 from ..core.tuples import HFTuple
@@ -127,15 +87,21 @@ from ..errors import (
     UnknownSite,
 )
 from ..faults.plan import FaultPlan
-from ..faults.reliable import ReliableConfig
+from ..faults.reliable import ReliableConfig, ReliableEndpoint
 from ..naming.directory import ReplicaDirectory
 from ..server.stats import NodeStats
 from ..sim.costs import FREE_COSTS
+from ..storage.memstore import MemStore
 from ..termination.weights import ledger_deficit, ledger_of
 from ..tracing import KINDS, FlightRecorder, QueryTracer, TeeTracer, TraceEvent, _jsonable
+from .asyncio_cluster import _AsyncSite
 from .codec import (
+    _T_TUPLE,
     FRAME_HEADER,
     MAX_FRAME,
+    MAX_VALUE_DEPTH,
+    CodecError,
+    FrameReader,
     encode_frame,
     _read_object,
     _read_program,
@@ -151,56 +117,19 @@ from .codec import (
 from .common import ClusterBase, build_node
 from .messages import QueryId
 
-# -- control vocabulary ------------------------------------------------------
+# -- control frames ----------------------------------------------------------
 
-_C_HELLO = 0x01
-_C_PEERS = 0x02
-_C_CREATE = 0x03
-_C_GET = 0x04
-_C_REPLACE = 0x05
-_C_SUBMIT = 0x06
-_C_SUBMIT_SAVED = 0x07
-_C_EXPIRE = 0x08
-_C_SET_DOWN = 0x09
-_C_SET_UP = 0x0A
-_C_STATS = 0x0B
-_C_SHUTDOWN = 0x0C
-_C_TRACE_ON = 0x0D
-_C_TRACE_OFF = 0x0E
-_C_TRACE_DRAIN = 0x0F
-_C_CREDIT = 0x10
-_C_FAULT_STATS = 0x11
-_C_METRICS_ON = 0x12
-_C_METRICS_SNAP = 0x13
-_C_FLIGHT_SNAP = 0x14
-_C_FAULTS = 0x15
-_C_PUT = 0x16
-_C_CONTAINS = 0x17
-_C_REMOVE = 0x18
-_C_OIDS = 0x19
-_C_STORE_META = 0x1A
-_C_OBJECTS = 0x1B
-_C_FWD = 0x1C
-_C_REPL_DIR = 0x1D
-_C_EPOCH = 0x1E
-_C_RELIABLE_ON = 0x1F
-_C_OK = 0x20
-_C_ERR = 0x21
-_C_OBJECT = 0x22
-_C_STATS_REPLY = 0x23
-_C_TRACE_EVENTS = 0x24
-_C_METRICS_REPLY = 0x25
-_C_VALUE = 0x26
-_C_OBJECTS_REPLY = 0x27
-_C_CREDIT_REPLY = 0x28
-_C_MEMB_VIEW = 0x29
-
-_C_COMPLETE = 0x30
-_C_STATS_PUSH = 0x31
-_C_GIVE_UP = 0x32
-
-#: ``FWD`` sub-operations (one tag, a sub-op byte).
-_FWD_RECORD, _FWD_DROP, _FWD_LOOKUP = 0, 1, 2
+#: Request id of a push; a link's requests count up from 1.
+_PUSH_ID = 0
+#: Reply codes: the value is the op's result, or ``(error type, message)``.
+_OK, _ERR = 0, 1
+#: Tags of the three domain types that cross beside codec values (whose
+#: tags stop at 0x0B).
+_K_OBJECT, _K_PROGRAM, _K_QID = 0x60, 0x61, 0x62
+#: Keys the parsed-program table for a program no query id precedes.
+_NO_QID = QueryId(0, "")
+#: The fault plan's chaos counters, summed over children by ``fault_stats``.
+_PLAN_COUNTERS = ("decisions", "dropped", "duplicated", "delayed", "partition_drops")
 
 #: Error types the control channel can re-raise parent-side by name.
 _ERROR_TYPES = {
@@ -213,29 +142,99 @@ _ERROR_TYPES = {
 }
 
 
-def _encode_stats(stats: NodeStats) -> bytes:
-    """Field-driven NodeStats encoding (new counters ride automatically)."""
+class _Op(NamedTuple):
+    """One control op: see :data:`_OPS`."""
+
+    name: str
+    handler: Optional[Callable[..., Any]]
+    push: bool = False
+
+
+def _write_arg(w: _Writer, value: Any, depth: int = 0) -> None:
+    """A control value: a codec value, or an object, program or query id,
+    at any depth of a tuple."""
+    kind = type(value)
+    if (kind is tuple or kind is list) and depth < MAX_VALUE_DEPTH:
+        w.byte(_T_TUPLE)
+        w.varint(len(value))
+        for element in value:
+            _write_arg(w, element, depth + 1)
+    elif kind is HFObject:
+        w.byte(_K_OBJECT)
+        _write_object(w, value)
+    elif kind is QueryId:
+        w.byte(_K_QID)
+        _write_qid(w, value)
+    elif kind is Program:
+        w.byte(_K_PROGRAM)
+        _write_program(w, value)
+    else:
+        _write_value(w, value)
+
+
+class _ArgReader(_Reader):
+    """A control frame's reader; the first query id in the frame keys the
+    codec's parsed-program table for any program after it."""
+
+    __slots__ = ("qid",)
+
+    def __init__(self, data) -> None:
+        self.data, self.pos, self.qid = data, 0, None
+
+
+def _read_arg(r: _ArgReader, depth: int = 0) -> Any:
+    tag = r.byte()
+    if tag == _T_TUPLE and depth < MAX_VALUE_DEPTH:
+        length = r.varint()
+        if not 0 <= length <= 1_000_000:
+            raise CodecError(f"implausible tuple length {length}")
+        return tuple([_read_arg(r, depth + 1) for _ in range(length)])
+    if tag < _K_OBJECT or tag > _K_QID:  # a codec value, or a tuple past the budget
+        r.pos -= 1
+        return _read_value(r)
+    if tag == _K_OBJECT:
+        return _read_object(r)
+    if tag == _K_PROGRAM:
+        return _read_program(r, r.qid or _NO_QID)
+    qid = _read_qid(r)
+    r.qid = r.qid or qid
+    return qid
+
+
+def _encode(rid: int, code: int, value: Any) -> bytes:
+    """One control frame, length prefix included: a request or push
+    ``(id, op code, args)``, or a reply ``(id, _OK/_ERR, value)``."""
     w = _Writer()
-    named = [(f.name, getattr(stats, f.name)) for f in fields(stats)]
-    w.varint(len(named))
-    for name, value in named:
-        w.text(name)
-        if isinstance(value, dict):
-            _write_value(w, tuple(sorted(value.items())))
-        else:
-            _write_value(w, value)
-    return w.getvalue()
+    w.varint(rid)
+    w.varint(code)
+    _write_arg(w, value)
+    return encode_frame(w.getvalue())
 
 
-def _decode_stats(r: _Reader) -> NodeStats:
-    stats = NodeStats()
-    for _ in range(r.varint()):
-        name = r.text()
-        value = _read_value(r)
-        if isinstance(getattr(stats, name, None), dict):
-            value = dict(value)
-        setattr(stats, name, value)
-    return stats
+def _decode(frame) -> Tuple[int, int, Any]:
+    """A control frame's three fields; raises :class:`CodecError`, nothing else."""
+    r = _ArgReader(frame)
+    rid = r.varint()
+    code = r.varint()
+    value = _read_arg(r)
+    if rid < 0 or not r.done():
+        raise CodecError("malformed control frame")
+    return rid, code, value
+
+
+def _op_for(rid: int, code: int, args: Any) -> _Op:
+    """The op a request or push names; :class:`CodecError` unless it is a
+    known op arriving the way it travels, with an argument tuple."""
+    op = _OPS[code] if 0 <= code < len(_OPS) else None
+    if op is None or op.push != (rid == _PUSH_ID) or type(args) is not tuple:
+        raise CodecError(f"no control op {code} for request id {rid}")
+    return op
+
+
+def _decode_op(frame) -> Tuple[int, _Op, tuple]:
+    """Decode a request or push frame: ``(request id, op, args)``."""
+    rid, code, args = _decode(frame)
+    return rid, _op_for(rid, code, args), args
 
 
 def _events_to_json(events: List[TraceEvent]) -> str:
@@ -270,63 +269,8 @@ def _events_from_json(text: str) -> List[TraceEvent]:
     ]
 
 
-def _encode_result(
-    qid: QueryId, result: QueryResult, partition_counts, trace_json: str = ""
-) -> bytes:
-    w = _Writer()
-    w.byte(_C_COMPLETE)
-    _write_qid(w, qid)
-    _write_value(w, tuple(result.oids))
-    w.varint(len(result.retrieved))
-    for target in sorted(result.retrieved):
-        w.text(target)
-        _write_value(w, tuple(result.retrieved[target]))
-    for f in fields(ExecutionStats):
-        w.varint(getattr(result.stats, f.name))
-    w.byte(1 if result.partial else 0)
-    w.text(result.partial_reason or "")
-    counts = dict(partition_counts) if partition_counts else {}
-    w.varint(len(counts))
-    for site in sorted(counts):
-        w.text(site)
-        w.varint(counts[site])
-    w.text(trace_json)
-    return w.getvalue()
-
-
-def _decode_result(
-    r: _Reader,
-) -> Tuple[QueryId, QueryResult, Optional[Dict[str, int]], str]:
-    qid = _read_qid(r)
-    oids = ResultSet()
-    oids.extend(_read_value(r))
-    retrieved = {r.text(): list(_read_value(r)) for _ in range(r.varint())}
-    stats = ExecutionStats(**{f.name: r.varint() for f in fields(ExecutionStats)})
-    partial = r.byte() == 1
-    reason = r.text() or None
-    counts = {r.text(): r.varint() for _ in range(r.varint())} or None
-    trace_json = r.text()
-    result = QueryResult(
-        oids=oids, retrieved=retrieved, stats=stats, partial=partial, partial_reason=reason
-    )
-    return qid, result, counts, trace_json
-
-
-def _err_frame(exc: BaseException) -> bytes:
-    w = _Writer()
-    w.byte(_C_ERR)
-    w.text(type(exc).__name__)
-    w.text(str(exc))
-    return w.getvalue()
-
-
-def _raise_err(r: _Reader) -> None:
-    name = r.text()
-    raise _ERROR_TYPES.get(name, HyperFileError)(r.text())
-
-
 # Blocking frame reads on the parent's side of a control link (the child
-# side runs on asyncio streams); the parent sends with ``encode_frame``.
+# side runs on asyncio streams).
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -364,10 +308,11 @@ def _recv_hello(conn: socket.socket, unlinked: List[str]) -> Tuple[str, int]:
     if frame is None:
         site = unlinked[0] if len(unlinked) == 1 else tuple(unlinked)
         raise ChildProcessDied(site, "control link closed before HELLO")
-    r = _Reader(frame)
-    if r.byte() != _C_HELLO:
+    _, op, args = _decode_op(frame)
+    if op.name != "hello":
         raise HyperFileError("child handshake out of order")
-    return r.text(), r.varint()
+    site, port = args
+    return site, port
 
 
 # --------------------------------------------------------------------------
@@ -375,39 +320,54 @@ def _recv_hello(conn: socket.socket, unlinked: List[str]) -> Tuple[str, int]:
 # --------------------------------------------------------------------------
 
 
-class _ChildRuntime:
-    """The duck-typed cluster surface the reused site machinery needs.
+def _delegate(path: str) -> Callable[..., Any]:
+    """An op handler that passes its args to the child's ``path`` method
+    (``"store.get"`` runs ``child.store.get(*args)``)."""
+    method = attrgetter(path)
+    return lambda child, *args: method(child)(*args)
 
-    :class:`~repro.net.asyncio_cluster._AsyncSite` and ``_PeerLink`` talk
-    to their owning cluster through exactly these members; providing them
-    here lets the child run the same drain/send/framing code as the
-    inline transport, unchanged.
+
+class _ChildRuntime:
+    """One child's state, and the handlers of the ops it answers.
+
+    It is also the duck-typed cluster surface the reused site machinery
+    needs: :class:`~repro.net.asyncio_cluster._AsyncSite` and ``_PeerLink``
+    talk to their owning cluster through ``sites``, ``is_down``,
+    ``port_of``, ``config``, ``fault_plan``, ``flight_recorder``,
+    ``messages_dropped``, ``_loop``, ``_endpoint_for`` and
+    ``_reliable_ingest``, so the child runs the same drain/send/framing
+    code as the inline transport, unchanged.
     """
 
     def __init__(self, site: str, names: List[str], config: ClusterConfig) -> None:
         self.site = site
         self.names = names
         self.config = config
+        self.store = MemStore(site)
+        self.node = None
+        self.asite: Optional[_AsyncSite] = None
         self.ports: Dict[str, int] = {}
         self.fault_plan = None
         self.messages_dropped = 0
         self._down: set = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: Local copy of the cluster-wide replica directory, kept in sync
-        #: by REPL_DIR broadcasts; ``None`` when replication is off.
-        self.replicas: Optional[ReplicaDirectory] = None
-        #: This site's half of the reliable channel (RELIABLE_ON or the
-        #: shipped config arm it); ``None`` means raw delivery.
+        #: by ``repl_dir`` broadcasts; ``None`` when replication is off.
+        self.replicas: Optional[ReplicaDirectory] = (
+            ReplicaDirectory()
+            if config.replication is not None and config.replication.enabled
+            else None
+        )
+        #: This site's half of the reliable channel; ``None`` means raw delivery.
         self._endpoint = None
         #: Envelopes this child's reliable channel gave up on (the
         #: inline transports' ``cluster.undeliverable``, kept per child
-        #: and mirrored to the parent via GIVE_UP pushes).
+        #: and mirrored to the parent by ``give_up`` pushes).
         self.undeliverable: List = []
-        #: Writes one out-of-band frame to the control socket (set once
-        #: the control connection exists); GIVE_UP pushes ride this.
-        self.send_oob: Optional[Callable[[bytes], None]] = None
-        # Telemetry plane (all driven over the control channel).
-        #: Shipping tracer installed by TRACE_ON; its events[cursor:]
+        #: The control connection's stream: replies and pushes.
+        self.writer: Optional[asyncio.StreamWriter] = None
+        self.running = True
+        #: Shipping tracer installed by ``trace_on``; its events[cursor:]
         #: are what drains and completion piggybacks carry to the parent.
         self.tracer: Optional[QueryTracer] = None
         self.trace_cursor = 0
@@ -453,46 +413,177 @@ class _ChildRuntime:
             )
         self._endpoint.on_wire(env)
 
+    # -- the control channel -------------------------------------------
 
-def _install_reliable(runtime: _ChildRuntime, asite, rconfig: ReliableConfig) -> None:
-    """Arm this child's half of the reliable channel.
+    def push(self, op: str, *args: Any) -> None:
+        self.writer.write(_encode(_PUSH_ID, _CODES[op], args))
 
-    Mirrors the inline transport's ``enable_reliable`` wiring exactly,
-    one site at a time: acks, retransmit timers and dedup state all live
-    on this child's event loop.  A give-up recovers detector credit
-    child-side (an ``Undeliverable`` bounce into our own inbox, exactly
-    like the inline ``_give_up``) and additionally pushes a GIVE_UP note
-    so the parent's ``undeliverable`` diagnostics stay truthful.
-    """
-    from ..faults.reliable import ReliableEndpoint
-    loop = runtime._loop
-    node = asite.node
+    def serve(self, frame) -> None:
+        """Answer one request: decode it, run its op's handler, reply with
+        the result or the typed error.  A frame with no request id (a
+        push, or one too mangled to read) cannot be answered: dropped."""
+        rid = _PUSH_ID
+        try:
+            rid, code, args = _decode(frame)
+            if rid == _PUSH_ID:
+                return
+            reply = _encode(rid, _OK, _op_for(rid, code, args).handler(self, *args))
+        except Exception as exc:  # surfaced parent-side as a typed error
+            if rid == _PUSH_ID:
+                return
+            reply = _encode(rid, _ERR, (type(exc).__name__, str(exc)))
+        self.writer.write(reply)
 
-    def give_up(env) -> None:
-        runtime.undeliverable.append(env)
-        if runtime.send_oob is not None:
-            w = _Writer()
-            w.byte(_C_GIVE_UP)
-            w.text(runtime.site)
-            w.text(env.src)
-            w.text(env.dst)
-            w.text(type(env.payload).__name__)
-            w.text(str(getattr(env.payload, "qid", "") or ""))
-            runtime.send_oob(w.getvalue())
-        asite.bounce(env)
+    def push_complete(self, qid: QueryId, result: QueryResult) -> None:
+        """The node's completion callback: ship the result home with its
+        partition counts and, piggybacked, the spans buffered since the
+        last drain (one query at a time ships its whole trace with zero
+        extra round-trips; the parent's post-wait drain collects the
+        other children's)."""
+        ctx = self.node.contexts.get(qid)
+        counts = ctx.partition_counts if ctx is not None else None
+        shipped = self.take_trace_events()
+        self.push(
+            "complete",
+            qid,
+            tuple(result.oids),
+            tuple((target, tuple(values)) for target, values in sorted(result.retrieved.items())),
+            tuple(vars(result.stats).values()),
+            result.partial,
+            result.partial_reason,
+            tuple(sorted(counts.items())) if counts else None,
+            _events_to_json(shipped) if shipped else "",
+        )
 
-    runtime._endpoint = ReliableEndpoint(
-        runtime.site,
-        clock=time.monotonic,
-        # Everything that schedules runs on this child's loop thread.
-        scheduler=lambda delay, fn: loop.call_later(delay, fn),
-        send_raw=asite._send_raw,
-        # on_wire runs inside the drain task, which steps the node next.
-        deliver_up=node.on_message,
-        node=node,
-        config=rconfig,
-        on_give_up=give_up,
-    )
+    def install_reliable(self, rconfig: ReliableConfig) -> None:
+        """Arm this child's half of the reliable channel.
+
+        Mirrors the inline transport's ``enable_reliable`` wiring, one
+        site at a time: acks, retransmit timers and dedup state all live
+        on this child's event loop.  A give-up recovers detector credit
+        child-side (an ``Undeliverable`` bounce into our own inbox, like
+        the inline ``_give_up``) and pushes a ``give_up`` note so the
+        parent's ``undeliverable`` diagnostics stay truthful.
+        """
+        loop, asite = self._loop, self.asite
+
+        def give_up(env) -> None:
+            self.undeliverable.append(env)
+            kind, qid = type(env.payload).__name__, getattr(env.payload, "qid", "")
+            self.push("give_up", self.site, env.src, env.dst, kind, str(qid or ""))
+            asite.bounce(env)
+
+        self._endpoint = ReliableEndpoint(
+            self.site,
+            clock=time.monotonic,
+            # Everything that schedules runs on this child's loop thread.
+            scheduler=lambda delay, fn: loop.call_later(delay, fn),
+            send_raw=asite._send_raw,
+            # on_wire runs inside the drain task, which steps the node next.
+            deliver_up=asite.node.on_message,
+            node=asite.node,
+            config=rconfig,
+            on_give_up=give_up,
+        )
+
+    # -- request handlers (see _OPS) -----------------------------------
+
+    def peers(self, ports) -> None:
+        self.ports = dict(ports)
+
+    def create(self, tuples, size_hint):
+        return self.store.create([HFTuple(*t) for t in tuples], size_hint=size_hint)
+
+    def objects(self):
+        return tuple(self.store.objects())
+
+    def store_meta(self):
+        return self.store.epoch, self.store.alloc_high, len(self.store)
+
+    def repl_dir(self, oid: Oid, entry) -> None:
+        if self.replicas is None:
+            return
+        if entry is None:
+            self.replicas.drop(oid)
+        else:
+            self.replicas.record(oid, *entry)
+
+    def membership(self, statuses) -> None:
+        # The routing guard must skip leaving/departed peers.
+        table = dict(statuses)
+        self.node.membership_status = lambda site: table.get(site, "departed")
+
+    def submit(self, qid, program, initial, priority, tenant) -> None:
+        self.asite.submit(qid, program, list(initial), priority, tenant)
+
+    def set_down(self, site: str) -> None:
+        self._down.add(site)
+        if site == self.site:
+            self.asite.up_event.clear()
+
+    def set_up(self, site: str) -> None:
+        self._down.discard(site)
+        if site == self.site:
+            self.asite.up_event.set()
+            self.asite.inbox.put_nowait(None)
+
+    def faults(self, seed, defaults, links, partitions) -> None:
+        plan = FaultPlan(seed, *defaults)
+        for link in links:
+            plan.link(*link)
+        for a, b in partitions:
+            plan.partition(a, b)
+        self.fault_plan = plan
+
+    def fault_stats(self):
+        plan = self.fault_plan
+        return (self.messages_dropped, *(getattr(plan, name, 0) for name in _PLAN_COUNTERS))
+
+    def reliable_on(self, *config_fields) -> None:
+        self.install_reliable(ReliableConfig(*config_fields))
+
+    def credit(self, qid: QueryId):
+        ctx = self.node.contexts.get(qid)
+        return None if ctx is None else tuple(ledger_of(ctx.term_state))
+
+    def shutdown(self) -> None:
+        self.running = False
+
+    def stats(self):
+        # Field order: parent and child run the same NodeStats.
+        return tuple(
+            tuple(value.items()) if isinstance(value, dict) else value
+            for value in vars(self.node.stats).values()
+        )
+
+    def trace_on(self, kinds, span_start: int, span_step: int) -> None:
+        tracer = QueryTracer(list(kinds) or None, span_start=span_start, span_step=span_step)
+        tracer.now_fn = time.monotonic
+        self.tracer, self.trace_cursor = tracer, 0
+        recorder = self.flight_recorder
+        self.node.tracer = TeeTracer(tracer, recorder) if recorder is not None else tracer
+
+    def trace_off(self) -> None:
+        self.tracer, self.trace_cursor = None, 0
+        self.node.tracer = self.flight_recorder
+
+    def trace_drain(self) -> str:
+        return _events_to_json(self.take_trace_events())
+
+    def metrics_on(self) -> None:
+        from ..metrics.registry import MetricsRegistry
+
+        self.metrics = self.node.metrics = MetricsRegistry()
+
+    def metrics_snap(self) -> str:
+        if self.metrics is None:
+            return json.dumps({"metrics": []})
+        self.metrics.publish_node_stats(self.site, self.node.stats)
+        return json.dumps(self.metrics.snapshot())
+
+    def flight_snap(self) -> str:
+        recorder = self.flight_recorder
+        return _events_to_json(list(recorder.events) if recorder is not None else [])
 
 
 def _child_main(site: str, names: List[str], parent_port: int, config: ClusterConfig) -> None:
@@ -503,361 +594,70 @@ def _child_main(site: str, names: List[str], parent_port: int, config: ClusterCo
 async def _child_serve(
     site: str, names: List[str], parent_port: int, config: ClusterConfig
 ) -> None:
-    from ..storage.memstore import MemStore
-    from .asyncio_cluster import _AsyncSite
-    from .codec import FrameReader
-
+    loop = asyncio.get_running_loop()
     runtime = _ChildRuntime(site, names, config)
-    runtime._loop = asyncio.get_running_loop()
-    store = MemStore(site)
-
-    control_writer: Optional[asyncio.StreamWriter] = None
-
-    def push_complete(qid: QueryId, result: QueryResult) -> None:
-        counts = None
-        ctx = node.contexts.get(qid)
-        if ctx is not None and ctx.partition_counts:
-            counts = ctx.partition_counts
-        # Piggyback the spans buffered since the last drain: the common
-        # case (one query at a time) ships its whole trace with zero
-        # extra round-trips; the parent's post-wait drain picks up the
-        # other children's events.
-        shipped = runtime.take_trace_events()
-        payload = _encode_result(qid, result, counts, _events_to_json(shipped) if shipped else "")
-        control_writer.write(FRAME_HEADER.pack(len(payload)) + payload)
-
-    # Replication: every child keeps a full local replica directory (it
-    # is small — holder lists and version counters), synced by REPL_DIR
-    # broadcasts from the parent's manager.  Routing and failover then
-    # consult it locally, exactly like the inline transports.
-    if config.replication is not None and config.replication.enabled:
-        runtime.replicas = ReplicaDirectory()
-
-    node = build_node(
+    runtime._loop = loop
+    node = runtime.node = build_node(
         site,
-        store,
+        runtime.store,
         config,
         costs=FREE_COSTS,
         now_fn=time.monotonic,
         replicas=runtime.replicas,
-        on_query_complete=push_complete,
+        on_query_complete=runtime.push_complete,
         is_site_up=lambda s: not runtime.is_down(s),
     )
     # Span-id namespacing: with n sites and m = 2n + 1 lanes, child i's
     # shipping tracer allocates from lane i+1 and its flight recorder
     # from lane n+1+i; the parent keeps lane 0 (start=m, step=m) for its
     # own rare allocations.  Shipped span ids never collide anywhere.
-    index = names.index(site)
-    lanes = 2 * len(names) + 1
     if config.flight_recorder is not None:
         runtime.flight_recorder = FlightRecorder(
             replace(config.flight_recorder, dump_dir=None),  # parent writes the files
-            span_start=len(names) + 1 + index,
-            span_step=lanes,
+            span_start=len(names) + 1 + names.index(site),
+            span_step=2 * len(names) + 1,
         )
         runtime.flight_recorder.now_fn = time.monotonic
         node.tracer = runtime.flight_recorder
-    asite = _AsyncSite(node, runtime)
+    asite = runtime.asite = _AsyncSite(node, runtime)
     await asite.bootstrap()
-    asite._drain_task = asyncio.get_running_loop().create_task(asite.drain())
-
+    asite._drain_task = loop.create_task(asite.drain())
     if config.reliable:
-        _install_reliable(
-            runtime,
-            asite,
-            config.reliable if isinstance(config.reliable, ReliableConfig) else ReliableConfig(),
-        )
-
-    reader, control_writer = await asyncio.open_connection(config.host, parent_port)
-
-    def send_oob(payload: bytes) -> None:
-        control_writer.write(FRAME_HEADER.pack(len(payload)) + payload)
-
-    runtime.send_oob = send_oob
-    hello = _Writer()
-    hello.byte(_C_HELLO)
-    hello.text(site)
-    hello.varint(asite.port)
-    payload = hello.getvalue()
-    control_writer.write(FRAME_HEADER.pack(len(payload)) + payload)
+        reliable = config.reliable
+        runtime.install_reliable(reliable if isinstance(reliable, ReliableConfig) else ReliableConfig())
+    # Connect only once ready: the parent's HELLO wait is budgeted at accept.
+    reader, runtime.writer = await asyncio.open_connection(config.host, parent_port)
+    runtime.push("hello", site, asite.port)
 
     async def stats_pusher(period_s: float) -> None:
-        """Push one NodeStats sample per period, out-of-band (STATS_PUSH
-        frames are routed by the parent's reader thread, never queued as
-        a reply)."""
+        """Push one NodeStats sample per period (the parent's reader
+        thread routes it; it is never queued as a reply)."""
         while True:
             await asyncio.sleep(period_s)
             sample = node.stats.sample()
             sample["work_depth"] = node.work_depth
-            w = _Writer()
-            w.byte(_C_STATS_PUSH)
-            w.text(site)
-            w.text(json.dumps({"t": time.monotonic(), "sample": sample}))
-            push = w.getvalue()
-            control_writer.write(FRAME_HEADER.pack(len(push)) + push)
+            runtime.push("stats_push", site, json.dumps({"t": time.monotonic(), "sample": sample}))
             if node.tracer is not None:
                 node.tracer.emit(site, "stats_push", "", sites=1)
 
     pusher_task = None
     if config.stats_stream_s is not None:
-        pusher_task = asyncio.get_running_loop().create_task(
-            stats_pusher(config.stats_stream_s)
-        )
+        pusher_task = loop.create_task(stats_pusher(config.stats_stream_s))
 
     frames = FrameReader()
-    running = True
-    while running:
+    while runtime.running:
         chunk = await reader.read(64 * 1024)
         if not chunk:
             break
         for frame in frames.feed(chunk):
-            reply = _handle_control(frame, runtime, asite, store)
-            if reply is _SHUTDOWN:
-                reply = bytes((_C_OK,))
-                running = False
-            if reply is not None:
-                control_writer.write(FRAME_HEADER.pack(len(reply)) + reply)
-        await control_writer.drain()
+            runtime.serve(frame)
+        await runtime.writer.drain()
     if pusher_task is not None:
         pusher_task.cancel()
     if runtime._endpoint is not None:
         runtime._endpoint.close()
     asite.shutdown()
-    control_writer.close()
-
-
-_SHUTDOWN = object()
-
-
-def _handle_control(frame, runtime: _ChildRuntime, asite, store):
-    """Process one control frame; returns the reply bytes (or None)."""
-    r = _Reader(frame)
-    tag = r.byte()
-    try:
-        if tag == _C_PEERS:
-            runtime.ports = {r.text(): r.varint() for _ in range(r.varint())}
-            return bytes((_C_OK,))
-        if tag == _C_CREATE:
-            tuples = [HFTuple(r.text(), _read_value(r), _read_value(r)) for _ in range(r.varint())]
-            size_hint = _read_value(r)
-            obj = store.create(tuples, size_hint=size_hint)
-            w = _Writer()
-            w.byte(_C_OBJECT)
-            _write_object(w, obj)
-            return w.getvalue()
-        if tag == _C_GET:
-            obj = store.get(_read_value(r))
-            w = _Writer()
-            w.byte(_C_OBJECT)
-            _write_object(w, obj)
-            return w.getvalue()
-        if tag == _C_REPLACE:
-            store.replace(_read_object(r))
-            return bytes((_C_OK,))
-        if tag == _C_SUBMIT:
-            qid = _read_qid(r)
-            program = _read_program(r, qid)
-            initial = list(_read_value(r))
-            priority = r.text() or None
-            tenant = r.text() or None
-            asite.submit(qid, program, initial, priority, tenant)
-            return bytes((_C_OK,))
-        if tag == _C_SUBMIT_SAVED:
-            qid = _read_qid(r)
-            program = _read_program(r, qid)
-            source_qid = _read_qid(r)
-            asite.submit_from_saved(qid, program, source_qid)
-            return bytes((_C_OK,))
-        if tag == _C_EXPIRE:
-            asite.expire(_read_qid(r))
-            return bytes((_C_OK,))
-        if tag == _C_SET_DOWN:
-            target = r.text()
-            runtime._down.add(target)
-            if target == runtime.site:
-                asite.up_event.clear()
-            return bytes((_C_OK,))
-        if tag == _C_SET_UP:
-            target = r.text()
-            runtime._down.discard(target)
-            if target == runtime.site:
-                asite.up_event.set()
-                asite.inbox.put_nowait(None)
-            return bytes((_C_OK,))
-        if tag == _C_STATS:
-            return bytes((_C_STATS_REPLY,)) + _encode_stats(asite.node.stats)
-        if tag == _C_TRACE_ON:
-            kinds = [r.text() for _ in range(r.varint())] or None
-            span_start = r.varint()
-            span_step = r.varint()
-            tracer = QueryTracer(kinds, span_start=span_start, span_step=span_step)
-            tracer.now_fn = time.monotonic
-            runtime.tracer = tracer
-            runtime.trace_cursor = 0
-            recorder = runtime.flight_recorder
-            asite.node.tracer = TeeTracer(tracer, recorder) if recorder is not None else tracer
-            return bytes((_C_OK,))
-        if tag == _C_TRACE_OFF:
-            runtime.tracer = None
-            runtime.trace_cursor = 0
-            asite.node.tracer = runtime.flight_recorder
-            return bytes((_C_OK,))
-        if tag == _C_TRACE_DRAIN:
-            w = _Writer()
-            w.byte(_C_TRACE_EVENTS)
-            w.text(_events_to_json(runtime.take_trace_events()))
-            return w.getvalue()
-        if tag == _C_METRICS_ON:
-            from ..metrics.registry import MetricsRegistry
-
-            runtime.metrics = MetricsRegistry()
-            asite.node.metrics = runtime.metrics
-            return bytes((_C_OK,))
-        if tag == _C_METRICS_SNAP:
-            if runtime.metrics is None:
-                snap = {"metrics": []}
-            else:
-                runtime.metrics.publish_node_stats(runtime.site, asite.node.stats)
-                snap = runtime.metrics.snapshot()
-            w = _Writer()
-            w.byte(_C_METRICS_REPLY)
-            w.text(json.dumps(snap))
-            return w.getvalue()
-        if tag == _C_FLIGHT_SNAP:
-            recorder = runtime.flight_recorder
-            events = list(recorder.events) if recorder is not None else []
-            w = _Writer()
-            w.byte(_C_TRACE_EVENTS)
-            w.text(_events_to_json(events))
-            return w.getvalue()
-        if tag == _C_FAULTS:
-            seed = r.varint()
-            drop, duplicate, reorder, jitter, window = (_read_value(r) for _ in range(5))
-            plan = FaultPlan(
-                seed=seed, drop=drop, duplicate=duplicate, reorder=reorder,
-                delay_jitter_s=jitter, reorder_window_s=window,
-            )
-            for _ in range(r.varint()):
-                a, b = r.text(), r.text()
-                plan.link(
-                    a, b,
-                    drop=_read_value(r), duplicate=_read_value(r),
-                    reorder=_read_value(r), delay_jitter_s=_read_value(r),
-                )
-            for _ in range(r.varint()):
-                plan.partition(r.text(), r.text())
-            runtime.fault_plan = plan
-            return bytes((_C_OK,))
-        if tag == _C_FAULT_STATS:
-            plan = runtime.fault_plan
-            w = _Writer()
-            w.byte(_C_VALUE)
-            _write_value(
-                w,
-                (
-                    runtime.messages_dropped,
-                    plan.decisions if plan is not None else 0,
-                    plan.dropped if plan is not None else 0,
-                    plan.duplicated if plan is not None else 0,
-                    plan.delayed if plan is not None else 0,
-                    plan.partition_drops if plan is not None else 0,
-                ),
-            )
-            return w.getvalue()
-        if tag == _C_PUT:
-            obj = _read_object(r)
-            overwrite = r.byte() == 1
-            store.put(obj, overwrite=overwrite)
-            return bytes((_C_OK,))
-        if tag == _C_CONTAINS:
-            w = _Writer()
-            w.byte(_C_VALUE)
-            _write_value(w, store.contains(_read_value(r)))
-            return w.getvalue()
-        if tag == _C_REMOVE:
-            obj = store.remove(_read_value(r))
-            w = _Writer()
-            w.byte(_C_OBJECT)
-            _write_object(w, obj)
-            return w.getvalue()
-        if tag == _C_OIDS:
-            w = _Writer()
-            w.byte(_C_VALUE)
-            _write_value(w, tuple(store.oids()))
-            return w.getvalue()
-        if tag == _C_STORE_META:
-            w = _Writer()
-            w.byte(_C_VALUE)
-            _write_value(w, (store.epoch, store.alloc_high, len(store)))
-            return w.getvalue()
-        if tag == _C_OBJECTS:
-            objs = list(store.objects())
-            w = _Writer()
-            w.byte(_C_OBJECTS_REPLY)
-            w.varint(len(objs))
-            for obj in objs:
-                _write_object(w, obj)
-            return w.getvalue()
-        if tag == _C_FWD:
-            op = r.byte()
-            table = asite.node.forwarding
-            if op == _FWD_RECORD:
-                table.record(_read_value(r), r.text())
-                return bytes((_C_OK,))
-            if op == _FWD_DROP:
-                table.drop(_read_value(r))
-                return bytes((_C_OK,))
-            w = _Writer()
-            w.byte(_C_VALUE)
-            _write_value(w, table.lookup(_read_value(r)))
-            return w.getvalue()
-        if tag == _C_REPL_DIR:
-            oid = _read_value(r)
-            version = r.varint()
-            holders = tuple(r.text() for _ in range(r.varint()))
-            if runtime.replicas is not None:
-                if version == 0:  # drop sentinel: the entry is gone
-                    runtime.replicas.drop(oid)
-                else:
-                    runtime.replicas.record(oid, holders, version)
-            return bytes((_C_OK,))
-        if tag == _C_EPOCH:
-            target = r.text()
-            epoch = r.varint()
-            asite.node.observe_epoch(target, epoch)
-            return bytes((_C_OK,))
-        if tag == _C_MEMB_VIEW:
-            # The parent's membership view, as a full status table: the
-            # child's routing guard must skip leaving/departed peers.
-            statuses = {r.text(): r.text() for _ in range(r.varint())}
-            asite.node.membership_status = lambda site: statuses.get(site, "departed")
-            return bytes((_C_OK,))
-        if tag == _C_RELIABLE_ON:
-            base = _read_value(r)
-            cap = _read_value(r)
-            retries = r.varint()
-            _install_reliable(
-                runtime, asite,
-                ReliableConfig(base_backoff_s=base, max_backoff_s=cap, max_retries=retries),
-            )
-            return bytes((_C_OK,))
-        if tag == _C_CREDIT:
-            qid = _read_qid(r)
-            ctx = asite.node.contexts.get(qid)
-            w = _Writer()
-            w.byte(_C_CREDIT_REPLY)
-            if ctx is None:
-                w.byte(0)
-            else:
-                w.byte(1)
-                for part in ledger_of(ctx.term_state):  # credits, or None
-                    _write_value(w, part)
-            return w.getvalue()
-        if tag == _C_SHUTDOWN:
-            return _SHUTDOWN
-        raise HyperFileError(f"unknown control tag 0x{tag:02x}")
-    except Exception as exc:  # surfaced parent-side as a typed error
-        return _err_frame(exc)
+    runtime.writer.close()
 
 
 # --------------------------------------------------------------------------
@@ -872,13 +672,16 @@ class StoreProxy:
     surface (``tests/net/test_procserver.py`` introspects both classes
     so any future drift fails loudly); every call is one control
     round-trip, objects crossing as codec bytes.  ``scan`` filters
-    client-side over one ``OBJECTS`` fetch — the predicate is a Python
+    client-side over one ``objects`` fetch — the predicate is a Python
     callable and does not cross the wire.
     """
 
     def __init__(self, cluster: "ProcessCluster", site: str) -> None:
         self._cluster = cluster
         self._site = site
+
+    def _call(self, op: str, *args: Any) -> Any:
+        return self._cluster._call(self._site, op, *args)
 
     @property
     def site(self) -> str:
@@ -888,71 +691,36 @@ class StoreProxy:
     @property
     def epoch(self) -> int:
         """The child store's current mutation epoch."""
-        return self._meta()[0]
+        return self._call("store_meta")[0]
 
     @property
     def alloc_high(self) -> int:
         """Exclusive upper bound on local ids minted at the child."""
-        return self._meta()[1]
-
-    def _meta(self) -> Tuple[int, int, int]:
-        reply = self._cluster._request(self._site, bytes((_C_STORE_META,)), expect=_C_VALUE)
-        return _read_value(reply)
+        return self._call("store_meta")[1]
 
     def create(self, tuples: Iterable[HFTuple] = (), size_hint: Optional[int] = None):
-        w = _Writer()
-        w.byte(_C_CREATE)
-        items = list(tuples)
-        w.varint(len(items))
-        for t in items:
-            w.text(t.type)
-            _write_value(w, t.key)
-            _write_value(w, t.data)
-        _write_value(w, size_hint)
-        reply = self._cluster._request(self._site, w.getvalue(), expect=_C_OBJECT)
-        return _read_object(reply)
+        return self._call("create", tuple((t.type, t.key, t.data) for t in tuples), size_hint)
 
     def put(self, obj, overwrite: bool = False) -> None:
-        w = _Writer()
-        w.byte(_C_PUT)
-        _write_object(w, obj)
-        w.byte(1 if overwrite else 0)
-        self._cluster._request(self._site, w.getvalue(), expect=_C_OK)
+        self._call("put", obj, overwrite)
 
     def get(self, oid: Oid):
-        w = _Writer()
-        w.byte(_C_GET)
-        _write_value(w, oid)
-        reply = self._cluster._request(self._site, w.getvalue(), expect=_C_OBJECT)
-        return _read_object(reply)
+        return self._call("get", oid)
 
     def replace(self, obj) -> None:
-        w = _Writer()
-        w.byte(_C_REPLACE)
-        _write_object(w, obj)
-        self._cluster._request(self._site, w.getvalue(), expect=_C_OK)
+        self._call("replace", obj)
 
     def contains(self, oid: Oid) -> bool:
-        w = _Writer()
-        w.byte(_C_CONTAINS)
-        _write_value(w, oid)
-        reply = self._cluster._request(self._site, w.getvalue(), expect=_C_VALUE)
-        return bool(_read_value(reply))
+        return self._call("contains", oid)
 
     def remove(self, oid: Oid):
-        w = _Writer()
-        w.byte(_C_REMOVE)
-        _write_value(w, oid)
-        reply = self._cluster._request(self._site, w.getvalue(), expect=_C_OBJECT)
-        return _read_object(reply)
+        return self._call("remove", oid)
 
     def oids(self) -> List[Oid]:
-        reply = self._cluster._request(self._site, bytes((_C_OIDS,)), expect=_C_VALUE)
-        return list(_read_value(reply))
+        return list(self._call("oids"))
 
     def objects(self) -> Iterator:
-        reply = self._cluster._request(self._site, bytes((_C_OBJECTS,)), expect=_C_OBJECTS_REPLY)
-        return iter([_read_object(reply) for _ in range(reply.varint())])
+        return iter(self._call("objects"))
 
     def scan(self, predicate) -> Iterator:
         for obj in self.objects():
@@ -960,7 +728,7 @@ class StoreProxy:
                 yield obj
 
     def __len__(self) -> int:
-        return self._meta()[2]
+        return self._call("store_meta")[2]
 
     def __contains__(self, oid: object) -> bool:
         return isinstance(oid, Oid) and self.contains(oid)
@@ -977,33 +745,19 @@ class _ForwardingProxy:
 
     def __init__(self, cluster: "ProcessCluster", site: str) -> None:
         self._cluster = cluster
-        self._site = site
-
-    @property
-    def site(self) -> str:
-        return self._site
-
-    def _op(self, op: int, oid: Oid, new_site: str = "") -> _Reader:
-        w = _Writer()
-        w.byte(_C_FWD)
-        w.byte(op)
-        _write_value(w, oid)
-        if op == _FWD_RECORD:
-            w.text(new_site)
-        expect = _C_OK if op in (_FWD_RECORD, _FWD_DROP) else _C_VALUE
-        return self._cluster._request(self._site, w.getvalue(), expect=expect)
+        self.site = site
 
     def record(self, oid: Oid, new_site: str) -> None:
-        self._op(_FWD_RECORD, oid, new_site)
+        self._cluster._call(self.site, "fwd_record", oid, new_site)
 
     def drop(self, oid: Oid) -> None:
-        self._op(_FWD_DROP, oid)
+        self._cluster._call(self.site, "fwd_drop", oid)
 
     def lookup(self, oid: Oid) -> Optional[str]:
-        return _read_value(self._op(_FWD_LOOKUP, oid))
+        return self._cluster._call(self.site, "fwd_lookup", oid)
 
     def __repr__(self) -> str:
-        return f"_ForwardingProxy(site={self._site!r})"
+        return f"_ForwardingProxy(site={self.site!r})"
 
 
 class _SyncedDirectory(ReplicaDirectory):
@@ -1011,9 +765,10 @@ class _SyncedDirectory(ReplicaDirectory):
 
     The ordinary :class:`~repro.replication.ReplicationManager` mutates
     this exactly as it would a shared-memory directory; each change
-    additionally ships as one REPL_DIR frame per child, so the children's
-    local copies — the ones read-anycast routing and ``tried``-exclusion
-    failover consult on the query path — never lag a write.
+    additionally ships to every child as a ``repl_dir`` op, so the
+    children's local copies — the ones read-anycast routing and
+    ``tried``-exclusion failover consult on the query path — never lag a
+    write.
     """
 
     def __init__(self, cluster: "ProcessCluster") -> None:
@@ -1035,18 +790,9 @@ class _SyncedDirectory(ReplicaDirectory):
 
     def _push(self, oid: Oid) -> None:
         entry = self._entries.get(oid.key())  # not sites_of: no counter noise
-        w = _Writer()
-        w.byte(_C_REPL_DIR)
-        _write_value(w, oid)
-        if entry is None:  # dropped: version 0 is the tombstone
-            w.varint(0)
-            w.varint(0)
-        else:
-            w.varint(entry.version)
-            w.varint(len(entry.sites))
-            for site in entry.sites:
-                w.text(site)
-        self._cluster._broadcast(w.getvalue())
+        self._cluster._broadcast(
+            "repl_dir", oid, None if entry is None else (tuple(entry.sites), entry.version)
+        )
 
 
 @dataclass
@@ -1063,18 +809,6 @@ class _UndeliveredNote:
     dst: str
     kind: str
     qid: str
-
-
-class _ChildDeath:
-    """Completion-queue marker: the originator's process died mid-query."""
-
-    class _Result:
-        partial = False
-        partial_reason = None
-
-    def __init__(self, site: str) -> None:
-        self.site = site
-        self.result = self._Result()
 
 
 #: Reply-queue sentinel a dying reader thread leaves for a blocked request.
@@ -1098,11 +832,7 @@ class _RemoteSiteHandle:
         self.contexts: Dict = {}
 
     def observe_epoch(self, site: str, epoch: int) -> None:
-        w = _Writer()
-        w.byte(_C_EPOCH)
-        w.text(site)
-        w.varint(epoch)
-        self.cluster._request(self.site, w.getvalue(), expect=_C_OK)
+        self.cluster._call(self.site, "epoch", site, epoch)
 
 
 class _ChildLink:
@@ -1114,6 +844,8 @@ class _ChildLink:
         self.conn = conn
         self.data_port = data_port
         self.lock = threading.Lock()
+        self.ids = itertools.count(1)
+        #: Decoded replies ``(request id, code, value)``, or ``_LINK_LOST``.
         self.replies: "queue.Queue" = queue.Queue()
         self.reader: Optional[threading.Thread] = None
         #: Set by the reader thread on its way out; requests against a
@@ -1183,16 +915,34 @@ class ProcessCluster(ClusterBase):
         try:
             for proc in procs.values():
                 proc.start()
-            listener.settimeout(60.0)
-            for _ in names:
-                conn, _addr = listener.accept()
+            # Wait for every HELLO, polling so that a child that exits
+            # first is reported at once rather than after the budget.
+            listener.settimeout(0.05)
+            deadline = time.monotonic() + 60.0
+            while len(self._links) < len(names):
+                unlinked = [n for n in names if n not in self._links]
+                try:
+                    conn, _addr = listener.accept()
+                except socket.timeout:
+                    for name in unlinked:
+                        code = procs[name].exitcode
+                        if code is not None:
+                            raise ChildProcessDied(
+                                name, f"exited with code {code} before HELLO"
+                            ) from None
+                    if time.monotonic() > deadline:
+                        raise HyperFileError(f"no HELLO from {unlinked} within 60 s") from None
+                    continue
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                site, port = _recv_hello(conn, [n for n in names if n not in self._links])
+                site, port = _recv_hello(conn, unlinked)
                 self._links[site] = _ChildLink(site, procs[site], conn, port)
         except Exception:
+            for link in self._links.values():
+                link.conn.close()
             for proc in procs.values():
                 if proc.is_alive():
                     proc.terminate()
+                    proc.join(timeout=5.0)
             raise
         finally:
             listener.close()
@@ -1203,16 +953,7 @@ class ProcessCluster(ClusterBase):
                 name=f"hf-proc-reader-{link.site}", daemon=True,
             )
             link.reader.start()
-
-        peers = _Writer()
-        peers.byte(_C_PEERS)
-        peers.varint(len(self._links))
-        for site, link in self._links.items():
-            peers.text(site)
-            peers.varint(link.data_port)
-        frame = peers.getvalue()
-        for site in self._links:
-            self._request(site, frame, expect=_C_OK)
+        self._broadcast("peers", tuple((s, link.data_port) for s, link in self._links.items()))
 
         # The shared data-management surface (ClusterBase.migrate,
         # replicate_all, ReplicationManager) runs against these proxies
@@ -1227,28 +968,21 @@ class ProcessCluster(ClusterBase):
     # -- control channel -------------------------------------------------
 
     def _reader_loop(self, link: _ChildLink) -> None:
+        """Route one child's frames: replies to the waiting request,
+        pushes to their op's handler."""
         try:
             while True:
                 frame = _recv_frame(link.conn)
                 if frame is None:
                     return
-                if frame[0] == _C_COMPLETE:
-                    r = _Reader(frame)
-                    r.byte()
-                    qid, result, counts, trace_json = _decode_result(r)
-                    self._on_remote_complete(qid, result, counts, trace_json)
-                elif frame[0] == _C_STATS_PUSH:
-                    r = _Reader(frame)
-                    r.byte()
-                    self._on_stats_push(r.text(), r.text())
-                elif frame[0] == _C_GIVE_UP:
-                    r = _Reader(frame)
-                    r.byte()
-                    self.undeliverable.append(
-                        _UndeliveredNote(r.text(), r.text(), r.text(), r.text(), r.text())
-                    )
-                else:
-                    link.replies.put(frame)
+                rid, code, value = _decode(frame)
+                if rid != _PUSH_ID:
+                    link.replies.put((rid, code, value))
+                    continue
+                op = _op_for(rid, code, value)
+                if op.handler is None:
+                    raise HyperFileError(f"{op.name} push after the handshake")
+                op.handler(self, *value)
         except (OSError, HyperFileError):
             return
         finally:
@@ -1258,16 +992,23 @@ class ProcessCluster(ClusterBase):
         """Reader-thread epitaph: mark the link dead, wake any request
         blocked on its reply queue, and fail every in-flight query whose
         originator just vanished — a child death must surface as a typed
-        error naming the site, never as a silent 30s control timeout."""
+        error naming the site, never as a silent 30s control timeout.
+        Its detector state died with the child, so the query can never
+        terminate: ``wait`` and ``outcome`` raise ``TerminationLost``."""
         link.dead = True
         link.replies.put(_LINK_LOST)
         if self._closed:
             return  # clean shutdown tears links down on purpose
         for qid in list(self._inflight):
             if qid.originator == link.site and self._inflight.pop(qid, None) is not None:
-                self._outcomes.put(qid, _ChildDeath(link.site))
+                lost = TerminationLost(qid, undeliverable=len(self.undeliverable), site=link.site)
+                self._outcomes.put(qid, lost)
 
-    def _request(self, site: str, frame: bytes, expect: int) -> _Reader:
+    def _call(self, site: str, op: str, *args: Any) -> Any:
+        """Run ``op`` at ``site``'s child; its result, or its error re-raised
+        typed.  One request is in flight per child (the link lock); a
+        reply carrying another id answers a request that timed out, and
+        is dropped."""
         link = self._links.get(site)
         if link is None:
             raise UnknownSite(site)
@@ -1276,49 +1017,51 @@ class ProcessCluster(ClusterBase):
                 raise TransportClosed("cluster is closed")
             if link.dead:
                 raise ChildProcessDied(site)
+            rid = next(link.ids)
             try:
-                link.conn.sendall(encode_frame(frame))
+                link.conn.sendall(_encode(rid, _CODES[op], args))
             except OSError as exc:
                 raise ChildProcessDied(site, f"control send failed ({exc})") from None
-            try:
-                reply = link.replies.get(timeout=self.RPC_TIMEOUT_S)
-            except queue.Empty:
-                if not link.process.is_alive():
-                    raise ChildProcessDied(site, "no control reply") from None
-                raise HyperFileError(f"no control reply from {site}") from None
-        if reply is _LINK_LOST:
-            raise ChildProcessDied(site, "control link lost mid-request")
-        r = _Reader(reply)
-        tag = r.byte()
-        if tag == _C_ERR:
-            _raise_err(r)
-        if tag != expect:
-            raise HyperFileError(f"unexpected control reply 0x{tag:02x} from {site}")
-        return r
+            deadline = time.monotonic() + self.RPC_TIMEOUT_S
+            while True:
+                try:
+                    reply = link.replies.get(timeout=max(deadline - time.monotonic(), 0.0))
+                except queue.Empty:
+                    if not link.process.is_alive():
+                        raise ChildProcessDied(site, "no control reply") from None
+                    raise HyperFileError(f"no control reply from {site}") from None
+                if reply is _LINK_LOST:
+                    raise ChildProcessDied(site, "control link lost mid-request")
+                if reply[0] == rid:
+                    break
+        _, code, value = reply
+        if code == _ERR:
+            name, message = value
+            raise _ERROR_TYPES.get(name, HyperFileError)(message)
+        return value
 
-    def _broadcast(self, frame: bytes, expect: int = _C_OK) -> None:
+    def _broadcast(self, op: str, *args: Any) -> List[Any]:
+        """Run ``op`` at every child, in site order; their results."""
+        return [self._call(site, op, *args) for site in list(self._links)]
+
+    def _gather(self, op: str, *args: Any) -> List[Any]:
+        """Like :meth:`_broadcast`, skipping a child that cannot answer:
+        telemetry and diagnostics run exactly when a child may have died."""
+        results = []
         for site in list(self._links):
-            self._request(site, frame, expect=expect)
+            try:
+                results.append(self._call(site, op, *args))
+            except (HyperFileError, OSError):
+                continue
+        return results
 
     def _apply_membership_view(self) -> None:
         """Ship the full status table to every child so their routing
         guards skip leaving/departed peers.  Best-effort per child: a
         failed site's process may already be unreachable, and the view
-        declaring it departed is exactly the frame it cannot take."""
+        declaring it departed is exactly the request it cannot take."""
         assert self.membership is not None
-        statuses = self.membership.view.statuses
-        w = _Writer()
-        w.byte(_C_MEMB_VIEW)
-        w.varint(len(statuses))
-        for site, status in statuses:
-            w.text(site)
-            w.text(status)
-        frame = w.getvalue()
-        for site in list(self._links):
-            try:
-                self._request(site, frame, expect=_C_OK)
-            except (ChildProcessDied, HyperFileError):
-                continue
+        self._gather("membership", tuple(self.membership.view.statuses))
 
     def _on_stats_push(self, site: str, payload: str) -> None:
         """A child's periodic stats sample (reader thread).  Each push is
@@ -1329,16 +1072,25 @@ class ProcessCluster(ClusterBase):
         record = json.loads(payload)
         self.stats_timeline.append(record["t"], {site: record["sample"]})
 
+    def _on_give_up(self, site: str, src: str, dst: str, kind: str, qid: str) -> None:
+        self.undeliverable.append(_UndeliveredNote(site, src, dst, kind, qid))
+
     def _on_remote_complete(
-        self,
-        qid: QueryId,
-        result: QueryResult,
-        counts: Optional[Dict[str, int]],
-        trace_json: str = "",
+        self, qid: QueryId, oids, retrieved, stats, partial, reason, counts, trace_json: str
     ) -> None:
+        """A child originator finished ``qid`` (reader thread)."""
         if trace_json and self._tracer is not None:
             self._tracer.ingest(_events_from_json(trace_json))
-        self._record_outcome(qid, result, counts)
+        result_oids = ResultSet()
+        result_oids.extend(oids)
+        result = QueryResult(
+            oids=result_oids,
+            retrieved={target: list(values) for target, values in retrieved},
+            stats=ExecutionStats(*stats),
+            partial=partial,
+            partial_reason=reason,
+        )
+        self._record_outcome(qid, result, dict(counts) if counts else None)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -1348,13 +1100,12 @@ class ProcessCluster(ClusterBase):
         self._closed = True
         for timer in self._fault_timers:
             timer.cancel()
-        shutdown = bytes((_C_SHUTDOWN,))
         for link in self._links.values():
             # Don't interleave with an in-flight request on the same
             # socket; a child that never frees the lock gets terminated.
             acquired = link.lock.acquire(timeout=2.0)
             try:
-                link.conn.sendall(encode_frame(shutdown))
+                link.conn.sendall(_encode(next(link.ids), _CODES["shutdown"], ()))
             except OSError:
                 pass
             finally:
@@ -1389,28 +1140,20 @@ class ProcessCluster(ClusterBase):
         with self._down_lock:
             return site not in self._down
 
-    def _broadcast_availability(self, tag: int, site: str) -> None:
-        w = _Writer()
-        w.byte(tag)
-        w.text(site)
-        frame = w.getvalue()
-        for target in self._links:
-            self._request(target, frame, expect=_C_OK)
-
     def set_down(self, site: str) -> None:
         """Freeze a site's process; every child drops frames to it."""
         if site not in self._links:
             raise UnknownSite(site)
         with self._down_lock:
             self._down.add(site)
-        self._broadcast_availability(_C_SET_DOWN, site)
+        self._broadcast("set_down", site)
 
     def set_up(self, site: str) -> None:
         if site not in self._links:
             raise UnknownSite(site)
         with self._down_lock:
             self._down.discard(site)
-        self._broadcast_availability(_C_SET_UP, site)
+        self._broadcast("set_up", site)
 
     # -- fault injection -------------------------------------------------
 
@@ -1422,7 +1165,7 @@ class ProcessCluster(ClusterBase):
         own RNG stream, which preserves the configured *rates* (all any
         wall-clock transport guarantees; see ``FaultPlan``'s docstring).
         Scheduled crashes run parent-side as timers driving the usual
-        ``SET_DOWN``/``SET_UP`` broadcasts.
+        ``set_down``/``set_up`` broadcasts.
         """
         for crash in plan.crashes:
             if crash.site not in self._links:
@@ -1431,30 +1174,16 @@ class ProcessCluster(ClusterBase):
             timer.cancel()
         self._fault_timers.clear()
         self.fault_plan = plan
-        w = _Writer()
-        w.byte(_C_FAULTS)
-        w.varint(plan.seed)
-        d = plan.defaults
-        for value in (d.drop, d.duplicate, d.reorder, d.delay_jitter_s, plan.reorder_window_s):
-            _write_value(w, float(value))
-        links = dict(plan._links)
-        w.varint(len(links))
-        for pair in sorted(links, key=sorted):
-            ends = sorted(pair)
-            w.text(ends[0])
-            w.text(ends[-1])
-            f = links[pair]
-            for value in (f.drop, f.duplicate, f.reorder, f.delay_jitter_s):
-                _write_value(w, float(value))
-        partitions = sorted(plan._partitions, key=sorted)
-        w.varint(len(partitions))
-        for pair in partitions:
-            ends = sorted(pair)
-            w.text(ends[0])
-            w.text(ends[-1])
-        frame = w.getvalue()
-        for site in self._links:
-            self._request(site, frame, expect=_C_OK)
+        self._broadcast(
+            "faults",
+            plan.seed,
+            (*astuple(plan.defaults), plan.reorder_window_s),
+            tuple(
+                (min(pair), max(pair), *astuple(link))
+                for pair, link in sorted(plan._links.items(), key=lambda item: sorted(item[0]))
+            ),
+            tuple((min(pair), max(pair)) for pair in sorted(plan._partitions, key=sorted)),
+        )
         for crash in plan.crashes:
             self._schedule_fault(crash.at, lambda s=crash.site: self.set_down(s))
             if crash.recover_at is not None:
@@ -1467,27 +1196,11 @@ class ProcessCluster(ClusterBase):
         children run their own plan clones), so code that inspects
         ``plan.dropped`` etc. after a run sees real numbers.
         """
-        totals = [0, 0, 0, 0, 0, 0]
-        req = bytes((_C_FAULT_STATS,))
-        for site in list(self._links):
-            reply = self._request(site, req, expect=_C_VALUE)
-            for i, value in enumerate(_read_value(reply)):
-                totals[i] += value
-        stats = {
-            "messages_dropped": totals[0],
-            "decisions": totals[1],
-            "dropped": totals[2],
-            "duplicated": totals[3],
-            "delayed": totals[4],
-            "partition_drops": totals[5],
-        }
-        plan = self.fault_plan
-        if plan is not None:
-            plan.decisions = stats["decisions"]
-            plan.dropped = stats["dropped"]
-            plan.duplicated = stats["duplicated"]
-            plan.delayed = stats["delayed"]
-            plan.partition_drops = stats["partition_drops"]
+        totals = [sum(column) for column in zip(*self._broadcast("fault_stats"))]
+        stats = dict(zip(("messages_dropped",) + _PLAN_COUNTERS, totals))
+        if self.fault_plan is not None:
+            for name in _PLAN_COUNTERS:
+                setattr(self.fault_plan, name, stats[name])
         return stats
 
     @property
@@ -1499,13 +1212,7 @@ class ProcessCluster(ClusterBase):
 
     def enable_reliable(self, config: Optional[ReliableConfig] = None) -> None:
         """Arm ack+retransmit on every child's inter-site links."""
-        rconfig = config if config is not None else ReliableConfig()
-        w = _Writer()
-        w.byte(_C_RELIABLE_ON)
-        _write_value(w, float(rconfig.base_backoff_s))
-        _write_value(w, float(rconfig.max_backoff_s))
-        w.varint(rconfig.max_retries)
-        self._broadcast(w.getvalue())
+        self._broadcast("reliable_on", *astuple(config if config is not None else ReliableConfig()))
         self._reliable_enabled = True
 
     @property
@@ -1518,19 +1225,11 @@ class ProcessCluster(ClusterBase):
         """Cluster-wide missing termination credit for ``qid``.
 
         The exact merge :func:`repro.api.credit_deficit` performs over
-        in-process nodes, computed from one CREDIT round-trip per child:
-        ``1 - recovered - Σ held``.  ``None`` for detectors without a
-        credit ledger or once the originator's context is gone.
+        in-process nodes, computed from one ``credit`` round-trip per
+        child: ``1 - recovered - Σ held``.  ``None`` for detectors without
+        a credit ledger or once the originator's context is gone.
         """
-        w = _Writer()
-        w.byte(_C_CREDIT)
-        _write_qid(w, qid)
-        frame = w.getvalue()
-        replies = (self._request(site, frame, expect=_C_CREDIT_REPLY) for site in list(self._links))
-        # A leading 0 byte: no context for qid at that child.
-        return ledger_deficit(
-            (_read_value(reply), _read_value(reply)) for reply in replies if reply.byte()
-        )
+        return ledger_deficit(entry for entry in self._broadcast("credit", qid) if entry is not None)
 
     def _credit_deficit(self, qid: QueryId):
         """TerminationLost diagnostics must never mask the original
@@ -1558,10 +1257,8 @@ class ProcessCluster(ClusterBase):
 
     def total_stats(self) -> NodeStats:
         merged = NodeStats()
-        stats_req = bytes((_C_STATS,))
-        for site in self._links:
-            reply = self._request(site, stats_req, expect=_C_STATS_REPLY)
-            merged.merge(_decode_stats(reply))
+        for values in self._broadcast("stats"):
+            merged.merge(NodeStats(*(dict(v) if isinstance(v, tuple) else v for v in values)))
         return merged
 
     def _init_telemetry(self) -> None:
@@ -1586,9 +1283,9 @@ class ProcessCluster(ClusterBase):
         return self._tracer if self._tracer is not None else self.flight_recorder
 
     def attach_tracer(self, tracer) -> None:
-        """Cross-process span shipping: every child gets a TRACE_ON with
-        a collision-free span-id lane (child *i* allocates ``i+1`` with
-        stride ``m = 2n+1``); shipped events ingest into ``tracer``
+        """Cross-process span shipping: every child gets a ``trace_on``
+        with a collision-free span-id lane (child *i* allocates ``i+1``
+        with stride ``m = 2n+1``); shipped events ingest into ``tracer``
         verbatim, so the causal tree reconstructs exactly as on the
         shared-memory transports.  The parent's own (rare) allocations
         move to lane 0 for the same reason."""
@@ -1600,28 +1297,16 @@ class ProcessCluster(ClusterBase):
         except AttributeError:  # pragma: no cover - exotic tracer shims
             pass
         kinds = getattr(tracer, "_kinds", None)
-        wire_kinds = sorted(kinds) if kinds is not None and set(kinds) != set(KINDS) else []
+        wire_kinds = tuple(sorted(kinds)) if kinds is not None and set(kinds) != set(KINDS) else ()
         for i, site in enumerate(names):
-            w = _Writer()
-            w.byte(_C_TRACE_ON)
-            w.varint(len(wire_kinds))
-            for kind in wire_kinds:
-                w.text(kind)
-            w.varint(i + 1)
-            w.varint(lanes)
-            self._request(site, w.getvalue(), expect=_C_OK)
+            self._call(site, "trace_on", wire_kinds, i + 1, lanes)
         self._tracer = tracer
 
     def detach_tracer(self) -> None:
         if self._tracer is None:
             return
         self._drain_traces()  # final drain so no buffered spans are lost
-        off = bytes((_C_TRACE_OFF,))
-        for site in list(self._links):
-            try:
-                self._request(site, off, expect=_C_OK)
-            except (HyperFileError, TransportClosed, OSError):
-                continue
+        self._gather("trace_off")
         self._tracer = None
 
     def _drain_traces(self) -> None:
@@ -1629,52 +1314,34 @@ class ProcessCluster(ClusterBase):
 
         Runs on the client thread (wait/detach), never the reader thread
         — a reader thread blocking on its own child's reply queue would
-        deadlock the control channel.
+        deadlock the control channel.  A dead child's spans arrive via
+        ``flight_snap``, if at all.
         """
         tracer = self._tracer
         if tracer is None:
             return
-        drain = bytes((_C_TRACE_DRAIN,))
-        for site in list(self._links):
-            try:
-                reply = self._request(site, drain, expect=_C_TRACE_EVENTS)
-            except (HyperFileError, TransportClosed, OSError):
-                continue  # a dead child's spans arrive via FLIGHT_SNAP, if at all
-            tracer.ingest(_events_from_json(reply.text()))
+        for text in self._gather("trace_drain"):
+            tracer.ingest(_events_from_json(text))
         tracer.events.sort(key=lambda e: e.time)
 
     def wait(self, qid: QueryId, timeout_s: Optional[float] = None) -> QueryOutcome:
         try:
-            outcome = super().wait(qid, timeout_s=timeout_s)
+            return super().wait(qid, timeout_s=timeout_s)
         finally:
             # Completion piggybacks cover the originator; the post-wait
             # drain collects the other children's spans so the tree is
             # whole before the caller inspects it.
             if self._tracer is not None and not self._closed:
                 self._drain_traces()
-        if isinstance(outcome, _ChildDeath):
-            # The originator's process died mid-query; its detector state
-            # died with it, so this query can never terminate.
-            self._flightrec_dump(qid, "termination_lost")
-            raise TerminationLost(
-                qid, undeliverable=len(self.undeliverable), site=outcome.site
-            )
-        return outcome
 
     def _flightrec_dump(self, qid: QueryId, reason: str) -> None:
         """Postmortem for a dying query: pull every child's ring, merge
-        by timestamp into the parent recorder, write the dump."""
+        by timestamp into the parent recorder, write the dump.  A
+        genuinely dead process keeps its ring."""
         if self.flight_recorder is None or qid in self._flightrec_dumped:
             return
         self._flightrec_dumped.add(qid)
-        collected: List[TraceEvent] = []
-        snap = bytes((_C_FLIGHT_SNAP,))
-        for site in list(self._links):
-            try:
-                reply = self._request(site, snap, expect=_C_TRACE_EVENTS)
-            except (HyperFileError, TransportClosed, OSError):
-                continue  # a genuinely dead process keeps its ring
-            collected.extend(_events_from_json(reply.text()))
+        collected = [e for text in self._gather("flight_snap") for e in _events_from_json(text)]
         collected.sort(key=lambda e: e.time)
         self.flight_recorder.events.clear()  # the rings ARE the state
         for event in collected:
@@ -1690,9 +1357,7 @@ class ProcessCluster(ClusterBase):
 
             registry = MetricsRegistry()
         self.metrics = registry
-        on = bytes((_C_METRICS_ON,))
-        for site in self._links:
-            self._request(site, on, expect=_C_OK)
+        self._broadcast("metrics_on")
         return registry
 
     def metrics_snapshot(self):
@@ -1701,15 +1366,8 @@ class ProcessCluster(ClusterBase):
             return None
         from ..metrics.registry import merge_snapshots
 
-        snaps = [registry.snapshot()]
-        req = bytes((_C_METRICS_SNAP,))
-        for site in list(self._links):
-            try:
-                reply = self._request(site, req, expect=_C_METRICS_REPLY)
-            except (HyperFileError, TransportClosed, OSError):
-                continue
-            snaps.append(json.loads(reply.text()))
-        return merge_snapshots(*snaps)
+        children = [json.loads(text) for text in self._gather("metrics_snap")]
+        return merge_snapshots(registry.snapshot(), *children)
 
     # -- dispatch hooks --------------------------------------------------
 
@@ -1722,27 +1380,67 @@ class ProcessCluster(ClusterBase):
         priority: Optional[str] = None,
         tenant: Optional[str] = None,
     ) -> None:
-        w = _Writer()
-        w.byte(_C_SUBMIT)
-        _write_qid(w, qid)
-        _write_program(w, program)
-        _write_value(w, tuple(initial))
-        w.text(priority or "")
-        w.text(tenant or "")
-        self._request(origin, w.getvalue(), expect=_C_OK)
+        self._call(origin, "submit", qid, program, tuple(initial), priority, tenant)
 
     def _dispatch_submit_from_saved(
         self, origin: str, qid: QueryId, program: Program, source_qid: QueryId
     ) -> None:
-        w = _Writer()
-        w.byte(_C_SUBMIT_SAVED)
-        _write_qid(w, qid)
-        _write_program(w, program)
-        _write_qid(w, source_qid)
-        self._request(origin, w.getvalue(), expect=_C_OK)
+        self._call(origin, "submit_saved", qid, program, source_qid)
 
     def _dispatch_expire(self, origin: str, qid: QueryId) -> None:
-        w = _Writer()
-        w.byte(_C_EXPIRE)
-        _write_qid(w, qid)
-        self._request(origin, w.getvalue(), expect=_C_OK)
+        self._call(origin, "expire", qid)
+
+
+#: The control protocol: every op, declared once.  An op's wire code is
+#: its position here (parent and child always run this same module).  A
+#: request is made by ``ProcessCluster._call`` and answered on the child
+#: by its handler, called with the child's :class:`_ChildRuntime` and the
+#: request's args.  A push (``push=True``) is sent unprompted by a child
+#: and handled on the parent's reader thread with the
+#: :class:`ProcessCluster`; ``hello`` is read once, by ``_recv_hello``.
+_OPS: Tuple[_Op, ...] = (
+    # The store (StoreProxy).
+    _Op("create", _ChildRuntime.create),
+    _Op("get", _delegate("store.get")),
+    _Op("replace", _delegate("store.replace")),
+    _Op("put", _delegate("store.put")),
+    _Op("contains", _delegate("store.contains")),
+    _Op("remove", _delegate("store.remove")),
+    _Op("oids", _delegate("store.oids")),
+    _Op("objects", _ChildRuntime.objects),
+    _Op("store_meta", _ChildRuntime.store_meta),
+    # Naming, replication and membership.
+    _Op("fwd_record", _delegate("node.forwarding.record")),
+    _Op("fwd_drop", _delegate("node.forwarding.drop")),
+    _Op("fwd_lookup", _delegate("node.forwarding.lookup")),
+    _Op("repl_dir", _ChildRuntime.repl_dir),
+    _Op("epoch", _delegate("node.observe_epoch")),
+    _Op("membership", _ChildRuntime.membership),
+    # Queries.
+    _Op("submit", _ChildRuntime.submit),
+    _Op("submit_saved", _delegate("asite.submit_from_saved")),
+    _Op("expire", _delegate("asite.expire")),
+    # The site, its links and its lifetime.
+    _Op("peers", _ChildRuntime.peers),
+    _Op("set_down", _ChildRuntime.set_down),
+    _Op("set_up", _ChildRuntime.set_up),
+    _Op("faults", _ChildRuntime.faults),
+    _Op("fault_stats", _ChildRuntime.fault_stats),
+    _Op("reliable_on", _ChildRuntime.reliable_on),
+    _Op("credit", _ChildRuntime.credit),
+    _Op("shutdown", _ChildRuntime.shutdown),
+    # Telemetry.
+    _Op("stats", _ChildRuntime.stats),
+    _Op("trace_on", _ChildRuntime.trace_on),
+    _Op("trace_off", _ChildRuntime.trace_off),
+    _Op("trace_drain", _ChildRuntime.trace_drain),
+    _Op("metrics_on", _ChildRuntime.metrics_on),
+    _Op("metrics_snap", _ChildRuntime.metrics_snap),
+    _Op("flight_snap", _ChildRuntime.flight_snap),
+    # Pushes, child to parent.
+    _Op("hello", None, push=True),
+    _Op("complete", ProcessCluster._on_remote_complete, push=True),
+    _Op("stats_push", ProcessCluster._on_stats_push, push=True),
+    _Op("give_up", ProcessCluster._on_give_up, push=True),
+)
+_CODES = {op.name: code for code, op in enumerate(_OPS)}

@@ -3,10 +3,12 @@
 The cross-transport conformance suite runs the shared scenarios against
 ``async+procs``; this file covers what only process mode can get wrong —
 the StoreProxy/MemStore surface contract, typed child-death errors, the
-control link's framing, the GIVE_UP push path, dynamic reliable arming,
-and the CREDIT merge.
+control link's framing and its one op table, the give_up push path,
+dynamic reliable arming, and the credit merge.
 """
 
+import inspect
+import os
 import socket
 import time
 
@@ -24,6 +26,7 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan
 from repro.faults.reliable import ReliableConfig
+from repro.net import procserver
 from repro.net.codec import FRAME_HEADER, encode_frame
 
 CLOSURE = 'S [ (Pointer,"Ref",?X) ^^X ]* (Keyword,"K",?) -> T'
@@ -31,6 +34,12 @@ CLOSURE = 'S [ (Pointer,"Ref",?X) ^^X ]* (Keyword,"K",?) -> T'
 
 def proc_cluster(sites=2, **kwargs):
     return make_cluster("async", sites, config=ClusterConfig(processes=True, **kwargs))
+
+
+def exit_before_hello(*_args):
+    """A child entry point that dies before connecting (spawn pickles it
+    by reference, so the child imports this module to find it)."""
+    os._exit(3)
 
 
 def build_chain(cluster, length=6):
@@ -121,8 +130,18 @@ class TestChildDeath:
             assert time.monotonic() - started < 10.0, "death must beat the backstop"
             assert excinfo.value.site == "site0"
             assert "site0" in str(excinfo.value)
+            with pytest.raises(TerminationLost) as again:  # never a private marker
+                cluster.outcome(qid)
+            assert again.value.site == "site0"
         finally:
             cluster.close()
+
+    def test_child_exiting_before_hello_is_reported_at_once(self, monkeypatch):
+        monkeypatch.setattr(procserver, "_child_main", exit_before_hello)
+        started = time.monotonic()
+        with pytest.raises(ChildProcessDied, match="exited with code 3 before HELLO"):
+            proc_cluster()
+        assert time.monotonic() - started < 10.0
 
     def test_control_requests_against_a_dead_child_fail_typed(self):
         cluster = proc_cluster()
@@ -185,6 +204,37 @@ class TestControlFraming:
             with pytest.raises(ChildProcessDied) as excinfo:
                 _recv_hello(b, ["site1"])
         assert excinfo.value.site == "site1"
+
+    def test_a_timed_out_request_does_not_shift_later_replies(self):
+        with proc_cluster() as cluster:
+            store = cluster.store("site0")
+            a = store.create([keyword_tuple("K")])
+            b = store.create([keyword_tuple("K")])
+            cluster.RPC_TIMEOUT_S = 0
+            with pytest.raises(HyperFileError, match="no control reply"):
+                store.get(a.oid)
+            del cluster.RPC_TIMEOUT_S  # back to the class budget
+            assert store.get(b.oid).oid == b.oid  # a's late reply is dropped
+            assert len(store) == 2
+
+
+class TestOneControlProtocol:
+    """Every control op is one entry in ``_OPS``; the hand-written
+    vocabulary, its per-op frame writers and the private death marker
+    stay gone."""
+
+    def test_no_hand_written_vocabulary(self):
+        names = vars(procserver)
+        assert not [name for name in names if name.startswith("_C_")]
+        for gone in ("_handle_control", "_ChildDeath", "_encode_result", "_decode_result",
+                     "_encode_stats", "_decode_stats", "_err_frame", "_raise_err"):
+            assert gone not in names
+        assert inspect.getsource(procserver).count("_Writer(") <= 2
+
+    def test_each_op_is_declared_once(self):
+        assert len(procserver._CODES) == len(procserver._OPS)
+        pushes = {op.name for op in procserver._OPS if op.push}
+        assert pushes == {"hello", "complete", "stats_push", "give_up"}
 
 
 class TestReliableChannel:

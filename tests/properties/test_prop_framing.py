@@ -13,16 +13,25 @@ an error — so this file holds the line property-style.
 The second half is the decoder fuzz: the bytes behind the framing come
 from other machines, so arbitrary and mutated streams pushed through
 ``FrameReader`` + ``decode_envelope`` may raise :class:`CodecError` and
-nothing else (the transports catch nothing else).  Tier-1 runs a fixed,
-seeded number of examples; CI's ``codec-fuzz`` job reruns the same two
+nothing else (the transports catch nothing else).  The same holds for
+process mode's control frames: decoding one yields a known op and its
+argument tuple, or raises :class:`CodecError`.  Tier-1 runs a fixed,
+seeded number of examples; CI's ``codec-fuzz`` job reruns the same three
 properties with a larger count.
 """
+
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro.core.objects import HFObject
+from repro.core.oid import Oid
+from repro.core.tuples import keyword_tuple
+from repro.engine.results import ExecutionStats
 from repro.errors import HyperFileError
+from repro.net import procserver
 from repro.net.codec import (
     FRAME_HEADER,
     CodecError,
@@ -31,7 +40,8 @@ from repro.net.codec import (
     encode_envelope,
     encode_frame,
 )
-from tests.net.test_codec import wire_corpus
+from repro.net.messages import QueryId
+from tests.net.test_codec import QID, prog, wire_corpus
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -180,9 +190,65 @@ def random_bytes_survive(framed, blob, data):
     survives(stream, data.draw(chunkings(stream)))
 
 
+def control_corpus():
+    """One valid control frame per op, in table order: a request under
+    id 1, a push under id 0."""
+    oid = Oid("site0", 1)
+    obj = HFObject(oid, [keyword_tuple("K")])
+    args = {
+        "create": ((("Keyword", "K", None),), None),
+        "get": (oid,), "replace": (obj,), "put": (obj, True), "contains": (oid,),
+        "remove": (oid,), "oids": (), "objects": (), "store_meta": (),
+        "fwd_record": (oid, "site1"), "fwd_drop": (oid,), "fwd_lookup": (oid,),
+        "repl_dir": (oid, (("site0", "site1"), 2)), "epoch": ("site1", 3),
+        "membership": ((("site0", "up"), ("site1", "leaving")),),
+        "submit": (QID, prog(), (oid,), "batch", "tenant"),
+        "submit_saved": (QID, prog(), QueryId(6, "site0")), "expire": (QID,),
+        "peers": ((("site0", 4000), ("site1", 4001)),), "set_down": ("site1",), "set_up": ("site1",),
+        "faults": (3, (0.1, 0.0, 0.0, 0.0, 0.05), (("site0", "site1", 1.0, 0.0, 0.0, 0.0),),
+                   (("site0", "site1"),)),
+        "fault_stats": (), "reliable_on": (0.01, 0.05, 2), "credit": (QID,), "shutdown": (),
+        "stats": (), "trace_on": (("send",), 1, 5), "trace_off": (), "trace_drain": (),
+        "metrics_on": (), "metrics_snap": (), "flight_snap": (),
+        "hello": ("site0", 4000),
+        "complete": (QID, (oid,), (("T", ("x", 2.5)),), astuple(ExecutionStats()), False, None,
+                     (("site0", 1),), ""),
+        "stats_push": ("site0", '{"t": 0.0, "sample": {}}'),
+        "give_up": ("site0", "site0", "site1", "DerefRequest", str(QID)),
+    }
+    return [
+        procserver._encode(0 if op.push else 1, code, args[op.name])[FRAME_HEADER.size :]
+        for code, op in enumerate(procserver._OPS)
+    ]
+
+
+CONTROL_CORPUS = control_corpus()
+
+
+def test_control_corpus_decodes_to_every_op_and_unknown_ops_are_codec_errors():
+    decoded = [procserver._decode_op(frame) for frame in CONTROL_CORPUS]
+    assert [op for _, op, _ in decoded] == list(procserver._OPS)
+    for bad in ((1, len(procserver._OPS), ()), (1, procserver._CODES["complete"], ()),
+                (0, procserver._CODES["get"], ()), (1, procserver._CODES["get"], "not a tuple")):
+        with pytest.raises(CodecError):
+            procserver._decode_op(procserver._encode(*bad)[FRAME_HEADER.size :])
+
+
+def control_frames_decode_or_raise(index, edit_list, blob, random):
+    """A control frame decodes to a known op with an argument tuple, or
+    raises CodecError: nothing else."""
+    frame = blob if random else mutate(CONTROL_CORPUS[index], edit_list)
+    try:
+        _, op, args = procserver._decode_op(frame)
+    except CodecError:
+        return
+    assert procserver._OPS[procserver._CODES[op.name]] is op
+    assert type(args) is tuple
+
+
 def fuzz_properties(max_examples: int):
-    """The two fuzz properties, seeded, at ``max_examples`` each (CI asks
-    for many more than tier-1 does)."""
+    """The three fuzz properties, seeded, at ``max_examples`` each (CI
+    asks for many more than tier-1 does)."""
     budget = settings(max_examples=max_examples, deadline=None, database=None)
     mutated = given(
         picks=st.lists(st.tuples(st.integers(0, len(CORPUS) - 1), edits), min_size=1, max_size=3),
@@ -191,10 +257,17 @@ def fuzz_properties(max_examples: int):
     random_bytes = given(framed=st.booleans(), blob=st.binary(max_size=300), data=st.data())(
         random_bytes_survive
     )
-    return seed(FUZZ_SEED)(budget(mutated)), seed(FUZZ_SEED)(budget(random_bytes))
+    control = given(
+        index=st.integers(0, len(CONTROL_CORPUS) - 1),
+        edit_list=edits,
+        blob=st.binary(max_size=300),
+        random=st.booleans(),
+    )(control_frames_decode_or_raise)
+    return tuple(seed(FUZZ_SEED)(budget(prop)) for prop in (mutated, random_bytes, control))
 
 
 (
     test_fuzz_mutated_frames_raise_only_codec_error,
     test_fuzz_random_bytes_raise_only_codec_error,
+    test_fuzz_control_frames_raise_only_codec_error,
 ) = fuzz_properties(FUZZ_EXAMPLES)
