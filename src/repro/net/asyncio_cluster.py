@@ -13,6 +13,8 @@ and the I/O runs on :class:`asyncio.Protocol` machinery:
 * inter-site connections are persistent and per-direction, dialled
   lazily and re-dialled with exponential backoff when lost (the
   hypergraph-P2P literature's argument against per-message connections);
+* a site sends what one drain flush produced as one write per peer
+  link (:meth:`_AsyncSite.flush`), not one per frame;
 * batched payloads (:class:`~repro.net.messages.ResultBatch` inside
   coalesced frames, reliable-channel retransmits) are serialised once
   via :func:`~repro.net.codec.preframe` and reuse the cached bytes on
@@ -41,7 +43,7 @@ import asyncio
 import concurrent.futures
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..config import ClusterConfig
 from ..core.oid import Oid
@@ -69,6 +71,19 @@ RECONNECT_BACKOFF_S = 0.05
 #: How many node steps a drain task runs before yielding the loop, so
 #: one busy site cannot starve its peers' I/O on the shared loop.
 _STEPS_PER_YIELD = 16
+
+
+def _finish_tasks(loop: asyncio.AbstractEventLoop) -> None:
+    """Cancel whatever is still pending on a stopped loop and let it
+    unwind — a link dialled by a late timer, a sender task still inside
+    ``create_connection`` — so no task is destroyed pending at close."""
+    for _ in range(3):
+        tasks = [task for task in asyncio.all_tasks(loop) if not task.done()]
+        if not tasks:
+            return
+        for task in tasks:
+            task.cancel()
+        loop.run_until_complete(asyncio.gather(*tasks, return_exceptions=True))
 
 
 class _TimerHandle:
@@ -122,8 +137,16 @@ class _InboundProtocol(asyncio.Protocol):
 class _PeerLink:
     """One persistent outbound connection, with reconnect.
 
-    A frame goes straight to the transport when the link is connected
-    and nothing is waiting; otherwise it queues, and a single sender task
+    Every frame for the peer — work, results, the reliable channel's
+    sends and retransmits, a fault plan's delayed copies — enters through
+    :meth:`send`.  While its site is flushing a drain
+    (:meth:`_AsyncSite.flush`) the link holds the frames, and
+    :meth:`release` hands the whole run over as one ``writelines``: one
+    socket write per peer per flush, the same bytes in the same order.
+    Outside a flush a frame is a run of its own.
+
+    A run goes straight to the transport when the link is connected and
+    nothing is waiting; otherwise it queues, and a single sender task
     drains the queue, dialling (or re-dialling, with capped exponential
     backoff) as needed.  Created on the event loop, used only from it —
     which is what makes the direct write safe: a non-empty queue always
@@ -133,31 +156,52 @@ class _PeerLink:
     def __init__(self, site: "_AsyncSite", dst: str) -> None:
         self.site = site
         self.dst = dst
-        self.queue: "asyncio.Queue[bytes]" = asyncio.Queue()
+        #: Runs waiting for the sender task: (header/payload chunks, payload bytes).
+        self.queue: "asyncio.Queue[Tuple[List[bytes], int]]" = asyncio.Queue()
         self.transport: Optional[asyncio.Transport] = None
+        #: The current flush's frames, and their payload bytes.
+        self.held: List[bytes] = []
+        self.held_bytes = 0
         self.task = asyncio.get_running_loop().create_task(self._run())
 
     def send(self, payload: bytes) -> None:
+        header = FRAME_HEADER.pack(len(payload))
+        flushing = self.site.flushing
+        if flushing is None:
+            self._out([header, payload], len(payload))
+            return
+        if not self.held:
+            flushing.append(self)
+        self.held += (header, payload)
+        self.held_bytes += len(payload)
+
+    def release(self) -> None:
+        """Send the frames held during a flush, as one run."""
+        chunks, nbytes = self.held, self.held_bytes
+        self.held, self.held_bytes = [], 0
+        self._out(chunks, nbytes)
+
+    def _out(self, chunks: List[bytes], nbytes: int) -> None:
         transport = self.transport
         if transport is not None and not transport.is_closing() and self.queue.empty():
             # Connected and idle: skip the sender task's wake-up.
-            self._write(payload)
+            self._write(chunks, nbytes)
         else:
-            self.queue.put_nowait(payload)
+            self.queue.put_nowait((chunks, nbytes))
 
-    def _write(self, payload: bytes) -> None:
-        # Header and (possibly preframed) payload are handed over as they
-        # are; the transport joins them itself where it has to (a
+    def _write(self, chunks: List[bytes], nbytes: int) -> None:
+        # Headers and (possibly preframed) payloads are handed over as
+        # they are; the transport joins them into one send (a
         # ``b"".join`` on 3.11, a vectored send from 3.12).
-        self.transport.writelines((FRAME_HEADER.pack(len(payload)), payload))
-        self.site.bytes_sent += len(payload)
+        self.transport.writelines(chunks)
+        self.site.bytes_sent += nbytes
 
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
         config = self.site.cluster.config
         backoff = RECONNECT_BACKOFF_S
         while True:
-            payload = await self.queue.get()
+            chunks, nbytes = await self.queue.get()
             while self.transport is None or self.transport.is_closing():
                 try:
                     self.transport, _ = await asyncio.wait_for(
@@ -172,7 +216,7 @@ class _PeerLink:
                 except (OSError, asyncio.TimeoutError):
                     await asyncio.sleep(backoff)
                     backoff = min(backoff * 2, 1.0)
-            self._write(payload)
+            self._write(chunks, nbytes)
 
     def close(self) -> None:
         self.task.cancel()
@@ -195,6 +239,8 @@ class _AsyncSite:
         self.server: Optional[asyncio.AbstractServer] = None
         self.port: Optional[int] = None
         self._links: Dict[str, _PeerLink] = {}
+        #: Links holding frames while :meth:`flush` runs, else ``None``.
+        self.flushing: Optional[List[_PeerLink]] = None
         self._drain_task: Optional[asyncio.Task] = None
 
     async def bootstrap(self) -> None:
@@ -217,10 +263,9 @@ class _AsyncSite:
         cluster = self.cluster
         while True:
             env = await self.inbox.get()
-            while cluster.is_down(self.name):
-                # Frozen: hold this envelope (frames already delivered
-                # survive a crash window) until set_up.
-                await self.up_event.wait()
+            # Frozen: hold this envelope (frames already delivered survive
+            # a crash window) until set_up.
+            await self._until_up()
             # Greedily take whatever else already arrived: one task
             # switch then handles the whole burst instead of paying a
             # loop wakeup per envelope.
@@ -247,20 +292,26 @@ class _AsyncSite:
                         outgoing.extend(report.outgoing)
                         steps += 1
                         if steps % _STEPS_PER_YIELD == 0:
-                            for out in outgoing:
-                                self._send(out)
+                            self.flush(outgoing)
                             outgoing = []
                             await asyncio.sleep(0)
-                            while cluster.is_down(self.name):
-                                await self.up_event.wait()
+                            await self._until_up()
                     break
                 except Exception as exc:  # noqa: BLE001 — one bad message or step must not end the site
                     contain_site_error(node, cluster.flight_recorder, exc)
                     # Resume after the envelope or step that raised; yield
                     # first, so even a raise that recurs cannot hog the loop.
                     await asyncio.sleep(0)
-            for out in outgoing:
-                self._send(out)
+            self.flush(outgoing)
+
+    async def _until_up(self) -> None:
+        """Wait while this site is down.  The event is cleared here as
+        well: ``set_down`` marks the site down at once but clears the event
+        from another thread a moment later, and waiting on an event that
+        is still set would spin the loop without ever running that clear."""
+        while self.cluster.is_down(self.name):
+            self.up_event.clear()
+            await self.up_event.wait()
 
     def submit(
         self,
@@ -271,23 +322,36 @@ class _AsyncSite:
         tenant: Optional[str] = None,
     ) -> None:
         report = self.node.submit(qid, program, initial, priority=priority, tenant=tenant)
-        for env in report.outgoing:
-            self._send(env)
+        self.flush(report.outgoing)
         self.inbox.put_nowait(None)  # nudge the drain task
 
     def submit_from_saved(self, qid: QueryId, program: Program, source_qid: QueryId) -> None:
         report = self.node.submit_from_saved(qid, program, source_qid, self.cluster.sites)
-        for env in report.outgoing:
-            self._send(env)
+        self.flush(report.outgoing)
         self.inbox.put_nowait(None)
 
     def expire(self, qid: QueryId) -> None:
         report = self.node.expire_query(qid)
-        for env in report.outgoing:
-            self._send(env)
+        self.flush(report.outgoing)
         self.inbox.put_nowait(None)
 
     # -- outbound (event-loop thread only) ------------------------------
+
+    def flush(self, outgoing: List[Envelope]) -> None:
+        """Send what a drain (or a submit) produced: every peer link gets
+        all of its frames as one write.  A lone envelope goes straight out."""
+        if len(outgoing) < 2:
+            for env in outgoing:
+                self._send(env)
+            return
+        self.flushing = links = []
+        try:
+            for env in outgoing:
+                self._send(env)
+        finally:
+            self.flushing = None
+            for link in links:
+                link.release()
 
     def _send(self, env: Envelope) -> None:
         endpoint = self.cluster._endpoint_for(env.src)
@@ -323,9 +387,10 @@ class _AsyncSite:
         except CodecError:
             # Something in the envelope has no wire form (a value type the
             # codec does not carry).  That costs this message, never the
-            # site: count it lost and take its work back.
+            # site: count it lost, record it undeliverable as a reliable
+            # give-up would be, and take its work back.
             self.cluster.messages_dropped += 1
-            self.bounce(env)
+            self.cluster._give_up(env)
             return
         link = self._links.get(env.dst)
         if link is None:
@@ -418,6 +483,8 @@ class AsyncCluster(ClusterBase):
             pass
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=5.0)
+        if not self._thread.is_alive():
+            _finish_tasks(self._loop)
         self._loop.close()
 
     async def _shutdown(self) -> None:

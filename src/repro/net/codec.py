@@ -20,7 +20,23 @@ Design notes:
 * a query's program is the one part of its work messages that never
   changes, so it is serialised once per :class:`Program` and parsed once
   per process per query (see :func:`_write_program` /
-  :func:`_read_program`); the frames themselves are unchanged.
+  :func:`_read_program`); the frames themselves are unchanged;
+* the two messages that are nearly all traffic, ``DerefRequest`` and
+  ``ResultBatch``, and the envelope header are read and written in one
+  pass over ``(data, pos)`` (:func:`_deref_at`, :func:`_result_at`,
+  :func:`decode_envelope`; :func:`_write_deref`, :func:`_write_result`,
+  :func:`encode_envelope`), building each object once (see ``_new``).
+  A field of an unusual shape — a long name, a term value that is not a
+  ``Credit``, a populated header, emissions, a summary — is read where it
+  stands by the shared primitives (:class:`_Reader`, :func:`_read_value`),
+  never by a second decoder of the message;
+* names shorter than 64 bytes are interned both ways (``_NAMES``,
+  ``_NAME_BYTES``) and decoded oids by their bytes (``_OIDS``), at most
+  ``_INTERN_MAX`` entries each, and a frame's ``QueryId`` is the one the
+  parsed-program table already holds, so nothing the codec remembers
+  grows with the queries or sites it has seen.  Readers work on ``bytes``: a ``memoryview`` frame is copied
+  once on entry, so no decoded value or table key aliases a buffer the
+  transport may reuse.
 """
 
 from __future__ import annotations
@@ -136,6 +152,119 @@ MAX_VALUE_DEPTH = 32
 _ONE_BYTE = tuple(bytes((i,)) for i in range(256))
 
 
+#: Names shorter than this many UTF-8 bytes — site names, tuple types,
+#: attachment keys — are interned in both directions: their one-byte
+#: length prefix is their whole varint, and they recur in every frame.
+_NAME_MAX = 64
+#: Entries per intern table; a full table is emptied, so neither grows
+#: with the sites or queries a process has seen.
+_INTERN_MAX = 1024
+#: Wire bytes of a name -> the ``str`` (decode).  Keys are ``bytes``,
+#: never views: readers work on a ``bytes`` copy of the frame.
+_NAMES: Dict[bytes, str] = {}
+#: A name -> its length-prefixed UTF-8 wire bytes (encode).
+_NAME_BYTES: Dict[str, bytes] = {}
+#: Wire bytes of an oid value with short names (after its tag) -> the
+#: ``Oid`` (decode).  The same oids recur in every frame of a database,
+#: and an ``Oid`` outlives its frame (results, routing hints), so it is
+#: built once, by its own constructor, and shared.
+_OIDS: Dict[bytes, Oid] = {}
+#: Taken only to insert; a hit is one ``dict.get`` and needs no lock.
+_intern_lock = threading.Lock()
+
+
+def _remember(table: Dict[Any, Any], key: Any, value: Any) -> None:
+    with _intern_lock:
+        if len(table) >= _INTERN_MAX:
+            table.clear()
+        table[key] = value
+
+
+def _varint(value: int) -> bytes:
+    """The zig-zag LEB128 bytes of ``value``."""
+    if -64 <= value < 64:
+        return _ONE_BYTE[value << 1 if value >= 0 else (-value << 1) - 1]
+    if 0 < value < 8192:  # two bytes: most sequence numbers, ids, exponents
+        return bytes(((value << 1) & 0x7F | 0x80, value >> 6))
+    # Arbitrary precision: a credit's mantissa (the sum of many pieces)
+    # and a user's Fraction or integer may be wider than 64 bits.  The
+    # bit bound only guards against absurd/hostile values.
+    if value.bit_length() > MAX_VARINT_BITS:
+        raise CodecError(f"integer out of range: {value.bit_length()} bits")
+    encoded = (value << 1) if value >= 0 else ((-value << 1) - 1)
+    out = bytearray()
+    while encoded > 0x7F:
+        out.append((encoded & 0x7F) | 0x80)
+        encoded >>= 7
+    out.append(encoded)
+    return bytes(out)
+
+
+def _name(text: str) -> bytes:
+    """The wire bytes of a name: varint length, then UTF-8; cached."""
+    encoded = _NAME_BYTES.get(text)
+    if encoded is None:
+        raw = text.encode("utf-8")
+        encoded = _varint(len(raw)) + raw
+        if len(raw) < _NAME_MAX:
+            _remember(_NAME_BYTES, text, encoded)
+    return encoded
+
+
+def _varint_at(data: bytes, pos: int) -> Tuple[int, int]:
+    """The varint at ``pos`` and the position after it.
+
+    Like every ``*_at`` reader below it reads ``bytes`` and lets a read
+    past the end raise ``IndexError``; the entry points turn that into
+    :class:`CodecError`.
+    """
+    b = data[pos]
+    if b < 0x80:
+        return (b >> 1) ^ -(b & 1), pos + 1
+    encoded = b & 0x7F
+    shift = 0
+    while b >= 0x80:
+        shift += 7
+        if shift > MAX_VARINT_BITS:
+            raise CodecError("varint too long")
+        pos += 1
+        b = data[pos]
+        encoded |= (b & 0x7F) << shift
+    return (encoded >> 1) ^ -(encoded & 1), pos + 1
+
+
+def _name_at(data: bytes, pos: int) -> Tuple[str, int]:
+    """The length-prefixed UTF-8 text at ``pos``, interned when short."""
+    b = data[pos]
+    if b < 2 * _NAME_MAX and not b & 1:  # a one-byte length below _NAME_MAX
+        end = pos + 1 + (b >> 1)
+        if end > len(data):
+            raise CodecError("truncated byte string")
+        key = data[pos + 1 : end]
+        name = _NAMES.get(key)
+        if name is None:
+            try:
+                name = str(key, "utf-8")
+            except UnicodeDecodeError:
+                raise CodecError("text is not valid UTF-8") from None
+            _remember(_NAMES, key, name)
+        return name, end
+    r = _Reader(data, pos)
+    return r.text(), r.pos
+
+
+#: How the one-pass readers build the short-lived objects they return —
+#: a ``WorkItem``, ``QueryId``, message or ``Envelope`` (all frozen
+#: dataclasses): ``_new(cls)``, then one store per field into its
+#: ``__dict__``.  The generated ``__init__`` / ``__post_init__`` would cost
+#: as much as the rest of the decode, and every check they make the
+#: reader has already made (an ``Envelope``'s ``size_bytes`` it fills in
+#: itself).  An instance built this way holds a full ``__dict__``, about
+#: 60 bytes more than a constructed one, so what outlives the frame — an
+#: ``Oid`` — is constructed instead (and interned, see ``_OIDS``).
+_new = object.__new__
+
+
 class _Writer:
     __slots__ = ("chunks",)
 
@@ -146,44 +275,43 @@ class _Writer:
         self.chunks.append(_ONE_BYTE[value])
 
     def varint(self, value: int) -> None:
-        if -64 <= value < 64:
-            self.chunks.append(_ONE_BYTE[value << 1 if value >= 0 else (-value << 1) - 1])
-            return
-        # zig-zag then LEB128, arbitrary precision: a credit's mantissa
-        # (the sum of many pieces) and a user's Fraction or integer may
-        # be wider than 64 bits.  The bit bound only guards against
-        # absurd/hostile values.
-        if value.bit_length() > MAX_VARINT_BITS:
-            raise CodecError(f"integer out of range: {value.bit_length()} bits")
-        encoded = (value << 1) if value >= 0 else ((-value << 1) - 1)
-        out = bytearray()
-        while True:
-            bits = encoded & 0x7F
-            encoded >>= 7
-            if encoded:
-                out.append(bits | 0x80)
-            else:
-                out.append(bits)
-                break
-        self.chunks.append(bytes(out))
+        self.chunks.append(_varint(value))
 
     def raw(self, payload: bytes) -> None:
-        self.varint(len(payload))
+        self.chunks.append(_varint(len(payload)))
         self.chunks.append(payload)
 
     def text(self, value: str) -> None:
         self.raw(value.encode("utf-8"))
+
+    def name(self, value: str) -> None:
+        """Text that recurs (a site or type name): same bytes, cached."""
+        self.chunks.append(_name(value))
 
     def getvalue(self) -> bytes:
         return b"".join(self.chunks)
 
 
 class _Reader:
+    """A cursor over one frame, for the fields the one-pass readers
+    (:func:`_deref_at`, :func:`_result_at`, :func:`decode_envelope`)
+    hand off: programs, summaries, values, the rarer messages."""
+
     __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
+    def __init__(self, data, pos: int = 0) -> None:
+        # One copy of a view up front: every slice after it is a cheap
+        # ``bytes``, and an intern key can never alias a reused buffer.
+        self.data = data if type(data) is bytes else bytes(data)
+        self.pos = pos
+
+    def at(self, reader: Callable[..., Tuple[Any, int]], *args: Any) -> Any:
+        """Run a one-pass ``*_at`` reader here and step past what it read."""
+        try:
+            value, self.pos = reader(self.data, self.pos, *args)
+        except IndexError:
+            raise CodecError("truncated frame") from None
+        return value
 
     def byte(self) -> int:
         if self.pos >= len(self.data):
@@ -199,20 +327,11 @@ class _Reader:
             if b < 0x80:  # the whole varint: most fields are small
                 self.pos = pos + 1
                 return (b >> 1) ^ -(b & 1)
-        shift = 0
-        encoded = 0
-        while True:
-            if self.pos >= len(self.data):
-                raise CodecError("truncated varint")
-            b = self.data[self.pos]
-            self.pos += 1
-            encoded |= (b & 0x7F) << shift
-            if not b & 0x80:
-                break
-            shift += 7
-            if shift > MAX_VARINT_BITS:
-                raise CodecError("varint too long")
-        return (encoded >> 1) ^ -(encoded & 1)
+        try:
+            value, self.pos = _varint_at(self.data, pos)
+        except IndexError:
+            raise CodecError("truncated varint") from None
+        return value
 
     def raw(self) -> bytes:
         length = self.varint()
@@ -223,8 +342,6 @@ class _Reader:
         return payload
 
     def text(self) -> str:
-        # str(buf, "utf-8") accepts any buffer, so zero-copy memoryview
-        # frames decode without materialising intermediate bytes.
         try:
             return str(self.raw(), "utf-8")
         except UnicodeDecodeError:
@@ -252,6 +369,64 @@ def _construct(factory: Callable[..., Any], *args: Any) -> Any:
         raise CodecError(f"invalid {factory.__qualname__}: {exc}") from None
 
 
+_OID_TAG = _ONE_BYTE[_T_OID]
+_CREDIT_TAG = _ONE_BYTE[_T_CREDIT]
+_NO_HINT = _name("")
+
+
+def _write_oid(chunks: List[bytes], oid: Oid) -> None:
+    hint = oid.presumed_site
+    chunks += (
+        _OID_TAG, _name(oid.birth_site), _varint(oid.local_id),
+        _NO_HINT if hint is None else _name(hint),
+    )
+
+
+def _oid_at(data: bytes, pos: int) -> Tuple[Oid, int]:
+    """An oid value, its tag already read; interned when both names are
+    short (the key is the value's bytes: a birth name, the local id's
+    varint, a hint name)."""
+    key = None
+    b = data[pos]
+    if b < 2 * _NAME_MAX and not b & 1:
+        end = pos + 1 + (b >> 1)
+        while data[end] >= 0x80:
+            end += 1
+        b = data[end + 1]
+        if b < 2 * _NAME_MAX and not b & 1:
+            end += 2 + (b >> 1)
+            key = data[pos:end]
+            oid = _OIDS.get(key)
+            if oid is not None and end <= len(data):
+                return oid, end
+    birth, pos = _name_at(data, pos)
+    local_id, pos = _varint_at(data, pos)
+    hint, pos = _name_at(data, pos)
+    if not birth or local_id < 0:
+        raise CodecError("oid needs a birth site and a non-negative local id")
+    oid = Oid(birth, local_id, presumed_site=hint or None)
+    if key is not None:
+        _remember(_OIDS, key, oid)
+    return oid, pos
+
+
+def _write_credit(chunks: List[bytes], credit: Credit) -> None:
+    exponent = credit.exponent
+    if exponent > MAX_CREDIT_EXPONENT:
+        raise CodecError(f"credit exponent {exponent} out of range")
+    chunks += (_CREDIT_TAG, _varint(credit.mantissa), _varint(exponent))
+
+
+def _credit_at(data: bytes, pos: int) -> Tuple[Credit, int]:
+    """A credit value, its tag already read."""
+    mantissa, pos = _varint_at(data, pos)
+    exponent, pos = _varint_at(data, pos)
+    # Only the normal form decodes: odd mantissa, or plain 0.
+    if mantissa < 0 or not 0 <= exponent <= MAX_CREDIT_EXPONENT or (exponent and not mantissa & 1):
+        raise CodecError(f"credit {mantissa}/2**{exponent} is not in normal form")
+    return Credit(mantissa, exponent), pos
+
+
 def _write_value(w: _Writer, value: Any, depth: int = 0) -> None:
     if value is None:
         w.byte(_T_NONE)
@@ -272,17 +447,9 @@ def _write_value(w: _Writer, value: Any, depth: int = 0) -> None:
         w.byte(_T_BYTES)
         w.raw(bytes(value))
     elif isinstance(value, Oid):
-        w.byte(_T_OID)
-        w.text(value.birth_site)
-        w.varint(value.local_id)
-        w.text(value.presumed_site if value.presumed_site is not None else "")
+        _write_oid(w.chunks, value)
     elif type(value) is Credit:
-        exponent = value.exponent
-        if exponent > MAX_CREDIT_EXPONENT:
-            raise CodecError(f"credit exponent {exponent} out of range")
-        w.byte(_T_CREDIT)
-        w.varint(value.mantissa)
-        w.varint(exponent)
+        _write_credit(w.chunks, value)
     elif isinstance(value, Fraction):
         w.byte(_T_FRACTION)
         w.varint(value.numerator)
@@ -324,19 +491,9 @@ def _read_value(r: _Reader, depth: int = 0) -> Any:
     if tag == _T_BYTES:
         return bytes(r.raw())
     if tag == _T_OID:
-        birth = r.text()
-        local_id = r.varint()
-        hint = r.text()
-        if not birth or local_id < 0:
-            raise CodecError("oid needs a birth site and a non-negative local id")
-        return Oid(birth, local_id, presumed_site=hint or None)
+        return r.at(_oid_at)
     if tag == _T_CREDIT:
-        mantissa = r.varint()
-        exponent = r.varint()
-        # Only the normal form decodes: odd mantissa, or plain 0.
-        if mantissa < 0 or not 0 <= exponent <= MAX_CREDIT_EXPONENT or (exponent and not mantissa & 1):
-            raise CodecError(f"credit {mantissa}/2**{exponent} is not in normal form")
-        return Credit(mantissa, exponent)
+        return r.at(_credit_at)
     if tag == _T_FRACTION:
         numerator = r.varint()
         denominator = r.varint()
@@ -421,11 +578,12 @@ def _read_pattern(r: _Reader) -> Pattern:
 # --------------------------------------------------------------------------
 
 
-#: Programs this process has parsed, by the query that carried them: qid ->
-#: (the program section's bytes, the Program parsed from exactly those
-#: bytes).  Bounded — the oldest entry goes when it is full — so nothing
-#: here grows with queries served.
-_PARSED_PROGRAMS: Dict[QueryId, Tuple[bytes, Program]] = {}
+#: Programs this process has parsed, by the query that carried them:
+#: ``(seq, originator)`` -> (the ``QueryId``, the program section's bytes,
+#: the Program parsed from exactly those bytes).  Later frames of the
+#: query reuse both objects.  Bounded — the oldest entry goes when it is
+#: full — so nothing here grows with queries served.
+_PARSED_PROGRAMS: Dict[Tuple[int, str], Tuple[QueryId, bytes, Program]] = {}
 _PARSED_PROGRAMS_MAX = 64
 #: Longest section worth remembering (experiment queries are ~60 bytes), so
 #: the table's bytes are bounded as well as its entries.
@@ -490,13 +648,11 @@ def _read_program(r: _Reader, qid: QueryId) -> Program:
     flipped bit, takes the full parse below, so what the decoder accepts
     and rejects does not depend on what it has seen before.
     """
-    known = _PARSED_PROGRAMS.get(qid)
-    if known is not None:
-        section, program = known
-        end = r.pos + len(section)
-        if r.data[r.pos : end] == section:
-            r.pos = end
-            return program
+    key = (qid.seq, qid.originator)
+    known = _PARSED_PROGRAMS.get(key)
+    if known is not None and r.data.startswith(known[1], r.pos):
+        r.pos += len(known[1])
+        return known[2]
     begin = r.pos
     source = r.text()
     result = r.text()
@@ -538,10 +694,10 @@ def _read_program(r: _Reader, qid: QueryId) -> Program:
     program = Program(source, result, ops, enclosing)
     if r.pos - begin <= _PARSED_SECTION_MAX:
         with _parsed_programs_lock:
-            _PARSED_PROGRAMS.pop(qid, None)
+            _PARSED_PROGRAMS.pop(key, None)
             while len(_PARSED_PROGRAMS) >= _PARSED_PROGRAMS_MAX:
                 del _PARSED_PROGRAMS[next(iter(_PARSED_PROGRAMS))]
-            _PARSED_PROGRAMS[qid] = (bytes(r.data[begin : r.pos]), program)
+            _PARSED_PROGRAMS[key] = (qid, r.data[begin : r.pos], program)
     return program
 
 
@@ -551,50 +707,117 @@ def _read_program(r: _Reader, qid: QueryId) -> Program:
 
 
 def _write_item(w: _Writer, item: WorkItem) -> None:
-    _write_value(w, item.oid)
-    w.varint(item.start)
-    w.varint(len(item.iters))
-    for loop_index, count in item.iters:
-        w.varint(loop_index)
-        w.varint(count)
-
-
-def _read_item(r: _Reader) -> WorkItem:
-    oid = _read_value(r)
-    if not isinstance(oid, Oid):
+    chunks = w.chunks
+    oid = item.oid
+    if type(oid) is not Oid:
         raise CodecError("work item oid expected")
-    start = r.varint()
-    if start < 1:
-        raise CodecError(f"work item start index {start}")
-    n = r.varint()
-    if n < 0 or n > 64:
-        raise CodecError("implausible iteration-stack size")
-    iters = tuple([(r.varint(), r.varint()) for _ in range(n)])
-    return WorkItem(oid=oid, start=start, iters=iters)
+    _write_oid(chunks, oid)
+    iters = item.iters
+    chunks += (_varint(item.start), _varint(len(iters)))
+    for loop_index, count in iters:
+        chunks += (_varint(loop_index), _varint(count))
+
+
+def _item_at(data: bytes, pos: int, program: Program) -> Tuple[WorkItem, int]:
+    """A work item of ``program``: only one the program could have made.
+
+    Its start must be a position of the program (or just past its last
+    op), and its iteration stack may count each of the program's loops
+    once, never below zero — a node would otherwise step the item into
+    messages of its own, with no error anywhere.
+    """
+    if data[pos] != _T_OID:
+        raise CodecError("work item oid expected")
+    oid, pos = _oid_at(data, pos + 1)
+    start, pos = _varint_at(data, pos)
+    if not 1 <= start <= len(program.ops) + 1:
+        raise CodecError(f"work item start index {start} outside a {len(program.ops)}-op program")
+    if data[pos] == 0:  # no iteration counts: most items
+        iters: Tuple[Tuple[int, int], ...] = ()
+        pos += 1
+    else:
+        n, pos = _varint_at(data, pos)
+        if n < 0 or n > 64:
+            raise CodecError("implausible iteration-stack size")
+        loops = program.loop_counts()
+        pairs: List[Tuple[int, int]] = []
+        for _ in range(n):
+            loop_index, pos = _varint_at(data, pos)
+            count, pos = _varint_at(data, pos)
+            if loop_index not in loops or count < 0 or any(seen == loop_index for seen, _ in pairs):
+                raise CodecError(f"work item iteration entry ({loop_index}, {count})")
+            pairs.append((loop_index, count))
+        iters = tuple(pairs)
+    item = _new(WorkItem)
+    fields = item.__dict__
+    fields["oid"] = oid
+    fields["start"] = start
+    fields["iters"] = iters
+    return item, pos
 
 
 def _write_qid(w: _Writer, qid: QueryId) -> None:
-    w.varint(qid.seq)
-    w.text(qid.originator)
+    w.chunks += (_varint(qid.seq), _name(qid.originator))
+
+
+def _qid_at(data: bytes, pos: int) -> Tuple[QueryId, int]:
+    """A query id; the one the parsed-program table holds, if it has it."""
+    seq, pos = _varint_at(data, pos)
+    originator, pos = _name_at(data, pos)
+    known = _PARSED_PROGRAMS.get((seq, originator))
+    if known is not None:
+        return known[0], pos
+    qid = _new(QueryId)  # see _new
+    fields = qid.__dict__
+    fields["seq"] = seq
+    fields["originator"] = originator
+    return qid, pos
 
 
 def _read_qid(r: _Reader) -> QueryId:
-    return QueryId(r.varint(), r.text())
+    return r.at(_qid_at)
+
+
+def _qid_program_at(data: bytes, pos: int) -> Tuple[QueryId, Program, int]:
+    """A query id and the program section after it, both reused from the
+    parsed-program table when the section's bytes are the ones it holds."""
+    seq, pos = _varint_at(data, pos)
+    originator, pos = _name_at(data, pos)
+    known = _PARSED_PROGRAMS.get((seq, originator))
+    if known is not None and data.startswith(known[1], pos):
+        return known[0], known[2], pos + len(known[1])
+    r = _Reader(data, pos)
+    qid = QueryId(seq, originator) if known is None else known[0]
+    return qid, _read_program(r, qid), r.pos
 
 
 def _write_term(w: _Writer, term) -> None:
-    items = sorted(term.items())
-    w.varint(len(items))
-    for key, value in items:
-        w.text(key)
-        _write_value(w, value)
+    chunks = w.chunks
+    n = len(term)
+    chunks.append(_varint(n))
+    for key, value in sorted(term.items()) if n > 1 else term.items():
+        chunks.append(_name(key))
+        if type(value) is Credit:
+            _write_credit(chunks, value)
+        else:
+            _write_value(w, value)
 
 
-def _read_term(r: _Reader) -> Dict[str, Any]:
-    n = r.varint()
+def _term_at(data: bytes, pos: int) -> Tuple[Dict[str, Any], int]:
+    """A termination attachment: names, then values; a credit inline."""
+    n, pos = _varint_at(data, pos)
     if n < 0 or n > 64:
         raise CodecError("implausible attachment size")
-    return {r.text(): _read_value(r) for _ in range(n)}
+    term: Dict[str, Any] = {}
+    for _ in range(n):
+        key, pos = _name_at(data, pos)
+        if data[pos] == _T_CREDIT:
+            term[key], pos = _credit_at(data, pos + 1)
+        else:
+            r = _Reader(data, pos)
+            term[key] = _read_value(r)
+            pos = r.pos
+    return term, pos
 
 
 # --------------------------------------------------------------------------
@@ -658,11 +881,11 @@ def _write_object(w: _Writer, obj: Optional[HFObject]) -> None:
         w.byte(0)
         return
     w.byte(1)
-    _write_value(w, obj.oid)
+    _write_oid(w.chunks, obj.oid)
     w.varint(obj.size_bytes)
     w.varint(len(obj.tuples))
     for t in obj.tuples:
-        w.text(t.type)
+        w.name(t.type)
         _write_value(w, t.key)
         _write_value(w, t.data)
 
@@ -670,14 +893,14 @@ def _write_object(w: _Writer, obj: Optional[HFObject]) -> None:
 def _read_object(r: _Reader) -> Optional[HFObject]:
     if r.byte() == 0:
         return None
-    oid = _read_value(r)
-    if not isinstance(oid, Oid):
+    if r.byte() != _T_OID:
         raise CodecError("object record must start with an oid")
+    oid = r.at(_oid_at)
     size_hint = r.varint()
     n = r.varint()
     if n < 0 or n > 1_000_000:
         raise CodecError(f"implausible tuple count {n}")
-    tuples = [_construct(HFTuple, r.text(), _read_value(r), _read_value(r)) for _ in range(n)]
+    tuples = [_construct(HFTuple, r.at(_name_at), _read_value(r), _read_value(r)) for _ in range(n)]
     return HFObject(oid, tuples, size_hint=size_hint)
 
 
@@ -714,25 +937,114 @@ def encode_message(message: Any) -> bytes:
 
 def _encode_message_uncached(message: Any) -> bytes:
     w = _Writer()
-    if isinstance(message, DerefRequest):
-        w.byte(_M_DEREF_REQUEST)
-        _write_qid(w, message.qid)
-        _write_program(w, message.program)
-        _write_item(w, message.item)
-        _write_term(w, message.term)
-    elif isinstance(message, ResultBatch):
-        w.byte(_M_RESULT_BATCH)
-        _write_qid(w, message.qid)
-        _write_value(w, tuple(message.oids))
-        _write_value(w, tuple(message.emissions))
-        w.byte(1 if message.count_only else 0)
-        w.varint(message.count)
-        _write_term(w, message.term)
-        if message.summary is None:
-            w.byte(0)
+    _write_message(w, message)
+    return w.getvalue()
+
+
+_DEREF_TAG = _ONE_BYTE[_M_DEREF_REQUEST]
+_RESULT_TAG = _ONE_BYTE[_M_RESULT_BATCH]
+#: An empty tuple value: a result batch's usual emissions.
+_EMPTY_TUPLE = bytes((_T_TUPLE, 0))
+
+
+def _write_deref(w: _Writer, message: DerefRequest) -> None:
+    qid = message.qid
+    w.chunks += (_DEREF_TAG, _varint(qid.seq), _name(qid.originator))
+    _write_program(w, message.program)
+    _write_item(w, message.item)
+    _write_term(w, message.term)
+
+
+def _deref_at(data: bytes, pos: int) -> Tuple[DerefRequest, int]:
+    """A ``DerefRequest``, its tag already read: one pass, and each
+    object built once (the query id and program usually reused)."""
+    qid, program, pos = _qid_program_at(data, pos)
+    item, pos = _item_at(data, pos, program)
+    term, pos = _term_at(data, pos)
+    message = _new(DerefRequest)  # see _new
+    fields = message.__dict__
+    fields["qid"] = qid
+    fields["program"] = program
+    fields["item"] = item
+    fields["term"] = term
+    return message, pos
+
+
+def _write_result(w: _Writer, message: ResultBatch) -> None:
+    chunks = w.chunks
+    qid = message.qid
+    oids = message.oids
+    chunks += (_RESULT_TAG, _varint(qid.seq), _name(qid.originator), _ONE_BYTE[_T_TUPLE], _varint(len(oids)))
+    for oid in oids:
+        if type(oid) is Oid:
+            _write_oid(chunks, oid)
         else:
-            w.byte(1)
-            _write_summary(w, message.summary)
+            _write_value(w, oid, 1)
+    if message.emissions:
+        _write_value(w, tuple(message.emissions))
+    else:
+        chunks.append(_EMPTY_TUPLE)
+    chunks += (_ONE_BYTE[1 if message.count_only else 0], _varint(message.count))
+    _write_term(w, message.term)
+    if message.summary is None:
+        chunks.append(_ONE_BYTE[0])
+    else:
+        w.byte(1)
+        _write_summary(w, message.summary)
+
+
+def _result_at(data: bytes, pos: int) -> Tuple[ResultBatch, int]:
+    """A ``ResultBatch``, its tag already read, in one pass."""
+    qid, pos = _qid_at(data, pos)
+    if data[pos] != _T_TUPLE:
+        raise CodecError("result batch oids must be a tuple of oids")
+    n, pos = _varint_at(data, pos + 1)
+    if n < 0 or n > 1_000_000:
+        raise CodecError(f"implausible tuple length {n}")
+    oids = []
+    for _ in range(n):
+        if data[pos] != _T_OID:
+            raise CodecError("result batch oids must be a tuple of oids")
+        oid, pos = _oid_at(data, pos + 1)
+        oids.append(oid)
+    if data.startswith(_EMPTY_TUPLE, pos):
+        emissions: tuple = ()
+        pos += 2
+    else:
+        r = _Reader(data, pos)
+        emissions = _read_value(r)
+        pos = r.pos
+        if not isinstance(emissions, tuple) or not all(
+            isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], str) for e in emissions
+        ):
+            raise CodecError("result batch emissions must be (target, value) pairs")
+    count_only = data[pos] == 1
+    count, pos = _varint_at(data, pos + 1)
+    term, pos = _term_at(data, pos)
+    summary = None
+    if data[pos] == 1:
+        r = _Reader(data, pos + 1)
+        summary = _read_summary(r)
+        pos = r.pos
+    else:
+        pos += 1
+    message = _new(ResultBatch)  # see _new
+    fields = message.__dict__
+    fields["qid"] = qid
+    fields["oids"] = tuple(oids)
+    fields["emissions"] = emissions
+    fields["count_only"] = count_only
+    fields["count"] = count
+    fields["term"] = term
+    fields["summary"] = summary
+    return message, pos
+
+
+def _write_message(w: _Writer, message: Any) -> None:
+    if isinstance(message, DerefRequest):
+        _write_deref(w, message)
+    elif isinstance(message, ResultBatch):
+        _write_result(w, message)
     elif isinstance(message, ControlMessage):
         w.byte(_M_CONTROL)
         _write_qid(w, message.qid)
@@ -795,55 +1107,46 @@ def _encode_message_uncached(message: Any) -> bytes:
         w.varint(message.seq)
     else:
         raise CodecError(f"cannot encode message {type(message).__name__}")
-    return w.getvalue()
 
 
 def decode_message(frame: bytes) -> Any:
     """Deserialise one inter-site message; raises :class:`CodecError`."""
     r = _Reader(frame)
-    tag = r.byte()
+    message = r.at(_message_at)
+    if not r.done():
+        raise CodecError(f"{len(r.data) - r.pos} trailing bytes after message")
+    return message
+
+
+def _message_at(data: bytes, pos: int) -> Tuple[Any, int]:
+    """The message at ``pos``: the two hot kinds in one pass, the rest
+    through a :class:`_Reader`."""
+    tag = data[pos]
     if tag == _M_DEREF_REQUEST:
+        return _deref_at(data, pos + 1)
+    if tag == _M_RESULT_BATCH:
+        return _result_at(data, pos + 1)
+    r = _Reader(data, pos + 1)
+    return _read_message(r, tag), r.pos
+
+
+def _read_message(r: _Reader, tag: int) -> Any:
+    if tag == _M_CONTROL:
+        return ControlMessage(_read_qid(r), r.text(), _read_value(r))
+    if tag == _M_SEED_FROM_SAVED:
         qid = _read_qid(r)
-        message: Any = DerefRequest(qid, _read_program(r, qid), _read_item(r), _read_term(r))
-    elif tag == _M_RESULT_BATCH:
-        qid = _read_qid(r)
-        oids = _read_value(r)
-        emissions = _read_value(r)
-        count_only = r.byte() == 1
-        count = r.varint()
-        term = _read_term(r)
-        summary = _read_summary(r) if r.byte() == 1 else None
-        if not isinstance(oids, tuple) or not all(isinstance(oid, Oid) for oid in oids):
-            raise CodecError("result batch oids must be a tuple of oids")
-        if not isinstance(emissions, tuple) or not all(
-            isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], str) for e in emissions
-        ):
-            raise CodecError("result batch emissions must be (target, value) pairs")
-        message = ResultBatch(
-            qid,
-            oids=oids,
-            emissions=emissions,
-            count_only=count_only,
-            count=count,
-            term=term,
-            summary=summary,
-        )
-    elif tag == _M_CONTROL:
-        message = ControlMessage(_read_qid(r), r.text(), _read_value(r))
-    elif tag == _M_SEED_FROM_SAVED:
-        qid = _read_qid(r)
-        message = SeedFromSaved(qid, _read_program(r, qid), _read_qid(r), _read_term(r))
-    elif tag == _M_PURGE_CONTEXT:
-        message = PurgeContext(_read_qid(r), r.varint())
-    elif tag == _M_FETCH_REQUEST:
+        return SeedFromSaved(qid, _read_program(r, qid), _read_qid(r), r.at(_term_at))
+    if tag == _M_PURGE_CONTEXT:
+        return PurgeContext(_read_qid(r), r.varint())
+    if tag == _M_FETCH_REQUEST:
         request_id = r.varint()
         oid = _read_value(r)
         if not isinstance(oid, Oid):
             raise CodecError("fetch request oid expected")
-        message = FetchRequest(request_id, oid, reply_to=r.text())
-    elif tag == _M_FETCH_REPLY:
-        message = FetchReply(r.varint(), _read_object(r))
-    elif tag == _M_BATCHED_QUERY:
+        return FetchRequest(request_id, oid, reply_to=r.text())
+    if tag == _M_FETCH_REPLY:
+        return FetchReply(r.varint(), _read_object(r))
+    if tag == _M_BATCHED_QUERY:
         qid = _read_qid(r)
         program = _read_program(r, qid)
         n = r.varint()
@@ -852,13 +1155,13 @@ def decode_message(frame: bytes) -> Any:
         items: List[WorkItem] = []
         terms: List[Dict[str, Any]] = []
         for _ in range(n):
-            items.append(_read_item(r))
-            terms.append(_read_term(r))
+            items.append(r.at(_item_at, program))
+            terms.append(r.at(_term_at))
         hints = _read_value(r)
         if not isinstance(hints, tuple):
             raise CodecError("batched-query hints must be a tuple")
-        message = BatchedQuery(qid, program, tuple(items), tuple(terms), hints)
-    elif tag == _M_BATCHED_RESULTS:
+        return BatchedQuery(qid, program, tuple(items), tuple(terms), hints)
+    if tag == _M_BATCHED_RESULTS:
         n = r.varint()
         if n < 1 or n > 100_000:
             raise CodecError(f"implausible batched-results size {n}")
@@ -869,35 +1172,31 @@ def decode_message(frame: bytes) -> Any:
             if not inner_frame or inner_frame[0] != _M_RESULT_BATCH:
                 raise CodecError("batched-results frame may only carry ResultBatch")
             inner.append(decode_message(inner_frame))
-        message = BatchedResults(tuple(inner))
-    elif tag == _M_HEARTBEAT:
+        return BatchedResults(tuple(inner))
+    if tag == _M_HEARTBEAT:
         origin = r.text()
         n = r.varint()
         if n > 100_000:
             raise CodecError(f"implausible heartbeat table size {n}")
-        message = Heartbeat(origin, tuple((r.text(), r.varint()) for _ in range(n)))
-    elif tag == _M_VIEW_CHANGE:
+        return Heartbeat(origin, tuple((r.text(), r.varint()) for _ in range(n)))
+    if tag == _M_VIEW_CHANGE:
         epoch = r.varint()
         n = r.varint()
         if n > 100_000:
             raise CodecError(f"implausible view size {n}")
         statuses = tuple((r.text(), r.text()) for _ in range(n))
-        message = ViewChange(epoch, statuses, reason=r.text())
-    elif tag == _M_RELIABLE_DATA:
+        return ViewChange(epoch, statuses, reason=r.text())
+    if tag == _M_RELIABLE_DATA:
         seq = r.varint()
         inner_frame = r.raw()
         # The channel wraps application messages only; refusing its own
         # frames here is also what keeps this recursion two levels deep.
         if inner_frame and inner_frame[0] in (_M_RELIABLE_DATA, _M_RELIABLE_ACK):
             raise CodecError("reliable frame nested inside a reliable frame")
-        message = ReliableData(seq, decode_message(inner_frame))
-    elif tag == _M_RELIABLE_ACK:
-        message = ReliableAck(r.varint())
-    else:
-        raise CodecError(f"unknown message tag 0x{tag:02x}")
-    if not r.done():
-        raise CodecError(f"{len(r.data) - r.pos} trailing bytes after message")
-    return message
+        return ReliableData(seq, decode_message(inner_frame))
+    if tag == _M_RELIABLE_ACK:
+        return ReliableAck(r.varint())
+    raise CodecError(f"unknown message tag 0x{tag:02x}")
 
 
 # --------------------------------------------------------------------------
@@ -909,6 +1208,10 @@ def decode_message(frame: bytes) -> Any:
 #: "QoS off").  Order matches :data:`repro.qos.PRIORITIES` and is part
 #: of the frame layout — append only.
 _PRIORITY_CODES = ("interactive", "batch")
+
+#: The header after the sender's name when spans, epoch, tried, priority
+#: and pressure are all absent: five zero varints / bytes.
+_BARE_HEADER = bytes(5)
 
 
 def encode_envelope(env: Envelope) -> bytes:
@@ -936,7 +1239,24 @@ def encode_envelope(env: Envelope) -> bytes:
     the frames stay self-consistent across all transports.
     """
     w = _Writer()
-    w.text(env.src)
+    w.chunks.append(_name(env.src))
+    if (
+        env.spans is None and env.src_epoch is None and not env.tried
+        and env.priority is None and env.pressure is None
+    ):
+        w.chunks.append(_BARE_HEADER)
+    else:
+        _write_header(w, env)
+    payload = env.payload
+    cached = getattr(payload, _WIRE_CACHE, None)
+    if cached is not None:
+        w.chunks.append(cached)
+    else:
+        _write_message(w, payload)
+    return w.getvalue()
+
+
+def _write_header(w: _Writer, env: Envelope) -> None:
     if env.spans is None:
         w.varint(0)
     else:
@@ -947,7 +1267,7 @@ def encode_envelope(env: Envelope) -> bytes:
     if env.tried:
         w.varint(len(env.tried))
         for site in env.tried:
-            w.text(site)
+            w.name(site)
     else:
         w.varint(0)
     if env.priority is None:
@@ -958,14 +1278,9 @@ def encode_envelope(env: Envelope) -> bytes:
         except ValueError:
             raise CodecError(f"unknown envelope priority {env.priority!r}") from None
     w.varint(0 if env.pressure is None else env.pressure + 1)
-    w.chunks.append(encode_message(env.payload))
-    return w.getvalue()
 
 
-def decode_envelope(frame: bytes, dst: str) -> Envelope:
-    """Inverse of :func:`encode_envelope`; raises :class:`CodecError`."""
-    r = _Reader(frame)
-    src = r.text()
+def _read_header(r: _Reader) -> Dict[str, Any]:
     n = r.varint()
     if n < 0 or n > 100_000:
         raise CodecError(f"implausible span count {n}")
@@ -973,25 +1288,58 @@ def decode_envelope(frame: bytes, dst: str) -> Envelope:
     epoch_plus_one = r.varint()
     if epoch_plus_one < 0:
         raise CodecError("negative envelope epoch")
-    src_epoch = None if epoch_plus_one == 0 else epoch_plus_one - 1
     n_tried = r.varint()
     if n_tried < 0 or n_tried > 100_000:
         raise CodecError(f"implausible tried-site count {n_tried}")
-    tried = tuple(r.text() for _ in range(n_tried)) if n_tried else None
+    tried = tuple(r.at(_name_at) for _ in range(n_tried)) if n_tried else None
     priority_code = r.byte()
     if priority_code > len(_PRIORITY_CODES):
         raise CodecError(f"unknown envelope priority code {priority_code}")
-    priority = None if priority_code == 0 else _PRIORITY_CODES[priority_code - 1]
     pressure_plus_one = r.varint()
     if pressure_plus_one < 0:
         raise CodecError("negative envelope pressure")
-    pressure = None if pressure_plus_one == 0 else pressure_plus_one - 1
-    payload = decode_message(r.data[r.pos :])
-    return Envelope(
-        src, dst, payload,
-        spans=spans, src_epoch=src_epoch, tried=tried,
-        priority=priority, pressure=pressure,
-    )
+    return {
+        "spans": spans,
+        "src_epoch": None if epoch_plus_one == 0 else epoch_plus_one - 1,
+        "tried": tried,
+        "priority": None if priority_code == 0 else _PRIORITY_CODES[priority_code - 1],
+        "pressure": None if pressure_plus_one == 0 else pressure_plus_one - 1,
+    }
+
+
+_NO_HEADER = {"spans": None, "src_epoch": None, "tried": None, "priority": None, "pressure": None}
+
+
+def decode_envelope(frame: bytes, dst: str) -> Envelope:
+    """Inverse of :func:`encode_envelope`; raises :class:`CodecError`.
+
+    One pass over the frame (a view is copied to ``bytes`` once, first):
+    the sender, the header — a bare one is five zero bytes, anything else
+    goes through :func:`_read_header` — and the message.
+    """
+    data = frame if type(frame) is bytes else bytes(frame)
+    try:
+        src, pos = _name_at(data, 0)
+        if data.startswith(_BARE_HEADER, pos):
+            header = _NO_HEADER
+            pos += len(_BARE_HEADER)
+        else:
+            r = _Reader(data, pos)
+            header = _read_header(r)
+            pos = r.pos
+        payload, pos = _message_at(data, pos)
+    except IndexError:
+        raise CodecError("truncated frame") from None
+    if pos != len(data):
+        raise CodecError(f"{len(data) - pos} trailing bytes after message")
+    env = _new(Envelope)  # see _new
+    fields = env.__dict__
+    fields["src"] = src
+    fields["dst"] = dst
+    fields["payload"] = payload
+    fields.update(header)
+    fields["size_bytes"] = payload.wire_size()
+    return env
 
 
 # --------------------------------------------------------------------------

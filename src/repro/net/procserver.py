@@ -179,7 +179,8 @@ class _ArgReader(_Reader):
     __slots__ = ("qid",)
 
     def __init__(self, data) -> None:
-        self.data, self.pos, self.qid = data, 0, None
+        super().__init__(data)
+        self.qid = None
 
 
 def _read_arg(r: _ArgReader, depth: int = 0) -> Any:
@@ -334,7 +335,7 @@ class _ChildRuntime:
     needs: :class:`~repro.net.asyncio_cluster._AsyncSite` and ``_PeerLink``
     talk to their owning cluster through ``sites``, ``is_down``,
     ``port_of``, ``config``, ``fault_plan``, ``flight_recorder``,
-    ``messages_dropped``, ``_loop``, ``_endpoint_for`` and
+    ``messages_dropped``, ``_loop``, ``_endpoint_for``, ``_give_up`` and
     ``_reliable_ingest``, so the child runs the same drain/send/framing
     code as the inline transport, unchanged.
     """
@@ -360,9 +361,10 @@ class _ChildRuntime:
         )
         #: This site's half of the reliable channel; ``None`` means raw delivery.
         self._endpoint = None
-        #: Envelopes this child's reliable channel gave up on (the
-        #: inline transports' ``cluster.undeliverable``, kept per child
-        #: and mirrored to the parent by ``give_up`` pushes).
+        #: Envelopes this child gave up on — the reliable channel's
+        #: give-ups and envelopes the codec could not encode (the inline
+        #: transports' ``cluster.undeliverable``, kept per child and
+        #: mirrored to the parent by ``give_up`` pushes).
         self.undeliverable: List = []
         #: The control connection's stream: replies and pushes.
         self.writer: Optional[asyncio.StreamWriter] = None
@@ -401,6 +403,14 @@ class _ChildRuntime:
         """The sending site's reliable endpoint — in a child there is
         exactly one site, so this is ours or nothing."""
         return self._endpoint if site == self.site else None
+
+    def _give_up(self, env) -> None:
+        """This site cannot deliver ``env``: record it, tell the parent,
+        and hand its work back to the node (the inline ``_give_up``)."""
+        self.undeliverable.append(env)
+        kind, qid = type(env.payload).__name__, getattr(env.payload, "qid", "")
+        self.push("give_up", self.site, env.src, env.dst, kind, str(qid or ""))
+        self.asite.bounce(env)
 
     def _reliable_ingest(self, env) -> None:
         """A ReliableData/ReliableAck frame arrived on the wire."""
@@ -466,13 +476,6 @@ class _ChildRuntime:
         parent's ``undeliverable`` diagnostics stay truthful.
         """
         loop, asite = self._loop, self.asite
-
-        def give_up(env) -> None:
-            self.undeliverable.append(env)
-            kind, qid = type(env.payload).__name__, getattr(env.payload, "qid", "")
-            self.push("give_up", self.site, env.src, env.dst, kind, str(qid or ""))
-            asite.bounce(env)
-
         self._endpoint = ReliableEndpoint(
             self.site,
             clock=time.monotonic,
@@ -483,7 +486,7 @@ class _ChildRuntime:
             deliver_up=asite.node.on_message,
             node=asite.node,
             config=rconfig,
-            on_give_up=give_up,
+            on_give_up=self._give_up,
         )
 
     # -- request handlers (see _OPS) -----------------------------------

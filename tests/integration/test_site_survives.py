@@ -82,6 +82,19 @@ def test_unencodable_result_costs_one_query_not_the_site(transport, config):
         assert deficit_of(cluster, after.qid) == 0
 
 
+@pytest.mark.parametrize("transport, config", DEPLOYMENTS)
+def test_an_unencodable_envelope_counts_as_undeliverable(transport, config):
+    """The envelope the codec refused is recorded where a reliable give-up
+    is, so the typed failure says how many envelopes were never sent."""
+    with make_cluster(transport, 2, config=config) as cluster:
+        bad = pointing_at(cluster, TOO_DEEP_TO_SHIP)
+        with pytest.raises(TerminationLost) as lost:
+            cluster.run_query(RETRIEVE, [bad], timeout_s=1.0)
+        assert lost.value.undeliverable == 1
+        assert len(cluster.undeliverable) == 1
+        assert cluster.messages_dropped == 1
+
+
 def test_unencodable_work_is_bounced_and_its_credit_reabsorbed():
     """A work envelope that cannot be framed comes back to its sender as
     ``Undeliverable``: the branch is abandoned and the query terminates

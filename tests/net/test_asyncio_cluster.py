@@ -79,6 +79,25 @@ class TestInlineAsync:
             assert out.result.oid_keys() == {o.key() for o in oids}
 
 
+class TestDownSiteWaits:
+    def test_a_site_marked_down_before_its_event_clears_does_not_spin_the_loop(self):
+        """``set_down`` marks a site down at once and clears its wake-up
+        event from another thread a moment later.  A drain that found the
+        site down with the event still set used to spin the shared loop
+        without yielding, so that clear — and everything else — never ran."""
+        import asyncio
+
+        with AsyncCluster(2) as cluster:
+            site = cluster._asites["site1"]
+            with cluster._down_lock:
+                cluster._down.add("site1")  # the window: down, event still set
+            cluster._call_on_loop(lambda: site.inbox.put_nowait(None))
+            time.sleep(0.05)
+            probe = asyncio.run_coroutine_threadsafe(asyncio.sleep(0), cluster._loop)
+            probe.result(timeout=5.0)  # the loop still turns
+            cluster.set_up("site1")
+
+
 class TestPeerLink:
     """``_PeerLink.send`` writes straight to a connected, idle transport
     and queues otherwise; either way frames arrive whole, in order."""
@@ -114,6 +133,7 @@ class TestPeerLink:
             port = server.sockets[0].getsockname()[1]
             site = types.SimpleNamespace(
                 bytes_sent=0,
+                flushing=None,
                 cluster=types.SimpleNamespace(config=ClusterConfig(), port_of=lambda dst: port),
             )
             link = _PeerLink(site, "site1")
@@ -147,6 +167,95 @@ class TestPeerLink:
 
         assert asyncio.run(scenario()) == sum(len(p) for p in payloads)
         assert received == payloads
+
+    def test_a_flush_is_one_write_and_a_lone_frame_goes_straight_out(self):
+        import asyncio
+        import types
+
+        from repro.net.asyncio_cluster import _PeerLink
+        from repro.net.codec import FrameReader
+
+        payloads = [bytes((i,)) * (1 + 5 * i) for i in range(6)]
+        received = []
+        writes = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+
+            class Inbound(asyncio.Protocol):
+                def connection_made(self, transport):
+                    self.reader = FrameReader()
+
+                def data_received(self, data):
+                    received.extend(bytes(frame) for frame in self.reader.feed(data))
+
+            async def until_received(count):
+                for _ in range(1000):
+                    if len(received) >= count:
+                        return
+                    await asyncio.sleep(0.01)
+
+            server = await loop.create_server(Inbound, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            site = types.SimpleNamespace(
+                bytes_sent=0,
+                flushing=None,
+                cluster=types.SimpleNamespace(config=ClusterConfig(), port_of=lambda dst: port),
+            )
+            link = _PeerLink(site, "site1")
+            try:
+                link.send(payloads[0])  # dials
+                await until_received(1)
+                write = link.transport.writelines
+                link.transport.writelines = lambda chunks: (writes.append(len(chunks)), write(chunks))
+                # Inside a flush the link holds its frames ...
+                site.flushing = []
+                for payload in payloads[1:5]:
+                    link.send(payload)
+                assert site.flushing == [link] and writes == []
+                # ... and hands them over as one run when released.
+                site.flushing = None
+                link.release()
+                assert writes == [8]
+                link.send(payloads[5])
+                assert writes == [8, 2]
+                await until_received(6)
+            finally:
+                link.close()
+                server.close()
+                await server.wait_closed()
+            return site.bytes_sent
+
+        assert asyncio.run(scenario()) == sum(len(p) for p in payloads)
+        assert received == payloads
+
+    def test_a_drain_flush_writes_once_per_peer(self):
+        from repro.net.messages import Envelope, PurgeContext
+
+        with AsyncCluster(3) as cluster:
+            site = cluster._asites["site0"]
+            qid = QueryId(10_000, "site0")
+            cluster._run_on_loop(lambda: site.flush(
+                [Envelope("site0", dst, PurgeContext(qid)) for dst in ("site1", "site2")]
+            ))
+            deadline = time.monotonic() + 10.0
+            while not all(link.transport for link in site._links.values()) and time.monotonic() < deadline:
+                time.sleep(0.01)  # both links dialled
+            writes = {dst: [] for dst in ("site1", "site2")}
+
+            def flush():
+                for dst, log in writes.items():
+                    transport = site._links[dst].transport
+                    transport.writelines = lambda chunks, log=log, write=transport.writelines: (
+                        log.append(len(chunks)), write(chunks)
+                    )
+                site.flush([Envelope("site0", dst, PurgeContext(qid, n)) for n, dst in
+                            enumerate(("site1", "site2", "site1", "site1", "site2"))])
+                site.flush([Envelope("site0", "site2", PurgeContext(qid, 9))])
+
+            cluster._run_on_loop(flush)
+            # Header and payload per frame, one write per peer per flush.
+            assert writes == {"site1": [6], "site2": [4, 2]}
 
 
 class TestTimeoutBackstop:

@@ -35,6 +35,7 @@ from repro.net.messages import (
 )
 from repro.storage.blobstore import BlobRef
 from repro.termination.weights import ONE, ZERO, Credit
+from repro.workload import closure_query
 
 QID = QueryId(7, "site0")
 
@@ -94,10 +95,44 @@ def wire_corpus():
             QID, prog(), (item, item), ({"credit": Credit(1, 5000)}, {"credit": Credit(2 ** 4000 + 1, 5000)}), ()
         ),
     }
+    # Real-shaped hot frames, the one-pass readers' inputs: a dense
+    # closure's hop (multi-byte seq, local id and credit mantissa, a
+    # hinted oid), nested-loop iteration stacks, a result batch of hinted
+    # oids, and names past the intern tables' 64-byte bound.
+    nested = prog('S [ [ (Pointer,"R",?X) ^^X ]^2 (Pointer,"Q",?Y) ^^Y ]^3 -> T')
+    real_qid = QueryId(1234, "site0")
+    payloads.update({
+        "dense_hop": DerefRequest(
+            real_qid, compile_query(closure_query("Rand05", "Rand10p", 5)),
+            WorkItem(Oid("site1", 137, presumed_site="site2"), start=3),
+            {"credit": Credit((1 << 52) + 12345, 60)},
+        ),
+        "iteration_stack": DerefRequest(
+            real_qid, nested, WorkItem(Oid("site2", 900, presumed_site="site1"), start=4, iters=((3, 2), (6, 1))),
+            {"credit": Credit(2**145 + 1, 146)},
+        ),
+        "dense_results": ResultBatch(
+            real_qid,
+            oids=tuple(Oid(f"site{i % 3}", 100 + 37 * i, presumed_site=f"site{(i + 1) % 3}") for i in range(8)),
+            term={"credit": Credit(2**90 - 1, 91)},
+        ),
+        "iteration_batch": BatchedQuery(
+            real_qid, nested,
+            (WorkItem(Oid("site1", 70), start=2, iters=((6, 3),)), WorkItem(Oid("site1", 71), start=7)),
+            ({"credit": Credit(2**60 + 1, 61)}, {"credit": Credit(1, 2)}), (),
+        ),
+    })
     corpus = {name: Envelope("site0", "site1", payload) for name, payload in payloads.items()}
     corpus["full_header"] = Envelope(
         "site0", "site1", deref,
         spans=(11, 0, 300), src_epoch=7, tried=("site2",), priority="batch", pressure=1,
+    )
+    long_name = "long-site-name-" * 5 + "é"
+    corpus["long_names"] = Envelope(
+        long_name, "site1",
+        DerefRequest(QueryId(70_000, long_name), prog(),
+                     WorkItem(Oid(long_name, 5, presumed_site="ä" * 40), start=1), {"credit": Credit(3, 2)}),
+        tried=(long_name,),
     )
     return corpus
 
@@ -341,6 +376,41 @@ class TestDecoderIsTotal:
         self._rejected(_spliced(msg, b"\x04sX\x0a\x00\x04", b"\x04sX\x0a\x00\x00"))
 
 
+class TestWorkItemsFitTheirProgram:
+    """A work item its program could not have produced used to decode, and
+    a node then stepped it into messages of its own.  ``prog()`` has four
+    ops: select, deref, a loop marker at 3 (``]^3``), select."""
+
+    BAD = [
+        pytest.param(6, (), id="start-past-the-end"),
+        pytest.param(99, (), id="start-99"),
+        pytest.param(3, ((-5, 3),), id="negative-loop-index"),
+        pytest.param(3, ((1, 2),), id="select-is-not-a-loop"),
+        pytest.param(3, ((9, 2),), id="no-such-position"),
+        pytest.param(3, ((3, -1),), id="negative-count"),
+        pytest.param(3, ((3, 1), (3, 2)), id="loop-twice"),
+    ]
+
+    def _messages(self, item):
+        yield DerefRequest(QID, prog(), item, {"credit": Credit(1, 1)})
+        good = WorkItem(Oid("site1", 1), start=1)
+        yield BatchedQuery(QID, prog(), (good, item), ({}, {}), ())
+
+    @pytest.mark.parametrize("start, iters", BAD)
+    def test_rejected(self, start, iters):
+        for message in self._messages(WorkItem(Oid("site1", 5), start=start, iters=iters)):
+            frame = encode_envelope(Envelope("site0", "site1", message))
+            with pytest.raises(CodecError):
+                decode_envelope(frame, "site1")
+
+    @pytest.mark.parametrize("start, iters", [(1, ()), (5, ()), (3, ((3, 0),)), (4, ((3, 3),))])
+    def test_what_a_program_can_make_still_decodes(self, start, iters):
+        item = WorkItem(Oid("site1", 5), start=start, iters=iters)
+        for message in self._messages(item):
+            got = decode_envelope(encode_envelope(Envelope("site0", "site1", message)), "site1").payload
+            assert item in (got.items if isinstance(got, BatchedQuery) else (got.item,))
+
+
 class TestProgramStructure:
     """A program that parses but cannot run is a malformed frame: it
     used to decode and then fail inside the receiving site's drain task."""
@@ -526,9 +596,9 @@ class TestFramesArePinned:
 
 
 class TestProgramParsedOncePerQuery:
-    def _deref(self, program, qid=QID, local_id=1):
+    def _deref(self, program, qid=QID, local_id=1, start=3):
         return encode_envelope(Envelope(
-            "site0", "site1", DerefRequest(qid, program, WorkItem(Oid("site1", local_id), start=3))
+            "site0", "site1", DerefRequest(qid, program, WorkItem(Oid("site1", local_id), start=start))
         ))
 
     def test_second_hop_gets_the_same_program_object(self):
@@ -577,14 +647,15 @@ class TestProgramParsedOncePerQuery:
         for seq in range(1000):
             decode_envelope(self._deref(program, qid=QueryId(seq, "site0")), "site1")
         assert len(codec._PARSED_PROGRAMS) == codec._PARSED_PROGRAMS_MAX
-        assert QueryId(999, "site0") in codec._PARSED_PROGRAMS
-        assert QueryId(0, "site0") not in codec._PARSED_PROGRAMS
+        # Keyed by (seq, originator); the entry holds the query id itself.
+        assert codec._PARSED_PROGRAMS[999, "site0"][0] == QueryId(999, "site0")
+        assert (0, "site0") not in codec._PARSED_PROGRAMS
 
     def test_oversized_sections_are_not_remembered(self):
         big = prog('S (String, "k", "%s") -> T' % ("x" * (codec._PARSED_SECTION_MAX + 1)))
         qid = QueryId(123456, "site0")
-        decode_envelope(self._deref(big, qid=qid), "site1")
-        assert qid not in codec._PARSED_PROGRAMS
+        decode_envelope(self._deref(big, qid=qid, start=1), "site1")  # a one-op program
+        assert (qid.seq, qid.originator) not in codec._PARSED_PROGRAMS
 
     def test_reader_threads_share_the_table(self):
         # Every inline AsyncCluster decodes on its own event-loop thread,

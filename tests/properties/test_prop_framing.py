@@ -15,12 +15,21 @@ from other machines, so arbitrary and mutated streams pushed through
 ``FrameReader`` + ``decode_envelope`` may raise :class:`CodecError` and
 nothing else (the transports catch nothing else).  The same holds for
 process mode's control frames: decoding one yields a known op and its
-argument tuple, or raises :class:`CodecError`.  Tier-1 runs a fixed,
-seeded number of examples; CI's ``codec-fuzz`` job reruns the same three
-properties with a larger count.
+argument tuple, or raises :class:`CodecError`.
+
+The third part pins the hot messages' one-pass readers and writers to
+the format: over generated ``DerefRequest``, ``ResultBatch`` and
+``BatchedQuery`` envelopes, a frame re-encodes to itself and decodes to
+what was sent; a frame decoded from a view whose buffer is then reused
+stays decoded; and the codec's intern tables stay within their bounds.
+
+Tier-1 runs a fixed, seeded number of examples; CI's ``codec-fuzz`` job
+reruns the four fuzz properties (mutated frames, random bytes, control
+frames, re-encoding) with a larger count.
 """
 
 from dataclasses import astuple
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
@@ -29,19 +38,23 @@ from hypothesis import strategies as st
 from repro.core.objects import HFObject
 from repro.core.oid import Oid
 from repro.core.tuples import keyword_tuple
+from repro.engine.items import WorkItem
 from repro.engine.results import ExecutionStats
 from repro.errors import HyperFileError
-from repro.net import procserver
+from repro.net import codec, procserver
 from repro.net.codec import (
     FRAME_HEADER,
+    MAX_CREDIT_EXPONENT,
+    MAX_VARINT_BITS,
     CodecError,
     FrameReader,
     decode_envelope,
     encode_envelope,
     encode_frame,
 )
-from repro.net.messages import QueryId
-from tests.net.test_codec import QID, prog, wire_corpus
+from repro.net.messages import BatchedQuery, DerefRequest, Envelope, QueryId, ResultBatch
+from repro.termination.weights import Credit
+from tests.net.test_codec import QID, _chain_closure, prog, wire_corpus
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -246,8 +259,216 @@ def control_frames_decode_or_raise(index, edit_list, blob, random):
     assert type(args) is tuple
 
 
+# --------------------------------------------------------------------------
+# the hot messages: canonical re-encoding and round trips
+# --------------------------------------------------------------------------
+
+#: Site names: the usual short ASCII ones, non-ASCII ones, and ones of
+#: 64 UTF-8 bytes or more (past the intern tables' length bound).
+site_names = st.one_of(
+    st.sampled_from(["site0", "site1", "s"]),
+    st.text(alphabet="sitéµ日本0", min_size=1, max_size=12),
+    st.text(alphabet="ab日", max_size=4).map(lambda tail: "long-site-" * 7 + tail),
+)
+oids = st.builds(
+    Oid,
+    birth_site=site_names,
+    local_id=st.one_of(st.integers(0, 63), st.integers(0, 2**40)),
+    presumed_site=st.one_of(st.none(), site_names),
+)
+qids = st.builds(QueryId, seq=st.one_of(st.integers(0, 63), st.integers(0, 2**40)), originator=site_names)
+credits = st.builds(
+    Credit,
+    st.one_of(st.integers(0, 2**64), st.integers(0, 2**MAX_VARINT_BITS - 1)),
+    st.integers(0, MAX_CREDIT_EXPONENT),
+)
+#: Termination attachments: what the detector ships, and the other values
+#: a hand-built message may carry (read by the codec's value reader).
+terms = st.dictionaries(
+    st.sampled_from(["credit", "#inc", "w" * 70, "crédit"]),
+    st.one_of(
+        credits,
+        st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200)),
+        st.integers(-(2**70), 2**70),
+    ),
+    max_size=3,
+)
+#: Programs with no loop, a closure, a bounded loop and nested loops.
+PROGRAMS = [
+    prog("S (Keyword, ?, ?) -> T"),
+    _chain_closure(),
+    prog(),
+    prog('S [ [ (Pointer,"R",?X) ^^X ]^2 (Pointer,"Q",?Y) ^^Y ]^3 -> T'),
+]
+
+
+@st.composite
+def work_items(draw, program):
+    loops = sorted(program.loop_counts())
+    chosen = draw(st.lists(st.sampled_from(loops), unique=True)) if loops else []
+    return WorkItem(
+        draw(oids),
+        start=draw(st.integers(1, program.size + 1)),
+        iters=tuple((loop, draw(st.integers(0, 2**20))) for loop in chosen),
+    )
+
+
+@st.composite
+def hot_envelopes(draw):
+    program = draw(st.sampled_from(PROGRAMS))
+    kind = draw(st.sampled_from(["deref", "result", "batched"]))
+    qid = draw(qids)
+    if kind == "deref":
+        payload = DerefRequest(qid, program, draw(work_items(program)), draw(terms))
+    elif kind == "result":
+        payload = ResultBatch(
+            qid,
+            oids=tuple(draw(st.lists(oids, max_size=4))),
+            emissions=tuple(draw(st.lists(st.tuples(
+                site_names,
+                st.one_of(st.integers(-(2**64), 2**64), st.text(max_size=8), oids, st.binary(max_size=4)),
+            ), max_size=3))),
+            count_only=draw(st.booleans()),
+            count=draw(st.integers(0, 2**40)),
+            term=draw(terms),
+        )
+    else:
+        items = draw(st.lists(work_items(program), min_size=1, max_size=3))
+        hints = tuple(draw(st.lists(
+            st.tuples(st.tuples(site_names, st.integers(0, 2**20)), st.tuples(st.integers(0, 9))), max_size=2
+        )))
+        payload = BatchedQuery(qid, program, tuple(items), tuple(draw(terms) for _ in items), hints)
+    return Envelope(
+        draw(site_names), draw(site_names), payload,
+        spans=draw(st.one_of(st.none(), st.lists(st.integers(0, 2**40), min_size=1, max_size=3).map(tuple))),
+        src_epoch=draw(st.one_of(st.none(), st.integers(0, 2**30))),
+        tried=draw(st.one_of(st.none(), st.lists(site_names, min_size=1, max_size=2).map(tuple))),
+        priority=draw(st.sampled_from([None, "interactive", "batch"])),
+        pressure=draw(st.one_of(st.none(), st.integers(0, 1))),
+    )
+
+
+def _payload_fields(message):
+    """What a decoded payload must reproduce: every field, the program by
+    its parts (a decoded program is a new object), each oid with its hint."""
+    fields = dict(vars(message))
+    fields.pop("_wire_cache", None)
+    if "program" in fields:
+        program = fields.pop("program")
+        fields["program"] = (program.source, program.result, repr(program.ops), program.enclosing)
+    items = fields.get("items", ()) + ((fields["item"],) if "item" in fields else ())
+    fields["hints"] = [
+        (oid.birth_site, oid.local_id, oid.presumed_site)
+        for oid in [item.oid for item in items] + list(fields.get("oids", ()))
+    ]
+    return fields
+
+
+def frames_re_encode_to_themselves(env):
+    """Decoding a hot frame gives back what was sent, and encoding that
+    gives back the frame, byte for byte: the one-pass readers and writers
+    agree with each other and with the format."""
+    frame = encode_envelope(env)
+    got = decode_envelope(frame, env.dst)
+    assert encode_envelope(got) == frame
+    assert (got.src, got.dst, got.spans, got.src_epoch, got.tried, got.priority, got.pressure) == (
+        env.src, env.dst, env.spans, env.src_epoch, env.tried, env.priority, env.pressure
+    )
+    assert type(got.payload) is type(env.payload)
+    assert _payload_fields(got.payload) == _payload_fields(env.payload)
+    assert got.size_bytes == env.size_bytes
+    sent_terms = getattr(env.payload, "terms", None) or (env.payload.term,)
+    got_terms = getattr(got.payload, "terms", None) or (got.payload.term,)
+    assert [{k: type(v) for k, v in t.items()} for t in got_terms] == [
+        {k: type(v) for k, v in t.items()} for t in sent_terms
+    ]
+
+
+def test_corpus_frames_re_encode_to_themselves():
+    for frame in CORPUS:
+        assert encode_envelope(decode_envelope(frame, "site1")) == frame
+
+
+def test_a_decoded_view_survives_its_buffer_being_reused():
+    """Frames may be views over a buffer the transport reuses: nothing
+    decoded from one — fields, names, intern keys — may alias it."""
+    item = WorkItem(Oid("view-birth-µ", 300, presumed_site="view-hint"), start=3, iters=((3, 2),))
+    env = Envelope(
+        "view-src", "site1", DerefRequest(QueryId(4242, "view-origin"), prog(), item, {"credit": Credit(5, 9)}),
+        tried=("view-tried",),
+    )
+    frame = encode_envelope(env)
+    buffer = bytearray(b"\xff" * 5 + frame + b"\xff" * 5)
+    got = decode_envelope(memoryview(buffer)[5 : 5 + len(frame)], "site1")
+    tables = [dict(table) for table in (codec._NAMES, codec._NAME_BYTES, codec._OIDS, codec._PARSED_PROGRAMS)]
+    before = (encode_envelope(got), repr(got.payload), _payload_fields(got.payload))
+    buffer[:] = bytes(len(buffer))
+    assert (encode_envelope(got), repr(got.payload), _payload_fields(got.payload)) == before == (
+        frame, repr(env.payload), _payload_fields(env.payload)
+    )
+    assert got.src == "view-src" and got.tried == ("view-tried",)
+    assert [dict(table) for table in (codec._NAMES, codec._NAME_BYTES, codec._OIDS, codec._PARSED_PROGRAMS)] == tables
+    assert all(type(key) is bytes for key in (*codec._NAMES, *codec._OIDS))
+    assert all(type(entry[1]) is bytes for entry in codec._PARSED_PROGRAMS.values())
+
+
+def test_intern_tables_stay_bounded():
+    """Nothing the codec remembers grows with the queries or sites seen."""
+    program = prog()
+    for i in range(100_000):
+        qid = QueryId(10**6 + i, f"origin-{i}")
+        if i % 100 == 0:
+            payload = DerefRequest(qid, program, WorkItem(Oid(f"birth-{i}", i), start=3))
+        else:
+            payload = ResultBatch(qid, oids=(Oid(f"birth-{i}", i, presumed_site=f"hint-{i}"),))
+        decode_envelope(encode_envelope(Envelope(f"src-{i}", "site1", payload)), "site1")
+    assert 0 < len(codec._NAMES) <= codec._INTERN_MAX
+    assert 0 < len(codec._NAME_BYTES) <= codec._INTERN_MAX
+    assert 0 < len(codec._OIDS) <= codec._INTERN_MAX
+    assert len(codec._PARSED_PROGRAMS) <= codec._PARSED_PROGRAMS_MAX
+    assert all(len(key) < codec._NAME_MAX for key in codec._NAMES)
+
+
+def test_intern_tables_under_concurrent_readers():
+    """Inline clusters decode on one loop thread each, all sharing the
+    tables: inserts and clears racing must never hand back a wrong name
+    or oid."""
+    import sys
+    import threading
+
+    frames = [
+        (encode_envelope(Envelope(f"racer-{i}", "site1", ResultBatch(QID, oids=(Oid(f"birth-{i}", i),)))), i)
+        for i in range(codec._INTERN_MAX + 200)
+    ]
+    errors = []
+
+    def reader(offset):
+        try:
+            for k in range(2 * len(frames)):
+                frame, i = frames[(offset + k) % len(frames)]
+                env = decode_envelope(frame, "site1")
+                oid = env.payload.oids[0]
+                assert env.src == f"racer-{i}" and (oid.birth_site, oid.local_id) == (f"birth-{i}", i)
+        except BaseException as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(n * 97,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert all(len(table) <= codec._INTERN_MAX for table in (codec._NAMES, codec._NAME_BYTES, codec._OIDS))
+
+
 def fuzz_properties(max_examples: int):
-    """The three fuzz properties, seeded, at ``max_examples`` each (CI
+    """The four fuzz properties, seeded, at ``max_examples`` each (CI
     asks for many more than tier-1 does)."""
     budget = settings(max_examples=max_examples, deadline=None, database=None)
     mutated = given(
@@ -263,11 +484,13 @@ def fuzz_properties(max_examples: int):
         blob=st.binary(max_size=300),
         random=st.booleans(),
     )(control_frames_decode_or_raise)
-    return tuple(seed(FUZZ_SEED)(budget(prop)) for prop in (mutated, random_bytes, control))
+    reencode = given(env=hot_envelopes())(frames_re_encode_to_themselves)
+    return tuple(seed(FUZZ_SEED)(budget(prop)) for prop in (mutated, random_bytes, control, reencode))
 
 
 (
     test_fuzz_mutated_frames_raise_only_codec_error,
     test_fuzz_random_bytes_raise_only_codec_error,
     test_fuzz_control_frames_raise_only_codec_error,
+    test_fuzz_hot_frames_re_encode_to_themselves,
 ) = fuzz_properties(FUZZ_EXAMPLES)

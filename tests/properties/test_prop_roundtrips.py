@@ -8,6 +8,7 @@ representations (AST, text, wire) to each other.
 import string
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from repro.core.parser import parse_query
 from repro.core.patterns import ANY, Bind, Literal, Range, Regex, Use
 from repro.core.program import compile_query
 from repro.engine.items import WorkItem
-from repro.net.codec import decode_message, encode_message
+from repro.net.codec import CodecError, decode_message, encode_message
 from repro.net.messages import ControlMessage, DerefRequest, QueryId, ResultBatch
 
 names = st.text(alphabet=string.ascii_letters, min_size=1, max_size=8)
@@ -117,17 +118,49 @@ emission_values = st.one_of(
 )
 
 
+def items_of(program):
+    """Work items ``program`` can produce: a start inside it (or just past
+    its last op), counts for some of its loops, each at most once."""
+    loops = sorted(program.loop_counts())
+    return st.builds(
+        lambda oid, start, chosen, counts: WorkItem(oid, start, tuple(zip(chosen, counts))),
+        oids,
+        st.integers(min_value=1, max_value=program.size + 1),
+        st.lists(st.sampled_from(loops), unique=True) if loops else st.just([]),
+        st.lists(st.integers(min_value=0, max_value=9), min_size=len(loops), max_size=len(loops)),
+    )
+
+
+def fits(item, program) -> bool:
+    indices = [index for index, _ in item.iters]
+    return (
+        item.start <= program.size + 1
+        and len(set(indices)) == len(indices)
+        and all(index in program.loop_counts() and count >= 0 for index, count in item.iters)
+    )
+
+
 class TestCodecRoundTrip:
     @settings(max_examples=120, deadline=None)
-    @given(qids, queries, work_items, credits)
-    def test_deref_requests(self, qid, query, item, credit):
-        msg = DerefRequest(qid, compile_query(query), item, {"credit": credit})
-        out = decode_message(encode_message(msg))
-        assert out.qid == qid
-        assert out.item == item
-        assert out.item.iters == item.iters
-        assert out.term == {"credit": credit}
-        assert repr(out.program.ops) == repr(msg.program.ops)
+    @given(qids, queries, work_items, credits, st.data())
+    def test_deref_requests(self, qid, query, item, credit, data):
+        # An arbitrary item round-trips when its program could have made
+        # it and is refused otherwise; one drawn from the program always
+        # round-trips.
+        program = compile_query(query)
+        for candidate in (item, data.draw(items_of(program))):
+            msg = DerefRequest(qid, program, candidate, {"credit": credit})
+            frame = encode_message(msg)
+            if not fits(candidate, program):
+                with pytest.raises(CodecError):
+                    decode_message(frame)
+                continue
+            out = decode_message(frame)
+            assert out.qid == qid
+            assert out.item == candidate
+            assert out.item.iters == candidate.iters
+            assert out.term == {"credit": credit}
+            assert repr(out.program.ops) == repr(msg.program.ops)
 
     @settings(max_examples=120, deadline=None)
     @given(
