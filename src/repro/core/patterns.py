@@ -123,6 +123,10 @@ class Range(Pattern):
 
 
     def __post_init__(self) -> None:
+        for bound in (self.lo, self.hi):
+            # match() orders field values against the bounds.
+            if bound is not None and (isinstance(bound, bool) or not isinstance(bound, (int, float))):
+                raise ValueError(f"range bound {bound!r} is not a number")
         if self.lo is None and self.hi is None:
             raise ValueError("range must bound at least one side")
         if self.lo is not None and self.hi is not None and self.lo > self.hi:

@@ -3,40 +3,38 @@
 The paper's prototype spoke UDP/TCP between PC/RTs; the simulated and
 threaded transports pass Python objects by reference, but the asyncio
 transport (:mod:`repro.net.asyncio_cluster`) needs real bytes.  This
-codec serialises the four inter-site message types — and everything
-reachable from them: programs, patterns, work items, oids, termination
-credit — into a compact tag-length-value format.
+codec serialises the inter-site messages — and everything reachable
+from them: programs, patterns, work items, oids, termination credit —
+into a compact tag-length-value format, with no pickle: only the closed
+set of types below decodes, so a peer cannot instantiate anything else.
+
+Every message is declared once, in :data:`MESSAGES`: its tag byte, its
+class and its fields in wire order, each with a :class:`Wire` type (the
+envelope header, the query patterns and a program's ops likewise; the
+table in ``docs/ASYNC.md`` is checked against it).  Wire types come from
+one closed set of primitives and combinators (:func:`optional`,
+:func:`list_of`, :func:`pair`, :func:`record`, ...).  At import each
+declaration is composed into one writer and one ``(data, pos)`` reader;
+there is no other path.  Process-mode control values and store
+snapshots reuse the same wire types.
 
 Design notes:
 
-* no pickle: only the closed set of types below decodes, so a malicious
-  peer cannot instantiate arbitrary objects;
 * integers are zig-zag varints, so the common small values (filter
   indices, iteration counts) cost one byte;
-* the format is self-describing enough for :func:`decode_message` to
-  reject truncated or corrupt frames with :class:`CodecError` rather
-  than mis-reading them — and with nothing else: the decoder is total,
-  so a transport needs to catch one exception type;
-* a query's program is the one part of its work messages that never
-  changes, so it is serialised once per :class:`Program` and parsed once
-  per process per query (see :func:`_write_program` /
-  :func:`_read_program`); the frames themselves are unchanged;
-* the two messages that are nearly all traffic, ``DerefRequest`` and
-  ``ResultBatch``, and the envelope header are read and written in one
-  pass over ``(data, pos)`` (:func:`_deref_at`, :func:`_result_at`,
-  :func:`decode_envelope`; :func:`_write_deref`, :func:`_write_result`,
-  :func:`encode_envelope`), building each object once (see ``_new``).
-  A field of an unusual shape — a long name, a term value that is not a
-  ``Credit``, a populated header, emissions, a summary — is read where it
-  stands by the shared primitives (:class:`_Reader`, :func:`_read_value`),
-  never by a second decoder of the message;
+* the decoder is total: a truncated or corrupt frame raises
+  :class:`CodecError` rather than being mis-read, and nothing else
+  escapes, so a transport needs to catch one exception type; a count,
+  flag or presence byte takes only what the encoder writes;
+* a query's program is serialised once per :class:`Program` and parsed
+  once per process per query (:func:`_write_program`, :func:`_program_at`);
 * names shorter than 64 bytes are interned both ways (``_NAMES``,
   ``_NAME_BYTES``) and decoded oids by their bytes (``_OIDS``), at most
   ``_INTERN_MAX`` entries each, and a frame's ``QueryId`` is the one the
   parsed-program table already holds, so nothing the codec remembers
-  grows with the queries or sites it has seen.  Readers work on ``bytes``: a ``memoryview`` frame is copied
-  once on entry, so no decoded value or table key aliases a buffer the
-  transport may reuse.
+  grows with the queries or sites it has seen.  Readers work on
+  ``bytes``: a ``memoryview`` frame is copied once on entry, so no
+  decoded value or table key aliases a buffer the transport may reuse.
 """
 
 from __future__ import annotations
@@ -45,19 +43,21 @@ import re
 import struct
 import threading
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from operator import attrgetter
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..cache import BloomFilter, SiteSummary
+from ..core.objects import HFObject
 from ..core.oid import Oid
-from ..core.patterns import ANY, Any_, Bind, Literal, OneOf, Pattern, Range, Regex, Use
+from ..core.patterns import Any_, Bind, Literal, OneOf, Range, Regex, Use
 from ..core.program import DerefOp, LoopOp, Op, Program, RetrieveOp, SelectOp
+from ..core.tuples import HFTuple
 from ..engine.items import WorkItem
 from ..errors import HyperFileError
 from ..faults.reliable import ReliableAck, ReliableData
 from ..storage.blobstore import BlobRef
 from ..termination.weights import Credit
-from ..core.objects import HFObject
-from ..core.tuples import HFTuple
 from .messages import (
     BatchedQuery,
     BatchedResults,
@@ -79,7 +79,8 @@ class CodecError(HyperFileError, ValueError):
     """Raised on malformed, truncated, or unsupported wire data."""
 
 
-# -- value tags -------------------------------------------------------------
+# -- value tags (pattern tags, 0x20 up, op tags, 0x30 up, and message tags,
+# 0x40 up, are declared with their fields below) --------------------------
 
 _T_NONE = 0x00
 _T_FALSE = 0x01
@@ -93,40 +94,9 @@ _T_OID = 0x08
 _T_FRACTION = 0x09
 _T_BLOBREF = 0x0A
 _T_CREDIT = 0x0B
-
-# -- pattern tags ------------------------------------------------------------
-
-_P_ANY = 0x20
-_P_LITERAL = 0x21
-_P_REGEX = 0x22
-_P_RANGE = 0x23
-_P_ONEOF = 0x24
-_P_BIND = 0x25
-_P_USE = 0x26
-
-# -- op tags -------------------------------------------------------------------
-
-_O_SELECT = 0x30
-_O_DEREF = 0x31
-_O_LOOP = 0x32
-_O_RETRIEVE = 0x33
-
-# -- message tags ----------------------------------------------------------------
-
-_M_DEREF_REQUEST = 0x40
-_M_RESULT_BATCH = 0x41
-_M_CONTROL = 0x42
-_M_SEED_FROM_SAVED = 0x43
-_M_PURGE_CONTEXT = 0x44
-_M_FETCH_REQUEST = 0x45
-_M_FETCH_REPLY = 0x46
-_M_RELIABLE_DATA = 0x47
-_M_RELIABLE_ACK = 0x48
-_M_BATCHED_QUERY = 0x49
-_M_BATCHED_RESULTS = 0x4A
-_M_HEARTBEAT = 0x4B
-_M_VIEW_CHANGE = 0x4C
-
+#: A value tuple's tag, for process mode's control values, which walk
+#: their tuples themselves (:mod:`repro.net.procserver`).
+TUPLE_TAG = _T_TUPLE
 
 #: Magnitude bound for one encoded integer (512-byte ints): generous for
 #: anything a query ships — termination credit travels as a (mantissa,
@@ -150,7 +120,6 @@ MAX_VALUE_DEPTH = 32
 #: form fits seven bits (most of a message) cost an index, not an
 #: allocation.  The layout on the wire is unchanged.
 _ONE_BYTE = tuple(bytes((i,)) for i in range(256))
-
 
 #: Names shorter than this many UTF-8 bytes — site names, tuple types,
 #: attachment keys — are interned in both directions: their one-byte
@@ -180,6 +149,38 @@ def _remember(table: Dict[Any, Any], key: Any, value: Any) -> None:
         table[key] = value
 
 
+#: How the readers build the short-lived objects they return — a
+#: ``WorkItem``, ``QueryId``, message or ``Envelope`` (all frozen
+#: dataclasses): ``_new(cls)``, then one store per field into its
+#: ``__dict__``.  The generated ``__init__`` / ``__post_init__`` would cost
+#: as much as the rest of the decode, and every check they make the
+#: reader has already made (an ``Envelope``'s ``size_bytes`` it fills in
+#: itself).  An instance built this way holds a full ``__dict__``, about
+#: 60 bytes more than a constructed one, so what outlives the frame — an
+#: ``Oid`` — is constructed instead (and interned, see ``_OIDS``).
+_new = object.__new__
+
+
+def _construct(factory: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """Build a domain object from decoded fields.
+
+    The constructors validate their own arguments (an empty ``OneOf``, a
+    regex that does not compile, a tuple with no type ...); on bytes from
+    the wire such a rejection means the frame is malformed.
+    """
+    try:
+        return factory(*args, **kwargs)
+    except (ValueError, TypeError, re.error, RecursionError, OverflowError) as exc:
+        raise CodecError(f"invalid {factory.__qualname__}: {exc}") from None
+
+
+# --------------------------------------------------------------------------
+# primitives: writers append to a list of byte chunks; ``*_at`` readers
+# return ``(value, pos after it)`` and let a read past the end raise
+# ``IndexError``, which the entry points turn into CodecError
+# --------------------------------------------------------------------------
+
+
 def _varint(value: int) -> bytes:
     """The zig-zag LEB128 bytes of ``value``."""
     if -64 <= value < 64:
@@ -200,24 +201,7 @@ def _varint(value: int) -> bytes:
     return bytes(out)
 
 
-def _name(text: str) -> bytes:
-    """The wire bytes of a name: varint length, then UTF-8; cached."""
-    encoded = _NAME_BYTES.get(text)
-    if encoded is None:
-        raw = text.encode("utf-8")
-        encoded = _varint(len(raw)) + raw
-        if len(raw) < _NAME_MAX:
-            _remember(_NAME_BYTES, text, encoded)
-    return encoded
-
-
-def _varint_at(data: bytes, pos: int) -> Tuple[int, int]:
-    """The varint at ``pos`` and the position after it.
-
-    Like every ``*_at`` reader below it reads ``bytes`` and lets a read
-    past the end raise ``IndexError``; the entry points turn that into
-    :class:`CodecError`.
-    """
+def _varint_at(data: bytes, pos: int, record: Any = None) -> Tuple[int, int]:
     b = data[pos]
     if b < 0x80:
         return (b >> 1) ^ -(b & 1), pos + 1
@@ -233,7 +217,65 @@ def _varint_at(data: bytes, pos: int) -> Tuple[int, int]:
     return (encoded >> 1) ^ -(encoded & 1), pos + 1
 
 
-def _name_at(data: bytes, pos: int) -> Tuple[str, int]:
+def _write_count(chunks: List[bytes], value: int) -> None:
+    if value < 0:
+        raise CodecError(f"count {value} is negative")
+    chunks.append(_ONE_BYTE[value << 1] if value < 64 else _varint(value))
+
+
+def _count_at(data: bytes, pos: int, record: Any = None) -> Tuple[int, int]:
+    b = data[pos]
+    if b < 0x80 and not b & 1:
+        return b >> 1, pos + 1
+    value, pos = _varint_at(data, pos)
+    if value < 0:
+        raise CodecError(f"count {value} is negative")
+    return value, pos
+
+
+def _flag_at(data: bytes, pos: int, record: Any = None) -> Tuple[bool, int]:
+    b = data[pos]
+    if b > 1:
+        raise CodecError(f"flag byte {b} is neither 0 nor 1")
+    return b == 1, pos + 1
+
+
+def _text(text: str) -> bytes:
+    """The wire bytes of a text: varint length, then UTF-8."""
+    try:
+        raw = text.encode("utf-8")
+    except (AttributeError, UnicodeError):
+        raise CodecError(f"cannot encode {text!r} as text") from None
+    return _varint(len(raw)) + raw
+
+
+def _raw_at(data: bytes, pos: int, record: Any = None) -> Tuple[bytes, int]:
+    length, pos = _varint_at(data, pos)
+    end = pos + length
+    if length < 0 or end > len(data):
+        raise CodecError("truncated byte string")
+    return data[pos:end], end
+
+
+def _text_at(data: bytes, pos: int, record: Any = None) -> Tuple[str, int]:
+    raw, pos = _raw_at(data, pos)
+    try:
+        return str(raw, "utf-8"), pos
+    except UnicodeDecodeError:
+        raise CodecError("text is not valid UTF-8") from None
+
+
+def _name(text: str) -> bytes:
+    """The wire bytes of a name (those of a text); cached when short."""
+    encoded = _NAME_BYTES.get(text)
+    if encoded is None:
+        encoded = _text(text)
+        if len(encoded) <= _NAME_MAX:
+            _remember(_NAME_BYTES, text, encoded)
+    return encoded
+
+
+def _name_at(data: bytes, pos: int, record: Any = None) -> Tuple[str, int]:
     """The length-prefixed UTF-8 text at ``pos``, interned when short."""
     b = data[pos]
     if b < 2 * _NAME_MAX and not b & 1:  # a one-byte length below _NAME_MAX
@@ -249,124 +291,7 @@ def _name_at(data: bytes, pos: int) -> Tuple[str, int]:
                 raise CodecError("text is not valid UTF-8") from None
             _remember(_NAMES, key, name)
         return name, end
-    r = _Reader(data, pos)
-    return r.text(), r.pos
-
-
-#: How the one-pass readers build the short-lived objects they return —
-#: a ``WorkItem``, ``QueryId``, message or ``Envelope`` (all frozen
-#: dataclasses): ``_new(cls)``, then one store per field into its
-#: ``__dict__``.  The generated ``__init__`` / ``__post_init__`` would cost
-#: as much as the rest of the decode, and every check they make the
-#: reader has already made (an ``Envelope``'s ``size_bytes`` it fills in
-#: itself).  An instance built this way holds a full ``__dict__``, about
-#: 60 bytes more than a constructed one, so what outlives the frame — an
-#: ``Oid`` — is constructed instead (and interned, see ``_OIDS``).
-_new = object.__new__
-
-
-class _Writer:
-    __slots__ = ("chunks",)
-
-    def __init__(self) -> None:
-        self.chunks: List[bytes] = []
-
-    def byte(self, value: int) -> None:
-        self.chunks.append(_ONE_BYTE[value])
-
-    def varint(self, value: int) -> None:
-        self.chunks.append(_varint(value))
-
-    def raw(self, payload: bytes) -> None:
-        self.chunks.append(_varint(len(payload)))
-        self.chunks.append(payload)
-
-    def text(self, value: str) -> None:
-        self.raw(value.encode("utf-8"))
-
-    def name(self, value: str) -> None:
-        """Text that recurs (a site or type name): same bytes, cached."""
-        self.chunks.append(_name(value))
-
-    def getvalue(self) -> bytes:
-        return b"".join(self.chunks)
-
-
-class _Reader:
-    """A cursor over one frame, for the fields the one-pass readers
-    (:func:`_deref_at`, :func:`_result_at`, :func:`decode_envelope`)
-    hand off: programs, summaries, values, the rarer messages."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data, pos: int = 0) -> None:
-        # One copy of a view up front: every slice after it is a cheap
-        # ``bytes``, and an intern key can never alias a reused buffer.
-        self.data = data if type(data) is bytes else bytes(data)
-        self.pos = pos
-
-    def at(self, reader: Callable[..., Tuple[Any, int]], *args: Any) -> Any:
-        """Run a one-pass ``*_at`` reader here and step past what it read."""
-        try:
-            value, self.pos = reader(self.data, self.pos, *args)
-        except IndexError:
-            raise CodecError("truncated frame") from None
-        return value
-
-    def byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise CodecError("truncated frame (tag expected)")
-        value = self.data[self.pos]
-        self.pos += 1
-        return value
-
-    def varint(self) -> int:
-        pos = self.pos
-        if pos < len(self.data):
-            b = self.data[pos]
-            if b < 0x80:  # the whole varint: most fields are small
-                self.pos = pos + 1
-                return (b >> 1) ^ -(b & 1)
-        try:
-            value, self.pos = _varint_at(self.data, pos)
-        except IndexError:
-            raise CodecError("truncated varint") from None
-        return value
-
-    def raw(self) -> bytes:
-        length = self.varint()
-        if length < 0 or self.pos + length > len(self.data):
-            raise CodecError("truncated byte string")
-        payload = self.data[self.pos : self.pos + length]
-        self.pos += length
-        return payload
-
-    def text(self) -> str:
-        try:
-            return str(self.raw(), "utf-8")
-        except UnicodeDecodeError:
-            raise CodecError("text is not valid UTF-8") from None
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
-
-# --------------------------------------------------------------------------
-# values
-# --------------------------------------------------------------------------
-
-
-def _construct(factory: Callable[..., Any], *args: Any) -> Any:
-    """Build a domain object from decoded fields.
-
-    The constructors validate their own arguments (an empty ``OneOf``, a
-    regex that does not compile, a tuple with no type ...); on bytes from
-    the wire such a rejection means the frame is malformed.
-    """
-    try:
-        return factory(*args)
-    except (ValueError, TypeError, re.error, RecursionError, OverflowError) as exc:
-        raise CodecError(f"invalid {factory.__qualname__}: {exc}") from None
+    return _text_at(data, pos)
 
 
 _OID_TAG = _ONE_BYTE[_T_OID]
@@ -375,6 +300,9 @@ _NO_HINT = _name("")
 
 
 def _write_oid(chunks: List[bytes], oid: Oid) -> None:
+    """An oid value, tag and all."""
+    if type(oid) is not Oid and not isinstance(oid, Oid):
+        raise CodecError(f"oid expected, not {type(oid).__name__}")
     hint = oid.presumed_site
     chunks += (
         _OID_TAG, _name(oid.birth_site), _varint(oid.local_id),
@@ -382,10 +310,13 @@ def _write_oid(chunks: List[bytes], oid: Oid) -> None:
     )
 
 
-def _oid_at(data: bytes, pos: int) -> Tuple[Oid, int]:
-    """An oid value, its tag already read; interned when both names are
-    short (the key is the value's bytes: a birth name, the local id's
-    varint, a hint name)."""
+def _oid_at(data: bytes, pos: int, record: Any = None) -> Tuple[Oid, int]:
+    """An oid value, tag and all; interned when both names are short
+    (the key is the value's bytes after the tag: a birth name, the local
+    id's varint, a hint name)."""
+    if data[pos] != _T_OID:
+        raise CodecError("oid expected")
+    pos += 1
     key = None
     b = data[pos]
     if b < 2 * _NAME_MAX and not b & 1:
@@ -427,155 +358,422 @@ def _credit_at(data: bytes, pos: int) -> Tuple[Credit, int]:
     return Credit(mantissa, exponent), pos
 
 
-def _write_value(w: _Writer, value: Any, depth: int = 0) -> None:
+def _write_value(chunks: List[bytes], value: Any, depth: int = 0) -> None:
     if value is None:
-        w.byte(_T_NONE)
-    elif value is True:
-        w.byte(_T_TRUE)
-    elif value is False:
-        w.byte(_T_FALSE)
+        chunks.append(_ONE_BYTE[_T_NONE])
+    elif value is True or value is False:
+        chunks.append(_ONE_BYTE[_T_TRUE if value else _T_FALSE])
     elif isinstance(value, int):
-        w.byte(_T_INT)
-        w.varint(value)
+        chunks += (_ONE_BYTE[_T_INT], _varint(value))
     elif isinstance(value, float):
-        w.byte(_T_FLOAT)
-        w.chunks.append(struct.pack(">d", value))
+        chunks += (_ONE_BYTE[_T_FLOAT], struct.pack(">d", value))
     elif isinstance(value, str):
-        w.byte(_T_STR)
-        w.text(value)
+        chunks += (_ONE_BYTE[_T_STR], _text(value))
     elif isinstance(value, (bytes, bytearray)):
-        w.byte(_T_BYTES)
-        w.raw(bytes(value))
+        chunks += (_ONE_BYTE[_T_BYTES], _varint(len(value)), bytes(value))
     elif isinstance(value, Oid):
-        _write_oid(w.chunks, value)
+        _write_oid(chunks, value)
     elif type(value) is Credit:
-        _write_credit(w.chunks, value)
+        _write_credit(chunks, value)
     elif isinstance(value, Fraction):
-        w.byte(_T_FRACTION)
-        w.varint(value.numerator)
-        w.varint(value.denominator)
+        chunks += (_ONE_BYTE[_T_FRACTION], _varint(value.numerator), _varint(value.denominator))
     elif depth >= MAX_VALUE_DEPTH and isinstance(value, (BlobRef, tuple, list)):
         raise CodecError(f"value nested deeper than {MAX_VALUE_DEPTH}")
     elif isinstance(value, BlobRef):
-        w.byte(_T_BLOBREF)
-        _write_value(w, value.oid, depth + 1)
-        _write_value(w, value.key, depth + 1)
-        w.varint(value.size)
+        chunks.append(_ONE_BYTE[_T_BLOBREF])
+        _write_value(chunks, value.oid, depth + 1)
+        _write_value(chunks, value.key, depth + 1)
+        chunks.append(_varint(value.size))
     elif isinstance(value, (tuple, list)):
-        w.byte(_T_TUPLE)
-        w.varint(len(value))
+        chunks += (_ONE_BYTE[_T_TUPLE], _varint(len(value)))
         for element in value:
-            _write_value(w, element, depth + 1)
+            _write_value(chunks, element, depth + 1)
     else:
         raise CodecError(f"cannot encode value of type {type(value).__name__}")
 
 
-def _read_value(r: _Reader, depth: int = 0) -> Any:
-    tag = r.byte()
-    if tag == _T_NONE:
-        return None
-    if tag == _T_TRUE:
-        return True
-    if tag == _T_FALSE:
-        return False
-    if tag == _T_INT:
-        return r.varint()
-    if tag == _T_FLOAT:
-        if r.pos + 8 > len(r.data):
-            raise CodecError("truncated float")
-        value = struct.unpack_from(">d", r.data, r.pos)[0]
-        r.pos += 8
-        return value
-    if tag == _T_STR:
-        return r.text()
-    if tag == _T_BYTES:
-        return bytes(r.raw())
+_CONSTANTS = {_T_NONE: None, _T_FALSE: False, _T_TRUE: True}
+
+
+def _value_at(data: bytes, pos: int, record: Any = None, depth: int = 0) -> Tuple[Any, int]:
+    tag = data[pos]
     if tag == _T_OID:
-        return r.at(_oid_at)
+        return _oid_at(data, pos)
+    pos += 1
+    if tag in _CONSTANTS:
+        return _CONSTANTS[tag], pos
+    if tag == _T_INT:
+        return _varint_at(data, pos)
+    if tag == _T_FLOAT:
+        if pos + 8 > len(data):
+            raise CodecError("truncated float")
+        return struct.unpack_from(">d", data, pos)[0], pos + 8
+    if tag == _T_STR:
+        return _text_at(data, pos)
+    if tag == _T_BYTES:
+        return _raw_at(data, pos)
     if tag == _T_CREDIT:
-        return r.at(_credit_at)
+        return _credit_at(data, pos)
     if tag == _T_FRACTION:
-        numerator = r.varint()
-        denominator = r.varint()
+        numerator, pos = _varint_at(data, pos)
+        denominator, pos = _varint_at(data, pos)
         if denominator < 1:
             raise CodecError(f"fraction denominator {denominator}")
-        return Fraction(numerator, denominator)
+        return Fraction(numerator, denominator), pos
     if depth >= MAX_VALUE_DEPTH and tag in (_T_BLOBREF, _T_TUPLE):
         raise CodecError(f"value nested deeper than {MAX_VALUE_DEPTH}")
     if tag == _T_BLOBREF:
-        oid = _read_value(r, depth + 1)
-        key = _read_value(r, depth + 1)
-        size = r.varint()
-        return BlobRef(oid, key, size)
+        oid, pos = _value_at(data, pos, None, depth + 1)
+        key, pos = _value_at(data, pos, None, depth + 1)
+        size, pos = _varint_at(data, pos)
+        return BlobRef(oid, key, size), pos
     if tag == _T_TUPLE:
-        length = r.varint()
+        length, pos = _varint_at(data, pos)
         if length < 0 or length > 1_000_000:
             raise CodecError(f"implausible tuple length {length}")
-        return tuple([_read_value(r, depth + 1) for _ in range(length)])
+        values = []
+        for _ in range(length):
+            value, pos = _value_at(data, pos, None, depth + 1)
+            values.append(value)
+        return tuple(values), pos
     raise CodecError(f"unknown value tag 0x{tag:02x}")
 
 
 # --------------------------------------------------------------------------
-# patterns
+# wire types
 # --------------------------------------------------------------------------
 
 
-def _write_pattern(w: _Writer, pattern: Pattern) -> None:
-    if isinstance(pattern, Any_):
-        w.byte(_P_ANY)
-    elif isinstance(pattern, Literal):
-        w.byte(_P_LITERAL)
-        _write_value(w, pattern.value)
-    elif isinstance(pattern, Regex):
-        w.byte(_P_REGEX)
-        w.text(pattern.pattern)
-    elif isinstance(pattern, Range):
-        w.byte(_P_RANGE)
-        _write_value(w, pattern.lo)
-        _write_value(w, pattern.hi)
-    elif isinstance(pattern, OneOf):
-        w.byte(_P_ONEOF)
-        _write_value(w, pattern.values)
-    elif isinstance(pattern, Bind):
-        w.byte(_P_BIND)
-        w.text(pattern.name)
-    elif isinstance(pattern, Use):
-        w.byte(_P_USE)
-        w.text(pattern.name)
-    else:
-        raise CodecError(f"cannot encode pattern {type(pattern).__name__}")
+class Wire(NamedTuple):
+    """A wire type: ``write(chunks, value)`` appends a value's bytes, and
+    ``read(data, pos, record)`` returns the value at ``pos`` and the
+    position after it.  ``kind`` and ``parts`` (the wire types it is made
+    of) name it; ``limits`` are the kind's parameters (a list's bounds,
+    a choice's values, a frame's tags)."""
+
+    kind: str
+    write: Callable[[List[bytes], Any], None]
+    read: Callable[[bytes, int, Any], Tuple[Any, int]]
+    parts: Tuple["Wire", ...] = ()
+    limits: Tuple[Any, ...] = ()
+
+    @property
+    def name(self) -> str:
+        """How ``docs/ASYNC.md``'s message table spells this type."""
+        inner = [part.name for part in self.parts]
+        if self.kind in ("choice", "frame"):
+            inner += [str(limit).lower() for limit in self.limits]
+        return f"{self.kind}({', '.join(inner)})" if inner else self.kind
 
 
-def _read_pattern(r: _Reader) -> Pattern:
-    tag = r.byte()
-    if tag == _P_ANY:
-        return ANY
-    if tag == _P_LITERAL:
-        return Literal(_read_value(r))
-    if tag == _P_REGEX:
-        return _construct(Regex, r.text())
-    if tag == _P_RANGE:
-        lo, hi = _read_value(r), _read_value(r)
-        for bound in (lo, hi):
-            # Range.match orders field values against its bounds.
-            if bound is not None and (isinstance(bound, bool) or not isinstance(bound, (int, float))):
-                raise CodecError("range bound must be a number")
-        return _construct(Range, lo, hi)
-    if tag == _P_ONEOF:
-        values = _read_value(r)
-        if not isinstance(values, tuple):
-            raise CodecError("one-of pattern must carry a tuple")
-        return _construct(OneOf, values)
-    if tag == _P_BIND:
-        return _construct(Bind, r.text())
-    if tag == _P_USE:
-        return _construct(Use, r.text())
-    raise CodecError(f"unknown pattern tag 0x{tag:02x}")
+def _write_count_plus_one(chunks: List[bytes], value: Optional[int]) -> None:
+    if value is not None and value < 0:
+        raise CodecError(f"count {value} is negative")
+    chunks.append(_varint(0 if value is None else value + 1))
+
+
+def _count_plus_one_at(data: bytes, pos: int, record: Any = None) -> Tuple[Optional[int], int]:
+    value, pos = _count_at(data, pos)
+    return (value - 1 if value else None), pos
+
+
+def _str_at(data: bytes, pos: int, record: Any = None) -> Tuple[str, int]:
+    if data[pos] != _T_STR:
+        raise CodecError("text value expected")
+    return _text_at(data, pos + 1)
+
+
+VARINT = Wire("varint", lambda chunks, value: chunks.append(_varint(value)), _varint_at)
+#: A varint that is never negative.
+COUNT = Wire("count", _write_count, _count_at)
+#: A bool, one byte: 0 or 1.
+FLAG = Wire("flag", lambda chunks, value: chunks.append(_ONE_BYTE[1 if value else 0]), _flag_at)
+#: A text that recurs (a site or type name): a text's bytes, interned.
+NAME = Wire("name", lambda chunks, value: chunks.append(_name(value)), _name_at)
+TEXT = Wire("text", lambda chunks, value: chunks.append(_text(value)), _text_at)
+#: A text as a value (tag 0x05 first), where a value tuple holds one.
+STR = Wire("str", lambda chunks, value: chunks.extend((_ONE_BYTE[_T_STR], _text(value))), _str_at)
+#: An optional count: 0 for ``None``, else the count plus one.
+COUNT_PLUS_ONE = Wire("count+1", _write_count_plus_one, _count_plus_one_at)
+#: An oid value (tag 0x08 first).
+OID = Wire("oid", _write_oid, _oid_at)
+#: Any value of the closed set, tag first.
+VALUE = Wire("value", _write_value, _value_at)
+
+
+def nested_value(depth: int) -> Wire:
+    """A value that sits ``depth`` tuples down in a value tuple: the
+    nesting bound (:data:`MAX_VALUE_DEPTH`) counts from the outermost."""
+    return Wire(
+        "value",
+        lambda chunks, value: _write_value(chunks, value, depth),
+        lambda data, pos, record=None: _value_at(data, pos, None, depth),
+    )
+
+
+def optional(wire: Wire) -> Wire:
+    """``wire``'s value or ``None``: a presence flag, then the value."""
+    write_value, read_value = wire.write, wire.read
+
+    def write(chunks: List[bytes], value: Any) -> None:
+        chunks.append(_ONE_BYTE[value is not None])
+        if value is not None:
+            write_value(chunks, value)
+
+    def read(data: bytes, pos: int, record: Any = None) -> Tuple[Any, int]:
+        present = data[pos]
+        if present > 1:
+            raise CodecError(f"presence byte {present} is neither 0 nor 1")
+        return read_value(data, pos + 1, record) if present else (None, pos + 1)
+
+    return Wire("optional", write, read, (wire,))
+
+
+def list_of(wire: Wire, *, lo: int = 0, hi: int = 100_000, tagged: bool = False, empty: Any = ()) -> Wire:
+    """A tuple of ``wire`` values: a count in ``lo..hi``, then each value.
+    ``tagged`` makes it a value tuple (tag 0x07 first, kind ``tuple``);
+    ``empty`` is what no elements decode to."""
+    write_element, read_element = wire.write, wire.read
+    kind = "tuple" if tagged else "list"
+    prefix = (_ONE_BYTE[_T_TUPLE],) if tagged else ()
+
+    def write(chunks: List[bytes], values: Any) -> None:
+        values = values or ()
+        n = len(values)
+        chunks += prefix
+        chunks.append(_ONE_BYTE[n << 1] if n < 64 else _varint(n))
+        for value in values:
+            write_element(chunks, value)
+
+    def read(data: bytes, pos: int, record: Any = None) -> Tuple[Any, int]:
+        if tagged:
+            if data[pos] != _T_TUPLE:
+                raise CodecError(f"{kind}({wire.name}) expected")
+            pos += 1
+        n = data[pos]
+        if n < 0x80 and not n & 1:  # a one-byte count: most lists
+            n >>= 1
+            pos += 1
+        else:
+            n, pos = _count_at(data, pos)
+        if not lo <= n <= hi:
+            raise CodecError(f"implausible {kind}({wire.name}) length {n}")
+        if not n:
+            return empty, pos
+        values = []
+        for _ in range(n):
+            value, pos = read_element(data, pos, record)
+            values.append(value)
+        return tuple(values), pos
+
+    return Wire(kind, write, read, (wire,), (lo, hi, empty))
+
+
+def pair(first: Wire, second: Wire, *, tagged: bool = False) -> Wire:
+    """Two values in a row; ``tagged`` makes them a value 2-tuple (tag
+    0x07, count 2), as an element of a value tuple is."""
+    write_first, read_first = first.write, first.read
+    write_second, read_second = second.write, second.read
+    prefix = bytes((_T_TUPLE, 4)) if tagged else b""  # 4: the varint of 2
+
+    def write(chunks: List[bytes], value: Any) -> None:
+        a, b = value
+        if tagged:
+            chunks.append(prefix)
+        write_first(chunks, a)
+        write_second(chunks, b)
+
+    def read(data: bytes, pos: int, record: Any = None) -> Tuple[Any, int]:
+        if tagged:
+            if not data.startswith(prefix, pos):
+                raise CodecError("a value 2-tuple expected")
+            pos += 2
+        a, pos = read_first(data, pos, record)
+        b, pos = read_second(data, pos, record)
+        return (a, b), pos
+
+    return Wire("2-tuple" if tagged else "pair", write, read, (first, second))
+
+
+def columns(first: Wire, second: Wire, *, lo: int, hi: int) -> Wire:
+    """A list of ``(first, second)`` rows, held as two equal-length
+    tuples: one per column, for two fields of the record."""
+    rows = list_of(pair(first, second), lo=lo, hi=hi)
+
+    def write(chunks: List[bytes], value: Tuple[Any, Any]) -> None:
+        rows.write(chunks, tuple(zip(*value)))
+
+    def read(data: bytes, pos: int, record: Any = None) -> Tuple[Any, int]:
+        values, pos = rows.read(data, pos, record)
+        return (tuple(zip(*values)) or ((), ())), pos
+
+    return Wire("columns", write, read, (first, second), (lo, hi))
+
+
+def choice(*values: Any) -> Wire:
+    """One of ``values``, as its index: one byte."""
+    codes = {value: _ONE_BYTE[code] for code, value in enumerate(values)}
+
+    def write(chunks: List[bytes], value: Any) -> None:
+        if value not in codes:
+            raise CodecError(f"{value!r} is not one of {values}")
+        chunks.append(codes[value])
+
+    def read(data: bytes, pos: int, record: Any = None) -> Tuple[Any, int]:
+        if data[pos] >= len(values):
+            raise CodecError(f"choice code {data[pos]} is not one of {values}")
+        return values[data[pos]], pos + 1
+
+    return Wire("choice", write, read, (), values)
+
+
+def frame(*tags: int) -> Wire:
+    """A whole message as a length-prefixed inner frame, encoded once per
+    message (:func:`preframe`); only a message of ``tags`` decodes."""
+
+    def write(chunks: List[bytes], message: Any) -> None:
+        inner = preframe(message)
+        chunks += (_varint(len(inner)), inner)
+
+    def read(data: bytes, pos: int, record: Any = None) -> Tuple[Any, int]:
+        inner, pos = _raw_at(data, pos)
+        # Checked before descending, so nesting cannot recurse.
+        if not inner or inner[0] not in tags:
+            raise CodecError(f"inner frame may only carry tags {[hex(tag) for tag in tags]}")
+        return decode_message(inner), pos
+
+    return Wire("frame", write, read, (), tuple(f"0x{tag:02x}" for tag in tags))
 
 
 # --------------------------------------------------------------------------
-# programs
+# records: declared classes, built from their fields
 # --------------------------------------------------------------------------
+
+
+class Declared(NamedTuple):
+    """A record on the wire: its tag byte, its class, and its fields in
+    wire order, each a field name (or, for a wire type that spans two
+    fields, a pair of names) with its wire type."""
+
+    tag: int
+    cls: type
+    fields: Tuple[Tuple[Any, Wire], ...]
+
+
+def _spread(first: str, second: str, read: Callable[..., Tuple[Any, int]]) -> Tuple[str, Callable[..., Any]]:
+    """A record step for a wire type whose value spans two fields: it
+    stores the second field itself and hands back the first."""
+
+    def read_first(data: bytes, pos: int, into: Dict[str, Any]) -> Tuple[Any, int]:
+        (value, into[second]), pos = read(data, pos, into)
+        return value, pos
+
+    return first, read_first
+
+
+def record(
+    cls: Optional[type], fields: Tuple[Tuple[Any, Wire], ...], *,
+    construct: bool = False, context: Tuple[str, ...] = (), tag: Optional[int] = None,
+) -> Wire:
+    """A ``cls`` object as its ``fields`` (see :class:`Declared`), in
+    order, after its ``tag`` byte if it has one: built straight into its
+    ``__dict__`` (see ``_new``), by its validating constructor when
+    ``construct`` (passed the ``context`` fields of the record around it
+    too), or, when ``cls`` is ``None``, stored as fields of the record
+    around it."""
+    prefix = () if tag is None else (_ONE_BYTE[tag],)
+    writes = tuple((attrgetter(*n) if isinstance(n, tuple) else attrgetter(n), w.write) for n, w in fields)
+    reads = tuple((n, w.read) if isinstance(n, str) else _spread(*n, w.read) for n, w in fields)
+
+    def write(chunks: List[bytes], obj: Any) -> None:
+        chunks += prefix
+        for get, write_field in writes:
+            write_field(chunks, get(obj))
+
+    def read_into(data: bytes, pos: int, into: Dict[str, Any]) -> int:
+        for name, read_field in reads:
+            into[name], pos = read_field(data, pos, into)
+        return pos
+
+    def read(data: bytes, pos: int, outer: Any = None) -> Tuple[Any, int]:
+        if cls is None:
+            return None, read_into(data, pos, outer)
+        values = {name: outer[name] for name in context}
+        pos = read_into(data, pos, values)
+        return _construct(cls, **values), pos
+
+    def read_new(data: bytes, pos: int, outer: Any = None) -> Tuple[Any, int]:
+        obj = _new(cls)
+        into = obj.__dict__
+        for name, read_field in reads:
+            into[name], pos = read_field(data, pos, into)
+        return obj, pos
+
+    parts = tuple(wire for _names, wire in fields)
+    return Wire("record", write, read if cls is None or construct else read_new, parts)
+
+
+def union(declared: Tuple[Declared, ...], *, construct: bool = False, context: Tuple[str, ...] = ()) -> Wire:
+    """One of the ``declared`` records: its tag byte, then its fields."""
+    writers: Dict[type, Callable[[List[bytes], Any], None]] = {}
+    readers: List[Any] = [None] * 256
+    for spec in declared:
+        wire = record(spec.cls, spec.fields, construct=construct, context=context, tag=spec.tag)
+        writers[spec.cls], readers[spec.tag] = wire.write, wire.read
+
+    def write(chunks: List[bytes], value: Any) -> None:
+        write_record = writers.get(type(value))
+        if write_record is None:
+            raise CodecError(f"cannot encode {type(value).__name__}")
+        write_record(chunks, value)
+
+    def read(data: bytes, pos: int, outer: Any = None) -> Tuple[Any, int]:
+        read_record = readers[data[pos]]
+        if read_record is None:
+            raise CodecError(f"unknown tag 0x{data[pos]:02x}")
+        return read_record(data, pos + 1, outer)
+
+    return Wire("union", write, read)
+
+
+# --------------------------------------------------------------------------
+# patterns and programs
+# --------------------------------------------------------------------------
+
+
+PATTERN = union((
+    Declared(0x20, Any_, ()),
+    Declared(0x21, Literal, (("value", VALUE),)),
+    Declared(0x22, Regex, (("pattern", TEXT),)),
+    Declared(0x23, Range, (("lo", VALUE), ("hi", VALUE))),
+    Declared(0x24, OneOf, (("values", list_of(nested_value(1), hi=1_000_000, tagged=True)),)),
+    Declared(0x25, Bind, (("name", TEXT),)),
+    Declared(0x26, Use, (("name", TEXT),)),
+), construct=True)
+
+
+def _loop_count_at(data: bytes, pos: int, record: Any = None) -> Tuple[Optional[int], int]:
+    count, pos = _varint_at(data, pos)
+    if count < -1:
+        raise CodecError(f"loop count {count}")
+    return (None if count == -1 else count), pos
+
+
+#: A loop marker's count: ``-1`` for ``*`` (no bound).
+_LOOP_COUNT = Wire(
+    "loop count", lambda chunks, count: chunks.append(_varint(-1 if count is None else count)), _loop_count_at
+)
+#: A program's filters, each built with its position (``index``), and the
+#: chain of loop markers enclosing each position.
+_OP = union((
+    Declared(0x30, SelectOp, (
+        ("type_pattern", PATTERN), ("key_pattern", PATTERN), ("data_pattern", PATTERN),
+    )),
+    Declared(0x31, DerefOp, (("var", TEXT), ("keep_source", FLAG))),
+    Declared(0x32, LoopOp, (("start", VARINT), ("count", _LOOP_COUNT))),
+    Declared(0x33, RetrieveOp, (("type_pattern", PATTERN), ("key_pattern", PATTERN), ("target", TEXT))),
+), construct=True, context=("index",))
+_CHAIN = list_of(VARINT, hi=64)
 
 
 #: Programs this process has parsed, by the query that carried them:
@@ -590,9 +788,11 @@ _PARSED_PROGRAMS_MAX = 64
 _PARSED_SECTION_MAX = 16 * 1024
 #: Taken only to insert; a hit is one ``dict.get`` and needs no lock.
 _parsed_programs_lock = threading.Lock()
+#: Keys the parsed-program table for a program no query id precedes.
+_NO_QID = QueryId(0, "")
 
 
-def _write_program(w: _Writer, program: Program) -> None:
+def _write_program(chunks: List[bytes], program: Program) -> None:
     """Append ``program``'s section, serialising it on first use only.
 
     The section is the one part of a query's work messages that is the
@@ -603,41 +803,17 @@ def _write_program(w: _Writer, program: Program) -> None:
     """
     section = program._wire_section
     if section is None:
-        body = _Writer()
-        body.text(program.source)
-        body.text(program.result)
-        body.varint(program.size)
+        body = [_text(program.source), _text(program.result), _varint(program.size)]
         for op in program.ops:
-            if isinstance(op, SelectOp):
-                body.byte(_O_SELECT)
-                _write_pattern(body, op.type_pattern)
-                _write_pattern(body, op.key_pattern)
-                _write_pattern(body, op.data_pattern)
-            elif isinstance(op, DerefOp):
-                body.byte(_O_DEREF)
-                body.text(op.var)
-                body.byte(1 if op.keep_source else 0)
-            elif isinstance(op, LoopOp):
-                body.byte(_O_LOOP)
-                body.varint(op.start)
-                body.varint(-1 if op.count is None else op.count)
-            elif isinstance(op, RetrieveOp):
-                body.byte(_O_RETRIEVE)
-                _write_pattern(body, op.type_pattern)
-                _write_pattern(body, op.key_pattern)
-                body.text(op.target)
-            else:
-                raise CodecError(f"cannot encode op {type(op).__name__}")
+            _OP.write(body, op)
         # Enclosing-loop chains (needed for iteration bookkeeping).
         for chain in program.enclosing:
-            body.varint(len(chain))
-            for idx in chain:
-                body.varint(idx)
-        section = program._wire_section = body.getvalue()
-    w.chunks.append(section)
+            _CHAIN.write(body, chain)
+        section = program._wire_section = b"".join(body)
+    chunks.append(section)
 
 
-def _read_program(r: _Reader, qid: QueryId) -> Program:
+def _program_at(data: bytes, pos: int, qid: QueryId) -> Tuple[Program, int]:
     """Read the program section of a message of query ``qid``.
 
     Every message of a query repeats the same section, so the first
@@ -650,117 +826,49 @@ def _read_program(r: _Reader, qid: QueryId) -> Program:
     """
     key = (qid.seq, qid.originator)
     known = _PARSED_PROGRAMS.get(key)
-    if known is not None and r.data.startswith(known[1], r.pos):
-        r.pos += len(known[1])
-        return known[2]
-    begin = r.pos
-    source = r.text()
-    result = r.text()
-    size = r.varint()
+    if known is not None and data.startswith(known[1], pos):
+        return known[2], pos + len(known[1])
+    begin = pos
+    source, pos = _text_at(data, pos)
+    result, pos = _text_at(data, pos)
+    size, pos = _varint_at(data, pos)
     if size < 0 or size > 10_000:
         raise CodecError(f"implausible program size {size}")
     ops: List[Op] = []
     for index in range(1, size + 1):
-        tag = r.byte()
-        if tag == _O_SELECT:
-            ops.append(SelectOp(index, _read_pattern(r), _read_pattern(r), _read_pattern(r)))
-        elif tag == _O_DEREF:
-            var = r.text()
-            keep = r.byte() == 1
-            ops.append(DerefOp(index, var, keep))
-        elif tag == _O_LOOP:
-            start = r.varint()
-            count = r.varint()
-            if not 1 <= start <= index:
-                raise CodecError(f"loop at {index} starts at {start}")
-            if count < -1:
-                raise CodecError(f"loop at {index} has count {count}")
-            ops.append(LoopOp(index, start, None if count == -1 else count))
-        elif tag == _O_RETRIEVE:
-            ops.append(RetrieveOp(index, _read_pattern(r), _read_pattern(r), r.text()))
-        else:
-            raise CodecError(f"unknown op tag 0x{tag:02x}")
+        op, pos = _OP.read(data, pos, {"index": index})
+        # A loop marker sends items back to a start at or before it.
+        if type(op) is LoopOp and not 1 <= op.start <= index:
+            raise CodecError(f"loop at {index} starts at {op.start}")
+        ops.append(op)
     enclosing: List[Tuple[int, ...]] = []
     for index in range(1, size + 1):
-        chain_len = r.varint()
-        if chain_len < 0 or chain_len > 64:
-            raise CodecError("implausible loop-chain length")
-        chain = tuple([r.varint() for _ in range(chain_len)])
+        chain, pos = _CHAIN.read(data, pos)
         for loop in chain:
             # A position is enclosed only by loop markers at or after it.
             if not index <= loop <= size or not isinstance(ops[loop - 1], LoopOp):
                 raise CodecError(f"position {index} is not inside a loop ending at {loop}")
         enclosing.append(chain)
     program = Program(source, result, ops, enclosing)
-    if r.pos - begin <= _PARSED_SECTION_MAX:
+    if pos - begin <= _PARSED_SECTION_MAX:
         with _parsed_programs_lock:
             _PARSED_PROGRAMS.pop(key, None)
             while len(_PARSED_PROGRAMS) >= _PARSED_PROGRAMS_MAX:
                 del _PARSED_PROGRAMS[next(iter(_PARSED_PROGRAMS))]
-            _PARSED_PROGRAMS[key] = (qid, r.data[begin : r.pos], program)
-    return program
+            _PARSED_PROGRAMS[key] = (qid, data[begin:pos], program)
+    return program, pos
 
 
 # --------------------------------------------------------------------------
-# work items, query ids, termination attachments
+# query ids, work items, termination attachments
 # --------------------------------------------------------------------------
 
 
-def _write_item(w: _Writer, item: WorkItem) -> None:
-    chunks = w.chunks
-    oid = item.oid
-    if type(oid) is not Oid:
-        raise CodecError("work item oid expected")
-    _write_oid(chunks, oid)
-    iters = item.iters
-    chunks += (_varint(item.start), _varint(len(iters)))
-    for loop_index, count in iters:
-        chunks += (_varint(loop_index), _varint(count))
+def _write_qid(chunks: List[bytes], qid: QueryId) -> None:
+    chunks += (_varint(qid.seq), _name(qid.originator))
 
 
-def _item_at(data: bytes, pos: int, program: Program) -> Tuple[WorkItem, int]:
-    """A work item of ``program``: only one the program could have made.
-
-    Its start must be a position of the program (or just past its last
-    op), and its iteration stack may count each of the program's loops
-    once, never below zero — a node would otherwise step the item into
-    messages of its own, with no error anywhere.
-    """
-    if data[pos] != _T_OID:
-        raise CodecError("work item oid expected")
-    oid, pos = _oid_at(data, pos + 1)
-    start, pos = _varint_at(data, pos)
-    if not 1 <= start <= len(program.ops) + 1:
-        raise CodecError(f"work item start index {start} outside a {len(program.ops)}-op program")
-    if data[pos] == 0:  # no iteration counts: most items
-        iters: Tuple[Tuple[int, int], ...] = ()
-        pos += 1
-    else:
-        n, pos = _varint_at(data, pos)
-        if n < 0 or n > 64:
-            raise CodecError("implausible iteration-stack size")
-        loops = program.loop_counts()
-        pairs: List[Tuple[int, int]] = []
-        for _ in range(n):
-            loop_index, pos = _varint_at(data, pos)
-            count, pos = _varint_at(data, pos)
-            if loop_index not in loops or count < 0 or any(seen == loop_index for seen, _ in pairs):
-                raise CodecError(f"work item iteration entry ({loop_index}, {count})")
-            pairs.append((loop_index, count))
-        iters = tuple(pairs)
-    item = _new(WorkItem)
-    fields = item.__dict__
-    fields["oid"] = oid
-    fields["start"] = start
-    fields["iters"] = iters
-    return item, pos
-
-
-def _write_qid(w: _Writer, qid: QueryId) -> None:
-    w.chunks += (_varint(qid.seq), _name(qid.originator))
-
-
-def _qid_at(data: bytes, pos: int) -> Tuple[QueryId, int]:
+def _qid_at(data: bytes, pos: int, record: Any = None) -> Tuple[QueryId, int]:
     """A query id; the one the parsed-program table holds, if it has it."""
     seq, pos = _varint_at(data, pos)
     originator, pos = _name_at(data, pos)
@@ -774,25 +882,74 @@ def _qid_at(data: bytes, pos: int) -> Tuple[QueryId, int]:
     return qid, pos
 
 
-def _read_qid(r: _Reader) -> QueryId:
-    return r.at(_qid_at)
+def _write_qid_program(chunks: List[bytes], qid_program: Tuple[QueryId, Program]) -> None:
+    qid, program = qid_program
+    chunks += (_varint(qid.seq), _name(qid.originator))
+    if program._wire_section is None:
+        _write_program(chunks, program)
+    else:
+        chunks.append(program._wire_section)
 
 
-def _qid_program_at(data: bytes, pos: int) -> Tuple[QueryId, Program, int]:
+def _qid_program_at(data: bytes, pos: int, record: Any = None) -> Tuple[Tuple[QueryId, Program], int]:
     """A query id and the program section after it, both reused from the
     parsed-program table when the section's bytes are the ones it holds."""
     seq, pos = _varint_at(data, pos)
     originator, pos = _name_at(data, pos)
     known = _PARSED_PROGRAMS.get((seq, originator))
     if known is not None and data.startswith(known[1], pos):
-        return known[0], known[2], pos + len(known[1])
-    r = _Reader(data, pos)
+        return (known[0], known[2]), pos + len(known[1])
     qid = QueryId(seq, originator) if known is None else known[0]
-    return qid, _read_program(r, qid), r.pos
+    program, pos = _program_at(data, pos, qid)
+    return (qid, program), pos
 
 
-def _write_term(w: _Writer, term) -> None:
-    chunks = w.chunks
+def _program_in_at(data: bytes, pos: int, record: Dict[str, Any]) -> Tuple[Program, int]:
+    """A program section on its own, remembered under the query id read
+    before it in the same record (``record["qid"]``), if any."""
+    return _program_at(data, pos, record.get("qid") or _NO_QID)
+
+
+#: A work item's iteration stack: ``(loop marker, count)`` entries.
+_ITERS = list_of(pair(VARINT, VARINT), hi=64)
+
+
+def _write_item(chunks: List[bytes], item: WorkItem) -> None:
+    _write_oid(chunks, item.oid)
+    chunks.append(_varint(item.start))
+    _ITERS.write(chunks, item.iters)
+
+
+def _item_at(data: bytes, pos: int, record: Dict[str, Any]) -> Tuple[WorkItem, int]:
+    """A work item of the record's program: only one it could have made.
+
+    Its start must be a position of the program (or just past its last
+    op), and its iteration stack may count each of the program's loops
+    once, never below zero — a node would otherwise step the item into
+    messages of its own, with no error anywhere.
+    """
+    program = record["program"]
+    oid, pos = _oid_at(data, pos)
+    start, pos = _varint_at(data, pos)
+    if not 1 <= start <= len(program.ops) + 1:
+        raise CodecError(f"work item start index {start} outside a {len(program.ops)}-op program")
+    if data[pos] == 0:  # no iteration counts: most items
+        iters: Tuple[Tuple[int, int], ...] = ()
+        pos += 1
+    else:
+        iters, pos = _ITERS.read(data, pos)
+        loops = program.loop_counts()
+        if any(loop not in loops or count < 0 for loop, count in iters) or len(dict(iters)) < len(iters):
+            raise CodecError(f"work item iteration stack {iters} does not fit its program")
+    item = _new(WorkItem)  # see _new
+    fields = item.__dict__
+    fields["oid"] = oid
+    fields["start"] = start
+    fields["iters"] = iters
+    return item, pos
+
+
+def _write_term(chunks: List[bytes], term) -> None:
     n = len(term)
     chunks.append(_varint(n))
     for key, value in sorted(term.items()) if n > 1 else term.items():
@@ -800,10 +957,10 @@ def _write_term(w: _Writer, term) -> None:
         if type(value) is Credit:
             _write_credit(chunks, value)
         else:
-            _write_value(w, value)
+            _write_value(chunks, value)
 
 
-def _term_at(data: bytes, pos: int) -> Tuple[Dict[str, Any], int]:
+def _term_at(data: bytes, pos: int, record: Any = None) -> Tuple[Dict[str, Any], int]:
     """A termination attachment: names, then values; a credit inline."""
     n, pos = _varint_at(data, pos)
     if n < 0 or n > 64:
@@ -814,101 +971,177 @@ def _term_at(data: bytes, pos: int) -> Tuple[Dict[str, Any], int]:
         if data[pos] == _T_CREDIT:
             term[key], pos = _credit_at(data, pos + 1)
         else:
-            r = _Reader(data, pos)
-            term[key] = _read_value(r)
-            pos = r.pos
+            term[key], pos = _value_at(data, pos)
     return term, pos
 
 
+QID = Wire("qid", _write_qid, _qid_at)
+#: A query id and its program section, fused so that a frame of a query
+#: this process has seen reuses both from the parsed-program table.
+QID_PROGRAM = Wire("qid+program", _write_qid_program, _qid_program_at)
+#: A program section on its own, keyed by the record's ``qid``.
+PROGRAM = Wire("program", _write_program, _program_in_at)
+#: A work item that must fit the record's program.
+ITEM = Wire("item", _write_item, _item_at)
+TERM = Wire("term", _write_term, _term_at)
+
+
 # --------------------------------------------------------------------------
-# site summaries (caching layer piggyback)
+# site summaries (caching layer piggyback) and objects
 # --------------------------------------------------------------------------
 
 
-def _write_bloom(w: _Writer, bloom: BloomFilter) -> None:
-    w.varint(bloom.hashes)
-    w.varint(bloom.count)
-    w.raw(bloom.to_bytes())
+def _write_bloom(chunks: List[bytes], bloom: BloomFilter) -> None:
+    raw = bloom.to_bytes()
+    chunks += (_varint(bloom.hashes), _varint(bloom.count), _varint(len(raw)), raw)
 
 
-def _read_bloom(r: _Reader) -> BloomFilter:
-    hashes = r.varint()
+def _bloom_at(data: bytes, pos: int, record: Any = None) -> Tuple[BloomFilter, int]:
+    hashes, pos = _varint_at(data, pos)
     if hashes < 1 or hashes > 64:
         raise CodecError(f"implausible bloom hash count {hashes}")
-    count = r.varint()
-    if count < 0:
-        raise CodecError("negative bloom count")
-    data = bytes(r.raw())
-    if not data:
+    count, pos = _count_at(data, pos)
+    raw, pos = _raw_at(data, pos)
+    if not raw:
         raise CodecError("empty bloom bit array")
-    return BloomFilter.from_bytes(data, hashes, count)
+    return BloomFilter.from_bytes(raw, hashes, count), pos
 
 
-def _write_summary(w: _Writer, summary: SiteSummary) -> None:
-    w.text(summary.site)
-    w.varint(summary.epoch)
-    w.varint(summary.forward_count)
-    w.varint(summary.alloc_high)
-    _write_bloom(w, summary.holdings)
-    w.varint(len(summary.reach))
-    for key in sorted(summary.reach):
-        w.text(key)
-        _write_bloom(w, summary.reach[key])
+def dict_of(key: Wire, value: Wire, *, hi: int) -> Wire:
+    """A mapping: a list of ``(key, value)`` pairs in key order."""
+    items = list_of(pair(key, value), hi=hi)
+
+    def read(data: bytes, pos: int, record: Any = None) -> Tuple[Dict[Any, Any], int]:
+        pairs, pos = items.read(data, pos, record)
+        return dict(pairs), pos
+
+    def write(chunks: List[bytes], mapping: Dict[Any, Any]) -> None:
+        items.write(chunks, sorted(mapping.items()))
+
+    return Wire("dict", write, read, (key, value))
 
 
-def _read_summary(r: _Reader) -> SiteSummary:
-    site = r.text()
-    epoch = r.varint()
-    forward_count = r.varint()
-    alloc_high = r.varint()
-    if epoch < 0 or forward_count < 0 or alloc_high < 0:
-        raise CodecError("negative summary field")
-    holdings = _read_bloom(r)
-    n = r.varint()
-    if n < 0 or n > 1024:
-        raise CodecError(f"implausible reach-key count {n}")
-    reach = {r.text(): _read_bloom(r) for _ in range(n)}
-    return SiteSummary(site, epoch, forward_count, holdings, reach, alloc_high)
+_BLOOM = Wire("bloom", _write_bloom, _bloom_at)
+#: A caching layer's site summary (:class:`repro.cache.SiteSummary`).
+SUMMARY = record(SiteSummary, (
+    ("site", TEXT), ("epoch", COUNT), ("forward_count", COUNT), ("alloc_high", COUNT),
+    ("holdings", _BLOOM), ("reach", dict_of(TEXT, _BLOOM, hi=1024)),
+), construct=True)._replace(kind="summary", parts=())
 
 
-# --------------------------------------------------------------------------
-# messages
-# --------------------------------------------------------------------------
-
-
-def _write_object(w: _Writer, obj: Optional[HFObject]) -> None:
-    if obj is None:
-        w.byte(0)
-        return
-    w.byte(1)
-    _write_oid(w.chunks, obj.oid)
-    w.varint(obj.size_bytes)
-    w.varint(len(obj.tuples))
+def _write_object(chunks: List[bytes], obj: HFObject) -> None:
+    _write_oid(chunks, obj.oid)
+    chunks += (_varint(obj.size_bytes), _varint(len(obj.tuples)))
     for t in obj.tuples:
-        w.name(t.type)
-        _write_value(w, t.key)
-        _write_value(w, t.data)
+        chunks.append(_name(t.type))
+        _write_value(chunks, t.key)
+        _write_value(chunks, t.data)
 
 
-def _read_object(r: _Reader) -> Optional[HFObject]:
-    if r.byte() == 0:
-        return None
-    if r.byte() != _T_OID:
-        raise CodecError("object record must start with an oid")
-    oid = r.at(_oid_at)
-    size_hint = r.varint()
-    n = r.varint()
-    if n < 0 or n > 1_000_000:
+def _object_at(data: bytes, pos: int, record: Any = None) -> Tuple[HFObject, int]:
+    oid, pos = _oid_at(data, pos)
+    size_hint, pos = _varint_at(data, pos)
+    n, pos = _count_at(data, pos)
+    if n > 1_000_000:
         raise CodecError(f"implausible tuple count {n}")
-    tuples = [_construct(HFTuple, r.at(_name_at), _read_value(r), _read_value(r)) for _ in range(n)]
-    return HFObject(oid, tuples, size_hint=size_hint)
+    tuples = []
+    for _ in range(n):
+        type_name, pos = _name_at(data, pos)
+        key, pos = _value_at(data, pos)
+        value, pos = _value_at(data, pos)
+        tuples.append(_construct(HFTuple, type_name, key, value))
+    return _construct(HFObject, oid, tuples, size_hint), pos
 
+
+#: A whole object: its oid, size and tuples.
+OBJECT = Wire("object", _write_object, _object_at)
+
+
+# --------------------------------------------------------------------------
+# messages and envelopes
+# --------------------------------------------------------------------------
+
+
+_RELIABLE_DATA, _RELIABLE_ACK = 0x47, 0x48
+
+#: Every message on the wire.  Append only: a tag, a field's position and
+#: its wire type are the frame layout.
+MESSAGES: Tuple[Declared, ...] = (
+    Declared(0x40, DerefRequest, ((("qid", "program"), QID_PROGRAM), ("item", ITEM), ("term", TERM))),
+    Declared(0x41, ResultBatch, (
+        ("qid", QID),
+        ("oids", list_of(OID, hi=1_000_000, tagged=True)),
+        ("emissions", list_of(pair(STR, nested_value(2), tagged=True), hi=1_000_000, tagged=True)),
+        ("count_only", FLAG),
+        ("count", COUNT),
+        ("term", TERM),
+        ("summary", optional(SUMMARY)),
+    )),
+    Declared(0x42, ControlMessage, (("qid", QID), ("kind", TEXT), ("payload", VALUE))),
+    Declared(0x43, SeedFromSaved, ((("qid", "program"), QID_PROGRAM), ("source_qid", QID), ("term", TERM))),
+    Declared(0x44, PurgeContext, (("qid", QID), ("incarnation", VARINT))),
+    Declared(0x45, FetchRequest, (("request_id", VARINT), ("oid", OID), ("reply_to", TEXT))),
+    Declared(0x46, FetchReply, (("request_id", VARINT), ("obj", optional(OBJECT)))),
+    # The channel wraps application messages only; refusing its own
+    # frames inside is also what keeps this recursion two levels deep.
+    Declared(_RELIABLE_DATA, ReliableData, (
+        ("seq", VARINT),
+        ("payload", frame(*(tag for tag in range(0x40, 0x4D) if tag not in (_RELIABLE_DATA, _RELIABLE_ACK)))),
+    )),
+    Declared(_RELIABLE_ACK, ReliableAck, (("seq", VARINT),)),
+    Declared(0x49, BatchedQuery, (
+        (("qid", "program"), QID_PROGRAM),
+        (("items", "terms"), columns(ITEM, TERM, lo=1, hi=100_000)),
+        ("marked_hints", list_of(nested_value(1), hi=1_000_000, tagged=True)),
+    )),
+    Declared(0x4A, BatchedResults, (("batches", list_of(frame(0x41), lo=1)),)),
+    Declared(0x4B, Heartbeat, (("origin", TEXT), ("counters", list_of(pair(TEXT, VARINT))))),
+    Declared(0x4C, ViewChange, (
+        ("epoch", VARINT), ("statuses", list_of(pair(TEXT, TEXT))), ("reason", TEXT),
+    )),
+)
+MESSAGE = union(MESSAGES)
+
+#: Wire codes for the QoS service classes (byte value = index + 1; 0 =
+#: "QoS off").  Order matches :data:`repro.qos.PRIORITIES` and is part
+#: of the frame layout — append only.
+_PRIORITY_CODES = ("interactive", "batch")
+
+#: The envelope header, between the sender's name and the message (the
+#: fields are described on :class:`Envelope`; ``dst`` is not on the
+#: wire, the receiver knows who it is).  Each field's absence (``None``)
+#: is one zero byte, so a deployment with tracing, caching, replication
+#: and QoS all off writes five zero bytes, matching the in-process
+#: transports bit for bit.  A span entry of ``0`` stands for an untraced
+#: cause inside a traced batch.
+ENVELOPE_HEADER: Tuple[Tuple[str, Wire], ...] = (
+    ("spans", list_of(VARINT, empty=None)),
+    ("src_epoch", COUNT_PLUS_ONE),
+    ("tried", list_of(NAME, empty=None)),
+    ("priority", choice(None, *_PRIORITY_CODES)),
+    ("pressure", COUNT_PLUS_ONE),
+)
+_HEADER = record(None, ENVELOPE_HEADER)
+_header_of = attrgetter(*(name for name, _wire in ENVELOPE_HEADER))
+#: A header with every field absent, the usual one: what it decodes to
+#: (its bytes, ``_BARE_HEADER``, are written by the declaration below).
+_NO_HEADER = {name: None for name, _wire in ENVELOPE_HEADER}
+_ABSENT = tuple(_NO_HEADER.values())
 
 #: Attribute caching a message's encoded bytes on the (frozen) message
 #: itself.  Message dataclasses are immutable, so the bytes can never go
 #: stale; the attribute slot exists because none of them define
 #: ``__slots__``.
 _WIRE_CACHE = "_wire_cache"
+
+
+def _encoded(write: Callable[[List[bytes], Any], None], value: Any) -> bytes:
+    chunks: List[bytes] = []
+    write(chunks, value)
+    return b"".join(chunks)
+
+
+_BARE_HEADER = _encoded(_HEADER.write, SimpleNamespace(**_NO_HEADER))
 
 
 def preframe(message: Any) -> bytes:
@@ -922,7 +1155,7 @@ def preframe(message: Any) -> bytes:
     """
     cached = getattr(message, _WIRE_CACHE, None)
     if cached is None:
-        cached = _encode_message_uncached(message)
+        cached = _encoded(MESSAGE.write, message)
         object.__setattr__(message, _WIRE_CACHE, cached)
     return cached
 
@@ -930,415 +1163,65 @@ def preframe(message: Any) -> bytes:
 def encode_message(message: Any) -> bytes:
     """Serialise one inter-site message to bytes."""
     cached = getattr(message, _WIRE_CACHE, None)
-    if cached is not None:
-        return cached
-    return _encode_message_uncached(message)
+    return cached if cached is not None else _encoded(MESSAGE.write, message)
 
 
-def _encode_message_uncached(message: Any) -> bytes:
-    w = _Writer()
-    _write_message(w, message)
-    return w.getvalue()
-
-
-_DEREF_TAG = _ONE_BYTE[_M_DEREF_REQUEST]
-_RESULT_TAG = _ONE_BYTE[_M_RESULT_BATCH]
-#: An empty tuple value: a result batch's usual emissions.
-_EMPTY_TUPLE = bytes((_T_TUPLE, 0))
-
-
-def _write_deref(w: _Writer, message: DerefRequest) -> None:
-    qid = message.qid
-    w.chunks += (_DEREF_TAG, _varint(qid.seq), _name(qid.originator))
-    _write_program(w, message.program)
-    _write_item(w, message.item)
-    _write_term(w, message.term)
-
-
-def _deref_at(data: bytes, pos: int) -> Tuple[DerefRequest, int]:
-    """A ``DerefRequest``, its tag already read: one pass, and each
-    object built once (the query id and program usually reused)."""
-    qid, program, pos = _qid_program_at(data, pos)
-    item, pos = _item_at(data, pos, program)
-    term, pos = _term_at(data, pos)
-    message = _new(DerefRequest)  # see _new
-    fields = message.__dict__
-    fields["qid"] = qid
-    fields["program"] = program
-    fields["item"] = item
-    fields["term"] = term
-    return message, pos
-
-
-def _write_result(w: _Writer, message: ResultBatch) -> None:
-    chunks = w.chunks
-    qid = message.qid
-    oids = message.oids
-    chunks += (_RESULT_TAG, _varint(qid.seq), _name(qid.originator), _ONE_BYTE[_T_TUPLE], _varint(len(oids)))
-    for oid in oids:
-        if type(oid) is Oid:
-            _write_oid(chunks, oid)
-        else:
-            _write_value(w, oid, 1)
-    if message.emissions:
-        _write_value(w, tuple(message.emissions))
-    else:
-        chunks.append(_EMPTY_TUPLE)
-    chunks += (_ONE_BYTE[1 if message.count_only else 0], _varint(message.count))
-    _write_term(w, message.term)
-    if message.summary is None:
-        chunks.append(_ONE_BYTE[0])
-    else:
-        w.byte(1)
-        _write_summary(w, message.summary)
-
-
-def _result_at(data: bytes, pos: int) -> Tuple[ResultBatch, int]:
-    """A ``ResultBatch``, its tag already read, in one pass."""
-    qid, pos = _qid_at(data, pos)
-    if data[pos] != _T_TUPLE:
-        raise CodecError("result batch oids must be a tuple of oids")
-    n, pos = _varint_at(data, pos + 1)
-    if n < 0 or n > 1_000_000:
-        raise CodecError(f"implausible tuple length {n}")
-    oids = []
-    for _ in range(n):
-        if data[pos] != _T_OID:
-            raise CodecError("result batch oids must be a tuple of oids")
-        oid, pos = _oid_at(data, pos + 1)
-        oids.append(oid)
-    if data.startswith(_EMPTY_TUPLE, pos):
-        emissions: tuple = ()
-        pos += 2
-    else:
-        r = _Reader(data, pos)
-        emissions = _read_value(r)
-        pos = r.pos
-        if not isinstance(emissions, tuple) or not all(
-            isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], str) for e in emissions
-        ):
-            raise CodecError("result batch emissions must be (target, value) pairs")
-    count_only = data[pos] == 1
-    count, pos = _varint_at(data, pos + 1)
-    term, pos = _term_at(data, pos)
-    summary = None
-    if data[pos] == 1:
-        r = _Reader(data, pos + 1)
-        summary = _read_summary(r)
-        pos = r.pos
-    else:
-        pos += 1
-    message = _new(ResultBatch)  # see _new
-    fields = message.__dict__
-    fields["qid"] = qid
-    fields["oids"] = tuple(oids)
-    fields["emissions"] = emissions
-    fields["count_only"] = count_only
-    fields["count"] = count
-    fields["term"] = term
-    fields["summary"] = summary
-    return message, pos
-
-
-def _write_message(w: _Writer, message: Any) -> None:
-    if isinstance(message, DerefRequest):
-        _write_deref(w, message)
-    elif isinstance(message, ResultBatch):
-        _write_result(w, message)
-    elif isinstance(message, ControlMessage):
-        w.byte(_M_CONTROL)
-        _write_qid(w, message.qid)
-        w.text(message.kind)
-        _write_value(w, message.payload)
-    elif isinstance(message, SeedFromSaved):
-        w.byte(_M_SEED_FROM_SAVED)
-        _write_qid(w, message.qid)
-        _write_program(w, message.program)
-        _write_qid(w, message.source_qid)
-        _write_term(w, message.term)
-    elif isinstance(message, PurgeContext):
-        w.byte(_M_PURGE_CONTEXT)
-        _write_qid(w, message.qid)
-        w.varint(message.incarnation)
-    elif isinstance(message, FetchRequest):
-        w.byte(_M_FETCH_REQUEST)
-        w.varint(message.request_id)
-        _write_value(w, message.oid)
-        w.text(message.reply_to)
-    elif isinstance(message, FetchReply):
-        w.byte(_M_FETCH_REPLY)
-        w.varint(message.request_id)
-        _write_object(w, message.obj)
-    elif isinstance(message, BatchedQuery):
-        w.byte(_M_BATCHED_QUERY)
-        _write_qid(w, message.qid)
-        _write_program(w, message.program)
-        w.varint(len(message.items))
-        for item, term in zip(message.items, message.terms):
-            _write_item(w, item)
-            _write_term(w, term)
-        _write_value(w, tuple(message.marked_hints))
-    elif isinstance(message, BatchedResults):
-        w.byte(_M_BATCHED_RESULTS)
-        w.varint(len(message.batches))
-        for batch in message.batches:
-            w.raw(preframe(batch))
-    elif isinstance(message, Heartbeat):
-        w.byte(_M_HEARTBEAT)
-        w.text(message.origin)
-        w.varint(len(message.counters))
-        for site, count in message.counters:
-            w.text(site)
-            w.varint(count)
-    elif isinstance(message, ViewChange):
-        w.byte(_M_VIEW_CHANGE)
-        w.varint(message.epoch)
-        w.varint(len(message.statuses))
-        for site, status in message.statuses:
-            w.text(site)
-            w.text(status)
-        w.text(message.reason)
-    elif isinstance(message, ReliableData):
-        w.byte(_M_RELIABLE_DATA)
-        w.varint(message.seq)
-        w.raw(preframe(message.payload))
-    elif isinstance(message, ReliableAck):
-        w.byte(_M_RELIABLE_ACK)
-        w.varint(message.seq)
-    else:
-        raise CodecError(f"cannot encode message {type(message).__name__}")
-
-
-def decode_message(frame: bytes) -> Any:
-    """Deserialise one inter-site message; raises :class:`CodecError`."""
-    r = _Reader(frame)
-    message = r.at(_message_at)
-    if not r.done():
-        raise CodecError(f"{len(r.data) - r.pos} trailing bytes after message")
-    return message
-
-
-def _message_at(data: bytes, pos: int) -> Tuple[Any, int]:
-    """The message at ``pos``: the two hot kinds in one pass, the rest
-    through a :class:`_Reader`."""
-    tag = data[pos]
-    if tag == _M_DEREF_REQUEST:
-        return _deref_at(data, pos + 1)
-    if tag == _M_RESULT_BATCH:
-        return _result_at(data, pos + 1)
-    r = _Reader(data, pos + 1)
-    return _read_message(r, tag), r.pos
-
-
-def _read_message(r: _Reader, tag: int) -> Any:
-    if tag == _M_CONTROL:
-        return ControlMessage(_read_qid(r), r.text(), _read_value(r))
-    if tag == _M_SEED_FROM_SAVED:
-        qid = _read_qid(r)
-        return SeedFromSaved(qid, _read_program(r, qid), _read_qid(r), r.at(_term_at))
-    if tag == _M_PURGE_CONTEXT:
-        return PurgeContext(_read_qid(r), r.varint())
-    if tag == _M_FETCH_REQUEST:
-        request_id = r.varint()
-        oid = _read_value(r)
-        if not isinstance(oid, Oid):
-            raise CodecError("fetch request oid expected")
-        return FetchRequest(request_id, oid, reply_to=r.text())
-    if tag == _M_FETCH_REPLY:
-        return FetchReply(r.varint(), _read_object(r))
-    if tag == _M_BATCHED_QUERY:
-        qid = _read_qid(r)
-        program = _read_program(r, qid)
-        n = r.varint()
-        if n < 1 or n > 100_000:
-            raise CodecError(f"implausible batch size {n}")
-        items: List[WorkItem] = []
-        terms: List[Dict[str, Any]] = []
-        for _ in range(n):
-            items.append(r.at(_item_at, program))
-            terms.append(r.at(_term_at))
-        hints = _read_value(r)
-        if not isinstance(hints, tuple):
-            raise CodecError("batched-query hints must be a tuple")
-        return BatchedQuery(qid, program, tuple(items), tuple(terms), hints)
-    if tag == _M_BATCHED_RESULTS:
-        n = r.varint()
-        if n < 1 or n > 100_000:
-            raise CodecError(f"implausible batched-results size {n}")
-        inner = []
-        for _ in range(n):
-            inner_frame = r.raw()
-            # Checked before descending, so nesting cannot recurse.
-            if not inner_frame or inner_frame[0] != _M_RESULT_BATCH:
-                raise CodecError("batched-results frame may only carry ResultBatch")
-            inner.append(decode_message(inner_frame))
-        return BatchedResults(tuple(inner))
-    if tag == _M_HEARTBEAT:
-        origin = r.text()
-        n = r.varint()
-        if n > 100_000:
-            raise CodecError(f"implausible heartbeat table size {n}")
-        return Heartbeat(origin, tuple((r.text(), r.varint()) for _ in range(n)))
-    if tag == _M_VIEW_CHANGE:
-        epoch = r.varint()
-        n = r.varint()
-        if n > 100_000:
-            raise CodecError(f"implausible view size {n}")
-        statuses = tuple((r.text(), r.text()) for _ in range(n))
-        return ViewChange(epoch, statuses, reason=r.text())
-    if tag == _M_RELIABLE_DATA:
-        seq = r.varint()
-        inner_frame = r.raw()
-        # The channel wraps application messages only; refusing its own
-        # frames here is also what keeps this recursion two levels deep.
-        if inner_frame and inner_frame[0] in (_M_RELIABLE_DATA, _M_RELIABLE_ACK):
-            raise CodecError("reliable frame nested inside a reliable frame")
-        return ReliableData(seq, decode_message(inner_frame))
-    if tag == _M_RELIABLE_ACK:
-        return ReliableAck(r.varint())
-    raise CodecError(f"unknown message tag 0x{tag:02x}")
-
-
-# --------------------------------------------------------------------------
-# envelopes (the inter-site wire)
-# --------------------------------------------------------------------------
-
-
-#: Wire codes for the QoS service classes (byte value = index + 1; 0 =
-#: "QoS off").  Order matches :data:`repro.qos.PRIORITIES` and is part
-#: of the frame layout — append only.
-_PRIORITY_CODES = ("interactive", "batch")
-
-#: The header after the sender's name when spans, epoch, tried, priority
-#: and pressure are all absent: five zero varints / bytes.
-_BARE_HEADER = bytes(5)
-
-
-def encode_envelope(env: Envelope) -> bytes:
-    """Serialise an envelope: sender, trace-span context, then the message.
-
-    The asyncio transport frames these (length-prefixed) on the wire; the
-    span block is how tracing causality crosses a real TCP connection.  A
-    span count of zero means "untraced" (``spans=None``), matching the
-    in-process transports bit for bit.  Span entries of ``0`` are per-item
-    placeholders for untraced causes inside a traced batch.
-
-    The sender's store epoch travels the same way: ``0`` means "caching
-    off" (``src_epoch=None``), any other value ``e`` decodes to epoch
-    ``e - 1``.
-
-    The replica-routing hint (``tried``: holder sites already attempted
-    for the work inside) follows the epoch as a site-name count; ``0``
-    means "no hint" (``tried=None``), which is what every frame on an
-    unreplicated deployment carries.
-
-    The QoS fields close the header the same way: a priority byte (``0``
-    = QoS off, ``1`` = interactive, ``2`` = batch) and a pressure varint
-    (``0`` = QoS off, else ``pressure + 1``).  A ``qos=None`` deployment
-    writes two zero bytes here, and both ends agree on the layout, so
-    the frames stay self-consistent across all transports.
-    """
-    w = _Writer()
-    w.chunks.append(_name(env.src))
-    if (
-        env.spans is None and env.src_epoch is None and not env.tried
-        and env.priority is None and env.pressure is None
-    ):
-        w.chunks.append(_BARE_HEADER)
-    else:
-        _write_header(w, env)
-    payload = env.payload
-    cached = getattr(payload, _WIRE_CACHE, None)
-    if cached is not None:
-        w.chunks.append(cached)
-    else:
-        _write_message(w, payload)
-    return w.getvalue()
-
-
-def _write_header(w: _Writer, env: Envelope) -> None:
-    if env.spans is None:
-        w.varint(0)
-    else:
-        w.varint(len(env.spans))
-        for span in env.spans:
-            w.varint(span)
-    w.varint(0 if env.src_epoch is None else env.src_epoch + 1)
-    if env.tried:
-        w.varint(len(env.tried))
-        for site in env.tried:
-            w.name(site)
-    else:
-        w.varint(0)
-    if env.priority is None:
-        w.byte(0)
-    else:
-        try:
-            w.byte(1 + _PRIORITY_CODES.index(env.priority))
-        except ValueError:
-            raise CodecError(f"unknown envelope priority {env.priority!r}") from None
-    w.varint(0 if env.pressure is None else env.pressure + 1)
-
-
-def _read_header(r: _Reader) -> Dict[str, Any]:
-    n = r.varint()
-    if n < 0 or n > 100_000:
-        raise CodecError(f"implausible span count {n}")
-    spans = tuple(r.varint() for _ in range(n)) if n else None
-    epoch_plus_one = r.varint()
-    if epoch_plus_one < 0:
-        raise CodecError("negative envelope epoch")
-    n_tried = r.varint()
-    if n_tried < 0 or n_tried > 100_000:
-        raise CodecError(f"implausible tried-site count {n_tried}")
-    tried = tuple(r.at(_name_at) for _ in range(n_tried)) if n_tried else None
-    priority_code = r.byte()
-    if priority_code > len(_PRIORITY_CODES):
-        raise CodecError(f"unknown envelope priority code {priority_code}")
-    pressure_plus_one = r.varint()
-    if pressure_plus_one < 0:
-        raise CodecError("negative envelope pressure")
-    return {
-        "spans": spans,
-        "src_epoch": None if epoch_plus_one == 0 else epoch_plus_one - 1,
-        "tried": tried,
-        "priority": None if priority_code == 0 else _PRIORITY_CODES[priority_code - 1],
-        "pressure": None if pressure_plus_one == 0 else pressure_plus_one - 1,
-    }
-
-
-_NO_HEADER = {"spans": None, "src_epoch": None, "tried": None, "priority": None, "pressure": None}
-
-
-def decode_envelope(frame: bytes, dst: str) -> Envelope:
-    """Inverse of :func:`encode_envelope`; raises :class:`CodecError`.
-
-    One pass over the frame (a view is copied to ``bytes`` once, first):
-    the sender, the header — a bare one is five zero bytes, anything else
-    goes through :func:`_read_header` — and the message.
-    """
+def read_frame(read: Callable[[bytes, int, Any], Tuple[Any, int]], frame: bytes, record: Any = None) -> Any:
+    """What ``read`` reads from a whole frame (a view is copied to
+    ``bytes`` once, first); a read past its end or bytes left after it
+    raise :class:`CodecError`, as everything the readers reject does."""
     data = frame if type(frame) is bytes else bytes(frame)
     try:
-        src, pos = _name_at(data, 0)
-        if data.startswith(_BARE_HEADER, pos):
-            header = _NO_HEADER
-            pos += len(_BARE_HEADER)
-        else:
-            r = _Reader(data, pos)
-            header = _read_header(r)
-            pos = r.pos
-        payload, pos = _message_at(data, pos)
+        value, pos = read(data, 0, record)
     except IndexError:
         raise CodecError("truncated frame") from None
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing bytes after message")
-    env = _new(Envelope)  # see _new
+    return value
+
+
+def decode_message(frame: bytes) -> Any:
+    """Deserialise one inter-site message; raises :class:`CodecError`."""
+    return read_frame(MESSAGE.read, frame)
+
+
+def encode_envelope(env: Envelope) -> bytes:
+    """Serialise an envelope: the sender's name, the header
+    (:data:`ENVELOPE_HEADER`), then the message."""
+    chunks = [_name(env.src)]
+    if _header_of(env) == _ABSENT:
+        chunks.append(_BARE_HEADER)
+    else:
+        _HEADER.write(chunks, env)
+    cached = getattr(env.payload, _WIRE_CACHE, None)
+    if cached is not None:
+        chunks.append(cached)
+    else:
+        MESSAGE.write(chunks, env.payload)
+    return b"".join(chunks)
+
+
+def decode_envelope(frame: bytes, dst: str) -> Envelope:
+    """Inverse of :func:`encode_envelope`, in one pass (a view is copied
+    to ``bytes`` once, first), building the ``Envelope`` once (see
+    ``_new``); raises :class:`CodecError`."""
+    data = frame if type(frame) is bytes else bytes(frame)
+    env = _new(Envelope)
     fields = env.__dict__
-    fields["src"] = src
-    fields["dst"] = dst
-    fields["payload"] = payload
-    fields.update(header)
-    fields["size_bytes"] = payload.wire_size()
+    try:
+        fields["src"], pos = _name_at(data, 0)
+        fields["dst"] = dst
+        if data.startswith(_BARE_HEADER, pos):
+            fields.update(_NO_HEADER)
+            pos += len(_BARE_HEADER)
+        else:
+            _, pos = _HEADER.read(data, pos, fields)
+        fields["payload"], pos = MESSAGE.read(data, pos)
+    except IndexError:
+        raise CodecError("truncated frame") from None
+    if pos != len(data):
+        raise CodecError(f"{len(data) - pos} trailing bytes after message")
+    fields["size_bytes"] = fields["payload"].wire_size()
     return env
 
 

@@ -23,12 +23,13 @@ op's code and argument tuple; the reply echoes the request id with code
 the parent re-raises typed.  A push carries its op under the reserved
 id 0 and is routed by the per-child reader thread through the same
 table.  Arguments and results are codec values; the only other types
-that cross — objects, programs and query ids — convert at one boundary
-(:func:`_write_arg` / :func:`_read_arg`).  The parent makes every request
-through :meth:`ProcessCluster._call`, one in flight per child, and drops
-a reply whose id is not the one it waits for: the late answer to a
-request that timed out.  Trace drains and flight snaps run on the client
-thread (never the reader thread, which must stay free to route replies).
+that cross — objects, programs, query ids and trace events — each cross
+as a tag of its own and a codec wire type (``_EXTRAS``).  The parent
+makes every request through :meth:`ProcessCluster._call`, one in flight
+per child, and drops a reply whose id is not the one it waits for: the
+late answer to a request that timed out.  Trace drains and flight snaps
+run on the client thread (never the reader thread, which must stay free
+to route replies).
 
 Span shipping gives child *i* of *n* sites its own span-id lanes (stride
 ``m = 2n+1``), so the parent ingests shipped events into the user's
@@ -96,23 +97,24 @@ from ..termination.weights import ledger_deficit, ledger_of
 from ..tracing import KINDS, FlightRecorder, QueryTracer, TeeTracer, TraceEvent, _jsonable
 from .asyncio_cluster import _AsyncSite
 from .codec import (
-    _T_TUPLE,
+    COUNT,
     FRAME_HEADER,
     MAX_FRAME,
     MAX_VALUE_DEPTH,
+    NAME,
+    OBJECT,
+    PROGRAM,
+    QID,
+    TUPLE_TAG,
+    VALUE,
+    VARINT,
     CodecError,
     FrameReader,
+    Wire,
     encode_frame,
-    _read_object,
-    _read_program,
-    _read_qid,
-    _read_value,
-    _write_object,
-    _write_program,
-    _write_qid,
-    _write_value,
-    _Reader,
-    _Writer,
+    optional,
+    read_frame,
+    record,
 )
 from .common import ClusterBase, build_node
 from .messages import QueryId
@@ -123,11 +125,6 @@ from .messages import QueryId
 _PUSH_ID = 0
 #: Reply codes: the value is the op's result, or ``(error type, message)``.
 _OK, _ERR = 0, 1
-#: Tags of the three domain types that cross beside codec values (whose
-#: tags stop at 0x0B).
-_K_OBJECT, _K_PROGRAM, _K_QID = 0x60, 0x61, 0x62
-#: Keys the parsed-program table for a program no query id precedes.
-_NO_QID = QueryId(0, "")
 #: The fault plan's chaos counters, summed over children by ``fault_stats``.
 _PLAN_COUNTERS = ("decisions", "dropped", "duplicated", "delayed", "partition_drops")
 
@@ -150,77 +147,107 @@ class _Op(NamedTuple):
     push: bool = False
 
 
-def _write_arg(w: _Writer, value: Any, depth: int = 0) -> None:
-    """A control value: a codec value, or an object, program or query id,
-    at any depth of a tuple."""
+def _first_qid_at(data: bytes, pos: int, frame: Dict[str, Any]) -> Tuple[QueryId, int]:
+    """A query id; the first in a frame keys the codec's parsed-program
+    table for any program after it."""
+    qid, pos = QID.read(data, pos)
+    frame.setdefault("qid", qid)
+    return qid, pos
+
+
+def _write_detail(chunks: List[bytes], detail: Dict[str, Any]) -> None:
+    COUNT.write(chunks, len(detail))
+    for key, value in detail.items():
+        NAME.write(chunks, key)
+        VALUE.write(chunks, _jsonable(value))
+
+
+def _detail_at(data: bytes, pos: int, frame: Any) -> Tuple[Dict[str, Any], int]:
+    read_name, read_value = NAME.read, VALUE.read
+    n, pos = COUNT.read(data, pos)
+    detail = {}
+    for _ in range(n):
+        key, pos = read_name(data, pos)
+        detail[key], pos = read_value(data, pos)
+    return detail, pos
+
+
+#: A trace event.  Its detail values are flattened as the jsonl exporter
+#: flattens them (``_jsonable``), so a shipped event is a dumped one.
+_EVENT = record(TraceEvent, (
+    ("time", VALUE), ("site", NAME), ("kind", NAME), ("qid", NAME),
+    ("detail", Wire("detail", _write_detail, _detail_at)), ("span", VALUE), ("parent", VALUE),
+))
+
+
+#: The domain types that cross beside codec values, each as a tag of its
+#: own (value tags stop at 0x0B) and its codec wire type.
+_EXTRAS = (
+    (0x60, HFObject, optional(OBJECT)),
+    (0x61, Program, PROGRAM),
+    (0x62, QueryId, Wire("qid", QID.write, _first_qid_at)),
+    (0x63, TraceEvent, _EVENT),
+)
+_WRITE_EXTRA = {cls: (bytes((tag,)), wire.write) for tag, cls, wire in _EXTRAS}
+_READ_EXTRA = {tag: wire.read for tag, _cls, wire in _EXTRAS}
+_TUPLE_BYTE = bytes((TUPLE_TAG,))
+
+
+def _write_arg(chunks: List[bytes], value: Any, depth: int = 0) -> None:
+    """A control value: a codec value or, at any depth of a tuple, one of
+    ``_EXTRAS``.  Past ``MAX_VALUE_DEPTH`` a tuple is a plain value."""
     kind = type(value)
     if (kind is tuple or kind is list) and depth < MAX_VALUE_DEPTH:
-        w.byte(_T_TUPLE)
-        w.varint(len(value))
+        chunks.append(_TUPLE_BYTE)
+        VARINT.write(chunks, len(value))
         for element in value:
-            _write_arg(w, element, depth + 1)
-    elif kind is HFObject:
-        w.byte(_K_OBJECT)
-        _write_object(w, value)
-    elif kind is QueryId:
-        w.byte(_K_QID)
-        _write_qid(w, value)
-    elif kind is Program:
-        w.byte(_K_PROGRAM)
-        _write_program(w, value)
+            _write_arg(chunks, element, depth + 1)
+    elif kind in _WRITE_EXTRA:
+        tag, write = _WRITE_EXTRA[kind]
+        chunks.append(tag)
+        write(chunks, value)
     else:
-        _write_value(w, value)
+        VALUE.write(chunks, value)
 
 
-class _ArgReader(_Reader):
-    """A control frame's reader; the first query id in the frame keys the
-    codec's parsed-program table for any program after it."""
-
-    __slots__ = ("qid",)
-
-    def __init__(self, data) -> None:
-        super().__init__(data)
-        self.qid = None
-
-
-def _read_arg(r: _ArgReader, depth: int = 0) -> Any:
-    tag = r.byte()
-    if tag == _T_TUPLE and depth < MAX_VALUE_DEPTH:
-        length = r.varint()
-        if not 0 <= length <= 1_000_000:
-            raise CodecError(f"implausible tuple length {length}")
-        return tuple([_read_arg(r, depth + 1) for _ in range(length)])
-    if tag < _K_OBJECT or tag > _K_QID:  # a codec value, or a tuple past the budget
-        r.pos -= 1
-        return _read_value(r)
-    if tag == _K_OBJECT:
-        return _read_object(r)
-    if tag == _K_PROGRAM:
-        return _read_program(r, r.qid or _NO_QID)
-    qid = _read_qid(r)
-    r.qid = r.qid or qid
-    return qid
+def _read_arg(data: bytes, pos: int, frame: Dict[str, Any], depth: int = 0) -> Tuple[Any, int]:
+    tag = data[pos]
+    if tag == TUPLE_TAG and depth < MAX_VALUE_DEPTH:
+        n, pos = VARINT.read(data, pos + 1)
+        if not 0 <= n <= 1_000_000:
+            raise CodecError(f"implausible tuple length {n}")
+        values = []
+        for _ in range(n):
+            value, pos = _read_arg(data, pos, frame, depth + 1)
+            values.append(value)
+        return tuple(values), pos
+    if tag in _READ_EXTRA:
+        return _READ_EXTRA[tag](data, pos + 1, frame)
+    return VALUE.read(data, pos)
 
 
 def _encode(rid: int, code: int, value: Any) -> bytes:
     """One control frame, length prefix included: a request or push
     ``(id, op code, args)``, or a reply ``(id, _OK/_ERR, value)``."""
-    w = _Writer()
-    w.varint(rid)
-    w.varint(code)
-    _write_arg(w, value)
-    return encode_frame(w.getvalue())
+    chunks: List[bytes] = []
+    VARINT.write(chunks, rid)
+    VARINT.write(chunks, code)
+    _write_arg(chunks, value)
+    return encode_frame(b"".join(chunks))
+
+
+def _control_at(data: bytes, pos: int, frame: Dict[str, Any]) -> Tuple[Tuple[int, int, Any], int]:
+    rid, pos = VARINT.read(data, pos)
+    code, pos = VARINT.read(data, pos)
+    value, pos = _read_arg(data, pos, frame)
+    if rid < 0:
+        raise CodecError("malformed control frame")
+    return (rid, code, value), pos
 
 
 def _decode(frame) -> Tuple[int, int, Any]:
     """A control frame's three fields; raises :class:`CodecError`, nothing else."""
-    r = _ArgReader(frame)
-    rid = r.varint()
-    code = r.varint()
-    value = _read_arg(r)
-    if rid < 0 or not r.done():
-        raise CodecError("malformed control frame")
-    return rid, code, value
+    return read_frame(_control_at, frame, {})
 
 
 def _op_for(rid: int, code: int, args: Any) -> _Op:
@@ -236,38 +263,6 @@ def _decode_op(frame) -> Tuple[int, _Op, tuple]:
     """Decode a request or push frame: ``(request id, op, args)``."""
     rid, code, args = _decode(frame)
     return rid, _op_for(rid, code, args), args
-
-
-def _events_to_json(events: List[TraceEvent]) -> str:
-    """Trace events as one JSON document (the span-shipping wire form).
-
-    Events are JSON-able by construction (``_jsonable`` stringifies
-    anything exotic in the detail map) — the same flattening the jsonl
-    exporter applies, so a shipped event round-trips identically to a
-    dumped one.
-    """
-    return json.dumps(
-        [
-            {
-                "t": e.time, "site": e.site, "kind": e.kind, "qid": e.qid,
-                "span": e.span, "parent": e.parent,
-                "detail": {k: _jsonable(v) for k, v in e.detail.items()},
-            }
-            for e in events
-        ]
-    )
-
-
-def _events_from_json(text: str) -> List[TraceEvent]:
-    if not text:
-        return []
-    return [
-        TraceEvent(
-            time=rec["t"], site=rec["site"], kind=rec["kind"], qid=rec["qid"],
-            detail=rec["detail"], span=rec["span"], parent=rec["parent"],
-        )
-        for rec in json.loads(text)
-    ]
 
 
 # Blocking frame reads on the parent's side of a control link (the child
@@ -462,7 +457,7 @@ class _ChildRuntime:
             result.partial,
             result.partial_reason,
             tuple(sorted(counts.items())) if counts else None,
-            _events_to_json(shipped) if shipped else "",
+            tuple(shipped),
         )
 
     def install_reliable(self, rconfig: ReliableConfig) -> None:
@@ -570,8 +565,8 @@ class _ChildRuntime:
         self.tracer, self.trace_cursor = None, 0
         self.node.tracer = self.flight_recorder
 
-    def trace_drain(self) -> str:
-        return _events_to_json(self.take_trace_events())
+    def trace_drain(self) -> Tuple[TraceEvent, ...]:
+        return tuple(self.take_trace_events())
 
     def metrics_on(self) -> None:
         from ..metrics.registry import MetricsRegistry
@@ -584,9 +579,9 @@ class _ChildRuntime:
         self.metrics.publish_node_stats(self.site, self.node.stats)
         return json.dumps(self.metrics.snapshot())
 
-    def flight_snap(self) -> str:
+    def flight_snap(self) -> Tuple[TraceEvent, ...]:
         recorder = self.flight_recorder
-        return _events_to_json(list(recorder.events) if recorder is not None else [])
+        return tuple(recorder.events) if recorder is not None else ()
 
 
 def _child_main(site: str, names: List[str], parent_port: int, config: ClusterConfig) -> None:
@@ -1079,11 +1074,11 @@ class ProcessCluster(ClusterBase):
         self.undeliverable.append(_UndeliveredNote(site, src, dst, kind, qid))
 
     def _on_remote_complete(
-        self, qid: QueryId, oids, retrieved, stats, partial, reason, counts, trace_json: str
+        self, qid: QueryId, oids, retrieved, stats, partial, reason, counts, events
     ) -> None:
         """A child originator finished ``qid`` (reader thread)."""
-        if trace_json and self._tracer is not None:
-            self._tracer.ingest(_events_from_json(trace_json))
+        if events and self._tracer is not None:
+            self._tracer.ingest(events)
         result_oids = ResultSet()
         result_oids.extend(oids)
         result = QueryResult(
@@ -1323,8 +1318,8 @@ class ProcessCluster(ClusterBase):
         tracer = self._tracer
         if tracer is None:
             return
-        for text in self._gather("trace_drain"):
-            tracer.ingest(_events_from_json(text))
+        for events in self._gather("trace_drain"):
+            tracer.ingest(events)
         tracer.events.sort(key=lambda e: e.time)
 
     def wait(self, qid: QueryId, timeout_s: Optional[float] = None) -> QueryOutcome:
@@ -1344,7 +1339,7 @@ class ProcessCluster(ClusterBase):
         if self.flight_recorder is None or qid in self._flightrec_dumped:
             return
         self._flightrec_dumped.add(qid)
-        collected = [e for text in self._gather("flight_snap") for e in _events_from_json(text)]
+        collected = [e for events in self._gather("flight_snap") for e in events]
         collected.sort(key=lambda e: e.time)
         self.flight_recorder.events.clear()  # the rings ARE the state
         for event in collected:

@@ -16,12 +16,10 @@ prefixed; truncation and corruption raise
 from __future__ import annotations
 
 import os
-from typing import BinaryIO, Union
+from typing import BinaryIO, Tuple, Union
 
-from ..core.objects import HFObject
-from ..core.oid import Oid
-from ..core.tuples import HFTuple
-from ..net.codec import CodecError, _Reader, _read_value, _Writer, _write_value
+from ..errors import DuplicateObject
+from ..net.codec import OBJECT, TEXT, VARINT, CodecError, list_of, read_frame
 from .memstore import MemStore
 
 MAGIC = b"HFSNAP"
@@ -30,34 +28,42 @@ VERSION = 1
 PathOrFile = Union[str, os.PathLike, BinaryIO]
 
 
+#: After the magic and the version byte: the site name, the allocator
+#: position, then one record per object (the wire codec's object type).
+_BODY = (TEXT, VARINT, list_of(OBJECT, hi=50_000_000))
+
+
 def save_store(store: MemStore, destination: PathOrFile) -> int:
     """Write every object of ``store`` to ``destination``.
 
     Returns the number of objects written.  The allocator position is
     preserved so a restored site keeps minting fresh ids.
     """
-    w = _Writer()
-    w.chunks.append(MAGIC)
-    w.byte(VERSION)
-    w.text(store.site)
-    w.varint(store._allocator.peek())
     objects = list(store.objects())
-    w.varint(len(objects))
-    for obj in objects:
-        _write_value(w, obj.oid)
-        w.varint(obj.size_bytes)
-        w.varint(len(obj.tuples))
-        for t in obj.tuples:
-            w.text(t.type)
-            _write_value(w, t.key)
-            _write_value(w, t.data)
-    payload = w.getvalue()
+    chunks = [MAGIC, bytes((VERSION,))]
+    for wire, value in zip(_BODY, (store.site, store._allocator.peek(), objects)):
+        wire.write(chunks, value)
+    payload = b"".join(chunks)
     if hasattr(destination, "write"):
         destination.write(payload)  # type: ignore[union-attr]
     else:
         with open(destination, "wb") as handle:
             handle.write(payload)
     return len(objects)
+
+
+def _snapshot_at(data: bytes, pos: int, record: object = None) -> Tuple[list, int]:
+    if not data.startswith(MAGIC):
+        raise CodecError("not a HyperFile snapshot (bad magic)")
+    pos = len(MAGIC)
+    if data[pos] != VERSION:
+        raise CodecError(f"unsupported snapshot version {data[pos]}")
+    pos += 1
+    values = []
+    for wire in _BODY:
+        value, pos = wire.read(data, pos)
+        values.append(value)
+    return values, pos
 
 
 def load_store(source: PathOrFile) -> MemStore:
@@ -70,37 +76,13 @@ def load_store(source: PathOrFile) -> MemStore:
     else:
         with open(source, "rb") as handle:
             payload = handle.read()
-    if not payload.startswith(MAGIC):
-        raise CodecError("not a HyperFile snapshot (bad magic)")
-    r = _Reader(payload)
-    r.pos = len(MAGIC)
-    version = r.byte()
-    if version != VERSION:
-        raise CodecError(f"unsupported snapshot version {version}")
-    site = r.text()
-    next_id = r.varint()
-    count = r.varint()
-    if count < 0 or count > 50_000_000:
-        raise CodecError(f"implausible object count {count}")
-
+    site, next_id, objects = read_frame(_snapshot_at, payload)
     store = MemStore(site)
-    for _ in range(count):
-        oid = _read_value(r)
-        if not isinstance(oid, Oid):
-            raise CodecError("object record must start with an oid")
-        size_hint = r.varint()
-        n_tuples = r.varint()
-        if n_tuples < 0 or n_tuples > 1_000_000:
-            raise CodecError(f"implausible tuple count {n_tuples}")
-        tuples = []
-        for _ in range(n_tuples):
-            type_name = r.text()
-            key = _read_value(r)
-            data = _read_value(r)
-            tuples.append(HFTuple(type_name, key, data))
-        store.put(HFObject(oid, tuples, size_hint=size_hint))
-    if not r.done():
-        raise CodecError("trailing bytes after snapshot")
+    for obj in objects:
+        try:
+            store.put(obj)
+        except DuplicateObject as exc:
+            raise CodecError(str(exc)) from None
     # Restore the allocator position (private by design: snapshots are a
     # storage-layer facility).
     store._allocator._next = next_id

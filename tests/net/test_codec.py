@@ -1,5 +1,6 @@
 """Tests for the binary wire codec."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -374,6 +375,40 @@ class TestDecoderIsTotal:
     def test_work_item_start_below_one(self):
         msg = DerefRequest(QID, prog(), WorkItem(Oid("sX", 5), start=2))
         self._rejected(_spliced(msg, b"\x04sX\x0a\x00\x04", b"\x04sX\x0a\x00\x00"))
+
+    # A count, a flag or a presence byte takes only what the encoder
+    # writes: these used to decode (a negative list count as an empty
+    # table that does not re-encode to its frame, a flag byte of 2 as
+    # False, a presence byte of 2 as "absent").
+
+    def test_negative_result_count(self):
+        msg = ResultBatch(QID, count=7)
+        self._rejected(_spliced(msg, b"\x07\x00\x07\x00\x00\x0e", b"\x07\x00\x07\x00\x00\x0d"))  # 7 -> -7
+
+    def test_negative_heartbeat_table_length(self):
+        self._rejected(_spliced(Heartbeat("hb", ()), b"\x04hb\x00", b"\x04hb\x01"))  # 0 -> -1
+
+    def test_negative_view_length(self):
+        self._rejected(_spliced(ViewChange(5, (), reason="r"), b"\x0a\x00\x02r", b"\x0a\x03\x02r"))  # 0 -> -2
+
+    def test_count_only_flag_of_two(self):
+        msg = ResultBatch(QID, count_only=True, count=3)
+        self._rejected(_spliced(msg, b"\x07\x00\x07\x00\x01\x06", b"\x07\x00\x07\x00\x02\x06"))
+
+    def test_keep_source_flag_of_two(self):
+        msg = DerefRequest(QID, prog(), WorkItem(Oid("sX", 5), start=1))
+        self._rejected(_spliced(msg, b"\x31\x02X\x01", b"\x31\x02X\x02"))
+
+    def test_summary_presence_byte_of_two(self):
+        frame = encode_envelope(Envelope("site0", "site1", ResultBatch(QID)))
+        assert frame.endswith(b"\x00\x00")  # an empty term, no summary
+        self._rejected(frame[:-1] + b"\x02")
+
+    def test_object_presence_byte_of_two(self):
+        from repro.core.objects import HFObject
+
+        msg = FetchReply(7, HFObject(Oid("sX", 5), []))
+        self._rejected(_spliced(msg, b"\x46\x0e\x01", b"\x46\x0e\x02"))
 
 
 class TestWorkItemsFitTheirProgram:
@@ -938,3 +973,73 @@ class TestMembershipFrames:
 
         msg = ViewChange(0, (("a", "up"),))
         assert roundtrip(msg) == msg
+
+
+class TestOneDeclarationPerMessage:
+    """Every message is declared once, in ``codec.MESSAGES``; its writer and
+    reader are built from that declaration and nothing else."""
+
+    @staticmethod
+    def _names(fields):
+        return [name for names, _wire in fields for name in ((names,) if isinstance(names, str) else names)]
+
+    def test_tags_are_unique(self):
+        tags = [spec.tag for spec in codec.MESSAGES]
+        assert len(set(tags)) == len(tags)
+        assert len({spec.cls for spec in codec.MESSAGES}) == len(tags)
+
+    def test_each_declaration_lists_its_class_fields_in_order(self):
+        for spec in codec.MESSAGES:
+            assert self._names(spec.fields) == [f.name for f in dataclasses.fields(spec.cls)], spec.cls
+
+    def test_the_header_lists_the_envelope_fields_between_payload_and_size(self):
+        names = [f.name for f in dataclasses.fields(Envelope)]
+        assert names[:3] == ["src", "dst", "payload"] and names[-1] == "size_bytes"
+        assert self._names(codec.ENVELOPE_HEADER) == names[3:-1]
+
+    def test_what_encode_message_accepts_is_declared(self):
+        from repro.faults import reliable
+        from repro.net import messages
+
+        declared = {spec.cls for spec in codec.MESSAGES}
+        assert {type(env.payload) for env in wire_corpus().values()} == declared
+        for module in (messages, reliable):
+            for cls in vars(module).values():
+                if not (dataclasses.is_dataclass(cls) and isinstance(cls, type)) or cls in declared:
+                    continue
+                # Whatever the codec does not declare it refuses.
+                instance = object.__new__(cls)
+                with pytest.raises(CodecError):
+                    encode_message(instance)
+
+    def test_the_hand_written_codec_is_gone(self):
+        import ast
+        import inspect
+        import pathlib
+
+        from repro.net import procserver
+
+        for gone in ("_Reader", "_Writer", "_write_message", "_read_message", "_message_at",
+                     "_deref_at", "_result_at", "_write_deref", "_write_result",
+                     "_write_header", "_read_header"):
+            assert gone not in vars(codec), gone
+        assert "_ArgReader" not in vars(procserver)
+        # Nothing outside the codec imports one of its private names.
+        for path in pathlib.Path(inspect.getfile(codec)).parents[1].rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("codec"):
+                    assert not [alias.name for alias in node.names if alias.name.startswith("_")], path
+
+    def test_the_docs_table_is_the_declaration(self):
+        import pathlib
+
+        def cell(fields):
+            return "; ".join(
+                f"`{names if isinstance(names, str) else ', '.join(names)}` {wire.name}" for names, wire in fields
+            )
+
+        expected = [f"| `0x{spec.tag:02x}` | `{spec.cls.__name__}` | {cell(spec.fields)} |" for spec in codec.MESSAGES]
+        expected.append(f"| — | envelope header | {cell(codec.ENVELOPE_HEADER)} |")
+        doc = pathlib.Path(__file__).parents[2] / "docs" / "ASYNC.md"
+        rows = [line for line in doc.read_text(encoding="utf-8").splitlines() if line.startswith(("| `0x", "| — |"))]
+        assert rows == expected

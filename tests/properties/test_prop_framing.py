@@ -13,21 +13,26 @@ an error — so this file holds the line property-style.
 The second half is the decoder fuzz: the bytes behind the framing come
 from other machines, so arbitrary and mutated streams pushed through
 ``FrameReader`` + ``decode_envelope`` may raise :class:`CodecError` and
-nothing else (the transports catch nothing else).  The same holds for
-process mode's control frames: decoding one yields a known op and its
-argument tuple, or raises :class:`CodecError`.
+nothing else (the transports catch nothing else).  The corpus holds a
+frame of every declared message kind.  The same holds for process
+mode's control frames — decoding one yields a known op and its argument
+tuple, or raises :class:`CodecError` — and for store snapshots, which
+load or raise :class:`CodecError`.
 
-The third part pins the hot messages' one-pass readers and writers to
-the format: over generated ``DerefRequest``, ``ResultBatch`` and
-``BatchedQuery`` envelopes, a frame re-encodes to itself and decodes to
-what was sent; a frame decoded from a view whose buffer is then reused
-stays decoded; and the codec's intern tables stay within their bounds.
+The third part pins the writers and readers built from the codec's
+declaration (``codec.MESSAGES``) to the format: over envelopes of every
+message kind, drawn field by field from the declared wire types, a
+frame re-encodes to itself and decodes to what was sent; a frame
+decoded from a view whose buffer is then reused stays decoded; and the
+codec's intern tables stay within their bounds.
 
 Tier-1 runs a fixed, seeded number of examples; CI's ``codec-fuzz`` job
-reruns the four fuzz properties (mutated frames, random bytes, control
-frames, re-encoding) with a larger count.
+reruns the five fuzz properties (mutated frames, random bytes, control
+frames, re-encoding of every message kind, mutated snapshots) with a
+larger count.
 """
 
+import io
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -35,9 +40,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro.cache import BloomFilter, SiteSummary
 from repro.core.objects import HFObject
 from repro.core.oid import Oid
-from repro.core.tuples import keyword_tuple
+from repro.core.tuples import HFTuple, keyword_tuple
 from repro.engine.items import WorkItem
 from repro.engine.results import ExecutionStats
 from repro.errors import HyperFileError
@@ -52,9 +58,13 @@ from repro.net.codec import (
     encode_envelope,
     encode_frame,
 )
-from repro.net.messages import BatchedQuery, DerefRequest, Envelope, QueryId, ResultBatch
+from repro.net.messages import DerefRequest, Envelope, QueryId, ResultBatch
+from repro.storage.blobstore import BlobRef
+from repro.storage.snapshot import load_store
 from repro.termination.weights import Credit
+from repro.tracing import TraceEvent
 from tests.net.test_codec import QID, _chain_closure, prog, wire_corpus
+from tests.storage.test_snapshot import GOLDEN_SNAPSHOT
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -225,7 +235,7 @@ def control_corpus():
         "metrics_on": (), "metrics_snap": (), "flight_snap": (),
         "hello": ("site0", 4000),
         "complete": (QID, (oid,), (("T", ("x", 2.5)),), astuple(ExecutionStats()), False, None,
-                     (("site0", 1),), ""),
+                     (("site0", 1),), (EVENT,)),
         "stats_push": ("site0", '{"t": 0.0, "sample": {}}'),
         "give_up": ("site0", "site0", "site1", "DerefRequest", str(QID)),
     }
@@ -235,7 +245,21 @@ def control_corpus():
     ]
 
 
+#: A trace event as a child ships it: its detail holds a value the codec
+#: carries (a tuple) and one it does not (a set).
+EVENT = TraceEvent(1.25, "site1", "send", str(QID), {"n": 3, "at": (1, 2), "odd": {4}}, span=9, parent=None)
 CONTROL_CORPUS = control_corpus()
+
+
+def test_trace_events_cross_as_the_jsonl_exporter_writes_them():
+    """A shipped event's detail is flattened the way the jsonl dump
+    flattens it (``_jsonable``): numbers stay numbers, the rest is text."""
+    frame = procserver._encode(1, procserver._OK, (EVENT, EVENT))[FRAME_HEADER.size :]
+    _, _, (got, again) = procserver._decode(frame)
+    assert got == again == TraceEvent(
+        1.25, "site1", "send", str(QID), {"n": 3, "at": "(1, 2)", "odd": "{4}"}, span=9, parent=None
+    )
+    assert [(k, type(v)) for k, v in got.detail.items()] == [("n", int), ("at", str), ("odd", str)]
 
 
 def test_control_corpus_decodes_to_every_op_and_unknown_ops_are_codec_errors():
@@ -313,46 +337,105 @@ def work_items(draw, program):
     )
 
 
+#: Values: scalars of every value type, and tuples of them.
+values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-(2**70), 2**70),
+        st.floats(allow_nan=False), st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
+        st.binary(max_size=4), oids, credits, st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99)),
+        st.builds(BlobRef, oids, st.sampled_from(["Body", 3]), st.integers(0, 2**20)),
+    ),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+def _bloom_with(keys, hashes):
+    bloom = BloomFilter(64, hashes)
+    for key in keys:
+        bloom.add(key)
+    return bloom
+
+
+blooms = st.builds(_bloom_with, st.lists(st.text(max_size=4), max_size=3), st.integers(1, 4))
+summaries = st.builds(
+    SiteSummary, site_names, st.integers(0, 2**20), st.integers(0, 99), blooms,
+    st.dictionaries(st.sampled_from(["Ref", "R", "Q"]), blooms, max_size=2), st.integers(0, 2**20),
+)
+objects = st.builds(
+    HFObject, oids,
+    st.lists(st.builds(HFTuple, st.sampled_from(["Keyword", "Pointer", "Val"]), values, values), max_size=3),
+    st.one_of(st.none(), st.integers(0, 2**20)),
+)
+#: The primitive wire types' values; a work item needs its program.
+PRIMITIVES = {
+    "varint": st.one_of(st.integers(-64, 63), st.integers(-(2**70), 2**70)),
+    "count": st.one_of(st.integers(0, 63), st.integers(0, 2**40)),
+    "flag": st.booleans(),
+    "name": site_names, "text": site_names, "str": site_names,
+    "qid": qids, "oid": oids, "term": terms, "value": values,
+    "summary": summaries, "object": objects,
+}
+
+
+def wire_values(wire, program):
+    """A strategy for the values of a declared wire type."""
+    if wire.kind in PRIMITIVES:
+        return PRIMITIVES[wire.kind]
+    if wire.kind == "item":
+        return work_items(program)
+    if wire.kind == "count+1":
+        return st.one_of(st.none(), PRIMITIVES["count"])
+    if wire.kind == "choice":
+        return st.sampled_from(wire.limits)
+    if wire.kind == "frame":
+        return messages(tuple(spec for spec in codec.MESSAGES if f"0x{spec.tag:02x}" in wire.limits))
+    inner = [wire_values(part, program) for part in wire.parts]
+    if wire.kind == "optional":
+        return st.one_of(st.none(), inner[0])
+    if wire.kind in ("pair", "2-tuple"):
+        return st.tuples(*inner)
+    lo = wire.limits[0]
+    if wire.kind == "columns":
+        return st.lists(st.tuples(*inner), min_size=lo, max_size=3).map(lambda rows: tuple(zip(*rows)))
+    assert wire.kind in ("list", "tuple"), wire
+    if wire.limits[2] is None:  # no elements decode as None
+        return st.one_of(st.none(), st.lists(inner[0], min_size=max(lo, 1), max_size=3).map(tuple))
+    return st.lists(inner[0], min_size=lo, max_size=3).map(tuple)
+
+
 @st.composite
-def hot_envelopes(draw):
+def messages(draw, declared=codec.MESSAGES):
+    """Any declared message, every field drawn from its wire type."""
+    spec = draw(st.sampled_from(declared))
     program = draw(st.sampled_from(PROGRAMS))
-    kind = draw(st.sampled_from(["deref", "result", "batched"]))
-    qid = draw(qids)
-    if kind == "deref":
-        payload = DerefRequest(qid, program, draw(work_items(program)), draw(terms))
-    elif kind == "result":
-        payload = ResultBatch(
-            qid,
-            oids=tuple(draw(st.lists(oids, max_size=4))),
-            emissions=tuple(draw(st.lists(st.tuples(
-                site_names,
-                st.one_of(st.integers(-(2**64), 2**64), st.text(max_size=8), oids, st.binary(max_size=4)),
-            ), max_size=3))),
-            count_only=draw(st.booleans()),
-            count=draw(st.integers(0, 2**40)),
-            term=draw(terms),
-        )
-    else:
-        items = draw(st.lists(work_items(program), min_size=1, max_size=3))
-        hints = tuple(draw(st.lists(
-            st.tuples(st.tuples(site_names, st.integers(0, 2**20)), st.tuples(st.integers(0, 9))), max_size=2
-        )))
-        payload = BatchedQuery(qid, program, tuple(items), tuple(draw(terms) for _ in items), hints)
-    return Envelope(
-        draw(site_names), draw(site_names), payload,
-        spans=draw(st.one_of(st.none(), st.lists(st.integers(0, 2**40), min_size=1, max_size=3).map(tuple))),
-        src_epoch=draw(st.one_of(st.none(), st.integers(0, 2**30))),
-        tried=draw(st.one_of(st.none(), st.lists(site_names, min_size=1, max_size=2).map(tuple))),
-        priority=draw(st.sampled_from([None, "interactive", "batch"])),
-        pressure=draw(st.one_of(st.none(), st.integers(0, 1))),
-    )
+    fields = {}
+    for names, wire in spec.fields:
+        value = (draw(qids), program) if wire.kind == "qid+program" else draw(wire_values(wire, program))
+        fields.update(zip(names, value) if isinstance(names, tuple) else [(names, value)])
+    return spec.cls(**fields)
+
+
+@st.composite
+def envelopes(draw, declared=codec.MESSAGES):
+    header = {name: draw(wire_values(wire, None)) for name, wire in codec.ENVELOPE_HEADER}
+    return Envelope(draw(site_names), draw(site_names), draw(messages(declared)), **header)
+
+
+DECLARED = {spec.cls for spec in codec.MESSAGES}
 
 
 def _payload_fields(message):
     """What a decoded payload must reproduce: every field, the program by
-    its parts (a decoded program is a new object), each oid with its hint."""
+    its parts (a decoded program is a new object), each oid with its hint,
+    a message inside by its own fields."""
     fields = dict(vars(message))
     fields.pop("_wire_cache", None)
+    for name, value in fields.items():
+        if type(value) in DECLARED:
+            fields[name] = _payload_fields(value)
+        elif type(value) is tuple and value and type(value[0]) in DECLARED:
+            fields[name] = tuple(map(_payload_fields, value))
     if "program" in fields:
         program = fields.pop("program")
         fields["program"] = (program.source, program.result, repr(program.ops), program.enclosing)
@@ -361,13 +444,17 @@ def _payload_fields(message):
         (oid.birth_site, oid.local_id, oid.presumed_site)
         for oid in [item.oid for item in items] + list(fields.get("oids", ()))
     ]
+    fields["term types"] = [
+        {key: type(value) for key, value in term.items()}
+        for term in fields.get("terms", ()) + ((fields["term"],) if "term" in fields else ())
+    ]
     return fields
 
 
 def frames_re_encode_to_themselves(env):
-    """Decoding a hot frame gives back what was sent, and encoding that
-    gives back the frame, byte for byte: the one-pass readers and writers
-    agree with each other and with the format."""
+    """Decoding a frame gives back what was sent, and encoding that gives
+    back the frame, byte for byte: the writer and the reader built from a
+    declaration agree with each other and with the format."""
     frame = encode_envelope(env)
     got = decode_envelope(frame, env.dst)
     assert encode_envelope(got) == frame
@@ -377,11 +464,14 @@ def frames_re_encode_to_themselves(env):
     assert type(got.payload) is type(env.payload)
     assert _payload_fields(got.payload) == _payload_fields(env.payload)
     assert got.size_bytes == env.size_bytes
-    sent_terms = getattr(env.payload, "terms", None) or (env.payload.term,)
-    got_terms = getattr(got.payload, "terms", None) or (got.payload.term,)
-    assert [{k: type(v) for k, v in t.items()} for t in got_terms] == [
-        {k: type(v) for k, v in t.items()} for t in sent_terms
-    ]
+
+
+@pytest.mark.parametrize("spec", codec.MESSAGES, ids=lambda spec: spec.cls.__name__)
+def test_every_message_kind_re_encodes_to_itself(spec):
+    """Each declared kind on its own, so that tier-1 draws every one."""
+    seed(FUZZ_SEED)(settings(max_examples=10, deadline=None, database=None)(
+        given(env=envelopes((spec,)))(frames_re_encode_to_themselves)
+    ))()
 
 
 def test_corpus_frames_re_encode_to_themselves():
@@ -467,9 +557,18 @@ def test_intern_tables_under_concurrent_readers():
     assert all(len(table) <= codec._INTERN_MAX for table in (codec._NAMES, codec._NAME_BYTES, codec._OIDS))
 
 
+def mutated_snapshots_load_or_raise_codec_error(edit_list):
+    """A store snapshot is read with the wire codec's object type: a
+    corrupt one loads or raises CodecError, nothing else."""
+    try:
+        load_store(io.BytesIO(mutate(GOLDEN_SNAPSHOT, edit_list)))
+    except CodecError:
+        pass
+
+
 def fuzz_properties(max_examples: int):
-    """The four fuzz properties, seeded, at ``max_examples`` each (CI
-    asks for many more than tier-1 does)."""
+    """The fuzz properties, seeded, at ``max_examples`` each (CI asks for
+    many more than tier-1 does)."""
     budget = settings(max_examples=max_examples, deadline=None, database=None)
     mutated = given(
         picks=st.lists(st.tuples(st.integers(0, len(CORPUS) - 1), edits), min_size=1, max_size=3),
@@ -484,13 +583,15 @@ def fuzz_properties(max_examples: int):
         blob=st.binary(max_size=300),
         random=st.booleans(),
     )(control_frames_decode_or_raise)
-    reencode = given(env=hot_envelopes())(frames_re_encode_to_themselves)
-    return tuple(seed(FUZZ_SEED)(budget(prop)) for prop in (mutated, random_bytes, control, reencode))
+    reencode = given(env=envelopes())(frames_re_encode_to_themselves)
+    snapshots = given(edit_list=edits)(mutated_snapshots_load_or_raise_codec_error)
+    return tuple(seed(FUZZ_SEED)(budget(prop)) for prop in (mutated, random_bytes, control, reencode, snapshots))
 
 
 (
     test_fuzz_mutated_frames_raise_only_codec_error,
     test_fuzz_random_bytes_raise_only_codec_error,
     test_fuzz_control_frames_raise_only_codec_error,
-    test_fuzz_hot_frames_re_encode_to_themselves,
+    test_fuzz_every_message_kind_re_encodes_to_itself,
+    test_fuzz_mutated_snapshots_raise_only_codec_error,
 ) = fuzz_properties(FUZZ_EXAMPLES)

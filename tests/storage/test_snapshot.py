@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.core.oid import Oid
 from repro.core.tuples import blob_tuple, keyword_tuple, number_tuple, pointer_tuple, string_tuple
 from repro.net.codec import CodecError
 from repro.storage.memstore import MemStore
@@ -117,3 +118,49 @@ class TestRobustness:
         path.write_bytes(bytes(data))
         with pytest.raises(CodecError, match="version"):
             load_store(path)
+
+
+def golden_store() -> MemStore:
+    """A small store with every tuple kind, a hinted pointer and a size hint."""
+    store = MemStore("s1")
+    target = store.create([keyword_tuple("t")])
+    store.create(
+        [
+            string_tuple("Title", "A Paper"),
+            number_tuple("Year", 1991),
+            number_tuple("Score", 2.5),
+            pointer_tuple("Ref", target.oid),
+            pointer_tuple("Away", Oid("s2", 7, presumed_site="s3")),
+            blob_tuple("Image", b"\x00\xff"),
+        ],
+        size_hint=300,
+    )
+    return store
+
+
+#: ``save_store(golden_store(), ...)``, taken before snapshots were written
+#: with the wire codec's object type: the file format has not moved.
+GOLDEN_SNAPSHOT = bytes.fromhex(
+    "4846534e4150010473310404080473310004733140020e4b6579776f726405027405000804733102047331d8040c0c"
+    "537472696e67050a5469746c65050e412050617065720c4e756d626572050859656172038e1f0c4e756d626572050a"
+    "53636f72650440040000000000000e506f696e746572050652656608047331000473310e506f696e74657205084177"
+    "6179080473320e04733308426c6f62050a496d616765060400ff"
+)
+
+
+class TestFormatIsPinned:
+    def test_save_writes_the_golden_bytes(self):
+        buffer = io.BytesIO()
+        assert save_store(golden_store(), buffer) == 2
+        assert buffer.getvalue() == GOLDEN_SNAPSHOT
+
+    def test_the_golden_bytes_load(self):
+        restored = load_store(io.BytesIO(GOLDEN_SNAPSHOT))
+        assert snapshot_round_trip_equal(golden_store(), restored)
+        assert restored.create([]).oid.local_id == 2
+
+    def test_an_empty_tuple_type_is_a_codec_error(self):
+        # It used to escape as the tuple constructor's bare ValueError.
+        assert GOLDEN_SNAPSHOT.count(b"\x0eKeyword") == 1
+        with pytest.raises(CodecError):
+            load_store(io.BytesIO(GOLDEN_SNAPSHOT.replace(b"\x0eKeyword", b"\x00")))
