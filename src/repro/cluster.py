@@ -21,16 +21,13 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .api import QueryLike, QueryOutcome, credit_deficit
 from .config import ClusterConfig
 from .core.oid import Oid
-from .core.program import Program
 from .engine.results import QueryResult
-from .errors import HyperFileError, TerminationLost, UnknownSite
-from .faults.plan import FaultPlan
-from .faults.reliable import ReliableConfig
+from .errors import HyperFileError, TerminationLost
 from .membership import UP
 from .net.common import ClusterBase, site_name
 from .net.messages import Envelope, Heartbeat, QueryId
@@ -77,17 +74,14 @@ class SimCluster(ClusterBase):
         self.network.attach(node)
 
     # ------------------------------------------------------------------
-    # availability
+    # the wire: the network's (see SimNetwork)
     # ------------------------------------------------------------------
 
-    def set_down(self, site: str) -> None:
-        self.network.set_down(site)
+    def _open_wire(self):
+        return self.network.wire
 
-    def set_up(self, site: str) -> None:
-        self.network.set_up(site)
-
-    def is_up(self, site: str) -> bool:
-        return self.network.is_up(site)
+    def _site_up(self, site: str) -> None:
+        self.network.hosts[site].kick()
 
     def set_link_latency(self, a: str, b: str, seconds: float) -> None:
         """Override one link's wire latency (heterogeneous deployments)."""
@@ -170,24 +164,8 @@ class SimCluster(ClusterBase):
             self._hb_armed = False
 
     # ------------------------------------------------------------------
-    # faults and telemetry
+    # telemetry
     # ------------------------------------------------------------------
-
-    def use_faults(self, plan: FaultPlan) -> FaultPlan:
-        """Adopt a chaos schedule: per-message faults apply from now on,
-        and the plan's timed site crashes are scheduled on the clock."""
-        self.network.fault_plan = plan
-        for crash in plan.crashes:
-            if crash.site not in self.nodes:
-                raise UnknownSite(crash.site)
-            self.sim.schedule_at(crash.at, lambda s=crash.site: self.network.set_down(s))
-            if crash.recover_at is not None:
-                self.sim.schedule_at(crash.recover_at, lambda s=crash.site: self.network.set_up(s))
-        return plan
-
-    def enable_reliable(self, config: Optional[ReliableConfig] = None) -> None:
-        """Interpose the ack/retransmit channel on every link."""
-        self.network.enable_reliable(config)
 
     def enable_metrics(self, registry=None):
         registry = super().enable_metrics(registry)
@@ -224,32 +202,18 @@ class SimCluster(ClusterBase):
     # queries
     # ------------------------------------------------------------------
 
-    def _dispatch_submit(
-        self,
-        origin: str,
-        qid: QueryId,
-        program: Program,
-        initial: List[Oid],
-        priority: Optional[str] = None,
-        tenant: Optional[str] = None,
-    ) -> None:
+    def _at_site(self, site: str, call) -> None:
+        self.network.hosts[site].run(call)
+
+    def _dispatch_submit(self, origin: str, qid: QueryId, *args) -> None:
         info = self._inflight[qid]
         self._arm_stats_sampler()
         self._arm_heartbeat()
-        self.network.hosts[origin].submit(qid, program, initial, priority=priority, tenant=tenant)
+        super()._dispatch_submit(origin, qid, *args)
         if info.deadline_s is not None:
             info.timer = self.sim.schedule(
                 info.deadline_s, lambda: self._dispatch_expire(origin, qid)
             )
-
-    def _dispatch_submit_from_saved(
-        self, origin: str, qid: QueryId, program: Program, source_qid: QueryId
-    ) -> None:
-        self.network.hosts[origin].submit_from_saved(qid, program, source_qid, self.sites)
-
-    def _dispatch_expire(self, origin: str, qid: QueryId) -> None:
-        report = self.nodes[origin].expire_query(qid)
-        self.network.hosts[origin].dispatch(report)
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Drain the simulation; returns the final virtual time."""
@@ -267,7 +231,7 @@ class SimCluster(ClusterBase):
         parity and is ignored: the simulator's clock is virtual, so its
         failure signal is an *idle event queue*, reported as the same
         typed :class:`~repro.errors.TerminationLost` (credit deficit and
-        dropped-message count attached) that the wall-clock transports
+        undeliverable count attached) that the wall-clock transports
         raise on their hard timeout.
         """
         del timeout_s  # virtual time: idleness, not wall-clock, means failure
@@ -283,7 +247,7 @@ class SimCluster(ClusterBase):
                     raise TerminationLost(
                         qid,
                         deficit=credit_deficit(self.nodes, qid),
-                        undeliverable=self.network.messages_dropped,
+                        undeliverable=self.wire.undeliverable_total,
                         site=self._last_failed_site,
                     )
         finally:

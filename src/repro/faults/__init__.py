@@ -10,8 +10,8 @@ happens.  This package supplies both halves of the answer:
 
 * :class:`~repro.faults.plan.FaultPlan` — a deterministic, seed-driven
   chaos schedule (per-message drop/duplicate/reorder/delay decisions,
-  link partitions, timed transient site crashes) that all three
-  transports consult through one injection hook;
+  link partitions, timed transient site crashes) that every transport
+  consults through one delivery policy (:mod:`repro.net.site`);
 * :class:`~repro.faults.reliable.ReliableEndpoint` — an end-to-end
   reliable-delivery layer (per-link sequence numbers, acks, capped
   exponential-backoff retransmit, receive-side dedup) that restores the

@@ -1,9 +1,10 @@
 """A single-thread timer wheel for the wall-clock transports.
 
 The simulated transport schedules retransmits and delayed deliveries on
-the discrete-event queue; the threaded and socket transports need real
-timers.  ``threading.Timer`` spawns one thread per timer — far too heavy
-when every in-flight message arms a retransmit — so this module provides
+the discrete-event queue; the wall-clock transports (threads, asyncio
+inline, a process-mode parent's crash schedule) share one of these.
+``threading.Timer`` spawns one thread per timer — far too heavy when
+every in-flight message arms a retransmit — so this module provides
 one daemon thread driving a binary heap of (deadline, callback) entries,
 mirroring :class:`repro.sim.kernel.Simulator`'s cancel semantics.
 """

@@ -29,12 +29,11 @@ multi-core parallelism, with the same capability surface — replication,
 the reliable channel, fault plans, migration and telemetry all ride the
 parent↔child control channel instead of shared memory.
 
-Fault semantics mirror the threaded transport's: a
-:class:`~repro.faults.plan.FaultPlan` drops/delays frames at the
-sender, ``set_down`` freezes a site's drain task (already-delivered
-frames survive and are processed after ``set_up``) and makes every
-frame addressed to it vanish at the wire, and ``enable_reliable``
-interposes the ack/retransmit channel with timers on the event loop.
+Delivery, availability and faults follow the one
+:class:`~repro.net.site.WirePolicy`; this transport's share is a frame
+written by the sending site for each copy (a bounce, which goes back to
+the site that sent the work, lands straight in its inbox) and timers
+that fire on the event loop.
 """
 
 from __future__ import annotations
@@ -46,22 +45,12 @@ import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..config import ClusterConfig
-from ..core.oid import Oid
-from ..core.program import Program
 from ..errors import HyperFileError, UnknownSite
-from ..faults.plan import FaultPlan
-from ..faults.reliable import ReliableAck, ReliableConfig, ReliableData, ReliableEndpoint
 from ..net.codec import FRAME_HEADER, CodecError, FrameReader, decode_envelope, encode_envelope
-from ..net.messages import (
-    BatchedQuery,
-    DerefRequest,
-    Envelope,
-    QueryId,
-    SeedFromSaved,
-    Undeliverable,
-)
+from ..net.messages import Envelope, Undeliverable
 from ..server.node import ServerNode
-from .common import ClusterBase, contain_site_error
+from .common import ClusterBase
+from .site import SiteRuntime
 
 #: Wall-clock budget for establishing one inter-site connection.
 CONNECT_TIMEOUT_S = 5.0
@@ -86,24 +75,19 @@ def _finish_tasks(loop: asyncio.AbstractEventLoop) -> None:
         loop.run_until_complete(asyncio.gather(*tasks, return_exceptions=True))
 
 
-class _TimerHandle:
-    """A cancellable timer armed on the event loop from any thread."""
+def frame_hand_off(asites: Dict[str, "_AsyncSite"]) -> Callable[[Envelope], None]:
+    """How a copy the wire hands off reaches its destination here: one
+    frame written by its sending site — except a bounce, which goes back
+    to the site that sent the work (the one refusing it) and so lands
+    straight in that site's inbox."""
 
-    __slots__ = ("_loop", "_handle", "_cancelled")
+    def deliver(env: Envelope) -> None:
+        if type(env.payload) is Undeliverable:
+            asites[env.dst].inbox.put_nowait(env)
+        else:
+            asites[env.src].write(env)
 
-    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._loop = loop
-        self._handle: Optional[asyncio.TimerHandle] = None
-        self._cancelled = False
-
-    def cancel(self) -> None:
-        self._cancelled = True
-        handle = self._handle
-        if handle is not None:
-            try:
-                self._loop.call_soon_threadsafe(handle.cancel)
-            except RuntimeError:  # loop already closed: nothing to cancel
-                pass
+    return deliver
 
 
 class _InboundProtocol(asyncio.Protocol):
@@ -225,11 +209,20 @@ class _PeerLink:
 
 
 class _AsyncSite:
-    """One site on the shared loop: frame server, inbox, drain task."""
+    """One site on an event loop: frame server, inbox, drain task.
+
+    ``cluster`` is the owner — the :class:`AsyncCluster`, or a
+    process-mode child's runtime — and the socket layer needs only its
+    ``config`` (the host to bind and dial), ``port_of``, ``wire`` and
+    ``flight_recorder``.
+    """
 
     def __init__(self, node: ServerNode, cluster: "AsyncCluster") -> None:
         self.node = node
         self.cluster = cluster
+        self.runtime = SiteRuntime(
+            node, cluster.wire, lambda: cluster.flight_recorder, _STEPS_PER_YIELD
+        )
         self.name = node.site
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -259,150 +252,86 @@ class _AsyncSite:
         """The site's server loop: the site-loop rule of
         :mod:`repro.net.common`, as a coroutine that yields every
         ``_STEPS_PER_YIELD`` steps so sites on the shared loop interleave."""
-        node = self.node
-        cluster = self.cluster
+        runtime = self.runtime
         while True:
-            env = await self.inbox.get()
+            burst = [await self.inbox.get()]
             # Frozen: hold this envelope (frames already delivered survive
             # a crash window) until set_up.
             await self._until_up()
             # Greedily take whatever else already arrived: one task
             # switch then handles the whole burst instead of paying a
             # loop wakeup per envelope.
-            batch = [env]
             while True:
                 try:
-                    batch.append(self.inbox.get_nowait())
+                    burst.append(self.inbox.get_nowait())
                 except asyncio.QueueEmpty:
                     break
             outgoing: List[Envelope] = []
-            arrivals = iter(batch)
-            while True:
-                try:
-                    for env in arrivals:
-                        if env is None:
-                            continue
-                        if isinstance(env.payload, (ReliableData, ReliableAck)):
-                            cluster._reliable_ingest(env)
-                        else:
-                            node.on_message(env)
-                    steps = 0
-                    while node.has_work:
-                        report = node.step()
-                        outgoing.extend(report.outgoing)
-                        steps += 1
-                        if steps % _STEPS_PER_YIELD == 0:
-                            self.flush(outgoing)
-                            outgoing = []
-                            await asyncio.sleep(0)
-                            await self._until_up()
-                    break
-                except Exception as exc:  # noqa: BLE001 — one bad message or step must not end the site
-                    contain_site_error(node, cluster.flight_recorder, exc)
-                    # Resume after the envelope or step that raised; yield
-                    # first, so even a raise that recurs cannot hog the loop.
-                    await asyncio.sleep(0)
+            for _ in runtime.serve(burst, outgoing):
+                # Every _STEPS_PER_YIELD steps, and after a contained
+                # raise (so even one that recurs cannot hog the loop):
+                # ship what is done and let the other sites run.
+                self.flush(outgoing)
+                outgoing.clear()
+                await asyncio.sleep(0)
+                await self._until_up()
             self.flush(outgoing)
 
     async def _until_up(self) -> None:
-        """Wait while this site is down.  The event is cleared here as
-        well: ``set_down`` marks the site down at once but clears the event
-        from another thread a moment later, and waiting on an event that
-        is still set would spin the loop without ever running that clear."""
-        while self.cluster.is_down(self.name):
+        """Wait while this site is down.  ``set_down`` only marks the site
+        down in the wire, so the event is cleared here: waiting on an event
+        still set from the last ``set_up`` would spin the loop."""
+        down = self.cluster.wire.down
+        while self.name in down:
             self.up_event.clear()
             await self.up_event.wait()
 
-    def submit(
-        self,
-        qid: QueryId,
-        program: Program,
-        initial: List[Oid],
-        priority: Optional[str],
-        tenant: Optional[str] = None,
-    ) -> None:
-        report = self.node.submit(qid, program, initial, priority=priority, tenant=tenant)
-        self.flush(report.outgoing)
-        self.inbox.put_nowait(None)  # nudge the drain task
-
-    def submit_from_saved(self, qid: QueryId, program: Program, source_qid: QueryId) -> None:
-        report = self.node.submit_from_saved(qid, program, source_qid, self.cluster.sites)
+    def run(self, call: Callable[[ServerNode], object]) -> None:
+        """A client call (submit, follow-up, expiry) on this site's node:
+        send what it produced and nudge the drain task."""
+        report = call(self.node)
         self.flush(report.outgoing)
         self.inbox.put_nowait(None)
 
-    def expire(self, qid: QueryId) -> None:
-        report = self.node.expire_query(qid)
-        self.flush(report.outgoing)
+    def wake(self) -> None:
+        """After ``set_up``: let a frozen drain task serve again."""
+        self.up_event.set()
         self.inbox.put_nowait(None)
 
     # -- outbound (event-loop thread only) ------------------------------
 
     def flush(self, outgoing: List[Envelope]) -> None:
-        """Send what a drain (or a submit) produced: every peer link gets
-        all of its frames as one write.  A lone envelope goes straight out."""
+        """Send what a drain (or a submit) produced through the wire:
+        every peer link gets all of its frames as one write.  A lone
+        envelope goes straight out."""
+        send = self.cluster.wire.send
         if len(outgoing) < 2:
             for env in outgoing:
-                self._send(env)
+                send(env)
             return
         self.flushing = links = []
         try:
             for env in outgoing:
-                self._send(env)
+                send(env)
         finally:
             self.flushing = None
             for link in links:
                 link.release()
 
-    def _send(self, env: Envelope) -> None:
-        endpoint = self.cluster._endpoint_for(env.src)
-        if endpoint is not None and not isinstance(
-            env.payload, (ReliableData, ReliableAck, Undeliverable)
-        ):
-            endpoint.send(env)
-            return
-        self._send_raw(env)
-
-    def _send_raw(self, env: Envelope) -> None:
-        """One wire transmission: availability + fault plan, then bytes."""
-        if self.cluster.is_down(env.dst):
-            self.cluster.messages_dropped += 1
-            return
-        plan = self.cluster.fault_plan
-        if plan is None:
-            self._send_frame(env)
-            return
-        decision = plan.decide(env.src, env.dst)
-        if decision.dropped:
-            self.cluster.messages_dropped += 1
-            return
-        for extra in decision.delays:
-            if extra > 0:
-                self.cluster._loop.call_later(extra, self._send_frame, env)
-            else:
-                self._send_frame(env)
-
-    def _send_frame(self, env: Envelope) -> None:
+    def write(self, env: Envelope) -> None:
+        """A copy the wire handed off: one frame on the link to its peer."""
         try:
             payload = encode_envelope(env)
         except CodecError:
             # Something in the envelope has no wire form (a value type the
             # codec does not carry).  That costs this message, never the
-            # site: count it lost, record it undeliverable as a reliable
-            # give-up would be, and take its work back.
-            self.cluster.messages_dropped += 1
-            self.cluster._give_up(env)
+            # site: the wire refuses it as it would a reliable give-up.
+            self.cluster.wire.refuse(env)
             return
         link = self._links.get(env.dst)
         if link is None:
             link = self._links[env.dst] = _PeerLink(self, env.dst)
         link.send(payload)
-
-    def bounce(self, env: Envelope) -> None:
-        """Hand work this site could not get to ``env.dst`` back to its own
-        node as ``Undeliverable``, so the detector re-absorbs the credit it
-        carried; anything else a lost envelope held is simply lost."""
-        if isinstance(env.payload, (DerefRequest, BatchedQuery, SeedFromSaved)):
-            self.inbox.put_nowait(Envelope(env.dst, env.src, Undeliverable(env), spans=env.spans))
 
     def shutdown(self) -> None:
         if self._drain_task is not None:
@@ -440,14 +369,7 @@ class AsyncCluster(ClusterBase):
         config = config if config is not None else ClusterConfig()
         config.require_default("costs", "mark_granularity", transport="async")
         self._asites: Dict[str, _AsyncSite] = {}
-        self._down: set = set()
-        self._down_lock = threading.Lock()
-        self.fault_plan: Optional[FaultPlan] = None
-        self._endpoints: Optional[Dict[str, ReliableEndpoint]] = None
-        self._reliable_config: Optional[ReliableConfig] = None
-        self.messages_dropped = 0
-        #: Envelopes whose delivery was abandoned (reliable give-up).
-        self.undeliverable: List[Envelope] = []
+        self._deliver = frame_hand_off(self._asites)
         super().__init__(sites, config, now=time.monotonic)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -473,16 +395,15 @@ class AsyncCluster(ClusterBase):
         if self._loop.is_closed():
             return
         self._closed = True
-        self._stop_stats_stream()
-        if self._endpoints is not None:
-            for endpoint in self._endpoints.values():
-                endpoint.close()
+        self.wire.close()
         try:
             asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop).result(timeout=5.0)
         except Exception:
             pass
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=5.0)
+        # Only now: until the loop stopped, a drain could still arm a timer.
+        self._stop_threads()
         if not self._thread.is_alive():
             _finish_tasks(self._loop)
         self._loop.close()
@@ -503,86 +424,10 @@ class AsyncCluster(ClusterBase):
     def bytes_on_the_wire(self) -> int:
         return sum(site.bytes_sent for site in self._asites.values())
 
-    # -- availability ----------------------------------------------------
+    # -- the wire's transport hooks (_deliver is set in __init__) --------
 
-    def is_up(self, site: str) -> bool:
-        with self._down_lock:
-            return site not in self._down
-
-    def set_down(self, site: str) -> None:
-        """Freeze a site's drain task; frames to it drop at the wire."""
-        target = self._asites.get(site)
-        if target is None:
-            raise UnknownSite(site)
-        with self._down_lock:
-            self._down.add(site)
-        self._call_on_loop(target.up_event.clear)
-
-    def set_up(self, site: str) -> None:
-        target = self._asites.get(site)
-        if target is None:
-            raise UnknownSite(site)
-        with self._down_lock:
-            self._down.discard(site)
-
-        def wake() -> None:
-            target.up_event.set()
-            target.inbox.put_nowait(None)
-
-        self._call_on_loop(wake)
-
-    # -- fault injection -------------------------------------------------
-
-    def use_faults(self, plan: FaultPlan) -> None:
-        """Attach a chaos schedule; scheduled crashes start arming now."""
-        for crash in plan.crashes:
-            if crash.site not in self._asites:
-                raise UnknownSite(crash.site)
-        self.fault_plan = plan
-        for crash in plan.crashes:
-            self._schedule(crash.at, lambda s=crash.site: self.set_down(s))
-            if crash.recover_at is not None:
-                self._schedule(crash.recover_at, lambda s=crash.site: self.set_up(s))
-
-    def enable_reliable(self, config: Optional[ReliableConfig] = None) -> None:
-        """Interpose the reliable-delivery channel on every link."""
-        self._reliable_config = config if config is not None else ReliableConfig()
-        self._endpoints = {
-            name: ReliableEndpoint(
-                name,
-                clock=time.monotonic,
-                scheduler=self._schedule,
-                send_raw=site._send_raw,
-                # on_wire runs on the event loop, so deliver straight in;
-                # the drain task steps the node right after.
-                deliver_up=lambda env, n=site.node: n.on_message(env),
-                node=site.node,
-                config=self._reliable_config,
-                on_give_up=self._give_up,
-            )
-            for name, site in self._asites.items()
-        }
-
-    @property
-    def reliable_enabled(self) -> bool:
-        return self._endpoints is not None
-
-    def _endpoint_for(self, site: str) -> Optional[ReliableEndpoint]:
-        if self._endpoints is None:
-            return None
-        return self._endpoints.get(site)
-
-    def _reliable_ingest(self, env: Envelope) -> None:
-        endpoint = self._endpoint_for(env.dst)
-        if endpoint is not None:
-            endpoint.on_wire(env)
-
-    def _give_up(self, env: Envelope) -> None:
-        """Retries exhausted: recover detector state like a bounce would."""
-        self.undeliverable.append(env)
-        site = self._asites.get(env.src)
-        if site is not None:
-            site.bounce(env)
+    def _site_up(self, site: str) -> None:
+        self._call_on_loop(self._asites[site].wake)
 
     # -- event-loop plumbing ---------------------------------------------
 
@@ -613,49 +458,17 @@ class AsyncCluster(ClusterBase):
         self._loop.call_soon_threadsafe(call)
         done.result()
 
-    def _schedule(self, delay: float, fn: Callable[[], None]) -> _TimerHandle:
-        """Arm a timer on the loop from any thread; returns a handle whose
-        ``cancel`` is also thread-safe (the reliable channel needs both)."""
-        proxy = _TimerHandle(self._loop)
+    def _schedule(self, delay: float, fn: Callable[[], None]):
+        """The cluster's timer wheel, firing ``fn`` on the event loop (the
+        wire's delayed copies and the reliable channel's timers are armed
+        from the loop and from client threads alike)."""
+        return super()._schedule(delay, lambda: self._call_on_loop(fn))
 
-        def fire() -> None:
-            if not proxy._cancelled:
-                fn()
+    # -- queries --------------------------------------------------------
+    # The query surface comes from ClusterBase; a client call hops onto
+    # the event loop and blocks for the result, so submit-time errors
+    # surface in the caller, exactly like the blocking transports.
 
-        def arm() -> None:
-            if not proxy._cancelled:
-                proxy._handle = self._loop.call_later(delay, fire)
-
-        if threading.get_ident() == self._thread.ident:
-            arm()
-        else:
-            self._call_on_loop(arm)
-        return proxy
-
-    # -- queries ---------------------------------------------------------
-    # The query surface comes from ClusterBase; this transport only
-    # supplies the dispatch hooks, each of which hops onto the event loop
-    # and blocks for the result so submit-time errors surface in the
-    # caller, exactly like the blocking transports.
-
-    def _dispatch_submit(
-        self,
-        origin: str,
-        qid: QueryId,
-        program: Program,
-        initial: List[Oid],
-        priority: Optional[str] = None,
-        tenant: Optional[str] = None,
-    ) -> None:
-        site = self._asites[origin]
-        self._run_on_loop(lambda: site.submit(qid, program, initial, priority, tenant))
-
-    def _dispatch_submit_from_saved(
-        self, origin: str, qid: QueryId, program: Program, source_qid: QueryId
-    ) -> None:
-        site = self._asites[origin]
-        self._run_on_loop(lambda: site.submit_from_saved(qid, program, source_qid))
-
-    def _dispatch_expire(self, origin: str, qid: QueryId) -> None:
-        site = self._asites[origin]
-        self._run_on_loop(lambda: site.expire(qid))
+    def _at_site(self, site: str, call: Callable[[ServerNode], object]) -> None:
+        target = self._asites[site]
+        self._run_on_loop(lambda: target.run(call))

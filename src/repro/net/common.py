@@ -11,13 +11,21 @@ and the telemetry hooks — over the seams a transport supplies:
 
 * a clock, ``self._now``: ``time.monotonic`` on the wall-clock
   transports, the virtual clock on the simulator;
-* the dispatch hooks ``_dispatch_submit`` / ``_dispatch_submit_from_saved``
-  / ``_dispatch_expire``, which reach an originating site;
-* ``_attach_site`` (how a built node is served), ``is_up`` / ``set_down``
-  / ``set_up`` and ``close``;
+* ``_at_site(site, call)``, which runs a client call (submit, follow-up,
+  deadline expiry) on a site's node and sends what it produced — process
+  mode replaces the ``_dispatch_*`` hooks built on it with control ops;
+* ``_attach_site`` (how a built node is served); ``_deliver`` (how a
+  copy reaches its destination: the transport's share of the one
+  delivery policy, :class:`~repro.net.site.WirePolicy` in ``self.wire``,
+  whose timers run on one wall-clock wheel, ``_schedule``, unless the
+  transport brings its own); ``_site_down`` / ``_site_up``; ``close``;
 * optionally ``_add_site`` and ``_crash_site`` (membership) and ``wait``
   — the one here blocks on the wall clock (:func:`await_completion`); the
   simulator's drives its event loop instead.
+
+Availability (``is_up`` / ``set_down`` / ``set_up``), fault plans, the
+reliable channel and the ``messages_dropped`` / ``undeliverable``
+ledger are the wire's, so they are written here once too.
 
 This module does not import :mod:`repro.cluster`, so a process-mode child
 builds its node with :func:`build_node` without loading the simulated
@@ -31,13 +39,14 @@ same way (``_SiteLoop.serve`` in :mod:`repro.net.threaded` on a thread,
    ``set_up`` — a frozen site keeps what was delivered to it, never
    drops it;
 2. take every envelope already queued behind it — the burst;
-3. hand the burst to the node in FIFO order, then step while it has
-   work, so the working set W empties, and the site ships its results
-   and credit home (paper §3.2), once per burst rather than once per
-   envelope;
-4. route what the steps sent;
+3. hand the burst to :meth:`SiteRuntime.serve <repro.net.site.SiteRuntime.serve>`,
+   which gives it to the node in FIFO order (reliable frames to the
+   site's endpoint), then steps while the node has work, so the working
+   set W empties, and the site ships its results and credit home (paper
+   §3.2), once per burst rather than once per envelope;
+4. send what the steps produced through the wire;
 5. a raise from ``on_message`` or ``step`` costs that envelope or that
-   step, not the site (:func:`contain_site_error`): the loop resumes
+   step, not the site (``SiteRuntime`` contains it): the loop resumes
    after it.
 """
 
@@ -61,7 +70,9 @@ from ..errors import (
     TransportClosed,
     UnknownSite,
 )
+from ..faults.plan import FaultPlan
 from ..faults.reliable import ReliableConfig
+from ..faults.timers import TimerThread
 from ..membership import UP, MembershipService, MembershipView, Rebalancer
 from ..naming.directory import ForwardingTable, ReplicaDirectory
 from ..qos import PRIORITIES, ClientLimiter
@@ -72,6 +83,7 @@ from ..sim.costs import FREE_COSTS
 from ..storage.memstore import MemStore
 from ..termination.base import make_strategy
 from .messages import QueryId
+from .site import WirePolicy
 
 #: Default hard backstop for blocking waits on the real transports.
 DEFAULT_TIMEOUT_S = 30.0
@@ -129,23 +141,6 @@ def build_node(
     )
     node.now_fn = now_fn
     return node
-
-
-def contain_site_error(node: ServerNode, flight_recorder, exc: Exception) -> None:
-    """Log and count a raise from ``on_message`` / ``step``, snapshot the
-    flight recorder if one is armed, and restore the node's work counters
-    the interrupted call may have left stale."""
-    # Imported here: only the wall-clock site loops contain raises, and the
-    # simulator imports this module without needing logging.
-    import logging
-
-    logging.getLogger(__name__).error(
-        "site %s: contained a raise and keeps serving", node.site, exc_info=exc
-    )
-    node.stats.site_errors += 1
-    node.recount_work()
-    if flight_recorder is not None:
-        flight_recorder.dump("", f"site_error:{type(exc).__name__}", site=node.site)
 
 
 def await_completion(
@@ -241,12 +236,15 @@ class ClusterBase:
         self._flightrec_dumped: set = set()
         self._stats_stop = threading.Event()
         self._stats_thread: Optional[threading.Thread] = None
+        #: The wall-clock timer wheel behind ``_schedule``, started on first use.
+        self._timers: Optional[TimerThread] = None
         self.membership: Optional[MembershipService] = None
         self.rebalancer: Optional[Rebalancer] = None
         self.replication: Optional[ReplicationManager] = None
         self.stores: Dict[str, MemStore] = {}
         self.forwarding: Dict[str, ForwardingTable] = {}
         self.nodes: Dict[str, ServerNode] = {}
+        self.wire = self._open_wire()
         self._build_sites(names)
         self._init_membership()
         self._init_telemetry()
@@ -279,7 +277,7 @@ class ClusterBase:
             forwarding=table,
             replicas=directory,
             on_query_complete=self._on_complete,
-            is_site_up=self.is_up,
+            is_site_up=self.wire.is_up,
         )
         self.stores[name] = store
         self.forwarding[name] = table
@@ -299,6 +297,23 @@ class ClusterBase:
         for node in self.nodes.values():
             self.replication.add_epoch_listener(node.observe_epoch)
 
+    # -- the wire: availability, faults, the reliable channel -------------
+
+    def _open_wire(self) -> WirePolicy:
+        """The delivery policy over ``_deliver``, ``_schedule`` and the clock."""
+        return WirePolicy(
+            self.nodes, deliver=self._deliver, schedule=self._schedule, clock=self._now
+        )
+
+    def _schedule(self, delay: float, fn: Callable[[], None]):
+        """Run ``fn`` after ``delay`` wall-clock seconds, on one shared
+        :class:`~repro.faults.timers.TimerThread` (delayed copies,
+        retransmits, scheduled crashes)."""
+        with self._seq_lock:
+            if self._timers is None:
+                self._timers = TimerThread()
+        return self._timers.schedule(delay, fn)
+
     def _arm_faults(self) -> None:
         """Adopt the config's reliable channel and fault plan; a transport
         calls this once its sites are serving."""
@@ -307,6 +322,64 @@ class ClusterBase:
             self.enable_reliable(reliable if isinstance(reliable, ReliableConfig) else None)
         if self.config.fault_plan is not None:
             self.use_faults(self.config.fault_plan)
+
+    def is_up(self, site: str) -> bool:
+        return self.wire.is_up(site)
+
+    def set_down(self, site: str) -> None:
+        """Freeze a site: what was delivered to it waits for ``set_up``;
+        a copy sent to it meanwhile is refused at hand-off (work bounces)."""
+        self.wire.set_down(site)
+        self._site_down(site)
+
+    def set_up(self, site: str) -> None:
+        self.wire.set_up(site)
+        self._site_up(site)
+
+    def _site_down(self, site: str) -> None:
+        """Tell ``site``'s host it is down (a host that checks the wire's
+        ``down`` set before each burst needs nothing)."""
+
+    def _site_up(self, site: str) -> None:
+        """Wake ``site``'s frozen host."""
+
+    def use_faults(self, plan: FaultPlan) -> FaultPlan:
+        """Adopt a chaos schedule: link faults apply from now on, and the
+        plan's timed crashes are armed on the transport's clock, counted
+        from now."""
+        for crash in plan.crashes:
+            if crash.site not in self.nodes:
+                raise UnknownSite(crash.site)
+        self.wire.fault_plan = plan
+        for crash in plan.crashes:
+            self.wire.schedule(crash.at, lambda s=crash.site: self.set_down(s))
+            if crash.recover_at is not None:
+                self.wire.schedule(crash.recover_at, lambda s=crash.site: self.set_up(s))
+        return plan
+
+    def enable_reliable(self, config: Optional[ReliableConfig] = None) -> None:
+        """Interpose the ack/retransmit channel on every link."""
+        self.wire.enable_reliable(config)
+
+    @property
+    def reliable_enabled(self) -> bool:
+        return self.wire.endpoints is not None
+
+    @property
+    def fault_plan(self) -> Optional[FaultPlan]:
+        return self.wire.fault_plan
+
+    @property
+    def messages_dropped(self) -> int:
+        """Envelopes the wire did not deliver: fault-plan drops and
+        refused copies (a down or unknown destination, a give-up)."""
+        return self.wire.messages_dropped
+
+    @property
+    def undeliverable(self):
+        """The most recent refused envelopes (a bounded ring; the wire's
+        ``undeliverable_total`` counts them all)."""
+        return self.wire.undeliverable
 
     # -- topology ----------------------------------------------------------
 
@@ -520,7 +593,7 @@ class ClusterBase:
     def _start_stats_stream(self, period_s: float) -> None:
         """Timer-driven sampler: one :class:`StatsTimeline` sample per
         period until the cluster closes (daemon thread; ``close`` calls
-        :meth:`_stop_stats_stream` for a prompt exit)."""
+        :meth:`_stop_threads` for a prompt exit)."""
 
         def loop() -> None:
             while not self._stats_stop.wait(period_s):
@@ -537,11 +610,15 @@ class ClusterBase:
         )
         self._stats_thread.start()
 
-    def _stop_stats_stream(self) -> None:
+    def _stop_threads(self) -> None:
+        """Stop the cluster's own threads: the stats sampler and the timer
+        wheel (``close`` calls this)."""
         self._stats_stop.set()
         if self._stats_thread is not None:
             self._stats_thread.join(timeout=1.0)
             self._stats_thread = None
+        if self._timers is not None:
+            self._timers.stop()
 
     def _sample_stats(self) -> None:
         sites: Dict[str, Dict[str, object]] = {}
@@ -672,7 +749,7 @@ class ClusterBase:
                 budget,
                 deadline_remaining,
                 expire=lambda: self._dispatch_expire(qid.originator, qid),
-                diagnose=lambda: (self._credit_deficit(qid), len(self.undeliverable)),
+                diagnose=lambda: (self._credit_deficit(qid), self.wire.undeliverable_total),
             )
         except TerminationLost:
             self._flightrec_dump(qid, "termination_lost")
@@ -805,6 +882,29 @@ class ClusterBase:
         return registry.snapshot()
 
     # -- transport-side plumbing ----------------------------------------
+
+    def _dispatch_submit(
+        self,
+        origin: str,
+        qid: QueryId,
+        program: Program,
+        initial: List[Oid],
+        priority: Optional[str] = None,
+        tenant: Optional[str] = None,
+    ) -> None:
+        self._at_site(
+            origin, lambda node: node.submit(qid, program, initial, priority=priority, tenant=tenant)
+        )
+
+    def _dispatch_submit_from_saved(
+        self, origin: str, qid: QueryId, program: Program, source_qid: QueryId
+    ) -> None:
+        self._at_site(
+            origin, lambda node: node.submit_from_saved(qid, program, source_qid, self.sites)
+        )
+
+    def _dispatch_expire(self, origin: str, qid: QueryId) -> None:
+        self._at_site(origin, lambda node: node.expire_query(qid))
 
     def _next_qid(self, originator: str) -> QueryId:
         with self._seq_lock:

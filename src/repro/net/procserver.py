@@ -88,14 +88,14 @@ from ..errors import (
     UnknownSite,
 )
 from ..faults.plan import FaultPlan
-from ..faults.reliable import ReliableConfig, ReliableEndpoint
+from ..faults.reliable import ReliableConfig
 from ..naming.directory import ReplicaDirectory
 from ..server.stats import NodeStats
 from ..sim.costs import FREE_COSTS
 from ..storage.memstore import MemStore
 from ..termination.weights import ledger_deficit, ledger_of
 from ..tracing import KINDS, FlightRecorder, QueryTracer, TeeTracer, TraceEvent, _jsonable
-from .asyncio_cluster import _AsyncSite
+from .asyncio_cluster import _AsyncSite, frame_hand_off
 from .codec import (
     COUNT,
     FRAME_HEADER,
@@ -118,6 +118,7 @@ from .codec import (
 )
 from .common import ClusterBase, build_node
 from .messages import QueryId
+from .site import WirePolicy
 
 # -- control frames ----------------------------------------------------------
 
@@ -326,13 +327,15 @@ def _delegate(path: str) -> Callable[..., Any]:
 class _ChildRuntime:
     """One child's state, and the handlers of the ops it answers.
 
-    It is also the duck-typed cluster surface the reused site machinery
-    needs: :class:`~repro.net.asyncio_cluster._AsyncSite` and ``_PeerLink``
-    talk to their owning cluster through ``sites``, ``is_down``,
-    ``port_of``, ``config``, ``fault_plan``, ``flight_recorder``,
-    ``messages_dropped``, ``_loop``, ``_endpoint_for``, ``_give_up`` and
-    ``_reliable_ingest``, so the child runs the same drain/send/framing
-    code as the inline transport, unchanged.
+    It is also the owner the reused socket layer
+    (:class:`~repro.net.asyncio_cluster._AsyncSite`, ``_PeerLink``) reads:
+    ``config``, ``port_of``, ``wire`` and ``flight_recorder``, so the
+    child runs the same drain, framing and delivery policy as the
+    inline transport.  Its :class:`~repro.net.site.WirePolicy` holds the
+    child's copy of the availability table (kept by ``set_down`` /
+    ``set_up`` broadcasts), its fault plan and its half of the reliable
+    channel; every envelope it refuses is pushed to the parent as a
+    ``give_up`` note.
     """
 
     def __init__(self, site: str, names: List[str], config: ClusterConfig) -> None:
@@ -342,11 +345,8 @@ class _ChildRuntime:
         self.store = MemStore(site)
         self.node = None
         self.asite: Optional[_AsyncSite] = None
+        self.wire: Optional[WirePolicy] = None
         self.ports: Dict[str, int] = {}
-        self.fault_plan = None
-        self.messages_dropped = 0
-        self._down: set = set()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: Local copy of the cluster-wide replica directory, kept in sync
         #: by ``repl_dir`` broadcasts; ``None`` when replication is off.
         self.replicas: Optional[ReplicaDirectory] = (
@@ -354,13 +354,6 @@ class _ChildRuntime:
             if config.replication is not None and config.replication.enabled
             else None
         )
-        #: This site's half of the reliable channel; ``None`` means raw delivery.
-        self._endpoint = None
-        #: Envelopes this child gave up on — the reliable channel's
-        #: give-ups and envelopes the codec could not encode (the inline
-        #: transports' ``cluster.undeliverable``, kept per child and
-        #: mirrored to the parent by ``give_up`` pushes).
-        self.undeliverable: List = []
         #: The control connection's stream: replies and pushes.
         self.writer: Optional[asyncio.StreamWriter] = None
         self.running = True
@@ -381,42 +374,16 @@ class _ChildRuntime:
         self.trace_cursor = len(self.tracer.events)
         return events
 
-    @property
-    def sites(self) -> List[str]:
-        return list(self.names)
-
-    def is_down(self, site: str) -> bool:
-        return site in self._down
-
     def port_of(self, site: str) -> int:
         try:
             return self.ports[site]
         except KeyError:
             raise UnknownSite(site) from None
 
-    def _endpoint_for(self, site: str):
-        """The sending site's reliable endpoint — in a child there is
-        exactly one site, so this is ours or nothing."""
-        return self._endpoint if site == self.site else None
-
-    def _give_up(self, env) -> None:
-        """This site cannot deliver ``env``: record it, tell the parent,
-        and hand its work back to the node (the inline ``_give_up``)."""
-        self.undeliverable.append(env)
+    def note_undeliverable(self, env) -> None:
+        """The wire refused ``env``: note it in the parent's ledger."""
         kind, qid = type(env.payload).__name__, getattr(env.payload, "qid", "")
         self.push("give_up", self.site, env.src, env.dst, kind, str(qid or ""))
-        self.asite.bounce(env)
-
-    def _reliable_ingest(self, env) -> None:
-        """A ReliableData/ReliableAck frame arrived on the wire."""
-        if self._endpoint is None:
-            # A peer is running the channel and we are not: the config
-            # diverged between processes, which should be impossible
-            # (the same ClusterConfig ships to every child).
-            raise HyperFileError(
-                f"reliable frame at {self.site} but the channel is not enabled here"
-            )
-        self._endpoint.on_wire(env)
 
     # -- the control channel -------------------------------------------
 
@@ -460,30 +427,6 @@ class _ChildRuntime:
             tuple(shipped),
         )
 
-    def install_reliable(self, rconfig: ReliableConfig) -> None:
-        """Arm this child's half of the reliable channel.
-
-        Mirrors the inline transport's ``enable_reliable`` wiring, one
-        site at a time: acks, retransmit timers and dedup state all live
-        on this child's event loop.  A give-up recovers detector credit
-        child-side (an ``Undeliverable`` bounce into our own inbox, like
-        the inline ``_give_up``) and pushes a ``give_up`` note so the
-        parent's ``undeliverable`` diagnostics stay truthful.
-        """
-        loop, asite = self._loop, self.asite
-        self._endpoint = ReliableEndpoint(
-            self.site,
-            clock=time.monotonic,
-            # Everything that schedules runs on this child's loop thread.
-            scheduler=lambda delay, fn: loop.call_later(delay, fn),
-            send_raw=asite._send_raw,
-            # on_wire runs inside the drain task, which steps the node next.
-            deliver_up=asite.node.on_message,
-            node=asite.node,
-            config=rconfig,
-            on_give_up=self._give_up,
-        )
-
     # -- request handlers (see _OPS) -----------------------------------
 
     def peers(self, ports) -> None:
@@ -512,18 +455,25 @@ class _ChildRuntime:
         self.node.membership_status = lambda site: table.get(site, "departed")
 
     def submit(self, qid, program, initial, priority, tenant) -> None:
-        self.asite.submit(qid, program, list(initial), priority, tenant)
+        self.asite.run(
+            lambda node: node.submit(qid, program, list(initial), priority=priority, tenant=tenant)
+        )
+
+    def submit_saved(self, qid, program, source_qid) -> None:
+        self.asite.run(lambda node: node.submit_from_saved(qid, program, source_qid, list(self.names)))
+
+    def expire(self, qid) -> None:
+        self.asite.run(lambda node: node.expire_query(qid))
 
     def set_down(self, site: str) -> None:
-        self._down.add(site)
-        if site == self.site:
-            self.asite.up_event.clear()
+        # Our own drain task notices at its next burst or yield
+        # (``_AsyncSite._until_up``).
+        self.wire.set_down(site)
 
     def set_up(self, site: str) -> None:
-        self._down.discard(site)
+        self.wire.set_up(site)
         if site == self.site:
-            self.asite.up_event.set()
-            self.asite.inbox.put_nowait(None)
+            self.asite.wake()
 
     def faults(self, seed, defaults, links, partitions) -> None:
         plan = FaultPlan(seed, *defaults)
@@ -531,14 +481,17 @@ class _ChildRuntime:
             plan.link(*link)
         for a, b in partitions:
             plan.partition(a, b)
-        self.fault_plan = plan
+        self.wire.fault_plan = plan
 
     def fault_stats(self):
-        plan = self.fault_plan
-        return (self.messages_dropped, *(getattr(plan, name, 0) for name in _PLAN_COUNTERS))
+        wire = self.wire
+        return (wire.messages_dropped, *(getattr(wire.fault_plan, name, 0) for name in _PLAN_COUNTERS))
 
     def reliable_on(self, *config_fields) -> None:
-        self.install_reliable(ReliableConfig(*config_fields))
+        # Acks, retransmit timers and dedup state all live on this
+        # child's event loop; a give-up is refused child-side (its work
+        # bounces into our own inbox) and noted to the parent.
+        self.wire.enable_reliable(ReliableConfig(*config_fields))
 
     def credit(self, qid: QueryId):
         ctx = self.node.contexts.get(qid)
@@ -594,8 +547,19 @@ async def _child_serve(
 ) -> None:
     loop = asyncio.get_running_loop()
     runtime = _ChildRuntime(site, names, config)
-    runtime._loop = loop
-    node = runtime.node = build_node(
+    # This child serves one site and may address every other.
+    local_nodes: Dict[str, Any] = {}
+    local_sites: Dict[str, _AsyncSite] = {}
+    wire = runtime.wire = WirePolicy(
+        local_nodes,
+        sites=frozenset(names),
+        deliver=frame_hand_off(local_sites),
+        # Everything that schedules runs on this child's loop thread.
+        schedule=loop.call_later,
+        clock=time.monotonic,
+        on_refuse=runtime.note_undeliverable,
+    )
+    node = runtime.node = local_nodes[site] = build_node(
         site,
         runtime.store,
         config,
@@ -603,7 +567,7 @@ async def _child_serve(
         now_fn=time.monotonic,
         replicas=runtime.replicas,
         on_query_complete=runtime.push_complete,
-        is_site_up=lambda s: not runtime.is_down(s),
+        is_site_up=wire.is_up,
     )
     # Span-id namespacing: with n sites and m = 2n + 1 lanes, child i's
     # shipping tracer allocates from lane i+1 and its flight recorder
@@ -617,12 +581,9 @@ async def _child_serve(
         )
         runtime.flight_recorder.now_fn = time.monotonic
         node.tracer = runtime.flight_recorder
-    asite = runtime.asite = _AsyncSite(node, runtime)
+    asite = runtime.asite = local_sites[site] = _AsyncSite(node, runtime)
     await asite.bootstrap()
     asite._drain_task = loop.create_task(asite.drain())
-    if config.reliable:
-        reliable = config.reliable
-        runtime.install_reliable(reliable if isinstance(reliable, ReliableConfig) else ReliableConfig())
     # Connect only once ready: the parent's HELLO wait is budgeted at accept.
     reader, runtime.writer = await asyncio.open_connection(config.host, parent_port)
     runtime.push("hello", site, asite.port)
@@ -652,8 +613,7 @@ async def _child_serve(
         await runtime.writer.drain()
     if pusher_task is not None:
         pusher_task.cancel()
-    if runtime._endpoint is not None:
-        runtime._endpoint.close()
+    wire.close()
     asite.shutdown()
     runtime.writer.close()
 
@@ -795,11 +755,12 @@ class _SyncedDirectory(ReplicaDirectory):
 
 @dataclass
 class _UndeliveredNote:
-    """Parent-side record of one child-side reliable give-up.
+    """Parent-side record of one envelope a child's wire refused (a down
+    destination, a reliable give-up, an envelope with no wire form).
 
-    The envelope itself stays in the child (``runtime.undeliverable``
-    holds the real object); this note carries what diagnostics need —
-    who gave up on what — without shipping payload bytes.
+    The envelope itself stays in the child; this note carries what
+    diagnostics need — who gave up on what — without shipping payload
+    bytes.
     """
 
     site: str
@@ -870,24 +831,23 @@ class ProcessCluster(ClusterBase):
         # set on the config itself; this catches a default-mode config
         # handed straight to ProcessCluster.
         config.require_default("costs", "mark_granularity", transport="async (process mode)")
-        self._down: set = set()
-        self._down_lock = threading.Lock()
-        self.undeliverable: List = []
         self._tracer: Optional[QueryTracer] = None
-        self.fault_plan: Optional[FaultPlan] = None
-        self._fault_timers: List[threading.Timer] = []
         self._links: Dict[str, _ChildLink] = {}
         super().__init__(sites, config, now=time.monotonic)
-        self._reliable_enabled = bool(config.reliable)
-        if config.fault_plan is not None:
-            self.use_faults(config.fault_plan)
+        self._arm_faults()
+
+    def _open_wire(self) -> WirePolicy:
+        """The children carry the traffic; the parent's wire keeps the
+        availability table it broadcasts, the plan whose crashes it
+        times, and the ledger of the children's ``give_up`` notes."""
+        return WirePolicy(self.nodes, schedule=self._schedule)
 
     def _build_sites(self, names: List[str]) -> None:
         """Spawn one child per site (each builds its own node), introduce
         them to each other, and run the parent's data-management plane
         against store/forwarding proxies."""
         config = self.config
-        self.nodes = {n: _RemoteSiteHandle(self, n) for n in names}
+        self.nodes.update((n, _RemoteSiteHandle(self, n)) for n in names)
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((config.host, 0))
@@ -999,7 +959,9 @@ class ProcessCluster(ClusterBase):
             return  # clean shutdown tears links down on purpose
         for qid in list(self._inflight):
             if qid.originator == link.site and self._inflight.pop(qid, None) is not None:
-                lost = TerminationLost(qid, undeliverable=len(self.undeliverable), site=link.site)
+                lost = TerminationLost(
+                    qid, undeliverable=self.wire.undeliverable_total, site=link.site
+                )
                 self._outcomes.put(qid, lost)
 
     def _call(self, site: str, op: str, *args: Any) -> Any:
@@ -1070,8 +1032,8 @@ class ProcessCluster(ClusterBase):
         record = json.loads(payload)
         self.stats_timeline.append(record["t"], {site: record["sample"]})
 
-    def _on_give_up(self, site: str, src: str, dst: str, kind: str, qid: str) -> None:
-        self.undeliverable.append(_UndeliveredNote(site, src, dst, kind, qid))
+    def _on_refused(self, site: str, src: str, dst: str, kind: str, qid: str) -> None:
+        self.wire.record(_UndeliveredNote(site, src, dst, kind, qid))
 
     def _on_remote_complete(
         self, qid: QueryId, oids, retrieved, stats, partial, reason, counts, events
@@ -1096,8 +1058,7 @@ class ProcessCluster(ClusterBase):
         if self._closed:
             return
         self._closed = True
-        for timer in self._fault_timers:
-            timer.cancel()
+        self._stop_threads()
         for link in self._links.values():
             # Don't interleave with an in-flight request on the same
             # socket; a child that never frees the lock gets terminated.
@@ -1132,30 +1093,16 @@ class ProcessCluster(ClusterBase):
     # ReplicationManager when replication is on), so process mode keeps
     # the exact inline semantics including epoch-listener fan-out.
 
-    # -- availability ----------------------------------------------------
+    # -- the wire: every child holds its own; the parent broadcasts ------
 
-    def is_up(self, site: str) -> bool:
-        with self._down_lock:
-            return site not in self._down
-
-    def set_down(self, site: str) -> None:
-        """Freeze a site's process; every child drops frames to it."""
-        if site not in self._links:
-            raise UnknownSite(site)
-        with self._down_lock:
-            self._down.add(site)
+    def _site_down(self, site: str) -> None:
+        """Freeze a site's process; every child refuses frames to it."""
         self._broadcast("set_down", site)
 
-    def set_up(self, site: str) -> None:
-        if site not in self._links:
-            raise UnknownSite(site)
-        with self._down_lock:
-            self._down.discard(site)
+    def _site_up(self, site: str) -> None:
         self._broadcast("set_up", site)
 
-    # -- fault injection -------------------------------------------------
-
-    def use_faults(self, plan: FaultPlan) -> None:
+    def use_faults(self, plan: FaultPlan) -> FaultPlan:
         """Attach a chaos schedule.
 
         Link chaos (drop/duplicate/reorder/jitter, partitions) ships to
@@ -1165,13 +1112,7 @@ class ProcessCluster(ClusterBase):
         Scheduled crashes run parent-side as timers driving the usual
         ``set_down``/``set_up`` broadcasts.
         """
-        for crash in plan.crashes:
-            if crash.site not in self._links:
-                raise UnknownSite(crash.site)
-        for timer in self._fault_timers:  # re-arming replaces, not stacks
-            timer.cancel()
-        self._fault_timers.clear()
-        self.fault_plan = plan
+        super().use_faults(plan)
         self._broadcast(
             "faults",
             plan.seed,
@@ -1182,10 +1123,7 @@ class ProcessCluster(ClusterBase):
             ),
             tuple((min(pair), max(pair)) for pair in sorted(plan._partitions, key=sorted)),
         )
-        for crash in plan.crashes:
-            self._schedule_fault(crash.at, lambda s=crash.site: self.set_down(s))
-            if crash.recover_at is not None:
-                self._schedule_fault(crash.recover_at, lambda s=crash.site: self.set_up(s))
+        return plan
 
     def fault_stats(self) -> Dict[str, int]:
         """Aggregate link-chaos counters across every child.
@@ -1211,11 +1149,7 @@ class ProcessCluster(ClusterBase):
     def enable_reliable(self, config: Optional[ReliableConfig] = None) -> None:
         """Arm ack+retransmit on every child's inter-site links."""
         self._broadcast("reliable_on", *astuple(config if config is not None else ReliableConfig()))
-        self._reliable_enabled = True
-
-    @property
-    def reliable_enabled(self) -> bool:
-        return self._reliable_enabled
+        super().enable_reliable(config)
 
     # -- termination diagnostics -----------------------------------------
 
@@ -1236,20 +1170,6 @@ class ProcessCluster(ClusterBase):
             return self.credit_deficit(qid)
         except (HyperFileError, OSError):
             return None
-
-    def _schedule_fault(self, delay_s: float, fn) -> None:
-        def fire() -> None:
-            if self._closed:
-                return
-            try:
-                fn()
-            except (HyperFileError, OSError):
-                pass  # a dying cluster can't crash sites any harder
-
-        timer = threading.Timer(max(delay_s, 0.0), fire)
-        timer.daemon = True
-        self._fault_timers.append(timer)
-        timer.start()
 
     # -- observability ---------------------------------------------------
 
@@ -1369,21 +1289,11 @@ class ProcessCluster(ClusterBase):
 
     # -- dispatch hooks --------------------------------------------------
 
-    def _dispatch_submit(
-        self,
-        origin: str,
-        qid: QueryId,
-        program: Program,
-        initial: List[Oid],
-        priority: Optional[str] = None,
-        tenant: Optional[str] = None,
-    ) -> None:
-        self._call(origin, "submit", qid, program, tuple(initial), priority, tenant)
+    def _dispatch_submit(self, origin: str, qid: QueryId, program, initial, *rest) -> None:
+        self._call(origin, "submit", qid, program, tuple(initial), *rest)
 
-    def _dispatch_submit_from_saved(
-        self, origin: str, qid: QueryId, program: Program, source_qid: QueryId
-    ) -> None:
-        self._call(origin, "submit_saved", qid, program, source_qid)
+    def _dispatch_submit_from_saved(self, origin: str, *args) -> None:
+        self._call(origin, "submit_saved", *args)
 
     def _dispatch_expire(self, origin: str, qid: QueryId) -> None:
         self._call(origin, "expire", qid)
@@ -1416,8 +1326,8 @@ _OPS: Tuple[_Op, ...] = (
     _Op("membership", _ChildRuntime.membership),
     # Queries.
     _Op("submit", _ChildRuntime.submit),
-    _Op("submit_saved", _delegate("asite.submit_from_saved")),
-    _Op("expire", _delegate("asite.expire")),
+    _Op("submit_saved", _ChildRuntime.submit_saved),
+    _Op("expire", _ChildRuntime.expire),
     # The site, its links and its lifetime.
     _Op("peers", _ChildRuntime.peers),
     _Op("set_down", _ChildRuntime.set_down),
@@ -1439,6 +1349,6 @@ _OPS: Tuple[_Op, ...] = (
     _Op("hello", None, push=True),
     _Op("complete", ProcessCluster._on_remote_complete, push=True),
     _Op("stats_push", ProcessCluster._on_stats_push, push=True),
-    _Op("give_up", ProcessCluster._on_give_up, push=True),
+    _Op("give_up", ProcessCluster._on_refused, push=True),
 )
 _CODES = {op.name: code for code, op in enumerate(_OPS)}

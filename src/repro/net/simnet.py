@@ -10,15 +10,14 @@ and maps its step costs onto the discrete-event clock:
   node's cost accounting, the wire occupies nobody);
 * delivery enqueues instantly at the destination and kicks its work loop.
 
-:class:`SimNetwork` owns the host map plus an availability table so the
-autonomy scenarios ("Node A is down, pose the query to Node B") can be
-scripted; messages to down sites are counted and dropped by the sender.
-
-Chaos and fault tolerance plug in here too: an attached
-:class:`~repro.faults.plan.FaultPlan` decides per message whether the
-wire drops, duplicates or delays it, and :meth:`SimNetwork.enable_reliable`
-interposes the ack/retransmit channel so the termination detectors'
-conservation invariants survive that chaos (see docs/FAULTS.md).
+:class:`SimNetwork` owns the host map and the simulator's share of the
+one delivery policy (:class:`~repro.net.site.WirePolicy`, ``wire``):
+a copy is a scheduled arrival after its wire time, a bounce pays latency
+back to its sender, and availability, chaos (an attached
+:class:`~repro.faults.plan.FaultPlan`) and the reliable channel apply as
+on every transport — so the autonomy scenarios ("Node A is down, pose the
+query to Node B") and the detectors' conservation invariants under chaos
+(see docs/FAULTS.md) are the same everywhere.
 """
 
 from __future__ import annotations
@@ -27,64 +26,49 @@ from typing import Dict, Optional
 
 from ..errors import UnknownSite
 from ..faults.plan import FaultPlan
-from ..faults.reliable import ReliableAck, ReliableConfig, ReliableData, ReliableEndpoint
 from ..server.node import ServerNode, StepReport
 from ..sim.kernel import Simulator
-from .messages import BatchedQuery, DerefRequest, Envelope, SeedFromSaved, Undeliverable
+from .messages import Envelope, Undeliverable
+from .site import WirePolicy
 
 
 class SimNetwork:
     """Routes envelopes between simulated hosts."""
 
-    def __init__(self, sim: Simulator, fault_plan: Optional[FaultPlan] = None) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.hosts: Dict[str, "SimHost"] = {}
-        self._down: set = set()
+        self.nodes: Dict[str, ServerNode] = {}
         self._link_latency: Dict[frozenset, float] = {}
         self.messages_delivered = 0
-        self.messages_dropped = 0
         self.bytes_delivered = 0
-        #: Chaos schedule consulted for every wire transmission (or None).
-        self.fault_plan = fault_plan
-        self._endpoints: Optional[Dict[str, ReliableEndpoint]] = None
-        self._reliable_config: Optional[ReliableConfig] = None
         #: Optional MetricsRegistry; None = zero overhead (tracer contract).
         self.metrics = None
-
-    def enable_reliable(self, config: Optional[ReliableConfig] = None) -> None:
-        """Interpose the reliable-delivery channel on every link."""
-        self._reliable_config = config if config is not None else ReliableConfig()
-        self._endpoints = {}
+        self.wire = WirePolicy(
+            self.nodes,
+            deliver=self._land,
+            schedule=sim.schedule,
+            clock=lambda: sim.now,
+            receive=self._receive,
+            transit=self._transit,
+        )
+        self.is_up = self.wire.is_up
 
     @property
-    def reliable_enabled(self) -> bool:
-        return self._endpoints is not None
+    def messages_dropped(self) -> int:
+        return self.wire.messages_dropped
 
-    def _endpoint(self, site: str) -> ReliableEndpoint:
-        assert self._endpoints is not None
-        endpoint = self._endpoints.get(site)
-        if endpoint is None:
-            endpoint = ReliableEndpoint(
-                site,
-                clock=lambda: self.sim.now,
-                scheduler=self.sim.schedule,
-                send_raw=self._transmit_raw,
-                deliver_up=self._deliver_up,
-                node=self.hosts[site].node,
-                config=self._reliable_config,
-                on_give_up=self._give_up,
-            )
-            self._endpoints[site] = endpoint
-        return endpoint
+    @property
+    def fault_plan(self) -> Optional[FaultPlan]:
+        """Chaos schedule consulted for every wire transmission (or None)."""
+        return self.wire.fault_plan
 
     def attach(self, node: ServerNode) -> "SimHost":
         """Create and register a host for ``node``."""
         host = SimHost(self.sim, self, node)
         self.hosts[node.site] = host
+        self.nodes[node.site] = node
         return host
-
-    def is_up(self, site: str) -> bool:
-        return site not in self._down
 
     def set_link_latency(self, a: str, b: str, seconds: float) -> None:
         """Override the wire latency of one (symmetric) link.
@@ -105,37 +89,28 @@ class SimNetwork:
 
     def set_down(self, site: str) -> None:
         """Mark a site unavailable (its queued work is frozen, not lost)."""
-        if site not in self.hosts:
-            raise UnknownSite(site)
-        self._down.add(site)
+        self.wire.set_down(site)
 
     def set_up(self, site: str) -> None:
-        if site not in self.hosts:
-            raise UnknownSite(site)
-        self._down.discard(site)
+        self.wire.set_up(site)
         self.hosts[site].kick()
 
-    def crash_permanently(self, site: str) -> int:
-        """The machine is gone: mark the site down and *bounce* its queued
-        work back to the senders.
+    def crash_permanently(self, site: str) -> None:
+        """The machine is gone: mark the site down and refuse its queued
+        envelopes.
 
         ``set_down`` freezes a site's queue because the site may come
-        back; a permanent crash never thaws, so queued work envelopes —
-        which carry termination credit — are returned as
-        :class:`~repro.net.messages.Undeliverable` exactly as if they had
-        arrived after the crash.  Non-work traffic in the queue is
-        dropped.  Returns the number of envelopes bounced.
+        back; a permanent crash never thaws, so what is queued is refused
+        exactly as if it had arrived after the crash: work envelopes —
+        which carry termination credit — bounce back as
+        :class:`~repro.net.messages.Undeliverable`, anything else is lost.
         """
         self.set_down(site)
-        node = self.hosts[site].node
-        bounced = 0
-        for env in list(node.inbox):
-            self.messages_dropped += 1
-            if isinstance(env.payload, (DerefRequest, BatchedQuery, SeedFromSaved)):
-                self._bounce(env)
-                bounced += 1
-        node.inbox.clear()
-        return bounced
+        inbox = self.hosts[site].node.inbox
+        queued = list(inbox)
+        inbox.clear()
+        for env in queued:
+            self.wire.refuse(env)
 
     def send(self, env: Envelope, depart: float) -> None:
         """Hand ``env`` to the wire at virtual time ``depart``.
@@ -146,40 +121,22 @@ class SimNetwork:
         """
         if env.dst not in self.hosts:
             raise UnknownSite(env.dst)
-        if self.fault_plan is None and self._endpoints is None:
+        wire = self.wire
+        if wire.fault_plan is None and wire.endpoints is None:
             # Clean wire: schedule the arrival directly (and *now*, so
             # same-timestamp event ordering matches the historical
             # behaviour the calibrated benchmarks depend on).
-            self.sim.schedule_at(depart + self._wire_delay(env), lambda: self._arrive(env))
+            self.sim.schedule_at(depart + self._transit(env), lambda: wire.hand_off(env))
             return
-        self.sim.schedule_at(depart, lambda: self._transmit(env))
+        self.sim.schedule_at(depart, lambda: wire.send(env))
 
-    def _transmit(self, env: Envelope) -> None:
-        if self._endpoints is not None and not isinstance(
-            env.payload, (ReliableData, ReliableAck, Undeliverable)
-        ):
-            self._endpoint(env.src).send(env)
-        else:
-            self._transmit_raw(env)
-
-    def _transmit_raw(self, env: Envelope) -> None:
-        """One wire transmission: latency + bandwidth + chaos."""
-        if env.dst not in self.hosts:
-            raise UnknownSite(env.dst)
-        wire = self._wire_delay(env)
-        if self.fault_plan is not None:
-            decision = self.fault_plan.decide(env.src, env.dst)
-            if decision.dropped:
-                self.messages_dropped += 1
-                return
-            for extra in decision.delays:
-                self.sim.schedule(wire + extra, lambda e=env: self._arrive(e))
-        else:
-            self.sim.schedule(wire, lambda: self._arrive(env))
-
-    def _wire_delay(self, env: Envelope) -> float:
+    def _transit(self, env: Envelope) -> float:
+        """One copy's wire time: latency plus bandwidth; a bounce pays the
+        latency back to its sender alone."""
         costs = self.hosts[env.src].node.costs
         latency = self.latency(env.src, env.dst, costs.msg_latency_s)
+        if isinstance(env.payload, Undeliverable):
+            return latency
         wire = latency + env.size_bytes / costs.bandwidth_bytes_per_s
         if self.metrics is not None:
             self.metrics.histogram("net.wire_latency_s").observe(wire)
@@ -194,64 +151,17 @@ class SimNetwork:
         """
         if env.dst not in self.hosts:
             raise UnknownSite(env.dst)
-        self.sim.schedule_at(at, lambda: self._arrive(env))
+        self.sim.schedule_at(at, lambda: self.wire.hand_off(env))
 
-    def _arrive(self, env: Envelope) -> None:
-        host = self.hosts.get(env.dst)
-        if host is None:
-            raise UnknownSite(env.dst)
-        if not self.is_up(env.dst):
-            self.messages_dropped += 1
-            self._bounce(env)
-            return
+    def _land(self, env: Envelope) -> None:
+        """A copy the wire handed off arrives at its (up) destination."""
         self.messages_delivered += 1
-        self.bytes_delivered += env.size_bytes
-        if self._endpoints is not None and isinstance(env.payload, (ReliableData, ReliableAck)):
-            self._endpoint(env.dst).on_wire(env)
-            return
-        host.receive(env)
+        if not isinstance(env.payload, Undeliverable):
+            self.bytes_delivered += env.size_bytes
+        self.wire.arrive(env, self._receive)
 
-    def _deliver_up(self, env: Envelope) -> None:
-        """A deduplicated payload surfaced by the reliable channel."""
+    def _receive(self, env: Envelope) -> None:
         self.hosts[env.dst].receive(env)
-
-    def _give_up(self, env: Envelope) -> None:
-        """The reliable channel exhausted its retries for ``env``.
-
-        Recover exactly as an :class:`Undeliverable` bounce would: hand
-        the original envelope back to the sender's node so the detector
-        re-absorbs its credit/deficit.  Non-work traffic is simply lost.
-        """
-        if not isinstance(env.payload, (DerefRequest, BatchedQuery, SeedFromSaved)):
-            return
-        host = self.hosts.get(env.src)
-        if host is None or not self.is_up(env.src):
-            return
-        host.receive(Envelope(env.dst, env.src, Undeliverable(env), spans=env.spans))
-
-    def _bounce(self, env: Envelope) -> None:
-        """Return an undeliverable *work* message to its sender.
-
-        Only DerefRequest/BatchedQuery/SeedFromSaved carry detector state
-        that must be recovered; results and control traffic addressed to a
-        dead site belong to a query whose originator is gone, and are
-        simply lost.
-        """
-        if not isinstance(env.payload, (DerefRequest, BatchedQuery, SeedFromSaved)):
-            return
-        if not self.is_up(env.src):
-            return
-        latency = self.latency(env.dst, env.src, self.hosts[env.src].node.costs.msg_latency_s)
-        bounce = Envelope(env.dst, env.src, Undeliverable(env), spans=env.spans)
-        self.sim.schedule_at(self.sim.now + latency, lambda: self._deliver_now(bounce))
-
-    def _deliver_now(self, env: Envelope) -> None:
-        host = self.hosts.get(env.dst)
-        if host is None or not self.is_up(env.dst):
-            self.messages_dropped += 1
-            return
-        self.messages_delivered += 1
-        host.receive(env)
 
 
 class SimHost:
@@ -262,7 +172,7 @@ class SimHost:
         self.network = network
         self.node = node
         self._running = False
-        node.is_site_up = network.is_up
+        node.is_site_up = network.wire.is_up
         #: Called with (qid, result) when a query completes here; fired
         #: only after the completing step's cost has elapsed, so the
         #: virtual completion timestamp includes that work.  The host
@@ -298,15 +208,10 @@ class SimHost:
             for qid, result in report.completed:
                 self.sim.schedule_at(depart, lambda q=qid, r=result: self.completion_sink(q, r))
 
-    def submit(self, qid, program, initial, priority=None, tenant=None) -> None:
-        """Client-side entry: install a query at this (originating) site."""
-        report = self.node.submit(qid, program, initial, priority=priority, tenant=tenant)
-        self.dispatch(report)
-        self.kick()
-
-    def submit_from_saved(self, qid, program, source_qid, sites) -> None:
-        report = self.node.submit_from_saved(qid, program, source_qid, sites)
-        self.dispatch(report)
+    def run(self, call) -> None:
+        """Client-side entry: a call (submit, follow-up, expiry) on this
+        site's node; ship what it produced and start the work loop."""
+        self.dispatch(call(self.node))
         self.kick()
 
     def _work(self) -> None:

@@ -18,10 +18,13 @@ import time
 import pytest
 
 from repro.api import ClusterAPI, QueryOutcome, credit_deficit, make_cluster as build_cluster
+from repro.cluster import SimCluster
 from repro.config import ClusterConfig
 from repro.core.tuples import keyword_tuple, pointer_tuple
-from repro.errors import Overloaded, QueryTimeout, ResultSetRetired, UnknownSite
-from repro.faults import FaultPlan
+from repro.errors import Overloaded, QueryTimeout, ResultSetRetired, TerminationLost, UnknownSite
+from repro.faults import FaultPlan, ReliableConfig
+from repro.net.messages import Envelope, PurgeContext, QueryId, SeedFromSaved, Undeliverable
+from repro.net.site import RECENT_UNDELIVERABLE, WORK
 from repro.qos import QoSConfig
 from repro.replication import ReplicationConfig
 from repro.server.context import RECENT_QUERIES
@@ -180,6 +183,110 @@ class TestAvailability:
         cluster.set_up("site1")
         full = cluster.run_query(CLOSURE, [oids[0]], timeout_s=TIMEOUT)
         assert full.result.oid_keys() == {o.key() for o in oids}
+
+
+def one_hop(cluster):
+    """``a`` at site0 points at ``b`` at site1, which points at itself."""
+    s0, s1 = cluster.store("site0"), cluster.store("site1")
+    b = s1.create([keyword_tuple("K")])
+    s1.replace(s1.get(b.oid).with_tuple(pointer_tuple("Ref", b.oid)))
+    return s0.create([pointer_tuple("Ref", b.oid), keyword_tuple("K")]).oid
+
+
+def send_on_the_wire(cluster, env):
+    """Hand ``env`` to the wire the way its sender's site would: on the
+    event loop for ``async``, at the current virtual time (then run to
+    idle) on the simulator."""
+    if isinstance(cluster, SimCluster):
+        cluster.network.send(env, cluster.sim.now)
+        cluster.run()
+    elif hasattr(cluster, "_run_on_loop"):
+        cluster._run_on_loop(lambda: cluster.wire.send(env))
+    else:
+        cluster.route(env)
+
+
+class TestWirePolicy:
+    """The one delivery policy (``repro.net.site.WirePolicy``) behaves the
+    same on every transport whose wire runs in this process: a copy for a
+    down site is counted, recorded and — if it is work — bounced to its
+    sender; a reliable give-up is refused the same way; the record of
+    undeliverable envelopes is a bounded ring with an exact total."""
+
+    @pytest.fixture(params=TRANSPORTS)
+    def two_sites(self, request):
+        made = []
+
+        def factory(**kwargs):
+            cluster = build_cluster(request.param, 2, config=ClusterConfig(**kwargs))
+            made.append(cluster)
+            return cluster
+
+        yield factory
+        for cluster in made:
+            cluster.close()
+
+    def test_work_for_a_down_site_bounces_to_its_sender(self, two_sites, monkeypatch):
+        cluster = two_sites()
+        root = one_hop(cluster)
+        # The race in which site0 routes before it sees site1 down: the
+        # wire, not the node's oracle, must hand the credit back.
+        monkeypatch.setattr(cluster.node("site0"), "is_site_up", lambda site: True)
+        cluster.set_down("site1")
+        outcome = cluster.run_query(CLOSURE, [root], timeout_s=3.0)
+        assert outcome.result.oid_keys() == {root.key()}
+        assert deficit_of(cluster, outcome.qid) == 0
+        assert [env.dst for env in cluster.undeliverable] == ["site1"]
+        assert cluster.wire.undeliverable_total == 1
+        assert cluster.messages_dropped == 1
+
+    def test_a_bounce_to_a_down_sender_is_dropped(self, two_sites):
+        cluster = two_sites()
+        cluster.set_down("site0")
+        cluster.set_down("site1")
+        qid = QueryId(10**6, "site0")
+        work = SeedFromSaved(qid, cluster.compile(CLOSURE), QueryId(1, "site0"))
+        send_on_the_wire(cluster, Envelope("site0", "site1", work))
+        refused = [(env.dst, type(env.payload)) for env in cluster.undeliverable]
+        assert refused == [("site1", SeedFromSaved), ("site0", Undeliverable)]
+        assert cluster.wire.undeliverable_total == 2
+        assert cluster.messages_dropped == 2
+
+    def test_a_reliable_give_up_is_recorded_once(self, two_sites):
+        plan = FaultPlan(seed=3).link("site0", "site1", drop=1.0)
+        reliable = ReliableConfig(base_backoff_s=0.01, max_backoff_s=0.02, max_retries=2)
+        cluster = two_sites(fault_plan=plan, reliable=reliable)
+        root = one_hop(cluster)
+        outcome = cluster.run_query(CLOSURE, [root], timeout_s=3.0)
+        assert outcome.result.oid_keys() == {root.key()}
+        assert deficit_of(cluster, outcome.qid) == 0
+        (given_up,) = cluster.undeliverable
+        assert (given_up.src, given_up.dst) == ("site0", "site1")
+        assert isinstance(given_up.payload, WORK)
+        assert cluster.wire.undeliverable_total == 1
+        assert cluster.total_stats().reliable_give_ups == 1
+        # Every transmission the plan ate, plus the give-up itself.
+        assert plan.dropped == reliable.max_retries + 1
+        assert cluster.messages_dropped == plan.dropped + 1
+
+    def test_undeliverable_is_a_bounded_ring_with_an_exact_total(self, two_sites):
+        cluster = two_sites()
+        cluster.set_down("site1")
+        count = RECENT_UNDELIVERABLE + 5
+        for n in range(count):
+            purge = PurgeContext(QueryId(10**6, "site0"), incarnation=n)
+            send_on_the_wire(cluster, Envelope("site0", "site1", purge))
+        assert len(cluster.undeliverable) == RECENT_UNDELIVERABLE
+        assert cluster.undeliverable[0].payload.incarnation == count - RECENT_UNDELIVERABLE
+        assert cluster.wire.undeliverable_total == count
+        assert cluster.messages_dropped == count
+
+        # A query the detector can never finish reports the total.
+        cluster.set_up("site1")
+        cluster.use_faults(FaultPlan(seed=1).link("site0", "site1", drop=1.0))
+        with pytest.raises(TerminationLost) as lost:
+            cluster.run_query(CLOSURE, [one_hop(cluster)], timeout_s=0.3)
+        assert lost.value.undeliverable == count
 
 
 class TestReplication:

@@ -89,8 +89,7 @@ class TestDownSiteWaits:
 
         with AsyncCluster(2) as cluster:
             site = cluster._asites["site1"]
-            with cluster._down_lock:
-                cluster._down.add("site1")  # the window: down, event still set
+            cluster.wire.down.add("site1")  # the window: down, event still set
             cluster._call_on_loop(lambda: site.inbox.put_nowait(None))
             time.sleep(0.05)
             probe = asyncio.run_coroutine_threadsafe(asyncio.sleep(0), cluster._loop)
