@@ -1,7 +1,12 @@
 """Per-node cache state: fragments, received summaries, query results.
 
 One :class:`NodeCache` lives on each :class:`~repro.server.node.
-ServerNode` when caching is enabled.  It owns
+ServerNode` when caching is enabled and makes every caching decision
+the node asks for: a new context's set-up (:meth:`NodeCache.
+open_context`), the epoch witness on receive, send suppression, the
+summary a drain carries, and the originator's whole-query answer
+(:meth:`NodeCache.serve` at submit, :meth:`NodeCache.finish` at
+completion).  It owns
 
 * the :class:`~repro.cache.fragments.FragmentCache` the engine consults
   per step;
@@ -58,7 +63,7 @@ from ..storage.memstore import MemStore
 from .bloom import oid_token
 from .config import CacheConfig
 from .fragments import FragmentCache, program_suffix_hash
-from .summary import SiteSummary, build_summary
+from .summary import SiteSummary, build_summary, closure_pointer_key
 
 #: Whole-query caches are small: answers are cheap to recompute locally
 #: compared to fragments, and each entry pins full oid tuples.
@@ -90,12 +95,19 @@ class NodeCache:
         self._summaries: Dict[str, SiteSummary] = {}
         self._known_epochs: Dict[str, int] = {}
         self._pointer_keys: Set[str] = set()
+        # Per query held here: the closure-shape pointer key (None for
+        # non-closure programs) that rule-B suppression follows.
+        self._closure_keys: Dict[Hashable, Optional[str]] = {}
         self._own_summary: Optional[SiteSummary] = None
         self._own_summary_keys: frozenset = frozenset()
         # Per destination: (epoch, pointer-key set) of the last summary
         # shipped there, so unchanged summaries are not resent.
         self._summary_sent: Dict[str, Tuple[int, frozenset]] = {}
         self._query_cache: "OrderedDict[tuple, QueryHit]" = OrderedDict()
+        # Per in-flight query served here: the whole-query key its answer
+        # will be stored under, and the local store epoch at submit (the
+        # answer is cached only if the store did not move in between).
+        self._armed: Dict[Hashable, Tuple[tuple, int]] = {}
         # Per in-flight query: site -> epoch relied upon (None = the
         # footprint is poisoned and the answer must not be cached).
         self._query_deps: Dict[Hashable, Dict[str, Optional[int]]] = {}
@@ -121,9 +133,6 @@ class NodeCache:
             if summary is not None and summary.epoch < epoch:
                 del self._summaries[site]
 
-    def known_epoch(self, site: str) -> Optional[int]:
-        return self._known_epochs.get(site)
-
     def confirm_epoch(self, qid: Hashable, site: str, epoch: Optional[int]) -> None:
         """Witness ``site``'s epoch from an envelope handled for ``qid``.
 
@@ -135,6 +144,16 @@ class NodeCache:
         if epoch is None or site == self.site:
             return
         self._confirmed.setdefault(qid, {})[site] = epoch
+
+    def witness(self, site: str, epoch: int, qid: Any = None) -> None:
+        """An epoch seen from ``site``: a newer one invalidates any summary
+        held for it, and one riding an envelope of query ``qid`` is also
+        that query's freshness witness (suppression toward ``site`` is then
+        allowed for the query only against a summary at exactly this
+        epoch)."""
+        self.observe_epoch(site, epoch)
+        if qid is not None and not isinstance(qid, str):
+            self.confirm_epoch(qid, site, epoch)
 
     def record_summary(self, summary: SiteSummary) -> None:
         """Ingest a summary piggybacked on a result message."""
@@ -150,10 +169,17 @@ class NodeCache:
             return None
         return summary
 
-    def note_pointer_key(self, pointer_key: str) -> None:
-        """A closure-shaped query over ``pointer_key`` touched this site;
-        future summaries must advertise reach for it."""
-        self._pointer_keys.add(pointer_key)
+    def open_context(self, qid: Hashable, program: Any, execution: Any, epoch_fn: Any) -> None:
+        """A context for ``qid`` is created here: its execution consults
+        the fragment cache, and a closure-shaped query's pointer key is
+        recorded for suppression and advertised by future summaries."""
+        if self.fragments is not None:
+            execution.fragment_cache = self.fragments
+            execution.epoch_fn = epoch_fn
+        pointer_key = closure_pointer_key(program)
+        self._closure_keys[qid] = pointer_key
+        if pointer_key is not None:
+            self._pointer_keys.add(pointer_key)
 
     def summary_to_attach(
         self, dst: str, store: MemStore, forwarding: ForwardingTable
@@ -184,6 +210,10 @@ class NodeCache:
         return self._own_summary
 
     # -- suppression -----------------------------------------------------
+
+    def suppresses(self, qid: Hashable, dst: str, item: WorkItem) -> bool:
+        """:meth:`should_suppress` for a query this site holds a context for."""
+        return self.should_suppress(qid, dst, item, self._closure_keys.get(qid))
 
     def should_suppress(
         self,
@@ -231,7 +261,7 @@ class NodeCache:
             if reach is not None and not reach.might_contain(token):
                 suppress = True
         if suppress:
-            self._note_dep(qid, dst, summary.epoch)
+            self.note_result_dep(qid, dst, summary.epoch)
         return suppress
 
     # -- whole-query result cache ---------------------------------------
@@ -250,6 +280,52 @@ class NodeCache:
     def begin_query(self, qid: Hashable) -> None:
         self._query_deps[qid] = {}
 
+    def serve(self, ctx: Any, initial: Iterable[Oid], epoch: int) -> bool:
+        """Originator, at submit: fill ``ctx.final`` from a cached answer
+        and return True, or arm the query so its answer can be stored at
+        completion."""
+        if not self.config.query_cache:
+            return False
+        key = self.query_key(ctx.execution.program, (WorkItem(oid=oid, start=1) for oid in initial))
+        hit = self.lookup_query(key, epoch)
+        if hit is not None:
+            for oid in hit.oids:
+                ctx.final.oids.add(oid)
+            for target, value in hit.retrieved:
+                ctx.final.retrieved.setdefault(target, []).append(value)
+            return True
+        self._armed[ctx.qid] = (key, epoch)
+        self.begin_query(ctx.qid)
+        return False
+
+    def finish(self, ctx: Any, epoch: int) -> None:
+        """Originator, once a query is complete (or expired): store its
+        answer if it is whole and the local store did not move since
+        submit; otherwise the answer is fine but not cacheable, and a
+        partial one must never be served from cache."""
+        key, armed_epoch = self._armed.pop(ctx.qid, (None, None))
+        if key is not None and not ctx.final.partial and epoch == armed_epoch:
+            retrieved = tuple(
+                (target, value)
+                for target, values in ctx.final.retrieved.items()
+                for value in values
+            )
+            self.store_query(ctx.qid, key, epoch, tuple(ctx.final.oids.as_list()), retrieved)
+        else:
+            self.drop_query(ctx.qid)
+
+    def result_received(
+        self, qid: Hashable, summary: Optional[SiteSummary], site: str, epoch: Optional[int], counted: bool
+    ) -> None:
+        """A result batch from ``site``: its piggybacked summary is useful
+        whatever the fate of the batch (it describes the peer, not the
+        query); a batch the query ``counted`` makes the answer depend on
+        ``site``'s store at ``epoch``."""
+        if summary is not None:
+            self.record_summary(summary)
+        if counted:
+            self.note_result_dep(qid, site, epoch)
+
     def note_result_dep(self, qid: Hashable, site: str, epoch: Optional[int]) -> None:
         """Record that ``qid``'s answer depends on ``site`` at ``epoch``.
 
@@ -266,9 +342,6 @@ class NodeCache:
             deps[site] = None
         elif deps.get(site, epoch) == epoch:
             deps[site] = epoch
-
-    def _note_dep(self, qid: Hashable, site: str, epoch: int) -> None:
-        self.note_result_dep(qid, site, epoch)
 
     def lookup_query(self, key: tuple, self_epoch: int) -> Optional[QueryHit]:
         """A cached answer for ``key``, or None.
@@ -318,6 +391,8 @@ class NodeCache:
             self._query_cache.popitem(last=False)
 
     def drop_query(self, qid: Hashable) -> None:
-        """Forget an in-flight query's footprint (timeout, purge)."""
+        """Forget a query's footprint (timeout, retirement)."""
         self._query_deps.pop(qid, None)
         self._confirmed.pop(qid, None)
+        self._closure_keys.pop(qid, None)
+        self._armed.pop(qid, None)

@@ -195,9 +195,6 @@ class SimCluster(ClusterBase):
         else:
             self._stats_sampler_armed = False
 
-    def total_objects(self) -> int:
-        return sum(len(s) for s in self.stores.values())
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

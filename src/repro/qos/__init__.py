@@ -2,5 +2,6 @@
 
 from .config import PRIORITIES, QoSConfig
 from .limiter import ClientLimiter
+from .policy import RoundRobin, SiteQoS, WeightedFair
 
-__all__ = ["PRIORITIES", "QoSConfig", "ClientLimiter"]
+__all__ = ["PRIORITIES", "QoSConfig", "ClientLimiter", "RoundRobin", "SiteQoS", "WeightedFair"]

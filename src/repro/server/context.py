@@ -35,6 +35,14 @@ from ..net.messages import QueryId
 #: constant, not a knob: every per-query table is bounded by it.
 RECENT_QUERIES = 32
 
+#: How many purged runs — ``(qid, incarnation)`` pairs — each site
+#: remembers, oldest evicted first.  Work still in flight for a remembered
+#: run is dropped instead of re-creating its context: only a run whose
+#: credit was written off (deadline, crash) can leave such work behind,
+#: and re-walking it would never end on a cyclic closure.  Four windows'
+#: worth, so a burst of that many concurrent expiries stays remembered.
+PURGED_RUNS = 4 * RECENT_QUERIES
+
 
 @dataclass
 class QueryContext:
@@ -69,14 +77,6 @@ class QueryContext:
     #: Fallback parent for events with no tighter cause, so a traced
     #: query's span tree stays connected.  None when untraced.
     root_span: Optional[int] = None
-
-    #: Originator only, caching enabled: the whole-query cache key this
-    #: answer will be stored under at completion, plus the local store
-    #: epoch captured at submit (the answer is cached only if the store
-    #: was not mutated in between).  None when caching is off or the
-    #: query was ineligible.
-    cache_key: Optional[tuple] = None
-    cache_epoch: int = 0
 
     #: Which run of this query id the context belongs to.  1 for every
     #: query whose id is never reused; bumped when an expired query's id

@@ -6,8 +6,12 @@ step-driven interface so different drivers can run it:
 
 * the **simulated cluster** (:mod:`repro.net.simnet`) calls :meth:`step`
   from discrete events and converts the reported costs into virtual time;
-* the **threaded cluster** (:mod:`repro.net.threaded`) calls it from a
-  real worker thread;
+* every **wall-clock site loop** — the threaded cluster's worker thread
+  (:mod:`repro.net.threaded`), an ``async`` inline site's drain task
+  (:mod:`repro.net.asyncio_cluster`) and each process-mode child
+  (:mod:`repro.net.procserver`) — hands each inbox burst to one
+  :class:`~repro.net.site.SiteRuntime`, which delivers it with
+  :meth:`on_message` and steps to idle;
 * tests call it directly.
 
 Each step does exactly one unit of work — ingest one message or push one
@@ -16,6 +20,18 @@ object through the filters — and reports its cost (per the
 node never blocks: remote dereferences become messages ("send the query,
 not the data") and the site keeps processing whatever else is in its
 working sets, which is where the algorithm's parallelism comes from.
+The algorithm is written once: a dereference is ingested (shed, forwarded
+or admitted) by one routine whether it arrived alone or in a batch, and
+work that never reached its destination is recovered by one routine
+whether it bounced or its destination went down under a send queue.
+
+The optional subsystems keep their policy in their own modules: QoS
+(backpressure, shedding, stamping, weighted-fair drain) in
+:mod:`repro.qos.policy`, caching in :class:`~repro.cache.NodeCache`.  A
+subsystem that is off is ``None`` here, tested once per hook; the drain
+order is the paper's round-robin unless QoS chose weighted-fair at
+construction.  Batching and tracing stay in the node: their flush and
+span logic needs its whole surface.
 
 Naming (§4) is folded into :meth:`locate`: try the local store, then the
 site's forwarding table (objects that migrated away), then fall back to
@@ -29,7 +45,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
-from ..cache import CacheConfig, NodeCache, closure_pointer_key
+from ..cache import CacheConfig, NodeCache
 from ..core.oid import Oid
 from ..core.program import Program
 from ..engine.items import WorkItem
@@ -39,7 +55,7 @@ from ..errors import HyperFileError, ObjectNotFound, ResultSetRetired
 from ..metrics.registry import SLO_BUCKETS
 from ..naming.directory import ForwardingTable, ReplicaDirectory
 from ..net.batching import BatchConfig, ItemKey, SendBatcher, item_key
-from ..qos import PRIORITIES, QoSConfig
+from ..qos import QoSConfig, RoundRobin, SiteQoS, WeightedFair
 from ..net.messages import (
     BatchedQuery,
     BatchedResults,
@@ -59,7 +75,7 @@ from ..sim.costs import CostModel, PAPER_COSTS
 from ..storage.memstore import MemStore
 from ..termination.base import TerminationStrategy
 from ..termination.weights import WeightedStrategy
-from .context import RECENT_QUERIES, QueryContext
+from .context import PURGED_RUNS, RECENT_QUERIES, QueryContext
 from .stats import NodeStats
 
 #: Callback fired at the originator when a query completes.
@@ -188,17 +204,21 @@ class ServerNode:
         self.on_query_complete = on_query_complete
         self.batching = batching if batching is not None else BatchConfig(max_batch=1)
         self._batcher = SendBatcher(self.batching) if self.batching.enabled else None
-        self.caching = caching
         self.replicas = replicas
         #: Clock for batch linger aging; real transports point this at
         #: ``time.monotonic`` (the simulator relies on drain/idle flushes).
         self.now_fn: Callable[[], float] = lambda: 0.0
         #: Every context this site holds: the queries it is running plus,
         #: at their originator, the last RECENT_QUERIES finished ones.  No
-        #: per-step path iterates it (see ``_busy`` / ``_pending`` / ``_rr``).
+        #: per-step path iterates it (see ``_busy`` / ``_pending`` / ``_drain_order``).
         self.contexts: Dict[QueryId, QueryContext] = {}
         #: Originator side: finished queries still held, oldest first.
         self._recent: "OrderedDict[QueryId, None]" = OrderedDict()
+        #: The last PURGED_RUNS runs purged here, oldest first: at a
+        #: participant the purges it was told of (their stragglers are
+        #: dropped), at the originator the ones it sent (a reused id skips
+        #: their incarnations).
+        self._purged: "OrderedDict[Tuple[QueryId, int], None]" = OrderedDict()
         #: Contexts with a non-empty working set, and work items pending
         #: across all of them — maintained where working sets change, so
         #: ``has_work`` / ``work_depth`` never scan the context table.
@@ -211,27 +231,15 @@ class ServerNode:
             if caching is not None and caching.enabled
             else None
         )
-        #: Closure-shape pointer key per query (None for non-closure
-        #: programs); drives Bloom rule-B suppression.  Caching only.
-        self._closure_keys: Dict[QueryId, Optional[str]] = {}
         #: Originator side: current incarnation per reused query id (a
         #: qid resubmitted after deadline expiry).  Absent = 1, the
         #: common case, which never stamps the wire.
         self._incarnations: Dict[QueryId, int] = {}
-        self._rr: Deque[QueryId] = deque()  # round-robin order over busy contexts
-        self.qos = qos
-        #: QoS: sites whose last envelope signalled high-watermark pressure.
-        self._pressured: set = set()
-        #: QoS: this site's own pressure state (1 = above high watermark,
-        #: 0 = clear), with hysteresis between the two watermarks.
-        self._pressure_state = 0
-        if qos is not None:
-            #: Per-class round-robin queues for weighted-fair drain.
-            self._rr_class: Dict[str, Deque[QueryId]] = {p: deque() for p in PRIORITIES}
-            #: Remaining drain turns per class in the current WFQ round.
-            self._wfq_credits: Dict[str, int] = {
-                "interactive": qos.interactive_weight, "batch": qos.batch_weight,
-            }
+        #: QoS policy (repro.qos.policy); None = no QoS.
+        self.qos = SiteQoS(qos, self) if qos is not None else None
+        #: Drain order over busy contexts, chosen once: the paper's
+        #: round-robin, or weighted-fair over the QoS service classes.
+        self._drain_order = RoundRobin(self.contexts) if qos is None else WeightedFair(qos, self.contexts)
         #: Optional QueryTracer (see repro.tracing); None = zero overhead.
         self.tracer = None
         #: Optional MetricsRegistry (see repro.metrics.registry); None =
@@ -273,50 +281,32 @@ class ServerNode:
             return oid.birth_site
         return hint
 
-    def _route(self, oid: Oid, exclude: Tuple[str, ...] = ()) -> str:
+    def _route(self, oid: Oid) -> str:
         """Replica-aware :meth:`locate`: where should this dereference go?
 
-        Read anycast — any live holder may serve the request.  Preference
-        order: this site if it holds a replica (no message at all), then
-        the first *live* holder in placement order.  Objects absent from
-        the replica directory (and every ``k=1`` deployment, whose
-        directory is empty) fall back to the paper's naming chain, so the
-        replica-free build routes bit-identically to before.
-
-        ``exclude`` lists holders already attempted (failover); if every
-        holder is excluded or down, the placement primary is returned and
-        the caller's normal down-site accounting abandons the branch.
+        Read anycast — any live holder may serve it (:meth:`_holder`); if
+        none is live the placement primary is returned and the caller's
+        down-site accounting abandons the branch.  Objects absent from the
+        replica directory (every ``k=1`` deployment's is empty) take the
+        paper's naming chain, so the replica-free build routes as before.
         """
         if self.replicas is None:
             return self.locate(oid)
         sites = self.replicas.sites_of(oid)
         if not sites:
             return self.locate(oid)
-        if self.site in sites and self.site not in exclude:
-            return self.site
-        for site in sites:
-            if site not in exclude and self.is_site_up(site) and self._takes_work(site):
-                return site
-        return sites[0]
+        return self._holder(sites, ()) or sites[0]
 
     def _takes_work(self, site: str) -> bool:
         """May new work be sent to ``site``?  Leaving/departed members
         finish what they hold but receive nothing new."""
         return self.membership_status(site) == "up"
 
-    def _next_replica(self, oid: Oid, exclude: set) -> Optional[str]:
-        """The next live holder to fail a bounced dereference over to.
-
-        Returns this site when it holds a replica itself (serve locally,
-        no message), another live holder otherwise, or ``None`` when no
-        un-tried live replica remains — the branch is then abandoned with
-        partial results, exactly like the unreplicated bounce path.
-        """
-        if self.replicas is None:
-            return None
-        sites = self.replicas.sites_of(oid)
-        if not sites:
-            return None
+    def _holder(self, sites: Tuple[str, ...], exclude: Any) -> Optional[str]:
+        """The replica holder to serve a dereference, among ``sites``
+        outside ``exclude`` (holders already tried): this site if it holds
+        one (serve locally, no message), else the first live holder that
+        takes work, in placement order; ``None`` if none is left."""
         if self.site in sites and self.site not in exclude:
             return self.site
         for site in sites:
@@ -337,58 +327,35 @@ class ServerNode:
         tenant: Optional[str] = None,
     ) -> StepReport:
         """Install an originator context and seed the initial set ``S_i``."""
-        if qid.originator != self.site:
-            raise HyperFileError(f"query {qid} submitted at non-originating site {self.site}")
-        self._prepare_resubmit(qid)
-        report = StepReport()
-        if self.tracer is not None:
-            self._step_span = self.tracer.emit(self.site, "submit", qid, filters=program.size)
         initial = list(initial)
-        ctx = self._ensure_context(qid, program)
+        ctx, report = self._open_query(qid, program)
         if self.qos is not None:
-            ctx.priority = priority if priority is not None else self.qos.default_priority
+            ctx.priority = self.qos.service_class(priority)
         # SLO watermarks: stamped from the node clock (virtual on sim,
         # monotonic on the wall-clock transports) so submit→first-result
         # and submit→complete are measured where completion is decided.
         ctx.submitted_at = self.now_fn()
         if tenant is not None:
             ctx.tenant = tenant
-        self.termination.on_start(ctx.term_state)
         if (
             self._cache is not None
-            and self._cache.config.query_cache
             and self.result_mode == "ship"
+            and self._cache.serve(ctx, initial, self.store.epoch)
         ):
-            key = self._cache.query_key(
-                program, tuple(WorkItem(oid=oid, start=1) for oid in initial)
-            )
-            hit = self._cache.lookup_query(key, self.store.epoch)
-            if hit is not None:
-                # Serve the whole answer from cache: write the ledger off
-                # (no work was split) and complete through the normal
-                # termination path so traces/callbacks look identical.
-                self.termination.on_deadline(ctx.term_state)
-                report.elapsed += self.costs.cache_hit_s
-                assert ctx.final is not None
-                for oid in hit.oids:
-                    ctx.final.oids.add(oid)
-                for target, value in hit.retrieved:
-                    ctx.final.retrieved.setdefault(target, []).append(value)
-                self._check_termination(ctx, report)
-                return report
-            ctx.cache_key = key
-            ctx.cache_epoch = self.store.epoch
-            self._cache.begin_query(qid)
+            # The whole answer came from cache: write the ledger off (no
+            # work was split) and complete through the normal termination
+            # path so traces/callbacks look identical.
+            self.termination.on_deadline(ctx.term_state)
+            report.elapsed += self.costs.cache_hit_s
+            self._check_termination(ctx, report)
+            return report
         for oid in initial:
             target = self._route(oid)
             if target == self.site:
-                item = WorkItem(oid=oid, start=1)
-                self._admit(ctx, item)
-                if self._step_span is not None:
-                    self._item_spans[(qid, item_key(item))] = self._step_span
+                self._admit(ctx, WorkItem(oid=oid, start=1), self._step_span)
             else:
                 self._send_work(ctx, target, WorkItem(oid=oid, start=1), report)
-        self._enqueue_rr(qid)
+        self._drain_order.add(ctx)
         self._drain_if_idle(ctx, report)
         return report
 
@@ -408,8 +375,6 @@ class ServerNode:
         recently-finished window; otherwise :class:`ResultSetRetired`
         is raised rather than seeding from nothing.
         """
-        if qid.originator != self.site:
-            raise HyperFileError(f"query {qid} submitted at non-originating site {self.site}")
         if self.result_mode != "count":
             raise ResultSetRetired(
                 f"follow-up on {source_qid}: result_mode={self.result_mode!r} ships results "
@@ -422,30 +387,30 @@ class ServerNode:
                     "queries finished here, so its partitions were retired"
                 )
             self._recent.move_to_end(source_qid)  # a follow-up renews the lease
-        self._prepare_resubmit(qid)
-        report = StepReport()
-        if self.tracer is not None:
-            self._step_span = self.tracer.emit(
-                self.site, "submit", qid, filters=program.size, followup=str(source_qid)
-            )
-        ctx = self._ensure_context(qid, program)
-        self.termination.on_start(ctx.term_state)
+        ctx, report = self._open_query(qid, program, followup=str(source_qid))
         for site in sites:
             if site == self.site:
-                for oid in self.saved_partition(source_qid):
-                    item = WorkItem(oid=oid, start=1)
-                    self._admit(ctx, item)
-                    if self._step_span is not None:
-                        self._item_spans[(qid, item_key(item))] = self._step_span
+                self._seed(ctx, source_qid)
             else:
                 attach = self.termination.on_send_work(ctx.term_state)
                 self._emit(
                     report, site,
                     SeedFromSaved(qid, program, source_qid, self._stamp_inc(ctx, attach)),
                 )
-        self._enqueue_rr(qid)
+        self._drain_order.add(ctx)
         self._drain_if_idle(ctx, report)
         return report
+
+    def _open_query(self, qid: QueryId, program: Program, **detail: Any) -> Tuple[QueryContext, StepReport]:
+        """Install the originator context of a query submitted here."""
+        if qid.originator != self.site:
+            raise HyperFileError(f"query {qid} submitted at non-originating site {self.site}")
+        self._prepare_resubmit(qid)
+        if self.tracer is not None:
+            self._step_span = self.tracer.emit(self.site, "submit", qid, filters=program.size, **detail)
+        ctx = self._ensure_context(qid, program)
+        self.termination.on_start(ctx.term_state)
+        return ctx, StepReport()
 
     def saved_partition(self, qid: QueryId) -> List[Oid]:
         """This site's retained result partition for a finished query."""
@@ -467,10 +432,7 @@ class ServerNode:
         report = StepReport()
         target = self._route(oid)
         if target == self.site:
-            try:
-                self.fetch_results[request_id] = self.store.get(oid)
-            except ObjectNotFound:
-                self.fetch_results[request_id] = None
+            self.fetch_results[request_id] = self._local_object(oid)
             report.elapsed += self.costs.mark_check_s
         else:
             self._emit(report, target, FetchRequest(request_id, oid, reply_to=self.site))
@@ -492,15 +454,9 @@ class ServerNode:
         abandoned = self._abandon(ctx)
         self._merge_local_results(ctx)
         self.termination.on_deadline(ctx.term_state)
-        if self._item_spans:
-            self._drop_item_spans(qid)
-        if self._batcher is not None:
-            # Pending queued sends carried credit, but on_deadline just
-            # wrote the whole ledger off — dropping them is consistent.
-            self._batcher.drop_query(qid)
-        if self._cache is not None:
-            # A partial answer must never be served from cache.
-            self._cache.drop_query(qid)
+        # Pending queued sends carried credit, but on_deadline just wrote
+        # the whole ledger off — dropping them is consistent.
+        self._drop_sends(qid)
         ctx.done = True
         assert ctx.final is not None
         ctx.final.partial = True
@@ -519,11 +475,7 @@ class ServerNode:
                 self.site, "timeout", qid, parent=ctx.root_span,
                 abandoned=abandoned, results=len(ctx.final.oids),
             )
-        self._stamp_slo(ctx)
-        report.completed.append((qid, ctx.final))
-        if self.on_query_complete is not None:
-            self.on_query_complete(qid, ctx.final)
-        self._retire_finished(ctx, report)
+        self._finish(ctx, report)
         return report
 
     # ------------------------------------------------------------------
@@ -554,14 +506,14 @@ class ServerNode:
             return
         self.inbox.append(env)
 
-    def observe_epoch(self, site: str, epoch: int) -> None:
-        """Out-of-band cache invalidation: ``site``'s store epoch moved
-        without an envelope from it (replication write fan-out).  Stale
-        summaries for the site are dropped immediately, so a replica
-        mutated elsewhere can never satisfy rule-B suppression here.
-        No-op when caching is off."""
+    def observe_epoch(self, site: str, epoch: int, qid: Any = None) -> None:
+        """Cache invalidation: ``site``'s store epoch is ``epoch``, seen on
+        an envelope (bearing query ``qid``) or out of band (replication
+        write fan-out).  Stale summaries for the site are dropped at once,
+        so a replica mutated elsewhere can never satisfy rule-B
+        suppression here.  No-op when caching is off."""
         if self._cache is not None:
-            self._cache.observe_epoch(site, epoch)
+            self._cache.witness(site, epoch, qid)
 
     @property
     def has_work(self) -> bool:
@@ -577,11 +529,11 @@ class ServerNode:
         that caught a raise part-way through a step, which may have
         skipped their upkeep.  Scans every context: not a per-step call."""
         self._busy = self._pending = 0
-        for qid, ctx in self.contexts.items():
+        for ctx in self.contexts.values():
             if ctx.busy:
                 self._busy += 1
                 self._pending += ctx.execution.pending
-                self._enqueue_rr(qid)
+                self._drain_order.add(ctx)
 
     @property
     def work_depth(self) -> int:
@@ -590,61 +542,11 @@ class ServerNode:
         (backpressure and shedding) are compared against."""
         return len(self.inbox) + self._pending
 
-    # ------------------------------------------------------------------
-    # QoS: backpressure, shedding, weighted-fair drain (see docs/QOS.md)
-    # ------------------------------------------------------------------
-
-    def _qos_refresh_pressure(self) -> None:
-        """Re-evaluate this site's backpressure state with hysteresis."""
-        qos = self.qos
-        if qos is None or qos.high_watermark is None:
-            return
-        depth = self.work_depth
-        if self._pressure_state == 0 and depth >= qos.high_watermark:
-            self._pressure_state = 1
-            self.stats.backpressure_transitions += 1
-            if self.metrics is not None:
-                self.metrics.counter("qos.backpressure_transitions_total", site=self.site).inc()
-        elif self._pressure_state == 1 and depth <= qos.low_watermark:
-            self._pressure_state = 0
-
-    def _qos_should_shed(self, ctx: QueryContext) -> bool:
-        """Shed this arriving remote work item instead of admitting it?
-
-        Only batch-class work is shed (unless ``shed_interactive`` is
-        set), and only while the local work queue sits at or above the
-        shed watermark.  Seeds installed by a local submit are never
-        shed — admission control (the token bucket) governs those.
-        """
-        qos = self.qos
-        if qos is None or qos.shed_watermark is None:
-            return False
-        if ctx.priority != "batch" and not qos.shed_interactive:
-            return False
-        return self.work_depth >= qos.shed_watermark
-
-    def _qos_shed(self, ctx: QueryContext) -> None:
-        """Account one shed work item (its credit was already absorbed)."""
-        self.stats.work_shed += 1
-        if self.metrics is not None:
-            self.metrics.counter("qos.work_shed_total", site=self.site).inc()
-        if self.tracer is not None:
-            self.tracer.emit(self.site, "shed", ctx.qid, parent=self._step_span)
-        if ctx.is_originator:
-            ctx.saw_shed = True
-        else:
-            ctx.shed_pending += 1
-
-    def _qos_adopt_priority(self, ctx: QueryContext, env: Envelope) -> None:
-        """Adopt the service class a work envelope carries for its query."""
-        if self.qos is not None and env.priority is not None:
-            ctx.priority = env.priority
-
     def step(self) -> StepReport:
         """Do one unit of work: handle one message, or process one object."""
         if self.inbox:
             return self._handle_message(self.inbox.popleft())
-        ctx = self._next_busy_context()
+        ctx = self._drain_order.next()
         if ctx is not None:
             return self._process_one(ctx)
         if self._batcher is not None and self._batcher.has_pending:
@@ -693,34 +595,15 @@ class ServerNode:
 
     def _handle_message(self, env: Envelope) -> StepReport:
         payload = env.payload
-        if self._cache is not None and env.src_epoch is not None:
-            # Every envelope piggybacks its sender's store epoch; a newer
-            # one invalidates any summary held for that site.
-            self._cache.observe_epoch(env.src, env.src_epoch)
-            qid = getattr(payload, "qid", None)
-            if qid is not None and not isinstance(qid, str):
-                # A query-bearing envelope is also a same-query freshness
-                # witness: suppression toward env.src is allowed for this
-                # query only against a summary at exactly this epoch.
-                self._cache.confirm_epoch(qid, env.src, env.src_epoch)
+        if env.src_epoch is not None:
+            # A caching sender stamps its store epoch on every envelope.
+            self.observe_epoch(env.src, env.src_epoch, getattr(payload, "qid", None))
         self.stats.count_received(type(payload).__name__, env.size_bytes)
         if self.metrics is not None:
             self.metrics.counter("node.messages_received_total", site=self.site).inc()
             self.metrics.gauge("node.inbox_depth", site=self.site).set(len(self.inbox))
         if self.qos is not None:
-            if env.pressure is not None:
-                # The sender's backpressure state piggybacks on every
-                # envelope; track it so our sends toward that site throttle.
-                if env.pressure:
-                    self._pressured.add(env.src)
-                else:
-                    self._pressured.discard(env.src)
-            self._qos_refresh_pressure()
-            if self.metrics is not None:
-                self.metrics.gauge("qos.queue_depth", site=self.site).set(self.work_depth)
-                self.metrics.gauge("qos.send_queue_depth", site=self.site).set(
-                    self._batcher.total_queued if self._batcher is not None else 0
-                )
+            self.qos.observe(env)
         if self.tracer is not None:
             detail: Dict[str, Any] = {"msg": type(payload).__name__, "src": env.src}
             credit = _credit_detail(payload)
@@ -731,7 +614,7 @@ class ServerNode:
                 parent=env.spans[0] if env.spans else None, **detail,
             )
         if isinstance(payload, DerefRequest):
-            return self._handle_deref(env, payload)
+            return self._handle_work(env, payload, payload.item)
         if isinstance(payload, BatchedQuery):
             return self._handle_batched_query(env, payload)
         if isinstance(payload, ResultBatch):
@@ -741,7 +624,7 @@ class ServerNode:
         if isinstance(payload, ControlMessage):
             return self._handle_control(env, payload)
         if isinstance(payload, SeedFromSaved):
-            return self._handle_seed_from_saved(env, payload)
+            return self._handle_work(env, payload, None)
         if isinstance(payload, Undeliverable):
             return self._handle_undeliverable(env, payload)
         if isinstance(payload, FetchRequest):
@@ -765,82 +648,42 @@ class ServerNode:
             )
         return StepReport(elapsed=self.costs.msg_recv_s)
 
-    def _handle_deref(self, env: Envelope, msg: DerefRequest) -> StepReport:
+    def _handle_work(self, env: Envelope, msg: Any, item: Optional[WorkItem]) -> StepReport:
+        """A lone DerefRequest, or a SeedFromSaved (``item`` None: this
+        site's saved partition of the source query, paper §5)."""
         report = StepReport(elapsed=self.costs.msg_recv_s)
         ctx = self._context_for_work(msg.qid, msg.program, msg.term)
-        if ctx is None or ctx.done:
-            # The deadline fired (or the query id was reused) while this
-            # work was in flight; the client already has the (partial)
-            # result — drop the branch.
+        if ctx is None:
+            # The deadline fired (or the query id was reused, or the run
+            # was purged here) while this work was in flight; the client
+            # already has the (partial) result — drop the branch.
             self.stats.late_messages += 1
             return report
-        self._qos_adopt_priority(ctx, env)
-        if self._qos_should_shed(ctx):
-            # Load shed: absorb the item's termination credit exactly as
-            # an admission would (it returns to the originator with the
-            # next drain, so conservation stays exact), but drop the item
-            # itself and stamp the loss on the drain (``#shed``) so the
-            # originator marks the outcome partial.
-            self._absorb_controls(
-                report,
-                self.termination.on_recv_work(ctx.term_state, dict(msg.term), env.src, ctx.busy),
-                msg.qid,
-            )
-            self._qos_shed(ctx)
-            self._drain_if_idle(ctx, report)
-            return report
-        target = self._route(msg.item.oid)
-        if target != self.site and self.is_site_up(target):
-            # The object migrated away (or the sender used a stale hint):
-            # absorb the detector state, then re-forward the request.
-            self._absorb_controls(
-                report,
-                self.termination.on_recv_work(ctx.term_state, dict(msg.term), env.src, ctx.busy),
-                msg.qid,
-            )
-            self._send_work(ctx, target, msg.item, report, tried=env.tried or ())
-            self.stats.forwarded_requests += 1
-        else:
-            if not ctx.execution.mark_table.should_process(
-                msg.item.oid, msg.item.start, msg.item.iters
-            ):
-                # This request asks us to re-process something we already
-                # did — the message a global mark table would have saved
-                # (paper §3.2 argues the savings are not worth the
-                # coordination; ablation A1 quantifies them).
-                self.stats.duplicate_requests += 1
-            self._admit(ctx, msg.item)
-            if self._step_span is not None:
-                self._item_spans[(msg.qid, item_key(msg.item))] = self._step_span
-            self._enqueue_rr(msg.qid)
-            self._absorb_controls(
-                report,
-                self.termination.on_recv_work(ctx.term_state, dict(msg.term), env.src, ctx.busy),
-                msg.qid,
-            )
+        if item is None:
+            # A seed is never shed or forwarded: the partition is here.
+            self._seed(ctx, msg.source_qid)
+            self._drain_order.add(ctx)
+        self._ingest(env, ctx, item, msg.term, self._step_span, report)
         self._drain_if_idle(ctx, report)
         return report
 
     def _handle_batched_query(self, env: Envelope, msg: BatchedQuery) -> StepReport:
-        """Unbatch a coalesced frame: each item is ingested exactly as if
-        its DerefRequest had arrived alone, but the receive overhead is
-        one header plus a per-item marginal (the point of batching)."""
+        """Unbatch a coalesced frame: each item goes through :meth:`_ingest`
+        exactly as if its DerefRequest had arrived alone, but the receive
+        overhead is one header plus a per-item marginal (the point of
+        batching)."""
         report = StepReport(
             elapsed=self.costs.msg_recv_s
             + self.costs.batch_item_recv_s * (len(msg.items) - 1)
         )
-        ctx = self._context_for_work(
-            msg.qid, msg.program, msg.terms[0] if msg.terms else {}
-        )
-        batch_span: Optional[int] = None
+        ctx = self._context_for_work(msg.qid, msg.program, msg.terms[0] if msg.terms else {})
         if self.tracer is not None:
-            batch_span = self.tracer.emit(
+            self._step_span = self.tracer.emit(
                 self.site, "batch_recv", msg.qid,
                 parent=env.spans[0] if env.spans else None,
                 src=env.src, items=len(msg.items), hints=len(msg.marked_hints),
             )
-            self._step_span = batch_span
-        if ctx is None or ctx.done:
+        if ctx is None:
             self.stats.late_messages += 1
             return report
         if self._batcher is not None and msg.marked_hints:
@@ -848,49 +691,55 @@ class ServerNode:
             # processed there, so never send it back.
             self._batcher.record_remote_marks(msg.qid, env.src, msg.marked_hints)
         self.stats.batched_items += len(msg.items)
-        self._qos_adopt_priority(ctx, env)
+        spans = env.spans
         for index, (item, term) in enumerate(zip(msg.items, msg.terms)):
             # Per-item cause: the sender's step that enqueued this item
             # (rides as spans[1:]); the batch_recv itself is the fallback.
-            cause = batch_span
-            if env.spans is not None and len(env.spans) > 1 + index:
-                sender_cause = env.spans[1 + index]
-                if sender_cause:
-                    cause = sender_cause
-            if self._qos_should_shed(ctx):
-                # Same shed-with-exact-credit path as the unbatched frame,
-                # applied per item (earlier admissions in this very batch
-                # may already have pushed the depth over the watermark).
-                self._absorb_controls(
-                    report,
-                    self.termination.on_recv_work(ctx.term_state, dict(term), env.src, ctx.busy),
-                    msg.qid,
-                )
-                self._qos_shed(ctx)
-                continue
-            target = self._route(item.oid)
-            if target != self.site and self.is_site_up(target):
-                self._absorb_controls(
-                    report,
-                    self.termination.on_recv_work(ctx.term_state, dict(term), env.src, ctx.busy),
-                    msg.qid,
-                )
-                self._send_work(ctx, target, item, report, cause=cause, tried=env.tried or ())
-                self.stats.forwarded_requests += 1
-            else:
-                if not ctx.execution.mark_table.should_process(item.oid, item.start, item.iters):
-                    self.stats.duplicate_requests += 1
-                self._admit(ctx, item)
-                if cause is not None:
-                    self._item_spans[(msg.qid, item_key(item))] = cause
-                self._enqueue_rr(msg.qid)
-                self._absorb_controls(
-                    report,
-                    self.termination.on_recv_work(ctx.term_state, dict(term), env.src, ctx.busy),
-                    msg.qid,
-                )
+            cause = self._step_span
+            if spans is not None and len(spans) > 1 + index and spans[1 + index]:
+                cause = spans[1 + index]
+            self._ingest(env, ctx, item, term, cause, report)
         self._drain_if_idle(ctx, report)
         return report
+
+    def _ingest(
+        self, env: Envelope, ctx: QueryContext, item: Optional[WorkItem], term: Any,
+        cause: Optional[int], report: StepReport,
+    ) -> None:
+        """One arriving work item, the same whether it came alone or in a
+        batch: shed, forwarded or admitted, and in every case its
+        termination credit handed to the detector (``item`` None: a seed
+        already admitted, only its credit is left)."""
+        forward = False
+        # Load shed: the item's termination credit is absorbed exactly as
+        # an admission would (it returns to the originator with the next
+        # drain, so conservation stays exact), but the item itself is
+        # dropped and the loss rides that drain (``#shed``) so the
+        # originator marks the outcome partial.  Earlier admissions in a
+        # batch may already have pushed the depth over the watermark.
+        if item is not None and (self.qos is None or not self.qos.shed(ctx, env, self._step_span)):
+            target = self._route(item.oid)
+            # The object migrated away (or the sender used a stale hint):
+            # absorb the detector state, then re-forward.
+            forward = target != self.site and self.is_site_up(target)
+            if not forward:
+                if not ctx.execution.mark_table.should_process(item.oid, item.start, item.iters):
+                    # This request asks us to re-process something we
+                    # already did — the message a global mark table would
+                    # have saved (paper §3.2 argues the savings are not
+                    # worth the coordination; ablation A1 quantifies them).
+                    self.stats.duplicate_requests += 1
+                self._admit(ctx, item, cause)
+                self._drain_order.add(ctx)
+        # After an admission, so the detector sees the site busy.
+        self._absorb_controls(
+            report,
+            self.termination.on_recv_work(ctx.term_state, dict(term), env.src, ctx.busy),
+            ctx.qid,
+        )
+        if forward:
+            self._send_work(ctx, target, item, report, cause=cause, tried=env.tried or ())
+            self.stats.forwarded_requests += 1
 
     def _handle_result(self, env: Envelope, msg: ResultBatch) -> StepReport:
         if msg.qid.originator != self.site:
@@ -898,15 +747,17 @@ class ServerNode:
                 f"site {self.site} received results for {msg.qid} it did not originate"
             )
         ctx = self.contexts.get(msg.qid)
-        if self._cache is not None and msg.summary is not None:
-            # Piggybacked reachability summary: useful whatever the fate
-            # of the batch itself (it describes the peer, not the query).
-            self._cache.record_summary(msg.summary)
         report = StepReport(
             elapsed=self.costs.result_msg_fixed_s + self.costs.result_item_s * msg.item_count
         )
         inc = msg.term.get("#inc", 1)
-        if ctx is None or ctx.done or inc != ctx.incarnation:
+        live = ctx is not None and not ctx.done and inc == ctx.incarnation
+        if self._cache is not None:
+            # A counted batch makes the answer depend on env.src's store as
+            # of its current epoch (None or ambiguous epochs poison the
+            # footprint).
+            self._cache.result_received(msg.qid, msg.summary, env.src, env.src_epoch, live)
+        if not live:
             # Deadline already fired (or detector already terminated, or
             # the query was retired, or this batch belongs to a previous
             # run of a reused query id): the client holds the result;
@@ -915,12 +766,8 @@ class ServerNode:
             # its full receive-and-parse cost.
             self._late(msg.qid, env.src, report, inc)
             return report
-        assert ctx.final is not None
+        assert ctx is not None and ctx.final is not None
         ctx.participants.add(env.src)
-        if self._cache is not None:
-            # The answer now depends on env.src's store as of its current
-            # epoch (None or ambiguous epochs poison the footprint).
-            self._cache.note_result_dep(msg.qid, env.src, env.src_epoch)
         if msg.count_only:
             ctx.partition_counts[env.src] = ctx.partition_counts.get(env.src, 0) + msg.count
         else:
@@ -967,25 +814,10 @@ class ServerNode:
             self._check_termination(ctx, report)
         return report
 
-    def _handle_seed_from_saved(self, env: Envelope, msg: SeedFromSaved) -> StepReport:
-        report = StepReport(elapsed=self.costs.msg_recv_s)
-        ctx = self._context_for_work(msg.qid, msg.program, msg.term)
-        if ctx is None or ctx.done:
-            self.stats.late_messages += 1
-            return report
-        for oid in self.saved_partition(msg.source_qid):
-            item = WorkItem(oid=oid, start=1)
-            self._admit(ctx, item)
-            if self._step_span is not None:
-                self._item_spans[(msg.qid, item_key(item))] = self._step_span
-        self._enqueue_rr(msg.qid)
-        self._absorb_controls(
-            report,
-            self.termination.on_recv_work(ctx.term_state, dict(msg.term), env.src, ctx.busy),
-            msg.qid,
-        )
-        self._drain_if_idle(ctx, report)
-        return report
+    def _seed(self, ctx: QueryContext, source_qid: QueryId) -> None:
+        """Admit this site's saved partition of ``source_qid`` (paper §5)."""
+        for oid in self.saved_partition(source_qid):
+            self._admit(ctx, WorkItem(oid=oid, start=1), self._step_span)
 
     def _handle_fetch_request(self, env: Envelope, msg: FetchRequest) -> StepReport:
         report = StepReport(elapsed=self.costs.msg_recv_s)
@@ -995,12 +827,14 @@ class ServerNode:
             self._emit(report, target, msg)
             self.stats.forwarded_requests += 1
             return report
-        try:
-            obj = self.store.get(msg.oid)
-        except ObjectNotFound:
-            obj = None
-        self._emit(report, msg.reply_to or env.src, FetchReply(msg.request_id, obj))
+        self._emit(report, msg.reply_to or env.src, FetchReply(msg.request_id, self._local_object(msg.oid)))
         return report
+
+    def _local_object(self, oid: Oid) -> Any:
+        try:
+            return self.store.get(oid)
+        except ObjectNotFound:
+            return None
 
     def _handle_fetch_reply(self, msg: FetchReply) -> StepReport:
         self.fetch_results[msg.request_id] = msg.obj
@@ -1018,96 +852,95 @@ class ServerNode:
                 self.site, "recv", msg.qid, parent=env.spans[0] if env.spans else None,
                 msg="PurgeContext", src=env.src,
             )
+        if msg.qid.originator == self.site:
+            return
         ctx = self.contexts.get(msg.qid)
-        if ctx is not None and not ctx.is_originator and ctx.incarnation <= msg.incarnation:
+        if ctx is not None and ctx.incarnation <= msg.incarnation:
             self._retire_context(msg.qid)
+        self._remember_purged(msg.qid, msg.incarnation)
 
     def _handle_undeliverable(self, env: Envelope, msg: Undeliverable) -> StepReport:
-        """A work message we sent bounced off a down site.
-
-        Recover the termination state it carried, then — when the object
-        is replicated — fail the work over to the next live holder the
-        bounce has not tried yet (the envelope's ``tried`` hint carries
-        the attempted set across hops).  Each re-routed send splits
-        *fresh* credit, so recovery + re-split keeps the weighted
-        detector's conservation exact.  Work with no remaining live
-        replica is abandoned, exactly the unreplicated behaviour
-        (partial results, clean termination)."""
+        """A work message we sent bounced off a down site: recover and
+        fail over what it carried (see :meth:`_recover`).  The envelope's
+        ``tried`` hint carries the holders already attempted across hops."""
         report = StepReport(elapsed=self.costs.msg_recv_s)
         original = msg.original.payload
-        ctx = self.contexts.get(original.qid)
         if isinstance(original, BatchedQuery):
-            term0 = original.terms[0] if original.terms else {}
+            items, terms = original.items, original.terms
         else:
-            term0 = getattr(original, "term", None) or {}
-        inc = term0.get("#inc", 1)
+            # SeedFromSaved has no item: it never fails over, because the
+            # saved partition lives only at the bounced site.
+            items, terms = (getattr(original, "item", None),), (original.term,)
+        inc = terms[0].get("#inc", 1) if terms else 1
+        ctx = self.contexts.get(original.qid)
         if ctx is None or ctx.done or inc != ctx.incarnation:
             # Ledger already written off (or its context retired), or the
             # bounce belongs to a previous run of a reused query id.
             self._late(original.qid, env.src, report, inc)
             return report
-        excl = set(msg.original.tried or ()) | {msg.original.dst}
-        if isinstance(original, BatchedQuery):
-            # A whole batch bounced: recover every item's credit, and
-            # un-record the items so a re-discovered branch is not
+        if self._batcher is not None and not isinstance(original, SeedFromSaved):
+            # Un-record the items so a re-discovered branch is not
             # suppressed against a site that never processed it.
-            if self._batcher is not None:
-                self._batcher.forget_sent(original.qid, msg.original.dst, original.items)
-            for item, term in zip(original.items, original.terms):
-                outs = self.termination.on_send_failed(ctx.term_state, dict(term), ctx.busy)
-                self._absorb_controls(report, outs, original.qid)
-                if not self._failover(ctx, item, excl, report):
-                    self.stats.failed_sends += 1
-                    ctx.abandoned += 1
-        else:
-            if self._batcher is not None and isinstance(original, DerefRequest):
-                self._batcher.forget_sent(original.qid, msg.original.dst, (original.item,))
-            outs = self.termination.on_send_failed(ctx.term_state, dict(original.term), ctx.busy)
-            self._absorb_controls(report, outs, original.qid)
-            if not (
-                isinstance(original, DerefRequest)
-                and self._failover(ctx, original.item, excl, report)
-            ):
-                # SeedFromSaved never fails over: the saved partition
-                # lives only at the bounced site.
-                self.stats.failed_sends += 1
-                ctx.abandoned += 1
+            self._batcher.forget_sent(original.qid, msg.original.dst, items)
+        excl = set(msg.original.tried or ()) | {msg.original.dst}
+        self._recover(ctx, items, terms, (None,) * len(items), excl, report)
         self._drain_if_idle(ctx, report)
         if ctx.is_originator:
             self._check_termination(ctx, report)
         return report
 
+    def _recover(
+        self, ctx: QueryContext, items: Tuple[Optional[WorkItem], ...], terms: Tuple[Any, ...],
+        causes: Tuple[Optional[int], ...], excl: set, report: StepReport,
+    ) -> int:
+        """Work that never reached its destination: take each item's
+        credit back, then fail the item over to a live replica outside
+        ``excl``.  Each re-routed send splits *fresh* credit, so recovery
+        plus re-split keeps the weighted detector's conservation exact.
+        An item with no remaining live replica (or no item: a seed) is
+        abandoned, exactly the unreplicated behaviour (partial results,
+        clean termination).  Returns the number abandoned."""
+        abandoned = 0
+        for item, term, cause in zip(items, terms, causes):
+            outs = self.termination.on_send_failed(ctx.term_state, dict(term), ctx.busy)
+            self._absorb_controls(report, outs, ctx.qid)
+            abandoned += self._failover(ctx, item, excl, report, cause=cause)
+        return abandoned
+
     def _failover(
         self,
         ctx: QueryContext,
-        item: WorkItem,
+        item: Optional[WorkItem],
         excl: set,
         report: StepReport,
         cause: Optional[int] = None,
     ) -> bool:
-        """Re-route one bounced work item to a replica outside ``excl``.
+        """Re-route one work item that cannot reach its holder to a
+        replica outside ``excl``, or abandon it; True when abandoned.
 
         A local replica admits the item straight into the working set (no
         message); a remote live holder gets a fresh send — new credit is
         split inside :meth:`_send_work` and the envelope's ``tried`` hint
         carries ``excl`` so a second bounce keeps excluding dead holders
-        (no ping-pong between two down sites).  Returns ``False`` when no
-        un-tried live replica remains; the caller abandons the branch.
+        (no ping-pong between two down sites).  With no un-tried live
+        replica (or no item: a seed) the branch is abandoned — autonomy:
+        a down site must not hang the query, so its results are partial.
         """
-        alt = self._next_replica(item.oid, excl)
+        alt = None
+        if item is not None and self.replicas is not None:
+            alt = self._holder(self.replicas.sites_of(item.oid), excl)
         if alt is None:
-            return False
+            self.stats.failed_sends += 1
+            ctx.abandoned += 1
+            return True
         self.stats.replica_failovers += 1
         if alt == self.site:
             self.stats.replica_local_serves += 1
-            self._admit(ctx, item)
-            span = cause if cause is not None else self._step_span
-            if span is not None:
-                self._item_spans[(ctx.qid, item_key(item))] = span
-            self._enqueue_rr(ctx.qid)
-            return True
-        self._send_work(ctx, alt, item, report, cause=cause, tried=tuple(sorted(excl)))
-        return True
+            self._admit(ctx, item, cause if cause is not None else self._step_span)
+            self._drain_order.add(ctx)
+        else:
+            self._send_work(ctx, alt, item, report, cause=cause, tried=tuple(sorted(excl)))
+        return False
 
     # ------------------------------------------------------------------
     # object processing
@@ -1180,22 +1013,15 @@ class ServerNode:
         if not self.is_site_up(dst):
             # Replication first: another live holder can still serve the
             # dereference (read anycast), so try that before abandoning.
-            if self._failover(ctx, item, {*tried, dst}, report, cause=cause):
-                return
-            # Autonomy requirement: a down site must not hang the query.
-            # The dereference is abandoned (partial results) and, because
-            # no detector state was split off, termination stays exact.
-            self.stats.failed_sends += 1
-            ctx.abandoned += 1
+            # No detector state was split off, so termination stays exact.
+            self._failover(ctx, item, {*tried, dst}, report, cause=cause)
             return
         if cause is None:
             cause = self._step_span
         if (
             self._cache is not None
             and not (self.replicas is not None and self.replicas.holds(dst, item.oid))
-            and self._cache.should_suppress(
-                ctx.qid, dst, item, self._closure_keys.get(ctx.qid)
-            )
+            and self._cache.suppresses(ctx.qid, dst, item)
         ):
             # Bloom pruning, *before* any credit is split: the summary
             # proves the message could not produce marks, results, or
@@ -1230,16 +1056,9 @@ class ServerNode:
             ctx.qid, dst, item, self._stamp_inc(ctx, attach), self.now_fn(),
             span=cause, tried=tried,
         )
-        threshold = self.batching.max_batch
-        if self.qos is not None and dst in self._pressured:
-            # Backpressure response: hold work for a pressured site in
-            # larger batches (drain/idle flushes still go out, so credit
-            # liveness is untouched — only the *size* trigger defers).
-            threshold *= self.qos.pressure_batch_factor
-            if self.batching.max_batch <= pending < threshold:
-                self.stats.sends_throttled += 1
-                if self.metrics is not None:
-                    self.metrics.counter("qos.sends_throttled_total", site=self.site).inc()
+        threshold = (
+            self.batching.max_batch if self.qos is None else self.qos.size_threshold(dst, pending)
+        )
         if pending >= threshold:
             self._flush_work(ctx.qid, dst, report, "size")
 
@@ -1263,24 +1082,11 @@ class ServerNode:
             self.stats.late_messages += len(items)
             return 0
         if not self.is_site_up(dst):
-            # The destination went down between enqueue and flush: take
-            # every item's credit back (exactly the undeliverable path),
-            # then fail each item over to another live replica if one
-            # exists — only replica-less items stay abandoned.
+            # The destination went down between enqueue and flush: exactly
+            # the undeliverable path, without the bounce.
             batcher.forget_sent(qid, dst, items)
-            excl = {*tried, dst}
-            recovered = 0
-            for item, term, span in zip(items, terms, spans):
-                outs = self.termination.on_send_failed(ctx.term_state, dict(term), ctx.busy)
-                self._absorb_controls(report, outs, qid)
-                if self._failover(ctx, item, excl, report, cause=span):
-                    continue
-                self.stats.failed_sends += 1
-                ctx.abandoned += 1
-                recovered += 1
-            return recovered
-        counter = "batch_flushes_" + reason
-        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            return self._recover(ctx, items, terms, spans, {*tried, dst}, report)
+        self._count_flush(reason)
         if len(items) == 1:
             # No coalescing happened; ship the plain single-item form.
             # Mark hints are piggyback-only — they never upgrade a lone
@@ -1294,24 +1100,31 @@ class ServerNode:
             return 0
         hints = batcher.take_hints(qid, dst, ctx.execution.mark_table)
         self.stats.batched_items += len(items)
-        if self.metrics is not None:
-            self.metrics.histogram("batching.batch_size_items").observe(len(items))
-        flush_span: Optional[int] = None
-        if self.tracer is not None:
-            # The flush descends from the first traced item in the queue;
-            # the frame's send then descends from the flush, and the
-            # per-item causes ride the envelope for the receiver to fan.
-            first_cause = next((s for s in spans if s is not None), None)
-            flush_span = self.tracer.emit(
-                self.site, "batch_flush", qid, parent=first_cause,
-                dst=dst, items=len(items), hints=len(hints), reason=reason,
-            )
         self._emit(
             report, dst,
             BatchedQuery(qid, ctx.execution.program, items, terms, hints),
-            cause=flush_span, item_causes=spans, tried=tried,
+            cause=self._flush_span(qid, dst, spans, hints=len(hints), reason=reason),
+            item_causes=spans, tried=tried,
         )
         return 0
+
+    def _count_flush(self, reason: str) -> None:
+        counter = "batch_flushes_" + reason
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+
+    def _flush_span(self, qid: QueryId, dst: str, spans: Any, **detail: Any) -> Optional[int]:
+        """Account one coalesced frame of ``len(spans)`` entries; returns
+        the span its send descends from.  The flush descends from the
+        first traced entry in the queue, and the per-entry causes ride the
+        envelope for the receiver to fan."""
+        if self.metrics is not None:
+            self.metrics.histogram("batching.batch_size_items").observe(len(spans))
+        if self.tracer is None:
+            return None
+        first_cause = next((s for s in spans if s is not None), None)
+        return self.tracer.emit(
+            self.site, "batch_flush", qid, parent=first_cause, dst=dst, items=len(spans), **detail
+        )
 
     def _flush_pending(self, keys: List[Tuple[QueryId, str]], report: StepReport, reason: str) -> None:
         """Flush a set of work queues (idle/timer paths), then re-run the
@@ -1337,23 +1150,14 @@ class ServerNode:
             batches, spans = batcher.take_results(dst)
             if not batches:
                 continue
-            counter = "batch_flushes_" + reason
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            self._count_flush(reason)
             if len(batches) == 1:
                 self._emit(report, dst, batches[0], cause=spans[0])
                 continue
-            if self.metrics is not None:
-                self.metrics.histogram("batching.batch_size_items").observe(len(batches))
-            flush_span: Optional[int] = None
-            if self.tracer is not None:
-                first_cause = next((s for s in spans if s is not None), None)
-                flush_span = self.tracer.emit(
-                    self.site, "batch_flush", batches[0].qid, parent=first_cause,
-                    dst=dst, items=len(batches), reason=reason, results=True,
-                )
             self._emit(
                 report, dst, BatchedResults(batches),
-                cause=flush_span, item_causes=spans,
+                cause=self._flush_span(batches[0].qid, dst, spans, reason=reason, results=True),
+                item_causes=spans,
             )
 
     def _emit_result(
@@ -1386,59 +1190,43 @@ class ServerNode:
             # working set drains here, everything pending for it must go.
             for dst in self._batcher.work_destinations(ctx.qid):
                 self._flush_work(ctx.qid, dst, report, "drain")
-        drain_span: Optional[int] = None
         if ctx.is_originator:
             self._merge_local_results(ctx)
             self.termination.on_originator_drain(ctx.term_state)
-            ctx.drains += 1
-            self.stats.drains += 1
-            if self.tracer is not None:
-                assert ctx.final is not None
-                parent = self._step_span if self._step_span is not None else ctx.root_span
-                self.tracer.emit(
-                    self.site, "drain", ctx.qid, parent=parent, results=len(ctx.final.oids)
-                )
-            self._check_termination(ctx, report)
-            return
-        oids, emissions = ctx.take_unflushed()
-        attach, controls = self.termination.on_drain(ctx.term_state)
-        term = self._stamp_inc(ctx, attach)
-        if ctx.shed_pending:
-            # Ride the shed count home on the drain's term attachment
-            # (the detector ignores keys it does not know, the codec
-            # carries them verbatim); the originator flips `partial`.
-            term["#shed"] = ctx.shed_pending
-            ctx.shed_pending = 0
+            assert ctx.final is not None
+            results = len(ctx.final.oids)
+        else:
+            oids, emissions = ctx.take_unflushed()
+            attach, controls = self.termination.on_drain(ctx.term_state)
+            term = self._stamp_inc(ctx, attach)
+            if ctx.shed_pending:
+                # Ride the shed count home on the drain's term attachment
+                # (the detector ignores keys it does not know, the codec
+                # carries them verbatim); the originator flips `partial`.
+                term["#shed"] = ctx.shed_pending
+                ctx.shed_pending = 0
+            results = len(oids)
         ctx.drains += 1
         self.stats.drains += 1
+        drain_span: Optional[int] = None
         if self.tracer is not None:
             parent = self._step_span if self._step_span is not None else ctx.root_span
-            drain_span = self.tracer.emit(
-                self.site, "drain", ctx.qid, parent=parent, results=len(oids)
-            )
+            drain_span = self.tracer.emit(self.site, "drain", ctx.qid, parent=parent, results=results)
+        if ctx.is_originator:
+            self._check_termination(ctx, report)
+            return
         summary = None
         if self._cache is not None:
             summary = self._cache.summary_to_attach(
                 ctx.qid.originator, self.store, self.forwarding
             )
-        if self.result_mode == "count":
-            batch = ResultBatch(
-                ctx.qid,
-                oids=(),
-                emissions=emissions,
-                count_only=True,
-                count=len(oids),
-                term=term,
-                summary=summary,
-            )
-        else:
-            batch = ResultBatch(
-                ctx.qid,
-                oids=oids,
-                emissions=emissions,
-                term=term,
-                summary=summary,
-            )
+        # Count mode (§5's distributed set) keeps the oids here and ships
+        # only how many there are.
+        count_only = self.result_mode == "count"
+        batch = ResultBatch(
+            ctx.qid, oids=() if count_only else oids, emissions=emissions,
+            count_only=count_only, count=len(oids) if count_only else 0, term=term, summary=summary,
+        )
         self._emit_result(report, ctx.qid.originator, batch, cause=drain_span)
         self._absorb_controls(report, controls, ctx.qid)
 
@@ -1465,38 +1253,16 @@ class ServerNode:
                 # Work was shed under overload: every split credit still
                 # came home (the detector fired normally), but branches
                 # were dropped — the answer is partial, and must say so
-                # before the cache-eligibility check below sees it.
+                # before the cache-eligibility check at retirement sees it.
                 ctx.final.partial = True
                 ctx.final.partial_reason = "shed"
-            if self._cache is not None and ctx.cache_key is not None:
-                if not ctx.final.partial and self.store.epoch == ctx.cache_epoch:
-                    retrieved = tuple(
-                        (target, value)
-                        for target, values in ctx.final.retrieved.items()
-                        for value in values
-                    )
-                    self._cache.store_query(
-                        ctx.qid, ctx.cache_key, ctx.cache_epoch,
-                        tuple(ctx.final.oids.as_list()), retrieved,
-                    )
-                else:
-                    # Local store mutated mid-query (or the answer is
-                    # partial): the answer is fine, but not cacheable.
-                    self._cache.drop_query(ctx.qid)
             if self.tracer is not None:
                 parent = self._step_span if self._step_span is not None else ctx.root_span
                 self.tracer.emit(
                     self.site, "complete", ctx.qid, parent=parent,
                     results=len(ctx.final.oids),
                 )
-            self._stamp_slo(ctx)
-            # Per-site execution counters are aggregated by the cluster at
-            # completion (it can reach every context); merging here would
-            # double-count the originator's own.
-            report.completed.append((ctx.qid, ctx.final))
-            if self.on_query_complete is not None:
-                self.on_query_complete(ctx.qid, ctx.final)
-            self._retire_finished(ctx, report)
+            self._finish(ctx, report)
 
     def _stamp_slo(self, ctx: QueryContext) -> None:
         """Record the query's SLO watermarks at its (possibly partial)
@@ -1550,13 +1316,7 @@ class ServerNode:
         if self._batcher is not None and self.batching.mark_hints:
             execution.mark_table.enable_journal()
         if self._cache is not None:
-            if self._cache.fragments is not None:
-                execution.fragment_cache = self._cache.fragments
-                execution.epoch_fn = lambda: self.store.epoch
-            pointer_key = closure_pointer_key(program)
-            self._closure_keys[qid] = pointer_key
-            if pointer_key is not None:
-                self._cache.note_pointer_key(pointer_key)
+            self._cache.open_context(qid, program, execution, lambda: self.store.epoch)
         if self.tracer is not None:
             # Every outcome of this context descends (at worst) from the
             # event that created it — the submit here, the recv elsewhere —
@@ -1579,14 +1339,16 @@ class ServerNode:
     def _context_for_work(
         self, qid: QueryId, program: Program, term: Any
     ) -> Optional[QueryContext]:
-        """Resolve the context a work/seed message belongs to.
+        """Resolve the context a work/seed message belongs to, or None if
+        the message is stale and the caller must drop it.
 
         Work messages stamp the originator's context *incarnation* (only
         when a query id was reused — the common case carries no stamp and
         defaults to 1).  A newer incarnation retires whatever stale state
-        the previous run left here; an older one means the message itself
-        is stale — return None so the caller drops it, exactly like work
-        arriving after a deadline (its credit was already written off).
+        the previous run left here; an older one, a finished run, or a run
+        this site was told to purge means the message itself is stale,
+        exactly like work arriving after a deadline (its credit was
+        already written off).
         """
         inc = term.get("#inc", 1) if hasattr(term, "get") else 1
         ctx = self.contexts.get(qid)
@@ -1599,6 +1361,10 @@ class ServerNode:
                 # before any work could come back) is gone: a straggler
                 # for a run already retired.
                 return None
+            if (qid, inc) in self._purged:
+                # A straggler of a purged run: re-creating its context
+                # would walk the run again from an empty mark table.
+                return None
             if inc > self._incarnations.get(qid, 1):
                 # First contact from a rerun: the fresh context must take
                 # the message's incarnation, or the results it drains
@@ -1606,7 +1372,7 @@ class ServerNode:
                 # stale by the originator.
                 self._incarnations[qid] = inc
             ctx = self._ensure_context(qid, program)
-        if inc < ctx.incarnation:
+        if inc < ctx.incarnation or ctx.done:
             return None
         return ctx
 
@@ -1622,26 +1388,41 @@ class ServerNode:
             self._abandon(ctx)
             self.stats.contexts_retired += 1
         self._recent.pop(qid, None)
-        self._leave_rotation(qid)
+        self._drain_order.remove(qid)
+        self._drop_sends(qid)
+        if self._cache is not None:
+            self._cache.drop_query(qid)
+
+    def _drop_sends(self, qid: QueryId) -> None:
+        """Forget ``qid``'s queued sends and per-item trace causes."""
         if self._batcher is not None:
             self._batcher.drop_query(qid)
         if self._item_spans:
-            self._drop_item_spans(qid)
-        if self._cache is not None:
-            self._cache.drop_query(qid)
-        self._closure_keys.pop(qid, None)
+            for key in [k for k in self._item_spans if k[0] == qid]:
+                del self._item_spans[key]
 
-    def _retire_finished(self, ctx: QueryContext, report: StepReport) -> None:
-        """Originator side, after a completion is reported: the query
-        leaves the rotation and enters the recently-finished window;
-        whatever falls out of the window is retired for good.
+    def _finish(self, ctx: QueryContext, report: StepReport) -> None:
+        """Originator side, once a query completed or expired: report the
+        completion, then the query leaves the rotation and enters the
+        recently-finished window; whatever falls out of the window is
+        retired for good.
 
         The sites' contexts go with their results.  In ship mode those
         already left, so participants are purged now; in count mode the
         retained partitions *are* the distributed set follow-ups seed
         from, so they live until the window evicts the query.
         """
-        self._leave_rotation(ctx.qid)
+        assert ctx.final is not None
+        self._stamp_slo(ctx)
+        # Per-site execution counters are aggregated by the cluster at
+        # completion (it can reach every context); merging here would
+        # double-count the originator's own.
+        report.completed.append((ctx.qid, ctx.final))
+        if self.on_query_complete is not None:
+            self.on_query_complete(ctx.qid, ctx.final)
+        self._drain_order.remove(ctx.qid)
+        if self._cache is not None:
+            self._cache.finish(ctx, self.store.epoch)
         self._recent[ctx.qid] = None
         if self.result_mode == "ship":
             self._purge_participants(ctx, report)
@@ -1652,8 +1433,15 @@ class ServerNode:
             self._retire_context(old.qid)
 
     def _purge_participants(self, ctx: QueryContext, report: StepReport) -> None:
+        if ctx.participants:
+            self._remember_purged(ctx.qid, ctx.incarnation)
         for participant in sorted(ctx.participants):
             self._send_purge(report, participant, ctx.qid, ctx.incarnation)
+
+    def _remember_purged(self, qid: QueryId, incarnation: int) -> None:
+        self._purged[(qid, incarnation)] = None
+        if len(self._purged) > PURGED_RUNS:
+            self._purged.popitem(last=False)
 
     def _send_purge(self, report: StepReport, dst: str, qid: QueryId, incarnation: int) -> None:
         """Best-effort, and free: no virtual CPU is charged (retirement
@@ -1684,11 +1472,15 @@ class ServerNode:
         if qid.originator == self.site:
             self._send_purge(report, src, qid, incarnation)
 
-    def _admit(self, ctx: QueryContext, item: WorkItem) -> None:
+    def _admit(self, ctx: QueryContext, item: WorkItem, cause: Optional[int]) -> None:
+        """Put ``item`` in this site's working set; ``cause`` is the span
+        its eventual process/skip event parents on (None untraced)."""
         if not ctx.busy:
             self._busy += 1
         ctx.execution.admit(item)
         self._pending += 1
+        if cause is not None:
+            self._item_spans[(ctx.qid, item_key(item))] = cause
 
     def _abandon(self, ctx: QueryContext) -> int:
         """Discard a context's pending work; returns the items dropped."""
@@ -1697,14 +1489,6 @@ class ServerNode:
             self._busy -= 1
             self._pending -= dropped
         return dropped
-
-    def _leave_rotation(self, qid: QueryId) -> None:
-        if qid in self._rr:
-            self._rr.remove(qid)
-        if self.qos is not None:
-            for dq in self._rr_class.values():
-                if qid in dq:
-                    dq.remove(qid)
 
     def _prepare_resubmit(self, qid: QueryId) -> None:
         """Originator side: make a reused query id safe to run again.
@@ -1715,12 +1499,18 @@ class ServerNode:
         distinguishable from the old run's stragglers.
         """
         ctx = self.contexts.get(qid)
-        if ctx is None:
-            return
-        if not ctx.done:
-            raise HyperFileError(f"query {qid} resubmitted while still in flight")
-        self._incarnations[qid] = ctx.incarnation + 1
-        self._retire_context(qid)
+        inc = self._incarnations.get(qid, 1)
+        if ctx is not None:
+            if not ctx.done:
+                raise HyperFileError(f"query {qid} resubmitted while still in flight")
+            inc = ctx.incarnation + 1
+            self._retire_context(qid)
+        # An id whose context is gone may still have runs purged at its
+        # participants, which drop their work: skip those incarnations.
+        while (qid, inc) in self._purged:
+            inc += 1
+        if inc > 1:
+            self._incarnations[qid] = inc
 
     def _stamp_inc(self, ctx: QueryContext, attach: Dict[str, Any]) -> Dict[str, Any]:
         """Copy a termination attachment, stamping the context incarnation.
@@ -1766,16 +1556,7 @@ class ServerNode:
                     env_spans = (send_span, *(s or 0 for s in item_causes))
                 else:
                     env_spans = (send_span,)
-        priority: Optional[str] = None
-        pressure: Optional[int] = None
-        if self.qos is not None:
-            qid = getattr(payload, "qid", None)
-            qctx = self.contexts.get(qid) if isinstance(qid, QueryId) else None
-            if qctx is not None:
-                priority = qctx.priority
-            if self.qos.high_watermark is not None:
-                self._qos_refresh_pressure()
-                pressure = self._pressure_state
+        priority, pressure = (None, None) if self.qos is None else self.qos.stamp(payload)
         env = Envelope(
             self.site, dst, payload, spans=env_spans,
             src_epoch=self.store.epoch if self._cache is not None else None,
@@ -1797,61 +1578,3 @@ class ServerNode:
     def _absorb_controls(self, report: StepReport, outs, qid: QueryId) -> None:
         for dst, kind, payload in outs:
             self._emit(report, dst, ControlMessage(qid, kind, payload))
-
-    def _drop_item_spans(self, qid: QueryId) -> None:
-        """Forget per-item trace causes for a finished/purged query."""
-        for key in [k for k in self._item_spans if k[0] == qid]:
-            del self._item_spans[key]
-
-    def _enqueue_rr(self, qid: QueryId) -> None:
-        if self.qos is None:
-            if qid not in self._rr:
-                self._rr.append(qid)
-            return
-        if any(qid in dq for dq in self._rr_class.values()):
-            return
-        ctx = self.contexts.get(qid)
-        cls = ctx.priority if ctx is not None and ctx.priority in PRIORITIES else "interactive"
-        self._rr_class[cls].append(qid)
-
-    def _next_busy_context(self) -> Optional[QueryContext]:
-        if self.qos is None:
-            if not self._busy:
-                return None  # a full fruitless rotation would be the identity
-            for _ in range(len(self._rr)):
-                qid = self._rr[0]
-                self._rr.rotate(-1)
-                ctx = self.contexts.get(qid)
-                if ctx is not None and ctx.busy:
-                    return ctx
-            return None
-        # Weighted-fair drain: each WFQ round grants interactive_weight
-        # turns to interactive contexts and batch_weight to batch ones
-        # (round-robin within a class, exactly the legacy rotation).  A
-        # class with credits but nothing runnable forfeits its remaining
-        # turns (work-conserving); when both classes are spent or empty
-        # the round resets.  With a single class present this degenerates
-        # to the legacy round-robin order.
-        for _ in range(2):  # at most one credit refill per call
-            for cls in PRIORITIES:
-                if self._wfq_credits[cls] <= 0:
-                    continue
-                ctx = self._rotate_find(self._rr_class[cls])
-                if ctx is not None:
-                    self._wfq_credits[cls] -= 1
-                    return ctx
-                self._wfq_credits[cls] = 0
-            if any(self._wfq_credits.values()):
-                break
-            self._wfq_credits["interactive"] = self.qos.interactive_weight
-            self._wfq_credits["batch"] = self.qos.batch_weight
-        return None
-
-    def _rotate_find(self, dq: Deque[QueryId]) -> Optional[QueryContext]:
-        for _ in range(len(dq)):
-            qid = dq[0]
-            dq.rotate(-1)
-            ctx = self.contexts.get(qid)
-            if ctx is not None and ctx.busy:
-                return ctx
-        return None

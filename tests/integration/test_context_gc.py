@@ -159,7 +159,7 @@ class TestFlatPerQueryCost:
         cluster.run()
         assert sum(len(node.contexts) for node in cluster.nodes.values()) == RECENT_QUERIES
         for node in cluster.nodes.values():
-            assert len(node._rr) == 0  # nothing alive: every slot was given back
+            assert len(node._drain_order.queue) == 0  # nothing alive: every slot was given back
             assert node._busy == 0 and node._pending == 0
         stats = cluster.total_stats()
         assert stats.contexts_created - stats.contexts_retired == RECENT_QUERIES
@@ -188,5 +188,5 @@ class TestFlatPerQueryCost:
             cluster.run_query(CLOSURE, [seed], priority=("interactive", "batch")[i % 2])
         cluster.run()
         for node in cluster.nodes.values():
-            assert all(len(dq) == 0 for dq in node._rr_class.values())
+            assert all(len(rr.queue) == 0 for rr in node._drain_order.classes.values())
         assert sum(len(n.contexts) for n in cluster.nodes.values()) == RECENT_QUERIES

@@ -109,7 +109,7 @@ class TestBackpressure:
         # White-box: the origin has already heard pressure bits from both
         # peers (as it would mid-overload); its fan-out must then hold
         # work in 8x batches instead of flushing every 2 items.
-        cluster.nodes[cluster.sites[0]]._pressured = set(cluster.sites[1:])
+        cluster.nodes[cluster.sites[0]].qos.pressured = set(cluster.sites[1:])
         out = cluster.run_query(CLOSURE, [root])
         assert len(out.result.oid_keys()) == len(kids) + 1
         assert not out.result.partial

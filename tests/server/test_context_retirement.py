@@ -155,6 +155,22 @@ class TestPurgeAtTheParticipant:
         node.on_message(Envelope("site0", "site1", PurgeContext(qid, 2)))
         assert qid not in node.contexts
 
+    def test_work_for_a_purged_run_is_dropped_not_walked_again(self):
+        # A deadline-expired cyclic closure leaves work in flight after the
+        # purge; re-creating the context would walk the cycle again forever.
+        qid = QueryId(7, "site0")
+        node, obj = worker_with_context(qid)
+        node.on_message(Envelope("site0", "site1", PurgeContext(qid)))
+        straggler = DerefRequest(qid, prog(), WorkItem(oid=obj.oid, start=1), {"credit": Fraction(1, 8)})
+        node.on_message(Envelope("site2", "site1", straggler))
+        report = node.run_to_idle()
+        assert qid not in node.contexts and report.outgoing == []
+        assert node.stats.late_messages == 1 and node.stats.contexts_created == 1
+        rerun = DerefRequest(qid, prog(), WorkItem(oid=obj.oid, start=1), {"credit": Fraction(1, 8), "#inc": 2})
+        node.on_message(Envelope("site0", "site1", rerun))
+        node.run_to_idle()
+        assert node.stats.contexts_created == 2  # a rerun of the id is new work
+
     def test_purge_at_the_originator_is_ignored(self):
         store = MemStore("site0")
         node = ServerNode("site0", store)
@@ -173,13 +189,47 @@ class TestReusedIdAfterRetirement:
         node.submit(qid, prog(), [root.oid])
         node.run_to_idle()
         node.expire_query(qid)
-        assert qid in node._recent and qid not in node._rr
+        assert qid in node._recent and qid not in node._drain_order.queue
         report = node.submit(qid, prog(), [root.oid])
         report.outgoing += node.run_to_idle().outgoing
         assert node.contexts[qid].incarnation == 2
         assert qid not in node._recent  # alive again
         stamped = [e.payload.term["#inc"] for e in report.outgoing if isinstance(e.payload, DerefRequest)]
         assert stamped == [2]
+
+
+    def test_reuse_after_the_window_evicted_it_completes_with_exact_credit(self):
+        # site1 remembers the purged first run and drops its work; the
+        # originator, whose context for the id is long gone, must not start
+        # the new run under that same incarnation.
+        stores = {site: MemStore(site) for site in ("site0", "site1")}
+        nodes = {site: ServerNode(site, store) for site, store in stores.items()}
+        far = stores["site1"].create([keyword_tuple("K")])
+        stores["site1"].replace(stores["site1"].get(far.oid).with_tuple(pointer_tuple("Ref", far.oid)))
+        root = stores["site0"].create([keyword_tuple("K"), pointer_tuple("Ref", far.oid)])
+        here = stores["site0"].create([keyword_tuple("K")])
+        stores["site0"].replace(stores["site0"].get(here.oid).with_tuple(pointer_tuple("Ref", here.oid)))
+        qid = QueryId(1, "site0")
+
+        def run(seq_qid, oid):
+            queue = list(nodes["site0"].submit(seq_qid, prog(), [oid]).outgoing)
+            queue += nodes["site0"].run_to_idle().outgoing
+            while queue:
+                env = queue.pop(0)
+                nodes[env.dst].on_message(env)
+                queue += nodes[env.dst].run_to_idle().outgoing
+            return nodes["site0"].contexts[seq_qid]
+
+        assert run(qid, root.oid).final.oid_keys() == {root.oid.key(), far.oid.key()}
+        assert nodes["site1"].stats.contexts_retired == 1  # purged at completion
+        for seq in range(2, RECENT_QUERIES + 3):
+            run(QueryId(seq, "site0"), here.oid)
+        assert qid not in nodes["site0"].contexts  # evicted from the window
+        again = run(qid, root.oid)
+        assert again.done and not again.final.partial
+        assert again.final.oid_keys() == {root.oid.key(), far.oid.key()}
+        assert again.incarnation == 2 and credit_deficit(nodes, qid) == 0
+        assert nodes["site1"].stats.late_messages == 0
 
 
 class TestOriginatorWindow:
@@ -195,7 +245,7 @@ class TestOriginatorWindow:
         assert QueryId(5, "site0") not in node.contexts
         assert QueryId(6, "site0") in node.contexts
         assert node.stats.contexts_created - node.stats.contexts_retired == RECENT_QUERIES
-        assert len(node._rr) == 0
+        assert len(node._drain_order.queue) == 0
 
 
 class TestWorkAccounting:

@@ -33,7 +33,6 @@ from repro.workload import WorkloadSpec, build_graph, closure_query, generate_in
 
 DIFFERENTIAL_SEED = 25
 DIFFERENTIAL_EXAMPLES = 24
-DRAIN_EVENTS = 5_000
 FEATURES = ("faults", "crash", "deadline", "sampler", "tracer", "batching", "zero_latency")
 
 SPEC = WorkloadSpec(n_objects=90)
@@ -107,15 +106,12 @@ def drive(scenario: dict, coalesce: bool):
             sorted(result.oid_keys()), result.partial, result.partial_reason,
             outcome.response_time.hex(), outcome.completed_at.hex(),
         ))
-    # Drain a bounded number of logical events: run() must stop on exactly
-    # the same one.  (Bounded because a deadline-expired cyclic closure
-    # can keep its participants busy indefinitely; see ROADMAP item 8.)
+    # Drain to idle: run() must stop on exactly the same event.
     if coalesce:
-        cluster.run(max_events=DRAIN_EVENTS)
+        cluster.run()
     else:
-        for _ in range(DRAIN_EVENTS):
-            if not cluster.sim.step():
-                break
+        while cluster.sim.step():
+            pass
     network, trace = cluster.network, None
     if tracer is not None:
         trace = [(e.kind, e.site, e.time.hex(), e.qid) for e in tracer.events]
