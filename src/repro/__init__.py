@@ -25,25 +25,16 @@ Package map
 
 __version__ = "1.0.0"
 
-# Convenience re-exports: the names most applications start from.
-from .api import ClusterAPI, QueryOutcome       # noqa: E402,F401
-from .cache import CacheConfig                  # noqa: E402,F401
-from .client import HyperFile, Session          # noqa: E402,F401
-from .cluster import SimCluster                 # noqa: E402,F401
-from .config import ClusterConfig               # noqa: E402,F401
-from .net.batching import BatchConfig           # noqa: E402,F401
-from .sim.costs import FREE_COSTS, PAPER_COSTS  # noqa: E402,F401
+from ._lazy import lazy_exports  # noqa: E402
 
-__all__ = [
-    "BatchConfig",
-    "CacheConfig",
-    "ClusterAPI",
-    "ClusterConfig",
-    "FREE_COSTS",
-    "HyperFile",
-    "PAPER_COSTS",
-    "QueryOutcome",
-    "Session",
-    "SimCluster",
-    "__version__",
-]
+# Convenience re-exports: the names most applications start from.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".api": ("ClusterAPI", "QueryOutcome"),
+    ".cache": ("CacheConfig",),
+    ".client": ("HyperFile", "Session"),
+    ".cluster": ("SimCluster",),
+    ".config": ("ClusterConfig",),
+    ".net.batching": ("BatchConfig",),
+    ".sim.costs": ("FREE_COSTS", "PAPER_COSTS"),
+})
+__all__ += ["__version__"]

@@ -1,13 +1,8 @@
 """Comparator systems: centralized single-site and file-server baselines."""
 
-from .centralized import CentralizedRun, run_centralized, union_fetcher
-from .fileserver import FileServerBaseline, FileServerCosts, FileServerRun
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CentralizedRun",
-    "FileServerBaseline",
-    "FileServerCosts",
-    "FileServerRun",
-    "run_centralized",
-    "union_fetcher",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".centralized": ("CentralizedRun", "run_centralized", "union_fetcher"),
+    ".fileserver": ("FileServerBaseline", "FileServerCosts", "FileServerRun"),
+})

@@ -24,21 +24,12 @@ false-positive argument (a false positive costs one redundant message;
 it can never lose an answer).
 """
 
-from .bloom import BloomFilter, oid_token
-from .config import CacheConfig
-from .fragments import FragmentCache, FragmentEntry, program_suffix_hash
-from .nodecache import NodeCache
-from .summary import SiteSummary, build_summary, closure_pointer_key
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BloomFilter",
-    "CacheConfig",
-    "FragmentCache",
-    "FragmentEntry",
-    "NodeCache",
-    "SiteSummary",
-    "build_summary",
-    "closure_pointer_key",
-    "oid_token",
-    "program_suffix_hash",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bloom": ("BloomFilter", "oid_token"),
+    ".config": ("CacheConfig",),
+    ".fragments": ("FragmentCache", "FragmentEntry", "program_suffix_hash"),
+    ".nodecache": ("NodeCache",),
+    ".summary": ("SiteSummary", "build_summary", "closure_pointer_key"),
+})

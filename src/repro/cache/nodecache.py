@@ -111,10 +111,15 @@ class NodeCache:
         # Per in-flight query: site -> epoch relied upon (None = the
         # footprint is poisoned and the answer must not be cached).
         self._query_deps: Dict[Hashable, Dict[str, Optional[int]]] = {}
-        # Per in-flight query: site -> epoch witnessed by an envelope
-        # received *during that query* (the freshness proof suppression
-        # requires; see module docstring).
+        # Per query open here (in ``_closure_keys``): site -> epoch
+        # witnessed by an envelope received *during that query* (the
+        # freshness proof suppression requires; see module docstring).
         self._confirmed: Dict[Hashable, Dict[str, int]] = {}
+        # ``(qid, site, epoch)`` witnessed by the last envelope of a query
+        # not open here: the work message about to open it (a node handles
+        # one message per step, witnessed just before the context is
+        # created), or late traffic, which the next one overwrites.
+        self._opening: Optional[Tuple[Hashable, str, int]] = None
 
     # -- epochs and summaries -------------------------------------------
 
@@ -150,10 +155,16 @@ class NodeCache:
         held for it, and one riding an envelope of query ``qid`` is also
         that query's freshness witness (suppression toward ``site`` is then
         allowed for the query only against a summary at exactly this
-        epoch)."""
+        epoch) — recorded while the query is open here, counting the work
+        message that opens it, so late traffic for a finished query
+        leaves nothing behind."""
         self.observe_epoch(site, epoch)
-        if qid is not None and not isinstance(qid, str):
+        if qid is None or isinstance(qid, str):
+            return
+        if qid in self._closure_keys:
             self.confirm_epoch(qid, site, epoch)
+        else:
+            self._opening = (qid, site, epoch)
 
     def record_summary(self, summary: SiteSummary) -> None:
         """Ingest a summary piggybacked on a result message."""
@@ -178,6 +189,9 @@ class NodeCache:
             execution.epoch_fn = epoch_fn
         pointer_key = closure_pointer_key(program)
         self._closure_keys[qid] = pointer_key
+        opening, self._opening = self._opening, None
+        if opening is not None and opening[0] == qid:
+            self.confirm_epoch(*opening)
         if pointer_key is not None:
             self._pointer_keys.add(pointer_key)
 
@@ -376,6 +390,7 @@ class NodeCache:
         poisoned (a dependency epoch was missing or ambiguous)."""
         deps = self._query_deps.pop(qid, {})
         self._confirmed.pop(qid, None)
+        self._closure_keys.pop(qid, None)
         if not self.config.query_cache:
             return
         if any(epoch is None for epoch in deps.values()):

@@ -1,7 +1,9 @@
 """Application-facing client API (the embedded query language, paper §2)."""
 
-from .api import HyperFile
-from .session import Session
-from .sets import combine_sets, difference, intersection, union
+from .._lazy import lazy_exports
 
-__all__ = ["HyperFile", "Session", "combine_sets", "difference", "intersection", "union"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".api": ("HyperFile",),
+    ".session": ("Session",),
+    ".sets": ("combine_sets", "difference", "intersection", "union"),
+})

@@ -21,17 +21,19 @@ transports cannot be built.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
-from .cache import CacheConfig
 from .errors import ConfigError
-from .faults.plan import FaultPlan
-from .faults.reliable import ReliableConfig
-from .membership import MembershipConfig
-from .net.batching import BatchConfig
-from .qos import QoSConfig
-from .replication import ReplicationConfig
-from .tracing import FlightRecorderConfig
+
+if TYPE_CHECKING:  # annotations only: a config that is not set loads nothing
+    from .cache import CacheConfig
+    from .faults.plan import FaultPlan
+    from .faults.reliable import ReliableConfig
+    from .membership import MembershipConfig
+    from .net.batching import BatchConfig
+    from .qos import QoSConfig
+    from .replication import ReplicationConfig
+    from .tracing import FlightRecorderConfig
 
 
 @dataclass(frozen=True)

@@ -3,83 +3,25 @@
 Re-exports the public names applications use to build objects and queries.
 """
 
-from .ast import (
-    Deref,
-    FilterNode,
-    Iterate,
-    Query,
-    Retrieve,
-    Select,
-    closure,
-    deref,
-    deref_keep,
-    iterate,
-    retrieve,
-    select,
-)
-from .builder import QueryBuilder
-from .objects import HFObject, make_set_object, set_members
-from .oid import Oid, OidAllocator
-from .parser import parse_filters, parse_query
-from .patterns import ANY, Bind, Literal, OneOf, Pattern, Range, Regex, Use, as_pattern
-from .program import Program, compile_query
-from .tuples import (
-    HFTuple,
-    blob_tuple,
-    keyword_tuple,
-    number_tuple,
-    pointer_tuple,
-    string_tuple,
-    text_tuple,
-    tuple_of,
-)
-from .types import DEFAULT_REGISTRY, FieldKind, TupleType, TypeRegistry
-from .validate import ValidationReport, validate_query
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ANY",
-    "Bind",
-    "Deref",
-    "FieldKind",
-    "FilterNode",
-    "HFObject",
-    "HFTuple",
-    "Iterate",
-    "Literal",
-    "Oid",
-    "OidAllocator",
-    "OneOf",
-    "Pattern",
-    "Program",
-    "Query",
-    "QueryBuilder",
-    "Range",
-    "Regex",
-    "Retrieve",
-    "Select",
-    "TupleType",
-    "TypeRegistry",
-    "Use",
-    "ValidationReport",
-    "DEFAULT_REGISTRY",
-    "as_pattern",
-    "blob_tuple",
-    "closure",
-    "compile_query",
-    "deref",
-    "deref_keep",
-    "iterate",
-    "keyword_tuple",
-    "make_set_object",
-    "number_tuple",
-    "parse_filters",
-    "parse_query",
-    "pointer_tuple",
-    "retrieve",
-    "select",
-    "set_members",
-    "string_tuple",
-    "text_tuple",
-    "tuple_of",
-    "validate_query",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".ast": (
+        "Deref", "FilterNode", "Iterate", "Query", "Retrieve", "Select", "closure", "deref",
+        "deref_keep", "iterate", "retrieve", "select",
+    ),
+    ".builder": ("QueryBuilder",),
+    ".objects": ("HFObject", "make_set_object", "set_members"),
+    ".oid": ("Oid", "OidAllocator"),
+    ".parser": ("parse_filters", "parse_query"),
+    ".patterns": (
+        "ANY", "Bind", "Literal", "OneOf", "Pattern", "Range", "Regex", "Use", "as_pattern",
+    ),
+    ".program": ("Program", "compile_query"),
+    ".tuples": (
+        "HFTuple", "blob_tuple", "keyword_tuple", "number_tuple", "pointer_tuple", "string_tuple",
+        "text_tuple", "tuple_of",
+    ),
+    ".types": ("DEFAULT_REGISTRY", "FieldKind", "TupleType", "TypeRegistry"),
+    ".validate": ("ValidationReport", "validate_query"),
+})

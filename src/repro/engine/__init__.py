@@ -9,33 +9,16 @@
   :mod:`repro.cluster` (orchestration).
 """
 
-from .efunction import evaluate
-from .items import ActiveItem, WorkItem, bump_iters, iter_count
-from .local import QueryExecution, StepOutcome, run_local
-from .marktable import MarkTable
-from .results import ExecutionStats, QueryResult, ResultSet
-from .shared_memory import SharedMemoryEngine, SharedRunReport
-from .workset import DISCIPLINES, FifoWorkSet, LifoWorkSet, PriorityWorkSet, WorkSet, make_workset
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ActiveItem",
-    "DISCIPLINES",
-    "ExecutionStats",
-    "FifoWorkSet",
-    "LifoWorkSet",
-    "MarkTable",
-    "PriorityWorkSet",
-    "QueryExecution",
-    "QueryResult",
-    "ResultSet",
-    "SharedMemoryEngine",
-    "SharedRunReport",
-    "StepOutcome",
-    "WorkItem",
-    "WorkSet",
-    "bump_iters",
-    "evaluate",
-    "iter_count",
-    "make_workset",
-    "run_local",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".efunction": ("evaluate",),
+    ".items": ("ActiveItem", "WorkItem", "bump_iters", "iter_count"),
+    ".local": ("QueryExecution", "StepOutcome", "run_local"),
+    ".marktable": ("MarkTable",),
+    ".results": ("ExecutionStats", "QueryResult", "ResultSet"),
+    ".shared_memory": ("SharedMemoryEngine", "SharedRunReport"),
+    ".workset": (
+        "DISCIPLINES", "FifoWorkSet", "LifoWorkSet", "PriorityWorkSet", "WorkSet", "make_workset",
+    ),
+})

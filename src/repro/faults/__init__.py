@@ -21,18 +21,10 @@ See ``docs/FAULTS.md`` for the failure model: what is recoverable, what
 is not, and why.
 """
 
-from .plan import FaultDecision, FaultPlan, LinkFaults, SiteCrash
-from .reliable import ReliableAck, ReliableConfig, ReliableData, ReliableEndpoint
-from .timers import TimerThread
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FaultDecision",
-    "FaultPlan",
-    "LinkFaults",
-    "SiteCrash",
-    "ReliableAck",
-    "ReliableConfig",
-    "ReliableData",
-    "ReliableEndpoint",
-    "TimerThread",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".plan": ("FaultDecision", "FaultPlan", "LinkFaults", "SiteCrash"),
+    ".reliable": ("ReliableAck", "ReliableConfig", "ReliableData", "ReliableEndpoint"),
+    ".timers": ("TimerThread",),
+})

@@ -23,18 +23,11 @@ relaxes that:
   PR 4/5 cache- and directory-invalidation listeners).
 """
 
-from .config import MembershipConfig
-from .rebalance import RebalanceReport, Rebalancer
-from .service import MembershipService
-from .view import DEPARTED, LEAVING, UP, MembershipView
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEPARTED",
-    "LEAVING",
-    "UP",
-    "MembershipConfig",
-    "MembershipService",
-    "MembershipView",
-    "RebalanceReport",
-    "Rebalancer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".config": ("MembershipConfig",),
+    ".rebalance": ("RebalanceReport", "Rebalancer"),
+    ".service": ("MembershipService",),
+    ".view": ("DEPARTED", "LEAVING", "UP", "MembershipView"),
+})

@@ -1,26 +1,10 @@
 """Measurement collection and plain-text reporting for experiments."""
 
-from .charts import render_chart
-from .collect import Recorder, Series
-from .registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .report import render_comparison, render_recorder, render_table
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Recorder",
-    "Series",
-    "render_chart",
-    "render_comparison",
-    "render_recorder",
-    "render_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".charts": ("render_chart",),
+    ".collect": ("Recorder", "Series"),
+    ".registry": ("DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".report": ("render_comparison", "render_recorder", "render_table"),
+})

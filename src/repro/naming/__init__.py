@@ -1,6 +1,8 @@
 """Birth-site object naming and migration (paper §4)."""
 
-from .directory import ForwardingTable
-from .names import find_holder, migrate_object, resolution_path
+from .._lazy import lazy_exports
 
-__all__ = ["ForwardingTable", "find_holder", "migrate_object", "resolution_path"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".directory": ("ForwardingTable",),
+    ".names": ("find_holder", "migrate_object", "resolution_path"),
+})

@@ -1,26 +1,11 @@
 """Transports: message types, simulated network, threaded in-process cluster."""
 
-from .messages import (
-    ControlMessage,
-    DerefRequest,
-    Envelope,
-    FetchReply,
-    FetchRequest,
-    QueryId,
-    ResultBatch,
-    SeedFromSaved,
-)
-from .simnet import SimHost, SimNetwork
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ControlMessage",
-    "DerefRequest",
-    "Envelope",
-    "FetchReply",
-    "FetchRequest",
-    "QueryId",
-    "ResultBatch",
-    "SeedFromSaved",
-    "SimHost",
-    "SimNetwork",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".messages": (
+        "ControlMessage", "DerefRequest", "Envelope", "FetchReply", "FetchRequest", "QueryId",
+        "ResultBatch", "SeedFromSaved",
+    ),
+    ".simnet": ("SimHost", "SimNetwork"),
+})

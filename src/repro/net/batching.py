@@ -15,10 +15,11 @@ Flush policy (adaptive):
 * **drain** — when a query's working set drains at a site, every pending
   queue for that query flushes (mandatory for liveness: queued items carry
   termination credit that must eventually reach the originator);
-* **timer** — with ``linger_s`` set, queues older than the linger flush on
-  the transport's next poll (real transports poll wall-clock; the
-  simulator's event loop makes drain/idle flushes immediate, so the timer
-  is a real-transport knob);
+* **timer** — with ``linger_s`` set, queues older than the linger flush at
+  the site's next step once a timer on the transport's scheduler fires
+  (:class:`~repro.net.site.SiteRuntime` arms it on every wall-clock
+  transport; the simulator's event loop makes drain/idle flushes
+  immediate, so the timer is a real-transport knob);
 * **idle** — a node with no inbox and no runnable context force-flushes
   everything pending (safety net; keeps ``has_work`` truthful).
 
@@ -68,7 +69,7 @@ class BatchConfig:
     max_batch: int = 8
 
     #: Age (seconds, transport clock) after which a queue flushes on the
-    #: next poll.  ``None`` = no timer; size/drain/idle flushes only.
+    #: linger timer.  ``None`` = no timer; size/drain/idle flushes only.
     linger_s: Optional[float] = None
 
     #: Attach recent mark-table entries to outgoing frames so the

@@ -54,7 +54,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from collections import OrderedDict
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..api import OutcomeTable, QueryLike, QueryOutcome, compile_query_like, credit_deficit
 from ..core.oid import Oid
@@ -70,13 +71,10 @@ from ..errors import (
     TransportClosed,
     UnknownSite,
 )
-from ..faults.plan import FaultPlan
 from ..faults.reliable import ReliableConfig
 from ..faults.timers import TimerThread
-from ..membership import UP, MembershipService, MembershipView, Rebalancer
 from ..naming.directory import ForwardingTable, ReplicaDirectory
-from ..qos import PRIORITIES, ClientLimiter
-from ..replication import ReplicationManager
+from ..qos.config import PRIORITIES
 from ..server.node import ServerNode
 from ..server.stats import NodeStats
 from ..sim.costs import FREE_COSTS
@@ -85,8 +83,17 @@ from ..termination.base import make_strategy
 from .messages import QueryId
 from .site import WirePolicy
 
+if TYPE_CHECKING:  # a feature's modules load only when its config is set
+    from ..faults.plan import FaultPlan
+    from ..membership import MembershipService, MembershipView, Rebalancer
+    from ..qos import ClientLimiter
+    from ..replication import ReplicationManager
+
 #: Default hard backstop for blocking waits on the real transports.
 DEFAULT_TIMEOUT_S = 30.0
+#: How many of the most recently dumped queries a cluster remembers, so a
+#: query's flight recorder is dumped once however often it is reported.
+RECENT_DUMPS = 64
 
 
 def site_name(index: int) -> str:
@@ -223,17 +230,17 @@ class ClusterBase:
         self._inflight: Dict[QueryId, _Inflight] = {}
         self._outcomes = OutcomeTable()
         qos = self.qos = config.qos
-        self._qos_limiter: Optional[ClientLimiter] = (
-            ClientLimiter(qos.rate_limit_qps, qos.rate_burst, now)
-            if qos is not None and qos.rate_limit_qps is not None
-            else None
-        )
+        self._qos_limiter: Optional[ClientLimiter] = None
+        if qos is not None and qos.rate_limit_qps is not None:
+            from ..qos.limiter import ClientLimiter
+
+            self._qos_limiter = ClientLimiter(qos.rate_limit_qps, qos.rate_burst, now)
         #: Submits bounced by admission control (see `repro qos-stats`).
         self.qos_bounces = 0
         self.metrics = None
         self.flight_recorder = None
         self.stats_timeline = None
-        self._flightrec_dumped: set = set()
+        self._flightrec_dumped: "OrderedDict[QueryId, None]" = OrderedDict()
         self._stats_stop = threading.Event()
         self._stats_thread: Optional[threading.Thread] = None
         #: The wall-clock timer wheel behind ``_schedule``, started on first use.
@@ -291,6 +298,8 @@ class ClusterBase:
         immediately (version/epoch gating)."""
         if directory is None:
             return
+        from ..replication.manager import ReplicationManager
+
         self.replication = ReplicationManager(
             self.config.replication, self.stores, self.forwarding, directory
         )
@@ -417,6 +426,8 @@ class ClusterBase:
         config = self.config.membership
         if config is None:
             return
+        from ..membership import MembershipService, Rebalancer
+
         self._arm_gossip(config)
         self.membership = MembershipService(config, list(self.nodes))
         self.rebalancer = Rebalancer(
@@ -645,10 +656,19 @@ class ClusterBase:
     def _flightrec_dump(self, qid: QueryId, reason: str) -> None:
         """Dump the flight-recorder ring once per dying query.  Process
         mode overrides this to pull each child's ring first."""
-        if self.flight_recorder is None or qid in self._flightrec_dumped:
-            return
-        self._flightrec_dumped.add(qid)
-        self.flight_recorder.dump(qid, reason, site=qid.originator)
+        if self._first_dump(qid):
+            self.flight_recorder.dump(qid, reason, site=qid.originator)
+
+    def _first_dump(self, qid: QueryId) -> bool:
+        """Whether a flight recorder is armed and ``qid`` is not among the
+        last ``RECENT_DUMPS`` queries dumped; it is counted among them now."""
+        dumped = self._flightrec_dumped
+        if self.flight_recorder is None or qid in dumped:
+            return False
+        dumped[qid] = None
+        if len(dumped) > RECENT_DUMPS:
+            dumped.popitem(last=False)
+        return True
 
     def _admit(self, client: str) -> None:
         """Token-bucket admission control; bounces with :class:`Overloaded`."""
@@ -675,6 +695,8 @@ class ClusterBase:
         if origin not in self.nodes:
             raise UnknownSite(origin)
         if self.membership is not None:
+            from ..membership.view import UP
+
             status = self.membership.status_of(origin)
             if status != UP:
                 raise SiteDeparted(origin, status)

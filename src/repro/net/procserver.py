@@ -2,9 +2,11 @@
 
 ``ClusterConfig(processes=True)`` makes ``transport="async"`` build a
 :class:`ProcessCluster` instead of the shared-loop inline deployment:
-every site is a spawned child process running its own event loop, frame
+every site is a child process running its own event loop, frame
 server and :class:`~repro.server.node.ServerNode`, so site CPU work
-runs in genuine parallel (no shared GIL).  Inter-site query traffic
+runs in genuine parallel (no shared GIL).  Children fork from a fork
+server that has already imported this module, and the last cluster to
+close stops it (:func:`_acquire_site_context`).  Inter-site query traffic
 uses exactly the same framed envelope protocol as the inline and socket
 transports — the child reuses the :class:`~repro.net.asyncio_cluster`
 site machinery verbatim against a small duck-typed runtime.
@@ -50,7 +52,7 @@ is reported as ``ChildProcessDied`` while the parent is still waiting.
 
 The only configs still rejected are the simulator-only knobs (``costs``,
 ``mark_granularity``) — and those fail at ``ClusterConfig`` construction
-with :class:`~repro.errors.ConfigError`, before any process is spawned
+with :class:`~repro.errors.ConfigError`, before any process is started
 (see ``docs/ASYNC.md``).
 """
 
@@ -60,6 +62,7 @@ import asyncio
 import itertools
 import json
 import multiprocessing
+import os
 import queue
 import socket
 import threading
@@ -67,7 +70,9 @@ import time
 from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union,
+)
 
 from ..api import QueryOutcome
 from ..config import ClusterConfig
@@ -87,7 +92,6 @@ from ..errors import (
     TransportClosed,
     UnknownSite,
 )
-from ..faults.plan import FaultPlan
 from ..faults.reliable import ReliableConfig
 from ..naming.directory import ReplicaDirectory
 from ..server.stats import NodeStats
@@ -116,9 +120,12 @@ from .codec import (
     read_frame,
     record,
 )
-from .common import ClusterBase, build_node
+from .common import ClusterBase, build_node, site_names
 from .messages import QueryId
 from .site import WirePolicy
+
+if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
 
 # -- control frames ----------------------------------------------------------
 
@@ -476,6 +483,8 @@ class _ChildRuntime:
             self.asite.wake()
 
     def faults(self, seed, defaults, links, partitions) -> None:
+        from ..faults.plan import FaultPlan
+
         plan = FaultPlan(seed, *defaults)
         for link in links:
             plan.link(*link)
@@ -538,7 +547,7 @@ class _ChildRuntime:
 
 
 def _child_main(site: str, names: List[str], parent_port: int, config: ClusterConfig) -> None:
-    """Entry point of one spawned site process."""
+    """Entry point of one site process."""
     asyncio.run(_child_serve(site, names, parent_port, config))
 
 
@@ -623,13 +632,80 @@ async def _child_serve(
 # --------------------------------------------------------------------------
 
 
+#: Live process clusters, and the lock over the count.  The fork server
+#: and the resource tracker are one per process, shared by every cluster
+#: in it, so their users are counted per process too: the last to close
+#: stops them.
+_context_users = 0
+_context_lock = threading.Lock()
+
+
+def _acquire_site_context():
+    """The start method for site children: a fork server that has already
+    imported this module, so a child is a fork of a warm interpreter
+    rather than a fresh one (and, unlike a fork of this process, inherits
+    none of its threads or event loops).  ``spawn`` where the platform has
+    no fork server."""
+    global _context_users
+    with _context_lock:
+        if "forkserver" not in multiprocessing.get_all_start_methods():
+            ctx = multiprocessing.get_context("spawn")
+        else:
+            ctx = _start_fork_server()
+        _context_users += 1
+    return ctx
+
+
+def _start_fork_server():
+    from multiprocessing import forkserver
+
+    ctx = multiprocessing.get_context("forkserver")
+    preload = forkserver._forkserver._preload_modules
+    if __name__ not in preload:
+        ctx.set_forkserver_preload([*preload, __name__])
+    # The server imports its preload with a fresh interpreter's sys.path,
+    # so it finds this package through PYTHONPATH: the copy loaded here.
+    package_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    saved = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, saved) if p)
+    try:
+        forkserver.ensure_running()
+    finally:
+        if saved is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = saved
+    return ctx
+
+
+def _release_site_context() -> None:
+    """One cluster's children are all reaped.  After the last, stop the
+    fork server and the resource tracker beside it: ``multiprocessing``
+    leaves both running until this process exits, and starts them again
+    when they are next needed.  A fork server ends only once every child
+    it forked has."""
+    global _context_users
+    from multiprocessing import resource_tracker
+
+    with _context_lock:
+        _context_users -= 1
+        if _context_users:
+            return
+        if "forkserver" in multiprocessing.get_all_start_methods():
+            from multiprocessing import forkserver
+
+            forkserver._forkserver._stop()
+        resource_tracker._resource_tracker._stop()
+
+
 class StoreProxy:
     """Parent-side handle on one child's object store.
 
     The complete public :class:`~repro.storage.memstore.MemStore`
     surface (``tests/net/test_procserver.py`` introspects both classes
     so any future drift fails loudly); every call is one control
-    round-trip, objects crossing as codec bytes.  ``scan`` filters
+    round-trip (a bulk load's ``create_many`` / ``replace_many`` one per
+    store), objects crossing as codec bytes.  ``scan`` filters
     client-side over one ``objects`` fetch — the predicate is a Python
     callable and does not cross the wire.
     """
@@ -659,6 +735,9 @@ class StoreProxy:
     def create(self, tuples: Iterable[HFTuple] = (), size_hint: Optional[int] = None):
         return self._call("create", tuple((t.type, t.key, t.data) for t in tuples), size_hint)
 
+    def create_many(self, n: int) -> List[Oid]:
+        return list(self._call("create_many", n))
+
     def put(self, obj, overwrite: bool = False) -> None:
         self._call("put", obj, overwrite)
 
@@ -667,6 +746,9 @@ class StoreProxy:
 
     def replace(self, obj) -> None:
         self._call("replace", obj)
+
+    def replace_many(self, objects: Iterable) -> None:
+        self._call("replace_many", tuple(objects))
 
     def contains(self, oid: Oid) -> bool:
         return self._call("contains", oid)
@@ -833,8 +915,16 @@ class ProcessCluster(ClusterBase):
         config.require_default("costs", "mark_granularity", transport="async (process mode)")
         self._tracer: Optional[QueryTracer] = None
         self._links: Dict[str, _ChildLink] = {}
-        super().__init__(sites, config, now=time.monotonic)
-        self._arm_faults()
+        #: Every child started, linked or not, until it is reaped; ``None``
+        #: while this cluster holds no site context.
+        self._procs: Optional[List[Any]] = None
+        names = site_names(sites)  # a bad list raises before anything starts
+        try:
+            super().__init__(names, config, now=time.monotonic)
+            self._arm_faults()
+        except BaseException:
+            self.close()
+            raise
 
     def _open_wire(self) -> WirePolicy:
         """The children carry the traffic; the parent's wire keeps the
@@ -843,7 +933,7 @@ class ProcessCluster(ClusterBase):
         return WirePolicy(self.nodes, schedule=self._schedule)
 
     def _build_sites(self, names: List[str]) -> None:
-        """Spawn one child per site (each builds its own node), introduce
+        """Start one child per site (each builds its own node), introduce
         them to each other, and run the parent's data-management plane
         against store/forwarding proxies."""
         config = self.config
@@ -854,23 +944,22 @@ class ProcessCluster(ClusterBase):
         listener.listen(len(names))
         parent_port = listener.getsockname()[1]
 
-        # spawn (not fork): the parent may carry live threads and event
-        # loops from other clusters; inheriting them is a deadlock trap.
-        ctx = multiprocessing.get_context("spawn")
         # The fault plan holds a lock and an RNG — not picklable; its
         # link-chaos parameters ship over the control channel instead
         # (use_faults below), and crashes fire from parent-side timers.
         child_config = config.replace(fault_plan=None)
-        procs = {
-            name: ctx.Process(
-                target=_child_main,
-                args=(name, names, parent_port, child_config),
-                name=f"hf-proc-{name}",
-                daemon=True,
-            )
-            for name in names
-        }
         try:
+            ctx = _acquire_site_context()
+            procs = {
+                name: ctx.Process(
+                    target=_child_main,
+                    args=(name, names, parent_port, child_config),
+                    name=f"hf-proc-{name}",
+                    daemon=True,
+                )
+                for name in names
+            }
+            self._procs = list(procs.values())
             for proc in procs.values():
                 proc.start()
             # Wait for every HELLO, polling so that a child that exits
@@ -894,16 +983,8 @@ class ProcessCluster(ClusterBase):
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 site, port = _recv_hello(conn, unlinked)
                 self._links[site] = _ChildLink(site, procs[site], conn, port)
-        except Exception:
-            for link in self._links.values():
-                link.conn.close()
-            for proc in procs.values():
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-            raise
         finally:
-            listener.close()
+            listener.close()  # a failed start is ended by close()
 
         for link in self._links.values():
             link.reader = threading.Thread(
@@ -1055,6 +1136,9 @@ class ProcessCluster(ClusterBase):
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
+        """Shut every child down and reap it; idempotent.  The last
+        process cluster to close also stops the fork server and the
+        resource tracker, so the caller is left with no child process."""
         if self._closed:
             return
         self._closed = True
@@ -1070,14 +1154,29 @@ class ProcessCluster(ClusterBase):
             finally:
                 if acquired:
                     link.lock.release()
+        self._end_children()
         for link in self._links.values():
-            link.process.join(timeout=5.0)
-            if link.process.is_alive():
-                link.process.terminate()
             try:
                 link.conn.close()
             except OSError:
                 pass
+
+    def _end_children(self) -> None:
+        """Reap every child, ending one that outlives its grace, then give
+        up this cluster's hold on the site context."""
+        if self._procs is None:
+            return
+        for proc in self._procs:
+            if proc.pid is None:
+                continue  # never started
+            proc.join(timeout=5.0)
+            for end in (proc.terminate, proc.kill):
+                if proc.exitcode is not None:
+                    break
+                end()
+                proc.join(timeout=2.0)
+        self._procs = None
+        _release_site_context()
 
     # -- data ------------------------------------------------------------
 
@@ -1256,9 +1355,8 @@ class ProcessCluster(ClusterBase):
         """Postmortem for a dying query: pull every child's ring, merge
         by timestamp into the parent recorder, write the dump.  A
         genuinely dead process keeps its ring."""
-        if self.flight_recorder is None or qid in self._flightrec_dumped:
+        if not self._first_dump(qid):
             return
-        self._flightrec_dumped.add(qid)
         collected = [e for events in self._gather("flight_snap") for e in events]
         collected.sort(key=lambda e: e.time)
         self.flight_recorder.events.clear()  # the rings ARE the state
@@ -1311,6 +1409,8 @@ _OPS: Tuple[_Op, ...] = (
     _Op("create", _ChildRuntime.create),
     _Op("get", _delegate("store.get")),
     _Op("replace", _delegate("store.replace")),
+    _Op("create_many", _delegate("store.create_many")),
+    _Op("replace_many", _delegate("store.replace_many")),
     _Op("put", _delegate("store.put")),
     _Op("contains", _delegate("store.contains")),
     _Op("remove", _delegate("store.remove")),

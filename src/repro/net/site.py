@@ -248,9 +248,16 @@ class SiteRuntime:
     resumes after it.  ``serve`` is a generator, so that a host on a
     shared event loop can let the other sites run: it yields every
     ``yield_every`` steps (never, at 0) and after a contained raise.
+
+    With a batching linger window (``BatchConfig(linger_s=...)``) a timer
+    on the wire's scheduler marks the node's send queues due while the
+    site serves, and the next step flushes those older than the window
+    (:meth:`~repro.server.node.ServerNode.flush_due`); an idle node has
+    flushed everything already.  Without one there is no timer and the
+    step loop is unchanged.
     """
 
-    __slots__ = ("node", "wire", "recorder", "yield_every")
+    __slots__ = ("node", "wire", "recorder", "yield_every", "linger_s", "due", "armed")
 
     def __init__(
         self,
@@ -265,11 +272,20 @@ class SiteRuntime:
         #: raise: it may be armed after the site is built).
         self.recorder = recorder
         self.yield_every = yield_every
+        self.linger_s: Optional[float] = node.batching.linger_s
+        #: Set by the linger timer (on any thread); read by the next step.
+        self.due = False
+        self.armed = False
 
     def serve(self, burst: List[Optional[Envelope]], outgoing: List[Envelope]) -> Iterator[None]:
         node = self.node
         arrive = self.wire.arrive
         on_message = node.on_message
+        step = node.step
+        if self.linger_s is not None:
+            step = self._step_on_time
+            if not self.armed:
+                self._arm()
         arrivals = iter(burst)
         steps = 0
         while True:
@@ -278,7 +294,7 @@ class SiteRuntime:
                     if env is not None:  # ``None`` only wakes the host
                         arrive(env, on_message)
                 while node.has_work:
-                    outgoing.extend(node.step().outgoing)
+                    outgoing.extend(step().outgoing)
                     steps += 1
                     if steps == self.yield_every:
                         steps = 0
@@ -287,3 +303,26 @@ class SiteRuntime:
             except Exception as exc:  # noqa: BLE001 — one bad message or step must not end the site
                 contain_site_error(node, self.recorder(), exc)
                 yield
+
+    def _step_on_time(self):
+        """A step, preceded by the timer flush when the timer has fired."""
+        node = self.node
+        if self.due:
+            self.due = False
+            report = node.flush_due()
+            if node.has_work and not self.armed:
+                self._arm()
+            if report.outgoing:
+                return report
+        return node.step()
+
+    def _arm(self) -> None:
+        self.armed = True
+        try:
+            self.wire.schedule(self.linger_s, self._fire)
+        except RuntimeError:  # the transport is closing: its timers have stopped
+            self.armed = False
+
+    def _fire(self) -> None:
+        self.armed = False
+        self.due = True

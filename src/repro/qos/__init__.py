@@ -1,7 +1,9 @@
 """Admission control, backpressure and multi-tenant QoS (docs/QOS.md)."""
 
-from .config import PRIORITIES, QoSConfig
-from .limiter import ClientLimiter
-from .policy import RoundRobin, SiteQoS, WeightedFair
+from .._lazy import lazy_exports
 
-__all__ = ["PRIORITIES", "QoSConfig", "ClientLimiter", "RoundRobin", "SiteQoS", "WeightedFair"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".config": ("PRIORITIES", "QoSConfig"),
+    ".limiter": ("ClientLimiter",),
+    ".policy": ("RoundRobin", "SiteQoS", "WeightedFair"),
+})

@@ -17,12 +17,9 @@ the sender re-routes to the next live replica, re-splitting termination
 credit for the new send so the weighted detector stays exact.
 """
 
-from .policy import PlacementPolicy, ReplicationConfig, RingPlacement
-from .manager import ReplicationManager
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PlacementPolicy",
-    "ReplicationConfig",
-    "ReplicationManager",
-    "RingPlacement",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".policy": ("PlacementPolicy", "ReplicationConfig", "RingPlacement"),
+    ".manager": ("ReplicationManager",),
+})

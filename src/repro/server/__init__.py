@@ -1,7 +1,9 @@
 """HyperFile server sites: per-site node logic, contexts, statistics."""
 
-from .context import QueryContext
-from .node import ServerNode, StepReport
-from .stats import NodeStats
+from .._lazy import lazy_exports
 
-__all__ = ["NodeStats", "QueryContext", "ServerNode", "StepReport"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".context": ("QueryContext",),
+    ".node": ("ServerNode", "StepReport"),
+    ".stats": ("NodeStats",),
+})

@@ -43,16 +43,14 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
-from ..cache import CacheConfig, NodeCache
 from ..core.oid import Oid
 from ..core.program import Program
 from ..engine.items import WorkItem
 from ..engine.local import QueryExecution
 from ..engine.results import QueryResult
 from ..errors import HyperFileError, ObjectNotFound, ResultSetRetired
-from ..metrics.registry import SLO_BUCKETS
 from ..naming.directory import ForwardingTable, ReplicaDirectory
 from ..net.batching import BatchConfig, ItemKey, SendBatcher, item_key
 from ..qos import QoSConfig, RoundRobin, SiteQoS, WeightedFair
@@ -77,6 +75,9 @@ from ..termination.base import TerminationStrategy
 from ..termination.weights import WeightedStrategy
 from .context import PURGED_RUNS, RECENT_QUERIES, QueryContext
 from .stats import NodeStats
+
+if TYPE_CHECKING:  # a feature's modules load only when its config is set
+    from ..cache import CacheConfig, NodeCache
 
 #: Callback fired at the originator when a query completes.
 CompletionCallback = Callable[[QueryId, QueryResult], None]
@@ -226,11 +227,11 @@ class ServerNode:
         self._pending = 0
         self.inbox: Deque[Envelope] = deque()
         self.stats = NodeStats()
-        self._cache = (
-            NodeCache(site, caching, self.stats)
-            if caching is not None and caching.enabled
-            else None
-        )
+        self._cache: Optional[NodeCache] = None
+        if caching is not None and caching.enabled:
+            from ..cache.nodecache import NodeCache
+
+            self._cache = NodeCache(site, caching, self.stats)
         #: Originator side: current incarnation per reused query id (a
         #: qid resubmitted after deadline expiry).  Absent = 1, the
         #: common case, which never stamps the wire.
@@ -1281,6 +1282,8 @@ class ServerNode:
             # first-result watermark degenerates to the completion one.
             first_result_s = complete_s
         if self.metrics is not None:
+            from ..metrics.registry import SLO_BUCKETS
+
             labels = {"tenant": ctx.tenant, "priority": ctx.priority}
             self.metrics.histogram(
                 "slo.first_result_s", buckets=SLO_BUCKETS, **labels

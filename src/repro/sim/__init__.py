@@ -1,13 +1,8 @@
 """Discrete-event simulation kernel and the paper's cost model."""
 
-from .costs import FREE_COSTS, PAPER_COSTS, CostModel
-from .kernel import EventHandle, SchedulePolicy, Simulator
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CostModel",
-    "EventHandle",
-    "FREE_COSTS",
-    "PAPER_COSTS",
-    "SchedulePolicy",
-    "Simulator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".costs": ("FREE_COSTS", "PAPER_COSTS", "CostModel"),
+    ".kernel": ("EventHandle", "SchedulePolicy", "Simulator"),
+})

@@ -1,13 +1,8 @@
 """Storage substrates: main-memory stores and blob segregation."""
 
-from .blobstore import BlobRef, BlobStore, resolve_value, spill_large_tuples
-from .memstore import MemStore, UnionStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BlobRef",
-    "BlobStore",
-    "MemStore",
-    "UnionStore",
-    "resolve_value",
-    "spill_large_tuples",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".blobstore": ("BlobRef", "BlobStore", "resolve_value", "spill_large_tuples"),
+    ".memstore": ("MemStore", "UnionStore"),
+})

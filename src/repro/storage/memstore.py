@@ -68,6 +68,12 @@ class MemStore:
         self._epoch += 1
         return obj
 
+    def create_many(self, n: int) -> List[Oid]:
+        """``n`` calls of ``create()`` in one: the fresh ids of ``n`` empty
+        objects, in allocation order (a bulk load fills them in with
+        :meth:`replace_many`)."""
+        return [self.create().oid for _ in range(n)]
+
     def put(self, obj: HFObject, overwrite: bool = False) -> None:
         """Store ``obj`` under its existing id.
 
@@ -89,6 +95,11 @@ class MemStore:
             raise ObjectNotFound(obj.oid, self._site)
         self._objects[key] = obj
         self._epoch += 1
+
+    def replace_many(self, objects: Iterable[HFObject]) -> None:
+        """``replace`` each object in turn."""
+        for obj in objects:
+            self.replace(obj)
 
     # -- access ------------------------------------------------------------
 

@@ -1,15 +1,9 @@
 """Distributed termination detection (paper §4)."""
 
-from .base import TerminationStrategy, make_strategy
-from .dijkstra_scholten import DijkstraScholtenStrategy, DSState
-from .weights import Credit, WeightedState, WeightedStrategy
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Credit",
-    "DijkstraScholtenStrategy",
-    "DSState",
-    "TerminationStrategy",
-    "WeightedState",
-    "WeightedStrategy",
-    "make_strategy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("TerminationStrategy", "make_strategy"),
+    ".dijkstra_scholten": ("DijkstraScholtenStrategy", "DSState"),
+    ".weights": ("Credit", "WeightedState", "WeightedStrategy"),
+})

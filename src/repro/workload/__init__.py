@@ -1,54 +1,16 @@
 """The synthetic database and query scripts of paper §5."""
 
-from .generator import (
-    CHAIN_KEY,
-    COMMON_TYPE,
-    COMMON_VALUE,
-    RAND10_TYPE,
-    RAND100_TYPE,
-    RAND1000_TYPE,
-    SEARCH_KEY_SPACES,
-    TREE_KEY,
-    UNIQUE_TYPE,
-    MaterializedWorkload,
-    WorkloadSpec,
-    generate_into_cluster,
-    materialize,
-    pointer_key_for,
-)
-from .corpus import Corpus, CorpusSpec, build_corpus
-from .graphs import AbstractGraph, build_graph
-from .queries import (
-    bounded_query,
-    closure_query,
-    query_script,
-    traversal_only_query,
-    unique_query,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AbstractGraph",
-    "CHAIN_KEY",
-    "Corpus",
-    "CorpusSpec",
-    "build_corpus",
-    "COMMON_TYPE",
-    "COMMON_VALUE",
-    "MaterializedWorkload",
-    "RAND10_TYPE",
-    "RAND100_TYPE",
-    "RAND1000_TYPE",
-    "SEARCH_KEY_SPACES",
-    "TREE_KEY",
-    "UNIQUE_TYPE",
-    "WorkloadSpec",
-    "bounded_query",
-    "build_graph",
-    "closure_query",
-    "generate_into_cluster",
-    "materialize",
-    "pointer_key_for",
-    "query_script",
-    "traversal_only_query",
-    "unique_query",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".generator": (
+        "CHAIN_KEY", "COMMON_TYPE", "COMMON_VALUE", "RAND10_TYPE", "RAND100_TYPE", "RAND1000_TYPE",
+        "SEARCH_KEY_SPACES", "TREE_KEY", "UNIQUE_TYPE", "MaterializedWorkload", "WorkloadSpec",
+        "generate_into_cluster", "materialize", "pointer_key_for",
+    ),
+    ".corpus": ("Corpus", "CorpusSpec", "build_corpus"),
+    ".graphs": ("AbstractGraph", "build_graph"),
+    ".queries": (
+        "bounded_query", "closure_query", "query_script", "traversal_only_query", "unique_query",
+    ),
+})

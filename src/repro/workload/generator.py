@@ -148,17 +148,25 @@ def materialize(
     key_values = _draw_key_values(spec)
     payload = "x" * spec.payload_bytes
 
-    # Pass 1: allocate ids in abstract-index order at each object's site.
-    oids: List[Oid] = []
+    # Each store loads its share in one call per pass, in abstract-index
+    # order, so ids and epochs are what one call per object would give.
+    shares: List[List[int]] = [[] for _ in stores]
     for i in range(spec.n_objects):
-        store = stores[graph.site_of(i, machines)]
-        oids.append(store.create([]).oid)
+        shares[graph.site_of(i, machines)].append(i)
+
+    # Pass 1: allocate ids.
+    minted: Dict[int, Oid] = {}
+    for store, share in zip(stores, shares):
+        minted.update(zip(share, store.create_many(len(share))))
+    oids = [minted[i] for i in range(spec.n_objects)]
 
     # Pass 2: fill in tuples now that every pointer target has an id.
-    for i in range(spec.n_objects):
-        tuples = _object_tuples(i, spec, graph, oids, key_values, payload)
-        store = stores[graph.site_of(i, machines)]
-        store.replace(HFObject(oids[i], tuples, size_hint=64 + spec.payload_bytes))
+    for store, share in zip(stores, shares):
+        store.replace_many(
+            HFObject(oids[i], _object_tuples(i, spec, graph, oids, key_values, payload),
+                     size_hint=64 + spec.payload_bytes)
+            for i in share
+        )
 
     return MaterializedWorkload(
         spec=spec,

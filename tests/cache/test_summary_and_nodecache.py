@@ -281,6 +281,29 @@ class TestSuppression:
         assert not cache.should_suppress(QID, "site1", leaf, "Ref")
 
 
+class TestLateTrafficLeavesNoState:
+    def test_late_results_for_retired_queries_record_no_epoch(self):
+        """A caching originator retires its queries; ten result batches
+        that arrive afterwards, each stamped with its sender's epoch,
+        leave no freshness witness behind."""
+        from repro.net.messages import Envelope, ResultBatch
+        from repro.server.node import ServerNode
+
+        store = MemStore("site0")
+        root = store.create([keyword_tuple("K")])
+        node = ServerNode("site0", store, caching=CONFIG)
+        qids = [QueryId(i, "site0") for i in range(1, 11)]
+        for qid in qids:
+            node.submit(qid, prog('S [ (Pointer,"Ref",?X) ^^X ]* (Keyword,"K",?) -> T'), [root.oid])
+            node.run_to_idle()
+            node._retire_context(qid)
+        for qid in qids:
+            node.on_message(Envelope("site1", "site0", ResultBatch(qid, term={}), src_epoch=7))
+        node.run_to_idle()
+        assert node.stats.late_messages == 10
+        assert node._cache._confirmed == {}
+
+
 class TestQueryCache:
     def test_footprint_validates_epochs(self):
         from repro.core.parser import parse_query

@@ -29,6 +29,7 @@ from repro.errors import TerminationLost
 from repro.faults import FaultPlan
 from repro.net.asyncio_cluster import AsyncCluster
 from repro.net.batching import BatchConfig
+from repro.net.messages import QueryId
 from repro.net.threaded import ThreadedCluster
 from repro.profiling import credit_audit, critical_path, render_profile, tree_report
 from repro.tracing import FlightRecorderConfig, QueryTracer, events_from_jsonl
@@ -316,6 +317,22 @@ class TestProcessModeTracing:
 
 
 class TestFlightRecorder:
+    def test_dumped_queries_are_remembered_in_a_bounded_window(self):
+        from repro.net.common import RECENT_DUMPS
+
+        config = ClusterConfig(flight_recorder=FlightRecorderConfig(capacity=16))
+        with SimCluster(2, config=config) as cluster:
+            dumps = cluster.flight_recorder.dump_reasons
+            qids = [QueryId(seq, "site0") for seq in range(RECENT_DUMPS + 10)]
+            for qid in qids:
+                cluster._flightrec_dump(qid, "deadline")
+            assert len(cluster._flightrec_dumped) == RECENT_DUMPS
+            assert len(dumps) == RECENT_DUMPS + 10
+            cluster._flightrec_dump(qids[-1], "deadline")  # inside the window
+            cluster._flightrec_dump(qids[-RECENT_DUMPS], "crash")
+            assert len(dumps) == RECENT_DUMPS + 10
+            assert len(cluster._flightrec_dumped) == RECENT_DUMPS
+
     def test_sim_deadline_expiry_dumps_ring(self, tmp_path):
         cluster = SimCluster(
             3,

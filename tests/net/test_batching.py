@@ -396,6 +396,29 @@ class TestWallClockBatching:
             assert out.result.oid_keys() == {o.key() for o in everything}
             assert cluster.total_stats().batched_items > 0
 
+    @pytest.mark.parametrize("transport", ["threaded", "async"])
+    def test_linger_timer_flushes_the_queues_of_a_busy_site(self, transport):
+        """The root's site walks its 500 local children long past the
+        linger window; its queued remote work leaves on the timer, not
+        at the drain, and the answer is exact."""
+        from repro.api import make_cluster
+
+        config = ClusterConfig(batching=BatchConfig(max_batch=10_000, linger_s=0.001))
+        with make_cluster(transport, 3, config=config) as cluster:
+            root, everything = build_fanout(cluster, children=1500)
+            out = cluster.run_query(PROGRAM, [root])
+            assert out.result.oid_keys() == {o.key() for o in everything}
+            assert cluster.total_stats().batch_flushes_timer > 0
+
+    def test_no_linger_arms_no_timer(self):
+        from repro.net.threaded import ThreadedCluster
+
+        with ThreadedCluster(3, config=ClusterConfig(batching=BatchConfig(max_batch=4))) as cluster:
+            root, everything = build_fanout(cluster)
+            assert cluster.run_query(PROGRAM, [root]).result.oid_keys() == {o.key() for o in everything}
+            assert cluster._timers is None
+            assert not any(loop.runtime.armed for loop in cluster._loops.values())
+
     def test_async_cluster_batched_frames_cross_the_wire(self):
         from repro.net.asyncio_cluster import AsyncCluster
 

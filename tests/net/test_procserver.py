@@ -8,9 +8,13 @@ dynamic reliable arming, and the credit merge.
 """
 
 import inspect
+import json
 import os
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,8 @@ from repro.faults import FaultPlan
 from repro.faults.reliable import ReliableConfig
 from repro.net import procserver
 from repro.net.codec import FRAME_HEADER, encode_frame
+from repro.storage.memstore import MemStore
+from repro.workload import WorkloadSpec, materialize
 
 CLOSURE = 'S [ (Pointer,"Ref",?X) ^^X ]* (Keyword,"K",?) -> T'
 
@@ -37,9 +43,68 @@ def proc_cluster(sites=2, **kwargs):
 
 
 def exit_before_hello(*_args):
-    """A child entry point that dies before connecting (spawn pickles it
-    by reference, so the child imports this module to find it)."""
+    """A child entry point that dies before connecting (pickled by
+    reference, so the child imports this module to find it)."""
     os._exit(3)
+
+
+def legacy_materialize(spec, stores):
+    """``materialize`` as it loaded a database one call per object: every
+    id minted in abstract-index order, then every object replaced."""
+    from repro.core.objects import HFObject
+    from repro.workload.generator import _draw_key_values, _object_tuples
+    from repro.workload.graphs import build_graph
+
+    graph = build_graph(n=spec.n_objects, groups=spec.groups, locality_classes=spec.locality_classes,
+                        pointers_per_class=spec.pointers_per_class, tree_arity=spec.tree_arity,
+                        seed=spec.seed)
+    key_values, payload = _draw_key_values(spec), "x" * spec.payload_bytes
+    homes = [stores[graph.site_of(i, len(stores))] for i in range(spec.n_objects)]
+    oids = [store.create([]).oid for store in homes]
+    for i, store in enumerate(homes):
+        tuples = _object_tuples(i, spec, graph, oids, key_values, payload)
+        store.replace(HFObject(oids[i], tuples, size_hint=64 + spec.payload_bytes))
+
+
+def live_children():
+    """Processes whose parent is this one, read from ``/proc``."""
+    me, pids = os.getpid(), []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                ppid = Path(f"/proc/{entry}/stat").read_text().rsplit(")", 1)[1].split()[1]
+            except OSError:
+                continue  # ended while we looked
+            if int(ppid) == me:
+                pids.append(int(entry))
+    return pids
+
+
+#: A script whose site children print the repro modules they hold when
+#: they start serving, then serve as usual.
+REPORT_CHILD_MODULES = """
+import json
+import os
+import sys
+
+from repro.net import procserver
+
+serve = procserver._child_main
+
+
+def report_modules(*args):
+    loaded = sorted(name for name in sys.modules if name.startswith("repro"))
+    # One write of under PIPE_BUF bytes: the children's lines never interleave.
+    os.write(1, f"child-modules {json.dumps(loaded)}\\n".encode())
+    serve(*args)
+
+
+if __name__ == "__main__":
+    from repro.config import ClusterConfig
+
+    procserver._child_main = report_modules
+    procserver.ProcessCluster(2, config=ClusterConfig(processes=True)).close()
+"""
 
 
 def build_chain(cluster, length=6):
@@ -102,6 +167,30 @@ class TestStoreProxyParity:
             assert not store.contains(b.oid) and b.oid not in store
             assert len(store) == 1
             assert "site0" in repr(store)
+            epoch_before = store.epoch
+            fresh = store.create_many(3)
+            assert [oid.local_id for oid in fresh] == [2, 3, 4]  # allocation order
+            store.replace_many(store.get(oid).with_tuple(keyword_tuple("Y")) for oid in fresh)
+            assert store.epoch == epoch_before + 6
+            assert all(store.get(oid).tuples == (keyword_tuple("Y"),) for oid in fresh)
+
+    def test_materialize_loads_every_store_identically(self):
+        """The bulk load's two calls per store leave the ids, objects and
+        epochs one call per object left, through MemStore and StoreProxy."""
+        spec = WorkloadSpec()
+        reference = [MemStore(f"site{i}") for i in range(3)]
+        legacy_materialize(spec, reference)
+        local = [MemStore(f"site{i}") for i in range(3)]
+        db = materialize(spec, local)
+        with proc_cluster(3) as cluster:
+            remote = materialize(spec, [cluster.store(site) for site in cluster.sites])
+            assert remote.oids == db.oids
+            for site, want, got in zip(cluster.sites, reference, local):
+                proxy = cluster.store(site)
+                assert [(o.oid, o.tuples) for o in got.objects()] == [(o.oid, o.tuples) for o in want.objects()]
+                assert [(o.oid, o.tuples) for o in proxy.objects()] == [(o.oid, o.tuples) for o in want.objects()]
+                assert got.epoch == proxy.epoch == want.epoch
+                assert got.alloc_high == proxy.alloc_high == want.alloc_high
 
     def test_rejects_simulator_config_handed_directly(self):
         # Belt for configs minted with processes=False then given to the
@@ -158,6 +247,61 @@ class TestChildDeath:
             assert "site1" in str(excinfo.value)
         finally:
             cluster.close()
+
+
+class TestForkServer:
+    """Children fork from a fork server that has already imported the
+    site runtime, and closing the last cluster stops it: a caller is left
+    with no child process of its own."""
+
+    def test_a_child_imports_only_the_site_runtime(self, tmp_path):
+        script = tmp_path / "report_child_modules.py"
+        script.write_text(REPORT_CHILD_MODULES)
+        src = str(Path(procserver.__file__).resolve().parents[2])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              timeout=60, env=env, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        reports = [json.loads(line.split(" ", 1)[1]) for line in done.stdout.splitlines()
+                   if line.startswith("child-modules ")]
+        assert len(reports) == 2
+        for loaded in reports:
+            assert "repro.net.procserver" in loaded
+            for feature in ("repro.client", "repro.net.simnet", "repro.metrics.charts",
+                            "repro.cluster", "repro.membership.service", "repro.cache.nodecache"):
+                assert feature not in loaded
+
+    def test_the_last_close_leaves_no_child_process(self):
+        first = proc_cluster()
+        second = proc_cluster(fault_plan=FaultPlan(seed=3).link("site0", "site1", drop=1.0))
+        try:
+            first.close()
+            first.close()  # a second close does nothing
+            assert live_children(), "the fork server still serves the second cluster"
+            oids = build_chain(second)
+            qid = second.submit(CLOSURE, [oids[0]])  # in flight on a dead link
+            started = time.monotonic()
+            second.close()
+            assert time.monotonic() - started < 10.0
+            assert qid in second._inflight
+        finally:
+            first.close()
+            second.close()
+        assert live_children() == []
+
+    def test_a_cluster_that_fails_to_start_leaves_no_child_process(self, monkeypatch):
+        monkeypatch.setattr(procserver, "_child_main", exit_before_hello)
+        with pytest.raises(ChildProcessDied):
+            proc_cluster()
+        assert live_children() == []
+
+    def test_a_config_refused_after_the_children_started_leaves_no_child_process(self):
+        from repro.membership import MembershipConfig
+        from repro.replication import ReplicationConfig
+
+        with pytest.raises(ConfigError, match="heartbeat_s"):  # wall clock: no gossip detector
+            proc_cluster(replication=ReplicationConfig(k=2), membership=MembershipConfig(heartbeat_s=0.1))
+        assert live_children() == []
 
 
 class TestControlFraming:

@@ -220,7 +220,8 @@ def control_corpus():
     obj = HFObject(oid, [keyword_tuple("K")])
     args = {
         "create": ((("Keyword", "K", None),), None),
-        "get": (oid,), "replace": (obj,), "put": (obj, True), "contains": (oid,),
+        "get": (oid,), "replace": (obj,), "create_many": (2,), "replace_many": ((obj, obj),),
+        "put": (obj, True), "contains": (oid,),
         "remove": (oid,), "oids": (), "objects": (), "store_meta": (),
         "fwd_record": (oid, "site1"), "fwd_drop": (oid,), "fwd_lookup": (oid,),
         "repl_dir": (oid, (("site0", "site1"), 2)), "epoch": ("site1", 3),
